@@ -188,9 +188,15 @@ def affine_dimension(
     if not pts:
         raise ValueError("affine_dimension needs at least one point")
     _common_dim(*pts)
-    if len(pts) == 1:
+    return _affine_rank(np.vstack(pts), tol)
+
+
+def _affine_rank(mat: NDArray[np.float64], tol: Tolerance) -> int:
+    """:func:`affine_dimension` of the rows of an already validated matrix."""
+    if mat.shape[0] == 0:
+        raise ValueError("affine_dimension needs at least one point")
+    if mat.shape[0] == 1:
         return 0
-    mat = np.vstack(pts)
     centered = mat - mat.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals.size == 0:

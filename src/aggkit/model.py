@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .geometry import (
     SegmentPosition,
     Tolerance,
     Vector,
+    _affine_rank,
     affine_dimension,
     as_point,
     segment_coefficient,
@@ -86,8 +87,15 @@ class DatasetSource(AggregationSource):
     Keys are feature sets, values are outcome points of a common
     dimension.  Every member of every set must also appear as a
     singleton, so the data always contains the underlying feature map;
-    violating that raises MissingSingleton at construction time.  Stored
-    arrays are copies marked read-only.
+    violating that raises MissingSingleton at construction time.
+
+    The data is validated and interned once, at construction: each
+    feature gets one bit (in sorted order, so the lowest bit of a set is
+    its smallest member), each stored set becomes an int bitmask, and
+    the outcomes are the rows of one read-only ``(m, d)`` array in
+    canonical set order.  The public lookups validate their arguments;
+    code inside the package that already holds valid ids uses
+    ``_lookup`` and the mask index directly.
     """
 
     def __init__(
@@ -102,8 +110,7 @@ class DatasetSource(AggregationSource):
         table: dict[FeatureSet, Vector] = {}
         for key, value in outcomes.items():
             fs = feature_set(key)
-            arr = as_point(value, dim=self.dimension).copy()
-            arr.setflags(write=False)
+            arr = as_point(value, dim=self.dimension)
             if fs in table:
                 raise ValueError(f"duplicate set {sorted(fs)} in dataset")
             table[fs] = arr
@@ -119,28 +126,49 @@ class DatasetSource(AggregationSource):
             raise MissingSingleton(
                 missing, "every member of every set needs a singleton entry"
             )
-        self._table = table
         self._features = tuple(sorted({m for fs in table for m in fs}))
+        self._bit = {f: 1 << i for i, f in enumerate(self._features)}
+        self._sets = tuple(sorted(table, key=set_sort_key))
+        # Mask of each stored set -> its row; insertion order is row order.
+        self._mask_row = {
+            sum(self._bit[m] for m in fs): row for row, fs in enumerate(self._sets)
+        }
+        points = np.empty((len(self._sets), self.dimension))
+        for row, fs in enumerate(self._sets):
+            points[row] = table[fs]
+        points.setflags(write=False)
+        self._points = points
 
     def features(self) -> tuple[str, ...]:
         return self._features
 
     def sets(self) -> tuple[FeatureSet, ...]:
         """All stored sets in canonical order."""
-        return tuple(sorted(self._table, key=set_sort_key))
+        return self._sets
 
     def has(self, members: Iterable[str] | str) -> bool:
-        return feature_set(members) in self._table
+        return self._lookup(feature_set(members)) is not None
 
     def outcome(self, members: Iterable[str] | str) -> Vector:
         fs = feature_set(members)
-        try:
-            return self._table[fs]
-        except KeyError:
-            raise MissingDataError([fs]) from None
+        point = self._lookup(fs)
+        if point is None:
+            raise MissingDataError([fs])
+        return point
+
+    def _lookup(self, members: Iterable[str]) -> Vector | None:
+        """Stored outcome of a set of valid feature ids, None when absent."""
+        mask = 0
+        for m in members:
+            bit = self._bit.get(m)
+            if bit is None:
+                return None
+            mask |= bit
+        row = self._mask_row.get(mask)
+        return None if row is None else self._points[row]
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._sets)
 
 
 class OracleSource(AggregationSource):
@@ -274,9 +302,11 @@ def top_set(rep: Representation, members: Iterable[str] | str) -> FeatureSet:
 def evaluate(rep: Representation, members: Iterable[str] | str) -> Vector:
     """Weight-averaged outcome of the top-ranked members of the set."""
     top = top_set(rep, members)
-    total = sum(rep.weights[f] for f in top)
+    # Sorted, so the float sums do not depend on frozenset hash order.
+    members = sorted(top)
+    total = sum(rep.weights[f] for f in members)
     acc = np.zeros(rep.dimension)
-    for f in top:
+    for f in members:
         acc += rep.weights[f] * rep.outcomes[f]
     return acc / total
 
@@ -389,6 +419,31 @@ def _judge_pair(
     return False, "mixing coefficient is strictly interior"
 
 
+def _stored_splits(
+    mask_row: Mapping[int, int], by_low: Mapping[int, list[int]], union: int
+) -> Iterator[tuple[int, int]]:
+    """Stored (A, B) masks with A + B = ``union`` and A holding its lowest bit.
+
+    ``by_low`` groups the stored masks by lowest bit; see
+    :func:`check_axiom` for how the candidate list is chosen.
+    """
+    low = union & -union
+    stored_low = by_low[low]
+    if len(stored_low) < 1 << (union.bit_count() - 1):
+        for part_a in stored_low:
+            if part_a != union and part_a & union == part_a:
+                if union ^ part_a in mask_row:
+                    yield part_a, union ^ part_a
+        return
+    rest = union ^ low
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest
+        part_a = sub | low
+        if part_a in mask_row and union ^ part_a in mask_row:
+            yield part_a, union ^ part_a
+
+
 def check_axiom(
     src: DatasetSource,
     mode: AxiomMode = AxiomMode.WEIGHTED,
@@ -398,28 +453,35 @@ def check_axiom(
 
     Pairs are enumerated from the stored sets: for every stored set U
     with at least two members, every bipartition U = A + B with both
-    parts stored is checked once, in canonical order.
+    parts stored is checked once, A holding the smallest member of U,
+    in canonical order.
+
+    The candidates for A are either the 2^(|U|-1) subsets of U that
+    hold its smallest member or the stored sets whose smallest member is
+    U's, whichever list is shorter, so each union costs
+    min(2^(|U|-1), number of stored sets sharing U's smallest member)
+    lookups.  A wide union among few stored sets is cheap.
     """
+    sets, mask_row, points = src.sets(), src._mask_row, src._points
+    masks = tuple(mask_row)
+    by_low: dict[int, list[int]] = {}
+    for mask in masks:
+        by_low.setdefault(mask & -mask, []).append(mask)
     checks: list[AxiomCheck] = []
-    for union in src.sets():
-        members = sorted(union)
-        if len(members) < 2:
+    for row, union in enumerate(sets):
+        if len(union) < 2:
             continue
-        f_union = src.outcome(union)
-        head, rest = members[0], members[1:]
-        seen: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for size in range(0, len(rest) + 1):
-            for extra in itertools.combinations(rest, size):
-                part_a = frozenset([head, *extra])
-                part_b = union - part_a
-                if not part_b:
-                    continue
-                if not (src.has(part_a) and src.has(part_b)):
-                    continue
-                seen.append((tuple(sorted(part_a)), tuple(sorted(part_b))))
-        for key_a, key_b in sorted(seen):
-            f_a = src.outcome(key_a)
-            f_b = src.outcome(key_b)
+        splits = sorted(
+            (tuple(sorted(sets[mask_row[a]])), tuple(sorted(sets[mask_row[b]])), a, b)
+            for a, b in _stored_splits(mask_row, by_low, masks[row])
+        )
+        if not splits:
+            continue
+        f_union = points[row]
+        key_union = tuple(sorted(union))
+        for key_a, key_b, a, b in splits:
+            f_a = points[mask_row[a]]
+            f_b = points[mask_row[b]]
             pos = segment_coefficient(f_union, f_a, f_b, tol)
             degenerate = pos.kind is SegmentKind.DEGENERATE
             equal = tol.close(f_union, f_a) if degenerate else None
@@ -428,7 +490,7 @@ def check_axiom(
                 AxiomCheck(
                     set_a=key_a,
                     set_b=key_b,
-                    union=tuple(sorted(union)),
+                    union=key_union,
                     lam=None if degenerate else pos.lam,
                     residual=pos.residual,
                     degenerate=degenerate,
@@ -447,9 +509,8 @@ def check_richness(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> bool
     singleton outcomes of the declared feature universe.
     """
     if isinstance(src, DatasetSource):
-        points = [src.outcome(s) for s in src.sets()]
-    else:
-        points = [src.outcome([f]) for f in src.features()]
+        return _affine_rank(src._points, tol) >= 2
+    points = [src.outcome([f]) for f in src.features()]
     return affine_dimension(points, tol) >= 2
 
 
@@ -494,26 +555,48 @@ def check_strong_richness(
     singles = {f: src.outcome([f]) for f in features}
     entries: list[StrongRichnessEntry] = []
     all_blocked: set[tuple[str, ...]] = set()
+    # Answer per unordered pair (features are sorted, so (x, y) with x < y).
+    known: dict[tuple[str, str], bool | None] = {}
 
     def pair_interior(x: str, other: str) -> bool | None:
         """True/False when decidable, None when the pair set is missing."""
-        fs = frozenset([x, other])
-        if isinstance(src, DatasetSource) and not src.has(fs):
-            return None
-        agg = src.outcome(fs)
-        ga = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[x])))
-        gb = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[other])))
-        return (
-            float(np.linalg.norm(agg - singles[x])) > ga
-            and float(np.linalg.norm(agg - singles[other])) > gb
-        )
+        key = (x, other) if x < other else (other, x)
+        if key in known:
+            return known[key]
+        if isinstance(src, DatasetSource):
+            agg = src._lookup(key)
+        else:
+            agg = src.outcome(frozenset(key))
+        answer = None
+        if agg is not None:
+            ga = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[x])))
+            gb = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[other])))
+            answer = (
+                float(np.linalg.norm(agg - singles[x])) > ga
+                and float(np.linalg.norm(agg - singles[other])) > gb
+            )
+        known[key] = answer
+        return answer
+
+    def settled(x: str, y: str, z: str) -> bool:
+        """(y, z) can neither witness x nor block it, whatever the geometry.
+
+        Only answers already computed count; a pair not yet asked about
+        (or missing) reads None here and leaves the candidate open, so
+        the oracle is queried in the same order as without the shortcut.
+        """
+        oy = known.get((x, y) if x < y else (y, x), None)
+        oz = known.get((x, z) if x < z else (z, x), None)
+        return oy is not None and oz is not None and not (oy and oz)
 
     for x in features:
         witness: tuple[str, str] | None = None
         blocked: set[tuple[str, ...]] = set()
         others = [f for f in features if f != x]
         for y, z in itertools.combinations(others, 2):
-            if affine_dimension([singles[x], singles[y], singles[z]], tol) < 2:
+            if settled(x, y, z):
+                continue
+            if _affine_rank(np.vstack([singles[x], singles[y], singles[z]]), tol) < 2:
                 continue
             oy = pair_interior(x, y)
             oz = pair_interior(x, z)

@@ -137,10 +137,9 @@ class _PairTable:
         self.src = src
 
     def get(self, a: str, b: str) -> Vector | None:
-        fs = frozenset([a, b])
-        if isinstance(self.src, DatasetSource) and not self.src.has(fs):
-            return None
-        return self.src.outcome(fs)
+        if isinstance(self.src, DatasetSource):
+            return self.src._lookup((a, b))
+        return self.src.outcome(frozenset([a, b]))
 
 
 def recover_order(

@@ -1,8 +1,14 @@
 """Command line behavior: verdicts, exit codes, tolerance, and output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import aggkit
 
 
 def report_of(run_cli, *args, **kw):
@@ -182,3 +188,25 @@ class TestDeterminism:
         _, first = run_cli("gen", "--seed", "33")
         _, second = run_cli("gen", "--seed", "33")
         assert first == second
+
+    def test_recover_is_byte_identical_across_hash_seeds(self, run_cli, tmp_path):
+        # Six features in one rank class: evaluate sums up to six weights
+        # and outcomes, in an order that must not follow frozenset hashing.
+        _, gen = report_of(
+            run_cli, "gen", "--seed", "5", "--features", "6", "--classes", "1"
+        )
+        dataset = tmp_path / "flat6.json"
+        dataset.write_text(json.dumps(gen["result"]["dataset"]), encoding="utf-8")
+        src_dir = str(Path(aggkit.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            proc = subprocess.run(
+                [sys.executable, "-m", "aggkit", "recover", str(dataset)],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
