@@ -26,14 +26,20 @@ from .errors import (
     NotStationary,
     UnknownFeature,
 )
-from .geometry import DEFAULT_TOL, SegmentKind, Tolerance, Vector, as_point, segment_coefficient
+from .geometry import (
+    DEFAULT_TOL,
+    Tolerance,
+    Vector,
+    as_point,
+    interior_lambda,
+    segment_coefficient,
+)
 from .model import (
     AggregationSource,
     DatasetSource,
     FeatureSet,
     OracleSource,
     Representation,
-    evaluate,
     feature_set,
     set_sort_key,
     top_set,
@@ -504,14 +510,13 @@ def recover_discounted(
     a, b = pair
     staggered = ask(TimedQuery(frozenset(pair), {a: 1, b: 2}))
     pos = segment_coefficient(staggered, singles[a], singles[b], tol)
-    if pos.kind is not SegmentKind.ON_SEGMENT or pos.lam is None:
+    lam = interior_lambda(pos, tol)
+    if lam is None:
+        if pos.on_segment:
+            raise NotStationary(f"staggered pair {pair} has an extreme coefficient")
         raise NotStationary(
             f"staggered pair {pair} is not a mixture of its endpoints"
         )
-    lam = pos.lam
-    slack = tol.lam_slack
-    if lam <= slack or lam >= 1.0 - slack:
-        raise NotStationary(f"staggered pair {pair} has an extreme coefficient")
     # lam = q w(a) / (q w(a) + q^2 w(b))  =>  q = (1 - lam)/lam * w(a)/w(b)
     q = (1.0 - lam) / lam * rep.weights[a] / rep.weights[b]
 

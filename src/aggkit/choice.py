@@ -12,7 +12,6 @@ diagnostics on top of that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,15 +26,7 @@ from .geometry import (
     convex_coefficients,
     relative_interior_check,
 )
-from .model import (
-    AggregationSource,
-    DatasetSource,
-    Representation,
-    check_richness,
-    evaluate,
-    feature_set,
-    top_set,
-)
+from .model import DatasetSource, check_richness, feature_set
 from .recovery import (
     MissingData,
     NonRepresentable,
@@ -148,7 +139,7 @@ class LuceOutcome:
     weights: Mapping[str, float] | None
     ranks: Mapping[str, int] | None
     reason: str
-    recovery: RecoveryOutcome | None
+    recovery: RecoveryOutcome
     rich: bool
 
 
@@ -386,9 +377,13 @@ class BoundaryReport:
 
 
 def boundary_diagnostic(
-    src: DatasetSource, tol: Tolerance = DEFAULT_TOL
+    src: DatasetSource, recovery: RecoveryOutcome, tol: Tolerance = DEFAULT_TOL
 ) -> BoundaryReport:
-    """Flag multi-alternative menus with boundary or out-of-hull choices."""
+    """Flag multi-alternative menus with boundary or out-of-hull choices.
+
+    ``recovery`` is the outcome of :func:`recover` on ``src`` (as held in
+    ``LuceOutcome.recovery``); its rank classes decide the contradictions.
+    """
     rows = []
     boundary = []
     for s in src.sets():
@@ -409,10 +404,9 @@ def boundary_diagnostic(
         if not interior:
             boundary.append(tuple(members))
 
-    outcome = recover(src, tol)
     single: bool | None = None
-    if isinstance(outcome, Recovered):
-        single = len(outcome.representation.rank_classes()) == 1
+    if isinstance(recovery, Recovered):
+        single = len(recovery.representation.rank_classes()) == 1
     contradictions = tuple(boundary) if single else ()
     return BoundaryReport(
         rows=tuple(rows),

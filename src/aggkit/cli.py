@@ -50,7 +50,6 @@ from .fileio import (
     jnum,
     jvec,
     load_dataset,
-    members_list,
 )
 from .geometry import Tolerance
 from .model import (
@@ -74,8 +73,8 @@ from .social import (
     InCone,
     FarkasOutcome,
     check_extended_pareto,
-    normalize_to_H,
     recover_state_dependent,
+    verify_weight_table,
 )
 from .testkit import (
     GeneratorConfig,
@@ -276,7 +275,7 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> Result:
         return verdict, _recovery_json(outcome), code
     value = evaluate(outcome.representation, members)
     result = {
-        "members": members_list(members),
+        "members": sorted(members),
         "value": jvec(value),
         "recovery": _recovery_json(outcome, with_rows=False),
     }
@@ -388,7 +387,7 @@ def cmd_luce(args: argparse.Namespace, tol: Tolerance) -> Result:
     doc = _load(args, tol)
     _require_kind(doc, "luce", ("menu",))
     outcome = recover_two_stage(doc.source, tol) if args.two_stage else recover_luce(doc.source, tol)
-    boundary = boundary_diagnostic(doc.source, tol)
+    boundary = boundary_diagnostic(doc.source, outcome.recovery, tol)
     result: dict[str, Any] = {
         "rationalizable": outcome.rationalizable,
         "two_stage": bool(args.two_stage),
@@ -401,8 +400,7 @@ def cmd_luce(args: argparse.Namespace, tol: Tolerance) -> Result:
         result["weights"] = {f: jnum(w) for f, w in sorted(outcome.weights.items())}
     if outcome.ranks is not None and args.two_stage:
         result["ranks"] = {f: r for f, r in sorted(outcome.ranks.items())}
-    if outcome.recovery is not None:
-        result["recovery"] = _recovery_json(outcome.recovery, with_rows=False)
+    result["recovery"] = _recovery_json(outcome.recovery, with_rows=False)
     verdict = "rationalizable" if outcome.rationalizable else "not-rationalizable"
     return verdict, result, EXIT_OK if outcome.rationalizable else EXIT_NEGATIVE
 
@@ -486,43 +484,17 @@ def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance) -> Result:
     assert doc.direction is not None
     if not doc.weight_table:
         raise DatasetFormatError("weights", "gswf-verify needs a weights table")
-    src = doc.source
-    v = doc.direction
-    normalized = {
-        f: normalize_to_H(src.outcome([f]), v, tol, who=f) for f in src.features()
-    }
-    rows = []
-    worst = 0.0
-    for s in src.sets():
-        if len(s) < 2:
-            continue
-        members = sorted(s)
-        missing = [m for m in members if m not in doc.weight_table]
-        if missing:
-            raise DatasetFormatError(
-                "weights", f"no weight for individuals {missing}"
-            )
-        num = np.zeros(doc.dimension)
-        den = 0.0
-        for m in members:
-            w = doc.weight_table[m]
-            num += w * normalized[m]
-            den += w
-        predicted = num / den
-        observed = normalize_to_H(src.outcome(s), v, tol, who=",".join(members))
-        residual = float(np.linalg.norm(observed - predicted))
-        worst = max(worst, residual)
-        rows.append(
-            {
-                "members": members,
-                "residual": jnum(residual),
-                "passed": residual <= tol.gate(1.0),
-            }
-        )
-    consistent = all(r["passed"] for r in rows)
+    try:
+        table = verify_weight_table(doc.source, doc.weight_table, doc.direction, tol)
+    except MissingDataError as err:
+        raise DatasetFormatError("weights", str(err)) from None
+    consistent = all(passed for _, _, passed in table)
     result = {
-        "rows": rows,
-        "max_residual": jnum(worst),
+        "rows": [
+            {"members": list(members), "residual": jnum(residual), "passed": passed}
+            for members, residual, passed in table
+        ],
+        "max_residual": jnum(max((residual for _, residual, _ in table), default=0.0)),
         "consistent": consistent,
     }
     verdict = "consistent" if consistent else "inconsistent"
@@ -638,7 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="dataset file, or - for stdin")
         p.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance (default 1e-9, or AGGKIT_TOL)")
-        p.add_argument("--format", choices=["json"], default="json", help="report format")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("check", help="test the averaging axiom on a dataset")

@@ -21,11 +21,16 @@ import numpy as np
 from .belief import TimedQuery, as_belief
 from .errors import DatasetFormatError, NotABelief
 from .geometry import DEFAULT_TOL, Tolerance, Vector
-from .model import DatasetSource, FeatureSet, set_sort_key
+from .model import DatasetSource, FeatureSet, set_sort_key, validate_feature_id
 
 FORMAT_VERSION = "1"
 
 KINDS = ("generic", "belief", "menu", "profile", "sdeu", "timed")
+
+# Keys of the closed objects in schemas/dataset.schema.json.
+_TOP_KEYS = ("format_version", "kind", "dimension", "features", "sets", "direction", "weights")
+_FEATURE_KEYS = ("outcome", "weight")
+_SET_KEYS = ("members", "outcome", "timing")
 
 
 @dataclass
@@ -45,6 +50,12 @@ def _need(obj: Mapping[str, Any], key: str, where: str) -> Any:
     if key not in obj:
         raise DatasetFormatError(where, f"missing required key {key!r}")
     return obj[key]
+
+
+def _closed(obj: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
+    unknown = sorted(k for k in obj if k not in keys)
+    if unknown:
+        raise DatasetFormatError(where, f"unknown key {unknown[0]!r}, expected keys among {keys}")
 
 
 def _as_vector(value: Any, dim: int, where: str) -> list[float]:
@@ -76,6 +87,7 @@ def load_dataset(
         raise DatasetFormatError(name, f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetFormatError(name, "top level must be an object")
+    _closed(raw, _TOP_KEYS, name)
 
     version = _need(raw, "format_version", name)
     if version != FORMAT_VERSION:
@@ -97,10 +109,13 @@ def load_dataset(
     for fid in sorted(features):
         where = f"features[{fid!r}]"
         entry = features[fid]
-        if not isinstance(fid, str) or not fid or "," in fid or any(c.isspace() for c in fid):
-            raise DatasetFormatError(where, "feature ids are non-empty strings without spaces or commas")
+        try:
+            validate_feature_id(fid)
+        except ValueError:
+            raise DatasetFormatError(where, "feature ids are non-empty strings without spaces or commas") from None
         if not isinstance(entry, dict):
             raise DatasetFormatError(where, "expected an object")
+        _closed(entry, _FEATURE_KEYS, where)
         outcome = _as_vector(_need(entry, "outcome", where), dimension, f"{where}.outcome")
         table[frozenset([fid])] = outcome
         if "weight" in entry:
@@ -117,11 +132,12 @@ def load_dataset(
         where = f"sets[{idx}]"
         if not isinstance(entry, dict):
             raise DatasetFormatError(where, "expected an object")
+        _closed(entry, _SET_KEYS, where)
         members = _need(entry, "members", where)
         if not isinstance(members, list) or not members:
             raise DatasetFormatError(f"{where}.members", "expected a non-empty array of feature ids")
         for m in members:
-            if m not in features:
+            if not isinstance(m, str) or m not in features:
                 raise DatasetFormatError(f"{where}.members", f"undeclared feature {m!r}")
         if len(set(members)) != len(members):
             raise DatasetFormatError(f"{where}.members", "duplicate members")
@@ -214,14 +230,6 @@ def jvec(v: Iterable[float]) -> list[float | None]:
     return [jnum(x) for x in v]
 
 
-def members_list(s: Iterable[str]) -> list[str]:
-    return sorted(s)
-
-
-def sorted_sets(sets: Iterable[Iterable[str]]) -> list[list[str]]:
-    return [list(t) for t in sorted((tuple(sorted(s)) for s in sets), key=lambda t: (len(t), t))]
-
-
 def dataset_to_json(
     source: DatasetSource,
     kind: str = "generic",
@@ -239,7 +247,7 @@ def dataset_to_json(
     for fs in source.sets():
         if len(fs) == 1:
             continue
-        sets.append({"members": members_list(fs), "outcome": jvec(source.outcome(fs))})
+        sets.append({"members": sorted(fs), "outcome": jvec(source.outcome(fs))})
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": kind,

@@ -174,6 +174,21 @@ def segment_coefficient(
     return SegmentPosition(kind=SegmentKind.ON_LINE, lam=lam_raw, residual=residual)
 
 
+def interior_lambda(pos: SegmentPosition, tol: Tolerance = DEFAULT_TOL) -> float | None:
+    """The coefficient of ``pos`` when it is strictly inside the segment.
+
+    Returns ``lam`` for an ON_SEGMENT position with
+    ``lam_slack < lam < 1 - lam_slack``, and None for every other
+    position (an endpoint, off the segment, or degenerate).  An interior
+    coefficient of a pair aggregate reads as the weight ratio
+    ``lam / (1 - lam)``; one at an endpoint reads as a rank.
+    """
+    if pos.kind is not SegmentKind.ON_SEGMENT or pos.lam is None:
+        return None
+    slack = tol.lam_slack
+    return pos.lam if slack < pos.lam < 1.0 - slack else None
+
+
 def affine_dimension(
     points: Iterable[Sequence[float] | Vector], tol: Tolerance = DEFAULT_TOL
 ) -> int:

@@ -11,7 +11,7 @@ raw data to the mixture axioms (weighted, strict, extreme averaging).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -33,6 +33,7 @@ from .geometry import (
     _affine_rank,
     affine_dimension,
     as_point,
+    interior_lambda,
     segment_coefficient,
 )
 
@@ -78,6 +79,14 @@ class AggregationSource:
         raise NotImplementedError
 
     def features(self) -> tuple[str, ...]:
+        raise NotImplementedError
+
+    def _lookup(self, members: Iterable[str]) -> Vector | None:
+        """Outcome of a set of valid feature ids, None when it is absent.
+
+        Internal callers use it for pair aggregates: a dataset may lack
+        the set, an oracle always answers (and logs the query).
+        """
         raise NotImplementedError
 
 
@@ -211,6 +220,10 @@ class OracleSource(AggregationSource):
             self._cache[fs] = arr
             self.query_log.append(fs)
         return self._cache[fs]
+
+    def _lookup(self, members: Iterable[str]) -> Vector:
+        """Same as :meth:`outcome`; an oracle never lacks a set."""
+        return self.outcome(frozenset(members))
 
     def queried_sets(self) -> tuple[FeatureSet, ...]:
         return tuple(sorted(self._cache, key=set_sort_key))
@@ -395,7 +408,6 @@ def _judge_pair(
     ``degenerate_equal`` says whether f(A | B) matches the common
     endpoint when the pair is degenerate; None otherwise.
     """
-    slack = tol.lam_slack
     if pos.kind is SegmentKind.DEGENERATE:
         if degenerate_equal:
             return True, ""
@@ -404,11 +416,9 @@ def _judge_pair(
         return False, "union outcome is off the segment line"
     if pos.kind is SegmentKind.ON_LINE:
         return False, "union outcome is collinear but outside the segment"
-    lam = pos.lam
-    assert lam is not None
     if mode is AxiomMode.WEIGHTED:
         return True, ""
-    interior = slack < lam < 1.0 - slack
+    interior = interior_lambda(pos, tol) is not None
     if mode is AxiomMode.STRICT:
         if interior:
             return True, ""
@@ -563,18 +573,10 @@ def check_strong_richness(
         key = (x, other) if x < other else (other, x)
         if key in known:
             return known[key]
-        if isinstance(src, DatasetSource):
-            agg = src._lookup(key)
-        else:
-            agg = src.outcome(frozenset(key))
+        agg = src._lookup(key)
         answer = None
         if agg is not None:
-            ga = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[x])))
-            gb = tol.gate(float(np.linalg.norm(agg)), float(np.linalg.norm(singles[other])))
-            answer = (
-                float(np.linalg.norm(agg - singles[x])) > ga
-                and float(np.linalg.norm(agg - singles[other])) > gb
-            )
+            answer = not tol.close(agg, singles[x]) and not tol.close(agg, singles[other])
         known[key] = answer
         return answer
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,6 +29,7 @@ from .geometry import (
     SegmentKind,
     Tolerance,
     Vector,
+    interior_lambda,
     segment_coefficient,
 )
 from .model import (
@@ -36,10 +37,8 @@ from .model import (
     DatasetSource,
     FeatureSet,
     Representation,
-    SourceMode,
     evaluate,
-    feature_set,
-    set_sort_key,
+    top_set,
 )
 
 __all__ = [
@@ -126,22 +125,6 @@ def _norm(v: Vector) -> float:
     return float(np.linalg.norm(v))
 
 
-class _PairTable:
-    """Uniform access to pair aggregates for both source modes.
-
-    Dataset sources report absent pairs instead of raising, so callers
-    can defer a MissingDataError until alternatives are exhausted.
-    """
-
-    def __init__(self, src: AggregationSource):
-        self.src = src
-
-    def get(self, a: str, b: str) -> Vector | None:
-        if isinstance(self.src, DatasetSource):
-            return self.src._lookup((a, b))
-        return self.src.outcome(frozenset([a, b]))
-
-
 def recover_order(
     src: AggregationSource, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, int]:
@@ -162,10 +145,6 @@ def recover_order(
     if n == 0:
         raise ValueError("source has no features")
     singles = {f: src.outcome([f]) for f in features}
-    pairs = _PairTable(src)
-
-    def distinct(u: Vector, v: Vector) -> bool:
-        return _norm(u - v) > tol.gate(_norm(u), _norm(v))
 
     def find_witness(x: str, exclude: str) -> str | None:
         """A feature z with f(z) distinct from f(x) and f({x,z}) strictly
@@ -173,12 +152,12 @@ def recover_order(
         for z in features:
             if z == x or z == exclude:
                 continue
-            if not distinct(singles[z], singles[x]):
+            if tol.close(singles[z], singles[x]):
                 continue
-            agg = pairs.get(x, z)
+            agg = src._lookup((x, z))
             if agg is None:
                 continue
-            if distinct(agg, singles[x]) and distinct(agg, singles[z]):
+            if not tol.close(agg, singles[x]) and not tol.close(agg, singles[z]):
                 return z
         return None
 
@@ -187,13 +166,13 @@ def recover_order(
 
     for x, y in itertools.combinations(features, 2):
         fx, fy = singles[x], singles[y]
-        if distinct(fx, fy):
-            agg = pairs.get(x, y)
+        if not tol.close(fx, fy):
+            agg = src._lookup((x, y))
             if agg is None:
                 missing.add(tuple(sorted((x, y))))
                 continue
-            geq[(x, y)] = distinct(agg, fy)
-            geq[(y, x)] = distinct(agg, fx)
+            geq[(x, y)] = not tol.close(agg, fy)
+            geq[(y, x)] = not tol.close(agg, fx)
         else:
             z = find_witness(x, exclude=y)
             if z is None:
@@ -205,13 +184,13 @@ def recover_order(
                 geq[(x, y)] = True
                 geq[(y, x)] = True
                 continue
-            agg = pairs.get(z, y)
+            agg = src._lookup((z, y))
             if agg is None:
                 missing.add(tuple(sorted((z, y))))
                 continue
             # z shares x's rank, so comparisons against z transfer to x.
-            geq[(x, y)] = distinct(agg, singles[y])
-            geq[(y, x)] = distinct(agg, singles[z])
+            geq[(x, y)] = not tol.close(agg, singles[y])
+            geq[(y, x)] = not tol.close(agg, singles[z])
 
     if missing:
         raise MissingDataError(sorted(missing))
@@ -229,24 +208,22 @@ def recover_order(
     return {f: levels.index(len(better_than[f])) for f in features}
 
 
+_NOT_INTERIOR = {
+    SegmentKind.OFF_LINE: "aggregate is off the segment line",
+    SegmentKind.ON_LINE: "aggregate is outside the segment",
+    SegmentKind.DEGENERATE: "endpoints coincide",
+    SegmentKind.ON_SEGMENT: "same-rank pair needs a strictly interior coefficient",
+}
+
+
 def _pair_lambda(
     agg: Vector, fa: Vector, fb: Vector, pair: tuple[str, str], tol: Tolerance
 ) -> float:
     """Interior mixing coefficient of ``fa`` in a same-rank pair aggregate."""
     pos = segment_coefficient(agg, fa, fb, tol)
-    if pos.kind is SegmentKind.OFF_LINE:
-        raise DegenerateLambda(pair, pos.lam, "aggregate is off the segment line")
-    if pos.kind is SegmentKind.ON_LINE:
-        raise DegenerateLambda(pair, pos.lam, "aggregate is outside the segment")
-    if pos.kind is SegmentKind.DEGENERATE:
-        raise DegenerateLambda(pair, None, "endpoints coincide")
-    lam = pos.lam
-    assert lam is not None
-    slack = tol.lam_slack
-    if lam <= slack or lam >= 1.0 - slack:
-        raise DegenerateLambda(
-            pair, lam, "same-rank pair needs a strictly interior coefficient"
-        )
+    lam = interior_lambda(pos, tol)
+    if lam is None:
+        raise DegenerateLambda(pair, pos.lam, _NOT_INTERIOR[pos.kind])
     return lam
 
 
@@ -268,10 +245,6 @@ def recover_weights(
     """
     features = sorted(ranks)
     singles = {f: src.outcome([f]) for f in features}
-    pairs = _PairTable(src)
-
-    def distinct(u: Vector, v: Vector) -> bool:
-        return _norm(u - v) > tol.gate(_norm(u), _norm(v))
 
     weights: dict[str, float] = {}
     indeterminate: list[tuple[str, ...]] = []
@@ -286,7 +259,7 @@ def recover_weights(
             (
                 m
                 for m in members
-                if any(distinct(singles[m], singles[o]) for o in members if o != m)
+                if any(not tol.close(singles[m], singles[o]) for o in members if o != m)
             ),
             None,
         )
@@ -301,10 +274,10 @@ def recover_weights(
         for m in members:
             if m == anchor:
                 continue
-            if not distinct(singles[m], singles[anchor]):
+            if tol.close(singles[m], singles[anchor]):
                 deferred.append(m)
                 continue
-            agg = pairs.get(anchor, m)
+            agg = src._lookup((anchor, m))
             if agg is None:
                 missing.add(tuple(sorted((anchor, m))))
                 continue
@@ -317,14 +290,14 @@ def recover_weights(
                 (
                     o
                     for o in members
-                    if o != m and o in weights and distinct(singles[o], singles[m])
+                    if o != m and o in weights and not tol.close(singles[o], singles[m])
                 ),
                 None,
             )
             if bridge is None:
                 weights[m] = weights[anchor]  # same outcome as anchor, no bridge
                 continue
-            agg = pairs.get(bridge, m)
+            agg = src._lookup((bridge, m))
             if agg is None:
                 missing.add(tuple(sorted((bridge, m))))
                 continue
@@ -351,25 +324,21 @@ def _direct_ratios(
     tol: Tolerance,
 ) -> dict[tuple[str, str], float]:
     """Weight ratios w(a)/w(b) readable directly off same-rank pair sets."""
-    pairs = _PairTable(src)
     out: dict[tuple[str, str], float] = {}
     for a, b in itertools.combinations(sorted(ranks), 2):
         if ranks[a] != ranks[b]:
             continue
         fa, fb = singles[a], singles[b]
-        if _norm(fa - fb) <= tol.gate(_norm(fa), _norm(fb)):
+        if tol.close(fa, fb):
             continue
-        agg = pairs.get(a, b)
+        agg = src._lookup((a, b))
         if agg is None:
             continue
-        pos = segment_coefficient(agg, fa, fb, tol)
-        if pos.kind is not SegmentKind.ON_SEGMENT or pos.lam is None:
+        lam = interior_lambda(segment_coefficient(agg, fa, fb, tol), tol)
+        if lam is None:
             continue
-        slack = tol.lam_slack
-        if pos.lam <= slack or pos.lam >= 1.0 - slack:
-            continue
-        out[(a, b)] = pos.lam / (1.0 - pos.lam)
-        out[(b, a)] = (1.0 - pos.lam) / pos.lam
+        out[(a, b)] = lam / (1.0 - lam)
+        out[(b, a)] = (1.0 - lam) / lam
     return out
 
 
@@ -432,8 +401,6 @@ def _fallback_witness(
     observed aggregate implies one weight ratio for them (or none, when
     it leaves the segment), while the recovered weights imply another.
     """
-    from .model import top_set  # local import to avoid a cycle at module load
-
     members = frozenset(worst.members)
     top = sorted(top_set(rep, members))
     a, b = (top[0], top[1]) if len(top) >= 2 else (top[0], top[0])
@@ -441,12 +408,11 @@ def _fallback_witness(
     fa, fb = rep.outcomes[a], rep.outcomes[b]
     ratio = math.nan
     note = "no valid mixing coefficient for the observed aggregate"
-    if len(top) == 2 and _norm(fa - fb) > tol.gate(_norm(fa), _norm(fb)):
-        pos = segment_coefficient(observed, fa, fb, tol)
-        if pos.kind is SegmentKind.ON_SEGMENT and pos.lam is not None:
-            if tol.lam_slack < pos.lam < 1.0 - tol.lam_slack:
-                ratio = pos.lam / (1.0 - pos.lam)
-                note = "mixing coefficient of the observed aggregate"
+    if len(top) == 2 and not tol.close(fa, fb):
+        lam = interior_lambda(segment_coefficient(observed, fa, fb, tol), tol)
+        if lam is not None:
+            ratio = lam / (1.0 - lam)
+            note = "mixing coefficient of the observed aggregate"
     recovered_ratio = rep.weights[a] / rep.weights[b]
     return ContradictionWitness(
         pair=(a, b),

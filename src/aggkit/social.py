@@ -30,25 +30,25 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
-    SegmentKind,
     Tolerance,
     Vector,
     affine_dimension,
     as_point,
+    interior_lambda,
     segment_coefficient,
 )
 from .model import (
     AxiomMode,
     AxiomReport,
     DatasetSource,
-    Representation,
     check_axiom,
-    evaluate,
     feature_set,
 )
 from .recovery import (
+    ContradictionWitness,
     MissingData,
     NonRepresentable,
+    RatioDerivation,
     Recovered,
     RecoveryOutcome,
     recover,
@@ -63,6 +63,7 @@ __all__ = [
     "check_consistency_pair",
     "verify_certificate",
     "aggregate_coalition",
+    "verify_weight_table",
     "ExtendedParetoReport",
     "check_extended_pareto",
     "GswfRecovery",
@@ -269,6 +270,53 @@ def aggregate_coalition(
     return num / den
 
 
+def verify_weight_table(
+    src: DatasetSource,
+    weights: Mapping[str, float],
+    v: Sequence[float] | Vector,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[tuple[tuple[str, ...], float, bool], ...]:
+    """Compare every stored coalition with its weighted average.
+
+    Individuals are the singletons of ``src``.  Every stored outcome must
+    meet minimal agreement with ``v``.  Each set of two or more members
+    gives a row (members, residual, passed): the distance on the
+    hyperplane between its normalized outcome and
+    :func:`aggregate_coalition` of its members, and whether that
+    distance is within the gate.  Raises MissingDataError naming the
+    members of the first coalition (in canonical order) that ``weights``
+    misses.
+    """
+    norm_src = _normalized_source(src, v, tol)
+    utilities = {f: src.outcome([f]) for f in src.features()}
+    rows = []
+    for s in src.sets():
+        if len(s) < 2:
+            continue
+        members = tuple(sorted(s))
+        missing = [m for m in members if m not in weights]
+        if missing:
+            raise MissingDataError(
+                [(m,) for m in missing], f"no weight for individuals {missing}"
+            )
+        predicted = aggregate_coalition(weights, utilities, members, v, tol)
+        residual = float(np.linalg.norm(norm_src.outcome(s) - predicted))
+        rows.append((members, residual, residual <= tol.gate(1.0)))
+    return tuple(rows)
+
+
+def _normalized_source(
+    src: DatasetSource, v: Sequence[float] | Vector, tol: Tolerance
+) -> DatasetSource:
+    """``src`` with every stored outcome scaled onto <., v> = 1."""
+    v = as_point(v, dim=src.dimension)
+    normalized = {
+        s: normalize_to_H(src.outcome(s), v, tol, who=",".join(sorted(s)))
+        for s in src.sets()
+    }
+    return DatasetSource(src.dimension, normalized)
+
+
 @dataclass(frozen=True)
 class ParetoViolation:
     part_a: tuple[str, ...]
@@ -308,12 +356,7 @@ def check_extended_pareto(
     the positive decomposition or a separating certificate.  When the
     table passes, recovery supplies the social weights.
     """
-    v = as_point(v, dim=src.dimension)
-    normalized: dict[frozenset, Vector] = {}
-    for s in src.sets():
-        label = ",".join(sorted(s))
-        normalized[s] = normalize_to_H(src.outcome(s), v, tol, who=label)
-    norm_src = DatasetSource(src.dimension, normalized)
+    norm_src = _normalized_source(src, v, tol)
 
     axiom = check_axiom(norm_src, AxiomMode.STRICT, tol)
     violations = []
@@ -440,7 +483,6 @@ def recover_gswf_weights(
     prefs = tuple(sorted(normalized))
     r0 = prefs[0]
     i0 = inds[0]
-    dim = normalized[r0].size
 
     def ask(profile: Mapping[str, str], coalition: Iterable[str]) -> Vector:
         out = oracle(profile, frozenset(coalition))
@@ -452,14 +494,14 @@ def recover_gswf_weights(
         ub = normalized[profile[b]]
         agg = ask(profile, [a, b])
         pos = segment_coefficient(agg, ua, ub, tol)
-        if pos.kind is not SegmentKind.ON_SEGMENT or pos.lam is None:
+        lam = interior_lambda(pos, tol)
+        if lam is None:
+            if pos.on_segment:
+                raise ResidualTooLarge(
+                    f"coalition {{{a},{b}}} outcome sits at an endpoint"
+                )
             raise ResidualTooLarge(
                 f"coalition {{{a},{b}}} outcome is not a mixture of its members"
-            )
-        lam = pos.lam
-        if lam <= tol.lam_slack or lam >= 1.0 - tol.lam_slack:
-            raise ResidualTooLarge(
-                f"coalition {{{a},{b}}} outcome sits at an endpoint"
             )
         return lam
 
@@ -497,13 +539,13 @@ def recover_gswf_weights(
                 [(i,) for i in missing],
                 f"no recovered weight for individuals {missing} at their profile",
             )
-        num = np.zeros(dim)
-        den = 0.0
-        for i in sorted(fs):
-            w = weights[(i, profile[i])]
-            num += w * normalized[profile[i]]
-            den += w
-        predicted = num / den
+        predicted = aggregate_coalition(
+            {i: weights[(i, profile[i])] for i in fs},
+            {i: preference_library[profile[i]] for i in fs},
+            fs,
+            v,
+            tol,
+        )
         observed = ask(profile, fs)
         rr = float(np.linalg.norm(observed - predicted))
         label = "{" + ",".join(sorted(fs)) + "}"
@@ -563,12 +605,7 @@ def recover_state_dependent(
     A multi-tier recovered order means some state would need zero
     probability, which is returned as the recovery's witness.
     """
-    v = as_point(v, dim=src.dimension)
-    normalized: dict[frozenset, Vector] = {}
-    for s in src.sets():
-        label = ",".join(sorted(s))
-        normalized[s] = normalize_to_H(src.outcome(s), v, tol, who=label)
-    norm_src = DatasetSource(src.dimension, normalized)
+    norm_src = _normalized_source(src, v, tol)
 
     outcome = recover(norm_src, tol)
     if isinstance(outcome, (NonRepresentable, MissingData)):
@@ -587,8 +624,6 @@ def recover_state_dependent(
                 norm_src.outcome(pair),
                 tol,
             )
-        from .recovery import ContradictionWitness, RatioDerivation
-
         witness = ContradictionWitness(
             pair=(high, low),
             first=RatioDerivation(

@@ -14,6 +14,7 @@ from aggkit import (
     induced_source,
     make_dictatorial_oracle,
     make_luce_oracle,
+    recover,
     recover_luce,
     recover_two_stage,
 )
@@ -178,7 +179,7 @@ class TestPathIndependence:
 class TestBoundaryDiagnostic:
     def test_interior_choices_have_no_boundary_menus(self):
         src = luce_source(TRIANGLE, LUCE_W)
-        report = boundary_diagnostic(src)
+        report = boundary_diagnostic(src, recover(src))
         assert not report.boundary_menus
         assert not report.contradictions
 
@@ -191,6 +192,6 @@ class TestBoundaryDiagnostic:
         table[frozenset(["a", "c"])] = pts["c"]
         table[frozenset(["a", "b", "c"])] = pts["b"]
         src = DatasetSource(2, table)
-        report = boundary_diagnostic(src)
+        report = boundary_diagnostic(src, recover(src))
         assert report.boundary_menus
         assert not report.single_class

@@ -85,6 +85,19 @@ class TestVerdictsAndExitCodes:
         assert code == 0
         assert rep["verdict"] == "consistent"
 
+    def test_gswf_verify_names_individual_without_weight(
+        self, run_cli, fixtures_dir, tmp_path
+    ):
+        doc = json.loads((fixtures_dir / "profile_committee.json").read_text())
+        del doc["weights"]["i3"]
+        path = tmp_path / "committee.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, "gswf-verify", str(path))
+        assert code == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert "i3" in rep["result"]["message"]
+
     def test_luce_and_pathindep(self, run_cli, fixtures_dir):
         menu = str(fixtures_dir / "menu_luce.json")
         code, rep = report_of(run_cli, "luce", menu)

@@ -3,13 +3,15 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggkit
 from aggkit import dataset_to_json, dump_json, load_dataset
 from aggkit.errors import DatasetFormatError
-from aggkit.fileio import jnum, jvec, sorted_sets
+from aggkit.fileio import jnum, jvec
 
 
 def parse(doc):
@@ -178,6 +180,61 @@ class TestDumpAndRoundTrip:
         assert jnum(math.inf) is None
         assert jvec([1.0, math.nan]) == [1.0, None]
 
-    def test_sorted_sets_order(self):
-        out = sorted_sets([("b", "a"), ("c",), ("a",)])
-        assert out == [["a"], ["c"], ["a", "b"]]
+
+def _with(doc, path, key, value):
+    """Copy of ``doc`` with ``key`` set on the object at ``path``."""
+    out = json.loads(json.dumps(doc))
+    target = out
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return out
+
+
+class TestSchemaAgreement:
+    """The loader and schemas/dataset.schema.json accept the same documents."""
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        import jsonschema
+
+        path = Path(aggkit.__file__).parent / "schemas" / "dataset.schema.json"
+        schema = json.loads(path.read_text())
+        return jsonschema.Draft7Validator(schema)
+
+    @pytest.mark.parametrize(
+        "path, key, value",
+        [
+            ((), "set", [{"members": ["a", "b"], "outcome": [0.5]}]),
+            ((), "directions", [1.0]),
+            (("features", "a"), "wieght", 2.0),
+            (("sets", 0), "note", "typo"),
+            (("sets", 0), "weight", 1.0),
+        ],
+    )
+    def test_unknown_keys_rejected_by_both(self, validator, path, key, value):
+        doc = _with(minimal(), path, key, value)
+        assert not validator.is_valid(doc)
+        with pytest.raises(DatasetFormatError, match=repr(key)):
+            parse(doc)
+
+    def test_unhashable_member_rejected_by_both(self, validator):
+        doc = _with(minimal(), ("sets", 0), "members", [["a"], "b"])
+        assert not validator.is_valid(doc)
+        with pytest.raises(DatasetFormatError, match="undeclared feature"):
+            parse(doc)
+
+    def test_fixtures_accepted_by_both(self, validator, fixtures_dir):
+        paths = sorted(fixtures_dir.glob("*.json"))
+        assert paths
+        for path in paths:
+            doc = json.loads(path.read_text())
+            validator.validate(doc)
+            parse(doc)
+
+    def test_generated_dataset_accepted_by_both(self, validator, run_cli):
+        code, out = run_cli("gen", "--seed", "5", "--features", "4")
+        assert code == 0
+        doc = json.loads(out)["result"]["dataset"]
+        validator.validate(doc)
+        parse(doc)

@@ -21,6 +21,7 @@ from aggkit.errors import (
     NotInAffineHull,
     NotInConvexHull,
 )
+from aggkit.geometry import SegmentPosition, interior_lambda
 
 
 class TestTolerance:
@@ -136,6 +137,48 @@ class TestSegmentCoefficient:
             pos = segment_coefficient(p, a, b)
             assert pos.kind is SegmentKind.OFF_LINE
             assert pos.residual == pytest.approx(0.01, rel=1e-6)
+
+
+SLACK = Tolerance().lam_slack
+
+
+class TestInteriorLambda:
+    @pytest.mark.parametrize(
+        "kind, lam, expected",
+        [
+            (SegmentKind.ON_SEGMENT, 0.5, 0.5),
+            (SegmentKind.ON_SEGMENT, SLACK, None),
+            (SegmentKind.ON_SEGMENT, 1.0 - SLACK, None),
+            (SegmentKind.ON_SEGMENT, np.nextafter(SLACK, 1.0), np.nextafter(SLACK, 1.0)),
+            (
+                SegmentKind.ON_SEGMENT,
+                np.nextafter(1.0 - SLACK, 0.0),
+                np.nextafter(1.0 - SLACK, 0.0),
+            ),
+            (SegmentKind.ON_SEGMENT, 0.0, None),
+            (SegmentKind.ON_SEGMENT, 1.0, None),
+            (SegmentKind.ON_LINE, 0.5, None),
+            (SegmentKind.ON_LINE, 1.5, None),
+            (SegmentKind.OFF_LINE, 0.5, None),
+            (SegmentKind.DEGENERATE, None, None),
+        ],
+    )
+    def test_boundary_table(self, kind, lam, expected):
+        pos = SegmentPosition(kind=kind, lam=lam, residual=0.0)
+        assert interior_lambda(pos, Tolerance()) == expected
+
+    def test_reads_segment_coefficient(self):
+        a, b = np.array([0.0, 0.0]), np.array([4.0, 0.0])
+        assert interior_lambda(segment_coefficient([1.0, 0.0], a, b)) == pytest.approx(0.75)
+        assert interior_lambda(segment_coefficient([0.0, 0.0], a, b)) is None
+        assert interior_lambda(segment_coefficient([6.0, 0.0], a, b)) is None
+        assert interior_lambda(segment_coefficient([1.0, 1.0], a, b)) is None
+        assert interior_lambda(segment_coefficient([1.0, 0.0], a, a)) is None
+
+    def test_slack_follows_the_tolerance(self):
+        pos = SegmentPosition(kind=SegmentKind.ON_SEGMENT, lam=1e-4, residual=0.0)
+        assert interior_lambda(pos, Tolerance()) == 1e-4
+        assert interior_lambda(pos, Tolerance(abs_tol=1e-3, rel_tol=1e-3)) is None
 
 
 class TestAffineDimension:

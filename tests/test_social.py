@@ -24,6 +24,7 @@ from aggkit import (
 from aggkit.errors import (
     ConstantUtility,
     MinimalAgreementViolated,
+    MissingDataError,
     ResidualTooLarge,
 )
 
@@ -217,6 +218,27 @@ class TestGswfRecovery:
             column = {rec.weights[(i, r)] for i in inds}
             lo, hi = min(column), max(column)
             assert hi - lo <= 1e-9 * max(1.0, hi)
+
+    def test_validation_residuals(self):
+        inds = ["i1", "i2", "i3", "i4"]
+        oracle = self.oracle_from(self.true_weights(inds, self.PREFS))
+        profile = {"i1": "r1", "i2": "r2", "i3": "r3", "i4": "r1"}
+        validation = [(profile, ["i1", "i2", "i3"])]
+        rec = recover_gswf_weights(oracle, inds, self.PREFS, self.V, validation=validation)
+        assert [label for label, _ in rec.validation_residuals] == ["{i1,i2,i3}"]
+        assert rec.max_residual <= 1e-12
+
+        def tilted(profile, coalition):
+            out = oracle(profile, coalition)
+            # The tilt keeps <out, V>, so it survives normalization.
+            return out + np.array([1e-3, -1e-3, 0.0]) if len(coalition) == 3 else out
+
+        rec = recover_gswf_weights(tilted, inds, self.PREFS, self.V, validation=validation)
+        assert rec.max_residual == pytest.approx(np.sqrt(2.0) * 1e-3, rel=1e-6)
+
+        unknown = [({**profile, "i1": "r9"}, ["i1", "i2"])]
+        with pytest.raises(MissingDataError):
+            recover_gswf_weights(oracle, inds, self.PREFS, self.V, validation=unknown)
 
     def test_needs_four_individuals(self):
         with pytest.raises(ValueError):
