@@ -40,6 +40,7 @@ from .model import (
     FeatureSet,
     OracleSource,
     Representation,
+    _stored_splits,
     feature_set,
     set_sort_key,
     top_set,
@@ -182,7 +183,10 @@ def check_bayesian(
     Recovery must succeed with one rank class; the joint built from the
     recovered representation is then verified against every stored set
     and every state event: P(event x members) / P(states x members)
-    must equal the stored belief of the event.
+    must equal the stored belief of the event.  With the per-state gap
+    d = stored belief - conditional, the worst event residual is
+    max(sum of d+, sum of d-) = (|d|_1 + |sum d|) / 2, so each set costs
+    O(states) rather than 2^states events.
     """
     for f in src.features():
         as_belief(src.outcome([f]), tol)  # NotABelief on bad input
@@ -215,17 +219,12 @@ def check_bayesian(
         )
 
     joint = build_joint(rep, tol)
-    n = joint.num_states
     worst = 0.0
     for s in src.sets():
-        observed = src.outcome(s)
-        members = sorted(s)
-        marginal = joint.feature_marginal(members)
-        for size in range(1, n + 1):
-            for event in itertools.combinations(range(n), size):
-                lhs = float(sum(observed[list(event)]))
-                rhs = joint.prob(event, members) / marginal
-                worst = max(worst, abs(lhs - rhs))
+        # Both sides are additive over states, so the worst event collects
+        # every positive gap or every negative one.
+        gap = src.outcome(s) - joint.conditional(s)
+        worst = max(worst, float(gap[gap > 0.0].sum()), float(-gap[gap < 0.0].sum()))
     consistent = worst <= tol.gate(1.0)
     detail = "conditioning reproduces every stored set" if consistent else (
         "conditional probabilities disagree with the stored aggregates"
@@ -313,6 +312,11 @@ class CpsReport:
         return not self.violations
 
 
+# Cells (pair x state x feature) per block of the batched chain-rule check;
+# small, because a block's temporaries add to the process's peak memory.
+_CPS_BLOCK_CELLS = 1 << 12
+
+
 def verify_cps(
     cps: ConditionalProbabilitySystem, tol: Tolerance = DEFAULT_TOL
 ) -> CpsReport:
@@ -321,54 +325,69 @@ def verify_cps(
     For every stored disjoint pair (A, B) whose union is stored, and
     every cell C = (state, feature):
     P(C | A+B) = P(all x A | A+B) P(C | A) + P(all x B | A+B) P(C | B).
+    Pairs are found as stored splits of each stored union and checked in
+    canonical order of (A, B); the coefficients come from the column
+    masses of each conditional, computed once.
     """
     g = tol.gate(1.0)
-    violations: list[ChainViolation] = []
-    worst = 0.0
+    stored = sorted(cps.conditionals, key=set_sort_key)
+    if not stored:
+        return CpsReport(max_residual=0.0, violations=(), checked_pairs=0)
+    col = {f: i for i, f in enumerate(cps.features)}
+    member = np.zeros((len(stored), len(col)), dtype=bool)
+    masks = []
+    for row, fs in enumerate(stored):
+        unknown = fs - col.keys()
+        if unknown:
+            raise UnknownFeature(f"unknown features {sorted(unknown)}")
+        cols = [col[f] for f in fs]
+        member[row, cols] = True
+        masks.append(sum(1 << c for c in cols))
+    tables = np.stack([cps.conditionals[fs].table for fs in stored])
+    masses = tables.sum(axis=1)  # (set, feature) mass of each column
 
-    for fs in sorted(cps.conditionals, key=set_sort_key):
-        joint = cps.conditionals[fs]
-        if abs(joint.total() - 1.0) > g:
+    for row, fs in enumerate(stored):
+        total = float(masses[row].sum())
+        if abs(total - 1.0) > g:
             raise ValueError(f"conditional on {sorted(fs)} is not normalized")
-        off = joint.feature_marginal(cps.features) - joint.feature_marginal(fs)
-        if abs(off) > g:
+        if abs(total - float(masses[row, member[row]].sum())) > g:
             raise ValueError(f"conditional on {sorted(fs)} has mass outside its set")
 
-    stored = sorted(cps.conditionals, key=set_sort_key)
-    checked = 0
-    for a, b in itertools.combinations(stored, 2):
-        if a & b:
-            continue
-        union = a | b
-        if union not in cps.conditionals:
-            continue
-        checked += 1
-        j_u = cps.conditionals[union]
-        j_a = cps.conditionals[a]
-        j_b = cps.conditionals[b]
-        coef_a = j_u.feature_marginal(a)
-        coef_b = j_u.feature_marginal(b)
-        for col, f in enumerate(cps.features):
-            for state in range(cps.num_states):
-                lhs = float(j_u.table[state, col])
-                rhs = coef_a * float(j_a.table[state, col]) + coef_b * float(
-                    j_b.table[state, col]
+    row_of = {mask: row for row, mask in enumerate(masks)}
+    by_low: dict[int, list[int]] = {}
+    for mask in masks:
+        by_low.setdefault(mask & -mask, []).append(mask)
+    pairs = sorted(
+        (*sorted((row_of[part_a], row_of[part_b])), row_of[union])
+        for union in masks
+        for part_a, part_b in _stored_splits(row_of, by_low, union)
+    )
+
+    violations: list[ChainViolation] = []
+    worst = 0.0
+    block = max(1, _CPS_BLOCK_CELLS // max(1, len(col) * cps.num_states))
+    for start in range(0, len(pairs), block):
+        a, b, u = np.array(pairs[start : start + block], dtype=np.intp).T
+        coef_a = (masses[u] * member[a]).sum(axis=1)[:, None, None]
+        coef_b = (masses[u] * member[b]).sum(axis=1)[:, None, None]
+        lhs = tables[u]
+        rhs = coef_a * tables[a] + coef_b * tables[b]
+        gaps = np.abs(lhs - rhs)
+        worst = max(worst, float(gaps.max()))
+        # Feature-major within each pair, as the cells are reported.
+        for k, c, state in np.argwhere(gaps.transpose(0, 2, 1) > g):
+            violations.append(
+                ChainViolation(
+                    part_a=tuple(sorted(stored[a[k]])),
+                    part_b=tuple(sorted(stored[b[k]])),
+                    state=int(state),
+                    feature=cps.features[c],
+                    lhs=float(lhs[k, state, c]),
+                    rhs=float(rhs[k, state, c]),
                 )
-                gap = abs(lhs - rhs)
-                worst = max(worst, gap)
-                if gap > g:
-                    violations.append(
-                        ChainViolation(
-                            part_a=tuple(sorted(a)),
-                            part_b=tuple(sorted(b)),
-                            state=state,
-                            feature=f,
-                            lhs=lhs,
-                            rhs=rhs,
-                        )
-                    )
+            )
     return CpsReport(
-        max_residual=worst, violations=tuple(violations), checked_pairs=checked
+        max_residual=worst, violations=tuple(violations), checked_pairs=len(pairs)
     )
 
 

@@ -11,6 +11,7 @@ the ``AGGKIT_TOL`` environment variable, then to 1e-9.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -406,6 +407,10 @@ def cmd_luce(args: argparse.Namespace, tol: Tolerance) -> Result:
 
 
 def cmd_pathindep(args: argparse.Namespace, tol: Tolerance) -> Result:
+    if args.max_pairs < 1:
+        raise DatasetFormatError(
+            "--max-pairs", f"must be at least 1, got {args.max_pairs!r}"
+        )
     doc = _load(args, tol)
     _require_kind(doc, "pathindep", ("menu",))
     src = doc.source
@@ -415,17 +420,11 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance) -> Result:
     else:
         oracle = make_luce_oracle(coords, doc.feature_weights, default_weight=1.0, tol=tol)
 
-    stored = [s for s in src.sets()]
-    pairs = []
-    for i, a in enumerate(stored):
-        for b in stored[i + 1 :]:
-            if a & b:
-                continue
-            pairs.append((a, b))
-            if len(pairs) >= args.max_pairs:
-                break
-        if len(pairs) >= args.max_pairs:
-            break
+    stored = src.sets()
+    disjoint = (
+        (a, b) for i, a in enumerate(stored) for b in stored[i + 1 :] if not a & b
+    )
+    pairs = itertools.islice(disjoint, args.max_pairs)
     menus = [
         (
             Menu({f: coords[f] for f in a}),
@@ -638,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pathindep", help="check path independence of a reference oracle")
     p.add_argument("--oracle", choices=["dictatorial", "luce"], default="dictatorial")
-    p.add_argument("--max-pairs", type=int, default=50)
+    p.add_argument("--max-pairs", type=int, default=50, help="check at most this many disjoint pairs (at least 1)")
     common(p)
 
     p = sub.add_parser("pareto", help="test coalition utilities for extended Pareto")

@@ -12,7 +12,6 @@ accepted as any sequence of reals and validated with :func:`as_point`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -33,10 +32,15 @@ Vector = NDArray[np.float64]
 DEFAULT_ABS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-9
 
-# Strictness amplifier for the relative-interior test.  The interior margin
-# must dominate the membership gates used inside the test itself, otherwise
-# the two tolerances fight at the same scale on points exactly on a face.
+# Strictness amplifier for the relative-interior test: a point is interior
+# when some convex combination gives every generator at least this multiple
+# of ``lam_slack``, which keeps the interior margin far above the gates.
 _RELINT_MARGIN = 1e3
+
+# Rounding allowance, relative to the largest norm involved, for the
+# stretched point of the relative-interior test, which must lie in the
+# hull up to floating error because the stretch is already the tolerance.
+_FIT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,11 @@ def _affine_rank(mat: NDArray[np.float64], tol: Tolerance) -> int:
     if mat.shape[0] == 1:
         return 0
     centered = mat - mat.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    return _numerical_rank(np.linalg.svd(centered, compute_uv=False), tol)
+
+
+def _numerical_rank(svals: Vector, tol: Tolerance) -> int:
+    """Singular values above ``rel_tol`` times the largest, with ``abs_tol`` as floor."""
     if svals.size == 0:
         return 0
     thresh = max(tol.abs_tol, tol.rel_tol * float(svals[0]))
@@ -307,39 +315,101 @@ def barycentric(
     return coef
 
 
-def _convex_decomposition(
-    p: Vector,
-    generators: list[Vector],
-    tol: Tolerance,
-    coeff_slack: float,
-) -> Vector | None:
-    """Convex coefficients of ``p`` over the generators, or None.
+def _nnls(a: NDArray[np.float64], b: Vector) -> Vector:
+    """Lawson-Hanson active-set solution of ``min |a x - b|`` over ``x >= 0``.
 
-    Searches affinely independent generator subsets of size at most
-    (affine dimension + 1); by the classical decomposition bound, membership
-    in the hull is equivalent to membership in the hull of such a subset.
-    Coefficients as low as ``-coeff_slack`` are accepted and clamped.
-    Returns a full-length coefficient vector (zeros off the subset).
+    Each outer step frees the coordinate with the largest positive
+    gradient; the inner loop solves least squares on the free set and
+    steps back toward the previous iterate until every free coordinate
+    is positive.  A freed coordinate whose first solve is not positive is
+    set aside until the iterate moves.  The run stops after
+    ``3 * (columns + 1)`` least-squares solves and then returns its last
+    feasible iterate, which callers must verify (Lawson & Hanson,
+    "Solving Least Squares Problems", 1974, ch. 23).
     """
-    m = len(generators)
-    hull_dim = affine_dimension(generators, tol)
-    for size in range(1, min(m, hull_dim + 1) + 1):
-        for idx in itertools.combinations(range(m), size):
-            subset = [generators[i] for i in idx]
-            if affine_dimension(subset, tol) != size - 1:
-                continue
-            try:
-                coef = barycentric(p, subset, tol)
-            except (NotInAffineHull, AffinelyDependentBasis):
-                continue
-            if np.all(coef >= -coeff_slack):
-                full = np.zeros(m)
-                full[list(idx)] = np.clip(coef, 0.0, None)
-                s = float(full.sum())
-                if s > 0:
-                    full /= s
-                return full
-    return None
+    n = a.shape[1]
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    skip = np.zeros(n, dtype=bool)
+    grad_tol = (
+        10.0 * np.finfo(float).eps * max(a.shape)
+        * float(np.abs(a).max()) * float(np.abs(b).max())
+    )
+    budget = 3 * (n + 1)
+    while budget > 0:
+        grad = a.T @ (b - a @ x)
+        grad[free | skip] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= grad_tol:
+            break
+        free[j] = True
+        first = True
+        while budget > 0:
+            budget -= 1
+            z = np.zeros(n)
+            z[free], *_ = np.linalg.lstsq(a[:, free], b, rcond=None)
+            if np.all(z[free] > 0.0):
+                x = z
+                skip[:] = False
+                break
+            if first and z[j] <= 0.0:
+                free[j] = False
+                skip[j] = True
+                break
+            first = False
+            blocking = np.flatnonzero(free & (z <= 0.0))
+            gap = x[blocking] - z[blocking]
+            steps = np.divide(x[blocking], gap, out=np.zeros_like(gap), where=gap > 0.0)
+            k = int(np.argmin(steps))
+            x = x + float(steps[k]) * (z - x)
+            x[blocking[k]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+    return x
+
+
+def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:
+    """Best convex fit of ``p`` by the rows of ``gens``.
+
+    The fit runs about the generators' centroid o, where generators that
+    are close together far from the origin no longer look parallel: one
+    NNLS solve of ``[(G - o)^T; s 1^T] c = [p - o; s]``, with ``s`` the
+    largest norm among the centred point and generators, renormalised to
+    sum to one.  Returns the coefficients, the distance from ``p`` to the
+    point they rebuild (infinite when the solve returns no mass), and
+    ``s``.  The distance is measured afresh, so it bounds the distance
+    from ``p`` to the hull whatever the solver did.
+    """
+    origin = gens.mean(axis=0)
+    q = p - origin
+    spokes = gens - origin
+    spread = max(float(np.linalg.norm(q)), float(np.linalg.norm(spokes, axis=1).max()))
+    row = spread if spread > 0.0 else 1.0  # p on a one-point hull: weigh the sum alone
+    system = np.vstack([spokes.T, np.full((1, gens.shape[0]), row)])
+    coef = _nnls(system, np.append(q, row))
+    total = float(coef.sum())
+    if total <= 0.0:
+        return coef, np.inf, spread
+    coef /= total
+    return coef, float(np.linalg.norm(spokes.T @ coef - q)), spread
+
+
+def _membership_gate(p: Vector, gens: NDArray[np.float64], tol: Tolerance) -> float:
+    """Gate on the distance from ``p`` to the hull, at the largest norm involved."""
+    largest = float(np.linalg.norm(gens, axis=1).max())
+    return tol.gate(float(np.linalg.norm(p)), largest, 1.0)
+
+
+def _generator_matrix(
+    p: Vector, generators: Sequence[Sequence[float] | Vector], caller: str
+) -> tuple[Vector, NDArray[np.float64]]:
+    """Validated point and generators, one generator per row."""
+    gens = [as_point(g) for g in generators]
+    if not gens:
+        raise ValueError(f"{caller} needs at least one generator")
+    p = as_point(p)
+    _common_dim(p, *gens)
+    return p, np.vstack(gens)
 
 
 def convex_coefficients(
@@ -351,15 +421,14 @@ def convex_coefficients(
 
     Returns an array of non-negative coefficients summing to one, with
     zeros allowed, or None when ``p`` is outside the convex hull beyond
-    tolerance.
+    tolerance: the coefficients come from one non-negative least-squares
+    solve and are returned only when they rebuild ``p`` to within
+    ``tol.gate(s, 1)``, ``s`` the largest norm among ``p`` and the
+    generators.
     """
-    gens = [as_point(g) for g in generators]
-    if not gens:
-        raise ValueError("convex_coefficients needs at least one generator")
-    p = as_point(p)
-    _common_dim(p, *gens)
-    scale = max(float(np.linalg.norm(p)), *(float(np.linalg.norm(g)) for g in gens))
-    return _convex_decomposition(p, gens, tol, coeff_slack=tol.gate(scale, 1.0))
+    p, gens = _generator_matrix(p, generators, "convex_coefficients")
+    coef, residual, _ = _hull_fit(p, gens)
+    return coef if residual <= _membership_gate(p, gens, tol) else None
 
 
 def relative_interior_check(
@@ -374,28 +443,31 @@ def relative_interior_check(
     positive.  Requiring every coefficient to reach level t is equivalent
     to hull membership of the point stretched away from the centroid c by
     ``p + (m*t / (1 - m*t)) * (p - c)``, which is how the test is run here.
-    The strictness level is ``lam_slack`` amplified by a fixed margin so
-    that it dominates the membership gates; points on a proper face fail,
-    interior points with sensible clearance pass.
+    The strictness level is ``lam_slack`` amplified by a fixed margin, so
+    the stretch itself is the tolerance: ``p`` must be in the hull by the
+    gate of :func:`convex_coefficients`, and the stretched point, taken in
+    coordinates of the hull's affine span, must be in the hull up to
+    rounding.  Points on a proper face fail, interior points with
+    sensible clearance pass, and the verdict does not depend on where
+    the menu sits in space.
 
     Raises NotInConvexHull when ``p`` is not in the hull at all.
     """
-    gens = [as_point(g) for g in generators]
-    if not gens:
-        raise ValueError("relative_interior_check needs at least one generator")
-    p = as_point(p)
-    _common_dim(p, *gens)
-
-    if convex_coefficients(p, gens, tol) is None:
+    p, gens = _generator_matrix(p, generators, "relative_interior_check")
+    if _hull_fit(p, gens)[1] > _membership_gate(p, gens, tol):
         raise NotInConvexHull("point is outside the convex hull of the generators")
 
-    m = len(gens)
-    if m == 1:
+    m = gens.shape[0]
+    centroid = np.mean(gens, axis=0)
+    centered = gens - centroid
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    span = vt[: _numerical_rank(svals, tol)]
+    if span.shape[0] == 0:
         return True  # the hull is a single point and equals its relative interior
 
     level = _RELINT_MARGIN * tol.lam_slack
     if m * level >= 0.5:
         level = 0.5 / m  # keep the stretch factor finite for huge tolerances
-    centroid = np.mean(np.vstack(gens), axis=0)
-    stretched = p + (m * level / (1.0 - m * level)) * (p - centroid)
-    return _convex_decomposition(stretched, gens, tol, coeff_slack=0.0) is not None
+    stretched = (1.0 + m * level / (1.0 - m * level)) * (span @ (p - centroid))
+    _, residual, spread = _hull_fit(stretched, centered @ span.T)
+    return residual <= _FIT_EPS * spread

@@ -246,12 +246,15 @@ def aggregate_coalition(
     weights: Mapping[str, float],
     utilities: Mapping[str, Sequence[float] | Vector],
     coalition: Iterable[str] | str,
-    v: Sequence[float] | Vector,
+    v: Sequence[float] | Vector | None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> Vector:
     """Weighted average of the coalition members' normalized utilities.
 
-    The result lands on the hyperplane <., v> = 1 automatically.
+    The result lands on the hyperplane <., v> = 1 automatically.  With
+    ``v`` None the utilities are taken as already normalized (for
+    instance by :func:`normalize_to_H`) and used as given, so a caller
+    that aggregates many coalitions normalizes each individual once.
     """
     fs = feature_set(coalition)
     unknown = fs - set(weights)
@@ -263,7 +266,10 @@ def aggregate_coalition(
         w = float(weights[m])
         if w <= 0.0:
             raise ValueError(f"weight of {m!r} must be strictly positive")
-        u = normalize_to_H(utilities[m], v, tol, who=m)
+        if v is None:
+            u = as_point(utilities[m])
+        else:
+            u = normalize_to_H(utilities[m], v, tol, who=m)
         num = w * u if num is None else num + w * u
         den += w
     assert num is not None
@@ -288,7 +294,7 @@ def verify_weight_table(
     misses.
     """
     norm_src = _normalized_source(src, v, tol)
-    utilities = {f: src.outcome([f]) for f in src.features()}
+    utilities = {f: norm_src.outcome([f]) for f in src.features()}
     rows = []
     for s in src.sets():
         if len(s) < 2:
@@ -299,7 +305,7 @@ def verify_weight_table(
             raise MissingDataError(
                 [(m,) for m in missing], f"no weight for individuals {missing}"
             )
-        predicted = aggregate_coalition(weights, utilities, members, v, tol)
+        predicted = aggregate_coalition(weights, utilities, members, None, tol)
         residual = float(np.linalg.norm(norm_src.outcome(s) - predicted))
         rows.append((members, residual, residual <= tol.gate(1.0)))
     return tuple(rows)
@@ -541,9 +547,9 @@ def recover_gswf_weights(
             )
         predicted = aggregate_coalition(
             {i: weights[(i, profile[i])] for i in fs},
-            {i: preference_library[profile[i]] for i in fs},
+            {i: normalized[profile[i]] for i in fs},
             fs,
-            v,
+            None,
             tol,
         )
         observed = ask(profile, fs)

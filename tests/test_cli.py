@@ -108,6 +108,26 @@ class TestVerdictsAndExitCodes:
         assert code == 1
         assert rep["verdict"] == "violated"
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_pathindep_refuses_a_cap_below_one(self, run_cli, fixtures_dir, value):
+        menu = str(fixtures_dir / "menu_luce.json")
+        code, rep = report_of(run_cli, "pathindep", menu, "--max-pairs", value)
+        assert code == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert "--max-pairs" in rep["result"]["message"]
+
+    def test_pathindep_stops_at_the_cap(self, run_cli, fixtures_dir):
+        menu = str(fixtures_dir / "menu_luce.json")
+        code, rep = report_of(run_cli, "pathindep", menu)
+        everything = rep["result"]["pairs_checked"]
+        assert everything >= 3
+        for cap in (1, everything - 1, everything, everything + 1):
+            code, capped = report_of(run_cli, "pathindep", menu, "--max-pairs", str(cap))
+            assert code == 0
+            assert capped["result"]["pairs_checked"] == min(cap, everything)
+            assert capped["result"]["rows"] == rep["result"]["rows"][: min(cap, everything)]
+
     def test_gen_round_trips_through_recover(self, run_cli, tmp_path):
         code, out = run_cli("gen", "--seed", "21", "--features", "5", "--dimension", "3")
         assert code == 0

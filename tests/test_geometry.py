@@ -324,6 +324,16 @@ class TestRelativeInterior:
         assert relative_interior_check(np.array([0.5, 0.5, 0.5]), gens)
         assert not relative_interior_check(np.array([1.0, 1.0, 1.0]), gens)
 
+    def test_small_menu_far_from_the_origin(self):
+        # The stretch that tells a face from the interior is far below the
+        # membership gate at this distance from the origin, and below the
+        # absolute gate too, yet the menu is 1e5 tolerances across.
+        offset = np.array([1e3, -2e3])
+        gens = [offset, offset + [1e-4, 0.0], offset + [0.0, 1e-4]]
+        assert not relative_interior_check(gens[0], gens)
+        assert not relative_interior_check(0.5 * (gens[0] + gens[1]), gens)
+        assert relative_interior_check(np.mean(gens, axis=0), gens)
+
     def test_random_interior_points(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -1,0 +1,126 @@
+"""Metamorphic properties of the hull and Bayes readings.
+
+Hull membership and relative interiority are affine notions, so moving
+or uniformly scaling a menu together with its point, or listing the
+menu's alternatives in another order, must leave both verdicts alone.
+The Bayes residual is a worst case over state events, so renaming the
+states must leave it alone too.  Menus are drawn on an integer lattice:
+every test point then sits either exactly on a face of its hull or a
+lattice distance away from it, never within a tolerance of a threshold.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from aggkit import (
+    DatasetSource,
+    GeneratorConfig,
+    OutcomePolicy,
+    check_bayesian,
+    convex_coefficients,
+    gen_dataset,
+    gen_representation,
+    perturb,
+    relative_interior_check,
+)
+from aggkit.errors import NotInConvexHull
+from aggkit.geometry import Tolerance
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def verdicts(p, gens):
+    """(hull membership, relative-interior verdict) of ``p`` over ``gens``."""
+    member = convex_coefficients(p, gens) is not None
+    try:
+        interior = relative_interior_check(p, gens)
+    except NotInConvexHull:
+        interior = None
+    return member, interior
+
+
+@st.composite
+def menus_with_points(draw):
+    """Lattice generators plus a vertex, midpoint, centroid, mixture or far point."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    coord = st.integers(-4, 4)
+    gens = [
+        np.array(draw(st.lists(coord, min_size=d, max_size=d)), dtype=float)
+        for _ in range(m)
+    ]
+    kind = draw(st.sampled_from(["vertex", "midpoint", "centroid", "mixture", "far"]))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if kind == "vertex":
+        p = gens[i].copy()
+    elif kind == "midpoint":
+        p = 0.5 * (gens[i] + gens[j])
+    elif kind == "centroid":
+        p = np.mean(gens, axis=0)
+    elif kind == "mixture":
+        coef = np.array(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)), float)
+        p = np.vstack(gens).T @ (coef / coef.sum())
+    else:
+        p = np.mean(gens, axis=0)
+        p[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1.0, 1.0])) * 10.0
+    return p, gens
+
+
+@SETTINGS
+@given(
+    menus_with_points(),
+    st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    st.floats(1e-2, 1e2),
+)
+# A short segment far from the origin: its endpoint stays on the boundary.
+@example(
+    case=(np.zeros(3), [np.zeros(3), np.array([0.0, 0.0, 1.0])]),
+    shift=[0.0, 0.0, 32.0],
+    factor=0.03125,
+)
+def test_translation_and_scaling_keep_hull_verdicts(case, shift, factor):
+    p, gens = case
+    t = np.array(shift[: p.size])
+    moved = [factor * g + t for g in gens]
+    assert verdicts(factor * p + t, moved) == verdicts(p, gens)
+
+
+@SETTINGS
+@given(menus_with_points(), st.randoms(use_true_random=False))
+def test_generator_order_keeps_hull_verdicts(case, rnd):
+    p, gens = case
+    shuffled = list(gens)
+    rnd.shuffle(shuffled)
+    assert verdicts(p, shuffled) == verdicts(p, gens)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(3, 6),
+    st.sampled_from([0.0, 1e-6, 3e-5]),
+    st.randoms(use_true_random=False),
+)
+def test_state_permutation_keeps_bayes_residual(seed, states, noise, rnd):
+    rep = gen_representation(
+        GeneratorConfig(
+            seed=seed,
+            feature_count=4,
+            dimension=states,
+            outcome_policy=OutcomePolicy.SIMPLEX_BELIEFS,
+        )
+    )
+    src = gen_dataset(rep)
+    if noise:
+        src = perturb(src, noise, seed=seed)
+    order = list(range(states))
+    rnd.shuffle(order)
+    permuted = DatasetSource(states, {s: src.outcome(s)[order] for s in src.sets()})
+    tol = Tolerance(1e-4, 1e-4) if noise else Tolerance()
+    before = check_bayesian(src, tol)
+    after = check_bayesian(permuted, tol)
+    assert after.consistent == before.consistent
+    assert (after.joint is None) == (before.joint is None)
+    if before.joint is not None:
+        assert abs(after.max_residual - before.max_residual) <= 1e-12

@@ -1,10 +1,12 @@
 """Welfare aggregation: cone tests, Pareto, weight recovery, and SEU."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from aggkit import social
 from aggkit import (
     Certificate,
     Collinear,
@@ -15,12 +17,14 @@ from aggkit import (
     aggregate_coalition,
     check_consistency_pair,
     check_extended_pareto,
+    load_dataset,
     normalize_to_H,
     recover_gswf_weights,
     recover_state_dependent,
     relative_utilitarian_weight,
     verify_certificate,
 )
+from aggkit.geometry import DEFAULT_TOL
 from aggkit.errors import (
     ConstantUtility,
     MinimalAgreementViolated,
@@ -124,6 +128,64 @@ class TestAggregateCoalition:
         agg = aggregate_coalition(w, utils, ["p", "q"], v)
         expected = (1.0 * np.array([0.75, 0.25]) + 3.0 * np.array([0.25, 0.75])) / 4.0
         np.testing.assert_allclose(agg, expected)
+
+    def test_prenormalized_utilities_give_identical_bits(self):
+        v = np.array([1.0, 2.0])
+        utils = {"p": [1.5, 0.5], "q": [0.25, 0.75], "r": [0.3, 0.1]}
+        w = {"p": 1.0, "q": 3.0, "r": 0.7}
+        normalized = {f: normalize_to_H(u, v, who=f) for f, u in utils.items()}
+        for combo in (["p", "q"], ["q", "r"], ["p", "q", "r"]):
+            raw = aggregate_coalition(w, utils, combo, v)
+            ready = aggregate_coalition(w, normalized, combo, None)
+            assert raw.tobytes() == ready.tobytes()
+
+
+def counting_normalizations(monkeypatch):
+    """Count social.normalize_to_H calls by their ``who`` label."""
+    calls = collections.Counter()
+    real = social.normalize_to_H
+
+    def counted(u, v, tol=DEFAULT_TOL, who="utility"):
+        calls[who] += 1
+        return real(u, v, tol, who)
+
+    monkeypatch.setattr(social, "normalize_to_H", counted)
+    return calls
+
+
+class TestNormalizeOncePerIndividual:
+    def test_weight_table_normalizes_each_stored_set_once(self, monkeypatch, fixtures_dir):
+        with open(fixtures_dir / "profile_committee.json", encoding="utf-8") as fh:
+            doc = load_dataset(fh)
+        src, weights, v = doc.source, doc.weight_table, doc.direction
+        # Residuals of the per-coalition normalization, computed first.
+        raw = {f: src.outcome([f]) for f in src.features()}
+        expected = []
+        for s in src.sets():
+            if len(s) >= 2:
+                observed = normalize_to_H(src.outcome(s), v)
+                predicted = aggregate_coalition(weights, raw, sorted(s), v)
+                expected.append(float(np.linalg.norm(observed - predicted)))
+
+        calls = counting_normalizations(monkeypatch)
+        rows = social.verify_weight_table(src, weights, v)
+        assert [residual for _, residual, _ in rows] == expected
+        assert len(calls) == len(src)
+        assert set(calls.values()) == {1}
+        for f in src.features():
+            assert calls[f] == 1
+
+    def test_gswf_validation_normalizes_no_individual(self, monkeypatch):
+        case = TestGswfRecovery()
+        inds = ["i1", "i2", "i3", "i4"]
+        oracle = case.oracle_from(case.true_weights(inds, case.PREFS))
+        profile = {"i1": "r1", "i2": "r2", "i3": "r3", "i4": "r1"}
+        validation = [(profile, ["i1", "i2", "i3"]), (profile, inds)]
+        calls = counting_normalizations(monkeypatch)
+        rec = recover_gswf_weights(oracle, inds, case.PREFS, case.V, validation=validation)
+        assert rec.max_residual <= 1e-12
+        assert {calls[f"preference {r}"] for r in case.PREFS} == {1}
+        assert not set(calls) & set(inds)
 
 
 def pareto_profile(weights, utils, v, sets=None):
