@@ -11,235 +11,28 @@ checker (``testkit``), file formats (``fileio``), and a command line
 front end (``cli``).
 """
 
-from .belief import (
-    BayesianCheck,
-    ConditionalProbabilitySystem,
-    CpsReport,
-    DiscountRecovery,
-    JointProbability,
-    TimedQuery,
-    as_belief,
-    build_cps,
-    build_joint,
-    check_bayesian,
-    evaluate_discounted,
-    is_belief_source,
-    recover_discounted,
-    verify_cps,
-)
-from .choice import (
-    BoundaryReport,
-    LuceOutcome,
-    Menu,
-    MenuFeasibilityReport,
-    PathIndependenceReport,
-    boundary_diagnostic,
-    check_menu_feasibility,
-    check_path_independence,
-    choice_probabilities,
-    make_dictatorial_oracle,
-    make_luce_oracle,
-    recover_luce,
-    recover_two_stage,
-)
-from .errors import (
-    AggkitError,
-    DatasetFormatError,
-    DegenerateLambda,
-    IntransitivityDetected,
-    MissingDataError,
-    MissingSingleton,
-    MinimalAgreementViolated,
-    MultipleRankClasses,
-    NotABelief,
-    NotInAffineHull,
-    NotInConvexHull,
-    NotStationary,
-    OracleRefused,
-    UnknownFeature,
-    UnsatisfiablePolicy,
-)
-from .fileio import DatasetDocument, dataset_to_json, dump_json, load_dataset
-from .geometry import (
-    DEFAULT_TOL,
-    SegmentKind,
-    SegmentPosition,
-    Tolerance,
-    affine_dimension,
-    as_point,
-    barycentric,
-    convex_coefficients,
-    intersect_lines,
-    relative_interior_check,
-    segment_coefficient,
-)
-from .model import (
-    AggregationSource,
-    AxiomCheck,
-    AxiomMode,
-    AxiomReport,
-    DatasetSource,
-    OracleSource,
-    Representation,
-    StrongRichnessReport,
-    check_axiom,
-    check_richness,
-    check_strong_richness,
-    evaluate,
-    feature_set,
-    induced_source,
-    top_set,
-)
-from .recovery import (
-    ContinuityReport,
-    ContradictionWitness,
-    MissingData,
-    NonRepresentable,
-    RatioDerivation,
-    Recovered,
-    RecoveryOutcome,
-    VerificationRow,
-    continuity_diagnostic,
-    recover,
-    recover_order,
-    recover_weights,
-)
-from .social import (
-    Certificate,
-    Collinear,
-    ExtendedParetoReport,
-    FarkasOutcome,
-    GswfRecovery,
-    InCone,
-    StateDependentRepresentation,
-    aggregate_coalition,
-    check_consistency_pair,
-    check_extended_pareto,
-    normalize_to_H,
-    recover_gswf_weights,
-    recover_state_dependent,
-    relative_utilitarian_weight,
-    verify_certificate,
-)
-from .testkit import (
-    BruteForceReport,
-    GeneratorConfig,
-    OutcomePolicy,
-    SubsetPolicy,
-    brute_force_axiom_check,
-    gen_dataset,
-    gen_representation,
-    perturb,
-)
+from . import belief, choice, errors, fileio, geometry, model, recovery, social, testkit
+from .belief import *
+from .choice import *
+from .errors import *
+from .fileio import *
+from .geometry import *
+from .model import *
+from .recovery import *
+from .social import *
+from .testkit import *
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` is the one statement of what it exports.
 __all__ = [
-    "AggkitError",
-    "AggregationSource",
-    "AxiomCheck",
-    "AxiomMode",
-    "AxiomReport",
-    "BayesianCheck",
-    "BoundaryReport",
-    "BruteForceReport",
-    "Certificate",
-    "Collinear",
-    "ConditionalProbabilitySystem",
-    "ContinuityReport",
-    "ContradictionWitness",
-    "CpsReport",
-    "DatasetDocument",
-    "DatasetFormatError",
-    "DatasetSource",
-    "DegenerateLambda",
-    "DEFAULT_TOL",
-    "DiscountRecovery",
-    "ExtendedParetoReport",
-    "FarkasOutcome",
-    "GeneratorConfig",
-    "GswfRecovery",
-    "InCone",
-    "IntransitivityDetected",
-    "JointProbability",
-    "LuceOutcome",
-    "Menu",
-    "MenuFeasibilityReport",
-    "MinimalAgreementViolated",
-    "MissingData",
-    "MissingDataError",
-    "MissingSingleton",
-    "MultipleRankClasses",
-    "NonRepresentable",
-    "NotABelief",
-    "NotInAffineHull",
-    "NotInConvexHull",
-    "NotStationary",
-    "OracleRefused",
-    "OracleSource",
-    "OutcomePolicy",
-    "PathIndependenceReport",
-    "RatioDerivation",
-    "Recovered",
-    "RecoveryOutcome",
-    "Representation",
-    "SegmentKind",
-    "SegmentPosition",
-    "StateDependentRepresentation",
-    "StrongRichnessReport",
-    "SubsetPolicy",
-    "TimedQuery",
-    "Tolerance",
-    "UnknownFeature",
-    "UnsatisfiablePolicy",
-    "VerificationRow",
-    "affine_dimension",
-    "aggregate_coalition",
-    "as_belief",
-    "as_point",
-    "barycentric",
-    "boundary_diagnostic",
-    "brute_force_axiom_check",
-    "build_cps",
-    "build_joint",
-    "check_axiom",
-    "check_bayesian",
-    "check_consistency_pair",
-    "check_extended_pareto",
-    "check_menu_feasibility",
-    "check_path_independence",
-    "check_richness",
-    "check_strong_richness",
-    "choice_probabilities",
-    "continuity_diagnostic",
-    "convex_coefficients",
-    "dataset_to_json",
-    "dump_json",
-    "evaluate",
-    "evaluate_discounted",
-    "feature_set",
-    "gen_dataset",
-    "gen_representation",
-    "induced_source",
-    "intersect_lines",
-    "is_belief_source",
-    "load_dataset",
-    "make_dictatorial_oracle",
-    "make_luce_oracle",
-    "normalize_to_H",
-    "perturb",
-    "recover",
-    "recover_discounted",
-    "recover_gswf_weights",
-    "recover_luce",
-    "recover_order",
-    "recover_state_dependent",
-    "recover_two_stage",
-    "recover_weights",
-    "relative_interior_check",
-    "relative_utilitarian_weight",
-    "segment_coefficient",
-    "top_set",
-    "verify_certificate",
-    "verify_cps",
+    *belief.__all__,
+    *choice.__all__,
+    *errors.__all__,
+    *fileio.__all__,
+    *geometry.__all__,
+    *model.__all__,
+    *recovery.__all__,
+    *social.__all__,
+    *testkit.__all__,
 ]

@@ -53,6 +53,23 @@ from .recovery import (
     recover,
 )
 
+__all__ = [
+    "as_belief",
+    "is_belief_source",
+    "JointProbability",
+    "build_joint",
+    "BayesianCheck",
+    "check_bayesian",
+    "ConditionalProbabilitySystem",
+    "build_cps",
+    "CpsReport",
+    "verify_cps",
+    "TimedQuery",
+    "evaluate_discounted",
+    "DiscountRecovery",
+    "recover_discounted",
+]
+
 logger = logging.getLogger(__name__)
 
 

@@ -47,6 +47,8 @@ __all__ = [
     "check_path_independence",
     "BoundaryReport",
     "boundary_diagnostic",
+    "make_dictatorial_oracle",
+    "make_luce_oracle",
 ]
 
 

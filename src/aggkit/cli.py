@@ -15,7 +15,8 @@ import itertools
 import json
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +74,7 @@ from .social import (
     Collinear,
     InCone,
     FarkasOutcome,
+    StateDependentRepresentation,
     check_extended_pareto,
     recover_state_dependent,
     verify_weight_table,
@@ -91,6 +93,8 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 
 ENV_TOL = "AGGKIT_TOL"
+
+__all__ = ["main"]
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
@@ -117,15 +121,6 @@ def _load(args: argparse.Namespace, tol: Tolerance) -> DatasetDocument:
             return load_dataset(fh, tol, name=args.input)
     except FileNotFoundError:
         raise DatasetFormatError(args.input, "no such file") from None
-
-
-def _require_kind(doc: DatasetDocument, command: str, kinds: tuple[str, ...]) -> None:
-    if doc.kind not in kinds:
-        raise DatasetFormatError(
-            "kind",
-            f"the {command} command needs a dataset of kind "
-            f"{' or '.join(repr(k) for k in kinds)}, got {doc.kind!r}",
-        )
 
 
 # --------------------------------------------------------------------------
@@ -201,14 +196,50 @@ def _farkas_json(out: FarkasOutcome) -> dict[str, Any]:
 
 
 # --------------------------------------------------------------------------
-# subcommands; each returns (verdict, result, exit_code)
+# subcommands, and the table that names them
 
-Result = tuple[str, dict[str, Any], int]
+Result = tuple[str, dict[str, Any], int]  # (verdict, result, exit code)
+Handler = Callable[[argparse.Namespace, Tolerance, DatasetDocument | None], Result]
+Flag = tuple[tuple[str, ...], dict[str, Any]]
 
 
-def cmd_check(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    mode = AxiomMode.from_name(args.axiom)
+@dataclass(frozen=True)
+class Command:
+    """One row of COMMANDS: handler, help line, own flags and input.
+
+    ``main`` reads the dataset when ``reads_dataset`` is set, refuses a
+    kind outside ``kinds`` (empty accepts every kind) and then calls
+    ``handler(args, tol, doc)``, which only computes and shapes.
+    """
+
+    handler: Handler
+    help: str
+    flags: tuple[Flag, ...] = ()
+    kinds: tuple[str, ...] = ()
+    reads_dataset: bool = True
+
+
+def _flag(*names: str, **options: Any) -> Flag:
+    """The arguments of one ``add_argument`` call."""
+    return names, options
+
+
+def _boolean(ok: bool, positive: str, negative: str, result: dict[str, Any]) -> Result:
+    """A yes/no verdict: exit 0 with ``positive``, or 1 with ``negative``."""
+    return (positive, result, EXIT_OK) if ok else (negative, result, EXIT_NEGATIVE)
+
+
+_RECOVERY_EXIT = {"recovered": EXIT_OK, "non-representable": EXIT_NEGATIVE, "missing-data": EXIT_MISSING}
+
+
+def _recovery_result(outcome: RecoveryOutcome) -> Result:
+    """A recovery outcome as the whole report; its status is the verdict."""
+    result = _recovery_json(outcome)
+    return result["status"], result, _RECOVERY_EXIT[result["status"]]
+
+
+def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    mode = AxiomMode(args.axiom)
     report = check_axiom(doc.source, mode, tol)
     rich = check_richness(doc.source, tol)
     try:
@@ -222,10 +253,7 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance) -> Result:
             },
         }
     except MissingDataError as err:
-        strong_json = {
-            "status": "undecidable",
-            "required": [list(s) for s in err.required],
-        }
+        strong_json = {"status": "undecidable", "required": [list(s) for s in err.required]}
     result = {
         "axiom": mode.value,
         "satisfied": report.satisfied,
@@ -246,34 +274,20 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance) -> Result:
         "rich": rich,
         "strong_richness": strong_json,
     }
-    verdict = "satisfied" if report.satisfied else "violated"
-    return verdict, result, EXIT_OK if report.satisfied else EXIT_NEGATIVE
+    return _boolean(report.satisfied, "satisfied", "violated", result)
 
 
-def _recovery_verdict(outcome: RecoveryOutcome) -> tuple[str, int]:
-    if isinstance(outcome, Recovered):
-        return "recovered", EXIT_OK
-    if isinstance(outcome, NonRepresentable):
-        return "non-representable", EXIT_NEGATIVE
-    return "missing-data", EXIT_MISSING
+def cmd_recover(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    return _recovery_result(recover(doc.source, tol))
 
 
-def cmd_recover(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    outcome = recover(doc.source, tol)
-    verdict, code = _recovery_verdict(outcome)
-    return verdict, _recovery_json(outcome), code
-
-
-def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
+def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     members = [m for m in args.members.split(",") if m]
     if not members:
         raise DatasetFormatError("--members", "expected a comma-separated list of features")
     outcome = recover(doc.source, tol)
     if not isinstance(outcome, Recovered):
-        verdict, code = _recovery_verdict(outcome)
-        return verdict, _recovery_json(outcome), code
+        return _recovery_result(outcome)
     value = evaluate(outcome.representation, members)
     result = {
         "members": sorted(members),
@@ -283,9 +297,7 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance) -> Result:
     return "evaluated", result, EXIT_OK
 
 
-def cmd_bayes(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "bayes", ("belief",))
+def cmd_bayes(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     check = check_bayesian(doc.source, tol)
     result: dict[str, Any] = {
         "consistent": check.consistent,
@@ -298,17 +310,13 @@ def cmd_bayes(args: argparse.Namespace, tol: Tolerance) -> Result:
             "features": list(check.joint.features),
             "table": [jvec(row) for row in check.joint.table],
         }
-    verdict = "consistent" if check.consistent else "inconsistent"
-    return verdict, result, EXIT_OK if check.consistent else EXIT_NEGATIVE
+    return _boolean(check.consistent, "consistent", "inconsistent", result)
 
 
-def cmd_cps(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "cps", ("belief",))
+def cmd_cps(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     outcome = recover(doc.source, tol)
     if not isinstance(outcome, Recovered):
-        verdict, code = _recovery_verdict(outcome)
-        return verdict, _recovery_json(outcome), code
+        return _recovery_result(outcome)
     cps = build_cps(outcome.representation, tol)
     report = verify_cps(cps, tol)
     result = {
@@ -328,8 +336,7 @@ def cmd_cps(args: argparse.Namespace, tol: Tolerance) -> Result:
         ],
         "recovery": _recovery_json(outcome, with_rows=False),
     }
-    verdict = "satisfied" if report.satisfied else "violated"
-    return verdict, result, EXIT_OK if report.satisfied else EXIT_NEGATIVE
+    return _boolean(report.satisfied, "satisfied", "violated", result)
 
 
 def _timed_oracle(doc: DatasetDocument):
@@ -349,44 +356,29 @@ def _timed_oracle(doc: DatasetDocument):
     return oracle
 
 
-def cmd_discount(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "discount", ("timed",))
-    oracle = _timed_oracle(doc)
+def cmd_discount(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     validation = [q for q, _ in doc.timed]
     try:
         rec = recover_discounted(
-            oracle,
-            doc.source.features(),
-            doc.dimension,
-            tol,
-            validation=validation,
+            _timed_oracle(doc), doc.source.features(), doc.dimension, tol, validation=validation
         )
     except (NotStationary, MultipleRankClasses) as err:
-        return (
-            "not-stationary",
-            {"status": "not-stationary", "message": str(err)},
-            EXIT_NEGATIVE,
-        )
+        result = {"status": "not-stationary", "message": str(err)}
+        return "not-stationary", result, EXIT_NEGATIVE
     result = {
         "q": jnum(rec.q),
         "weights": {f: jnum(w) for f, w in sorted(rec.weights.items())},
         "identification_pair": list(rec.identification_pair),
         "max_residual": jnum(rec.max_residual),
         "validation": [
-            {
-                "query": [f"{f}@{t}" for f, t in key],
-                "residual": jnum(r),
-            }
+            {"query": [f"{f}@{t}" for f, t in key], "residual": jnum(r)}
             for key, r in rec.validation_residuals
         ],
     }
     return "recovered", result, EXIT_OK
 
 
-def cmd_luce(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "luce", ("menu",))
+def cmd_luce(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     outcome = recover_two_stage(doc.source, tol) if args.two_stage else recover_luce(doc.source, tol)
     boundary = boundary_diagnostic(doc.source, outcome.recovery, tol)
     result: dict[str, Any] = {
@@ -402,17 +394,14 @@ def cmd_luce(args: argparse.Namespace, tol: Tolerance) -> Result:
     if outcome.ranks is not None and args.two_stage:
         result["ranks"] = {f: r for f, r in sorted(outcome.ranks.items())}
     result["recovery"] = _recovery_json(outcome.recovery, with_rows=False)
-    verdict = "rationalizable" if outcome.rationalizable else "not-rationalizable"
-    return verdict, result, EXIT_OK if outcome.rationalizable else EXIT_NEGATIVE
+    return _boolean(outcome.rationalizable, "rationalizable", "not-rationalizable", result)
 
 
-def cmd_pathindep(args: argparse.Namespace, tol: Tolerance) -> Result:
+def cmd_pathindep(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     if args.max_pairs < 1:
         raise DatasetFormatError(
             "--max-pairs", f"must be at least 1, got {args.max_pairs!r}"
         )
-    doc = _load(args, tol)
-    _require_kind(doc, "pathindep", ("menu",))
     src = doc.source
     coords = {f: src.outcome([f]) for f in src.features()}
     if args.oracle == "dictatorial":
@@ -426,11 +415,7 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance) -> Result:
     )
     pairs = itertools.islice(disjoint, args.max_pairs)
     menus = [
-        (
-            Menu({f: coords[f] for f in a}),
-            Menu({f: coords[f] for f in b}),
-        )
-        for a, b in pairs
+        (Menu({f: coords[f] for f in a}), Menu({f: coords[f] for f in b})) for a, b in pairs
     ]
     report = check_path_independence(oracle, menus, tol)
     result = {
@@ -447,13 +432,10 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance) -> Result:
             for r in report.rows
         ],
     }
-    verdict = "satisfied" if report.satisfied else "violated"
-    return verdict, result, EXIT_OK if report.satisfied else EXIT_NEGATIVE
+    return _boolean(report.satisfied, "satisfied", "violated", result)
 
 
-def cmd_pareto(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "pareto", ("profile",))
+def cmd_pareto(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     assert doc.direction is not None
     report = check_extended_pareto(doc.source, doc.direction, tol)
     result: dict[str, Any] = {
@@ -473,13 +455,10 @@ def cmd_pareto(args: argparse.Namespace, tol: Tolerance) -> Result:
         result["weights"] = {f: jnum(w) for f, w in sorted(report.weights.items())}
     if report.recovery is not None:
         result["recovery"] = _recovery_json(report.recovery, with_rows=False)
-    verdict = "satisfied" if report.satisfied else "violated"
-    return verdict, result, EXIT_OK if report.satisfied else EXIT_NEGATIVE
+    return _boolean(report.satisfied, "satisfied", "violated", result)
 
 
-def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "gswf-verify", ("profile",))
+def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     assert doc.direction is not None
     if not doc.weight_table:
         raise DatasetFormatError("weights", "gswf-verify needs a weights table")
@@ -496,19 +475,14 @@ def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance) -> Result:
         "max_residual": jnum(max((residual for _, residual, _ in table), default=0.0)),
         "consistent": consistent,
     }
-    verdict = "consistent" if consistent else "inconsistent"
-    return verdict, result, EXIT_OK if consistent else EXIT_NEGATIVE
+    return _boolean(consistent, "consistent", "inconsistent", result)
 
 
-def cmd_sdeu(args: argparse.Namespace, tol: Tolerance) -> Result:
-    doc = _load(args, tol)
-    _require_kind(doc, "sdeu", ("sdeu",))
+def cmd_sdeu(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
     assert doc.direction is not None
     outcome = recover_state_dependent(doc.source, doc.direction, tol)
-    if isinstance(outcome, NonRepresentable):
-        return "non-representable", _recovery_json(outcome), EXIT_NEGATIVE
-    if isinstance(outcome, MissingData):
-        return "missing-data", _recovery_json(outcome), EXIT_MISSING
+    if not isinstance(outcome, StateDependentRepresentation):
+        return _recovery_result(outcome)
     result = {
         "probabilities": {s: jnum(p) for s, p in sorted(outcome.probabilities.items())},
         "indeterminate": outcome.indeterminate,
@@ -520,7 +494,7 @@ def cmd_sdeu(args: argparse.Namespace, tol: Tolerance) -> Result:
     return "recovered", result, EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace, tol: Tolerance) -> Result:
+def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
     config_fields: dict[str, Any] = {}
     if args.config:
         path = args.config
@@ -550,9 +524,7 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance) -> Result:
     try:
         policy = OutcomePolicy(policy_raw)
     except ValueError:
-        raise DatasetFormatError(
-            "--policy", f"unknown policy {policy_raw!r}"
-        ) from None
+        raise DatasetFormatError("--policy", f"unknown policy {policy_raw!r}") from None
     if "weight_range" in config_fields:
         config_fields["weight_range"] = tuple(config_fields["weight_range"])
     try:
@@ -561,18 +533,13 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance) -> Result:
         raise DatasetFormatError("config", str(exc)) from None
 
     rep = gen_representation(cfg)
-    subset_policy = (
-        SubsetPolicy.PAIRS_AND_TRIPLES
-        if args.subsets == "pairs-triples"
-        else SubsetPolicy.ALL_SUBSETS
-    )
-    src = gen_dataset(rep, subset_policy)
+    subsets = SubsetPolicy.PAIRS_AND_TRIPLES if args.subsets == "pairs-triples" else SubsetPolicy.ALL_SUBSETS
+    src = gen_dataset(rep, subsets)
     kind = args.kind
     if kind == "auto":
         kind = "belief" if policy is OutcomePolicy.SIMPLEX_BELIEFS else "generic"
-    doc = dataset_to_json(src, kind=kind)
     result = {
-        "dataset": doc,
+        "dataset": dataset_to_json(src, kind=kind),
         "seed": cfg.seed,
         "policy": policy.value,
         "true_ranks": {f: rep.ranks[f] for f in rep.features()},
@@ -581,19 +548,54 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance) -> Result:
     return "generated", result, EXIT_OK
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "recover": cmd_recover,
-    "eval": cmd_eval,
-    "bayes": cmd_bayes,
-    "cps": cmd_cps,
-    "discount": cmd_discount,
-    "luce": cmd_luce,
-    "pathindep": cmd_pathindep,
-    "pareto": cmd_pareto,
-    "gswf-verify": cmd_gswf_verify,
-    "sdeu": cmd_sdeu,
-    "gen": cmd_gen,
+COMMANDS: dict[str, Command] = {
+    "check": Command(
+        cmd_check,
+        "test the averaging axiom on a dataset",
+        (_flag("--axiom", choices=[m.value for m in AxiomMode], default="weighted"),),
+    ),
+    "recover": Command(cmd_recover, "recover weights and ranks from a dataset"),
+    "eval": Command(
+        cmd_eval,
+        "recover, then evaluate one feature set",
+        (_flag("--members", required=True, help="comma-separated feature ids"),),
+    ),
+    "bayes": Command(cmd_bayes, "test a belief dataset for a single joint distribution", kinds=("belief",)),
+    "cps": Command(cmd_cps, "build and verify the conditional probability system", kinds=("belief",)),
+    "discount": Command(cmd_discount, "recover a stationary discount factor from timed data", kinds=("timed",)),
+    "luce": Command(
+        cmd_luce,
+        "test a menu dataset for Luce rationalizability",
+        (_flag("--two-stage", action="store_true", help="allow a first-stage rank filter"),),
+        kinds=("menu",),
+    ),
+    "pathindep": Command(
+        cmd_pathindep,
+        "check path independence of a reference oracle",
+        (
+            _flag("--oracle", choices=["dictatorial", "luce"], default="dictatorial"),
+            _flag("--max-pairs", type=int, default=50, help="check at most this many disjoint pairs (at least 1)"),
+        ),
+        kinds=("menu",),
+    ),
+    "pareto": Command(cmd_pareto, "test coalition utilities for extended Pareto", kinds=("profile",)),
+    "gswf-verify": Command(cmd_gswf_verify, "verify a welfare weight table against coalition data", kinds=("profile",)),
+    "sdeu": Command(cmd_sdeu, "recover state probabilities from conditional utilities", kinds=("sdeu",)),
+    "gen": Command(
+        cmd_gen,
+        "generate a dataset from a seed",
+        (
+            _flag("--seed", type=int, default=None),
+            _flag("--config", default=None, help="JSON file of generator fields"),
+            _flag("--features", type=int, default=None),
+            _flag("--dimension", type=int, default=None),
+            _flag("--classes", type=int, default=None),
+            _flag("--policy", choices=[pol.value for pol in OutcomePolicy], default=None),
+            _flag("--subsets", choices=["all", "pairs-triples"], default="all"),
+            _flag("--kind", choices=["auto", "generic", "belief", "menu"], default="auto"),
+        ),
+        reads_dataset=False,
+    ),
 }
 
 
@@ -604,62 +606,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "for set-to-outcome aggregation data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for names, options in cmd.flags:
+            p.add_argument(*names, **options)
+        if cmd.reads_dataset:
             p.add_argument("input", help="dataset file, or - for stdin")
         p.add_argument("--tol", type=float, default=None, help="absolute and relative tolerance (default 1e-9, or AGGKIT_TOL)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("check", help="test the averaging axiom on a dataset")
-    p.add_argument("--axiom", choices=["weighted", "strict", "extreme"], default="weighted")
-    common(p)
-
-    p = sub.add_parser("recover", help="recover weights and ranks from a dataset")
-    common(p)
-
-    p = sub.add_parser("eval", help="recover, then evaluate one feature set")
-    p.add_argument("--members", required=True, help="comma-separated feature ids")
-    common(p)
-
-    p = sub.add_parser("bayes", help="test a belief dataset for a single joint distribution")
-    common(p)
-
-    p = sub.add_parser("cps", help="build and verify the conditional probability system")
-    common(p)
-
-    p = sub.add_parser("discount", help="recover a stationary discount factor from timed data")
-    common(p)
-
-    p = sub.add_parser("luce", help="test a menu dataset for Luce rationalizability")
-    p.add_argument("--two-stage", action="store_true", help="allow a first-stage rank filter")
-    common(p)
-
-    p = sub.add_parser("pathindep", help="check path independence of a reference oracle")
-    p.add_argument("--oracle", choices=["dictatorial", "luce"], default="dictatorial")
-    p.add_argument("--max-pairs", type=int, default=50, help="check at most this many disjoint pairs (at least 1)")
-    common(p)
-
-    p = sub.add_parser("pareto", help="test coalition utilities for extended Pareto")
-    common(p)
-
-    p = sub.add_parser("gswf-verify", help="verify a welfare weight table against coalition data")
-    common(p)
-
-    p = sub.add_parser("sdeu", help="recover state probabilities from conditional utilities")
-    common(p)
-
-    p = sub.add_parser("gen", help="generate a dataset from a seed")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON file of generator fields")
-    p.add_argument("--features", type=int, default=None)
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--policy", choices=[pol.value for pol in OutcomePolicy], default=None)
-    p.add_argument("--subsets", choices=["all", "pairs-triples"], default="all")
-    p.add_argument("--kind", choices=["auto", "generic", "belief", "menu"], default="auto")
-    common(p, needs_input=False)
-
     return parser
 
 
@@ -672,18 +626,16 @@ def _emit(report: Mapping[str, Any], args: argparse.Namespace) -> None:
 
 
 def _argument_echo(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"command", "out", "func"}
-    echo = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        echo[key.replace("_", "-")] = value
-    return echo
+    return {
+        key.replace("_", "-"): value
+        for key, value in sorted(vars(args).items())
+        if key not in ("command", "out") and value is not None
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     report: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "tool": "aggkit",
@@ -693,7 +645,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         tol = _tolerance(args)
         report["tolerance"] = {"abs": tol.abs_tol, "rel": tol.rel_tol}
-        verdict, result, code = COMMANDS[args.command](args, tol)
+        doc = _load(args, tol) if cmd.reads_dataset else None
+        if cmd.kinds and doc.kind not in cmd.kinds:
+            raise DatasetFormatError(
+                "kind",
+                f"the {args.command} command needs a dataset of kind "
+                f"{' or '.join(repr(k) for k in cmd.kinds)}, got {doc.kind!r}",
+            )
+        verdict, result, code = cmd.handler(args, tol, doc)
     except IntransitivityDetected as err:
         verdict = "intransitive"
         result = {"triple": list(err.triple), "message": str(err)}

@@ -9,6 +9,24 @@ from __future__ import annotations
 
 from typing import Iterable
 
+__all__ = [
+    "AggkitError",
+    "NotInAffineHull",
+    "NotInConvexHull",
+    "UnknownFeature",
+    "MissingDataError",
+    "MissingSingleton",
+    "IntransitivityDetected",
+    "DegenerateLambda",
+    "NotABelief",
+    "MultipleRankClasses",
+    "NotStationary",
+    "MinimalAgreementViolated",
+    "UnsatisfiablePolicy",
+    "OracleRefused",
+    "DatasetFormatError",
+]
+
 
 class AggkitError(Exception):
     """Base class for all errors raised deliberately by this package."""

@@ -23,6 +23,13 @@ from .errors import DatasetFormatError, NotABelief
 from .geometry import DEFAULT_TOL, Tolerance, Vector
 from .model import DatasetSource, FeatureSet, set_sort_key, validate_feature_id
 
+__all__ = [
+    "DatasetDocument",
+    "load_dataset",
+    "dataset_to_json",
+    "dump_json",
+]
+
 FORMAT_VERSION = "1"
 
 KINDS = ("generic", "belief", "menu", "profile", "sdeu", "timed")

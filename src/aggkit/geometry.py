@@ -27,6 +27,20 @@ from .errors import (
     NotInConvexHull,
 )
 
+__all__ = [
+    "Tolerance",
+    "DEFAULT_TOL",
+    "as_point",
+    "SegmentKind",
+    "SegmentPosition",
+    "segment_coefficient",
+    "affine_dimension",
+    "intersect_lines",
+    "barycentric",
+    "convex_coefficients",
+    "relative_interior_check",
+]
+
 Vector = NDArray[np.float64]
 
 DEFAULT_ABS_TOL = 1e-9
@@ -394,12 +408,6 @@ def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, floa
     return coef, float(np.linalg.norm(spokes.T @ coef - q)), spread
 
 
-def _membership_gate(p: Vector, gens: NDArray[np.float64], tol: Tolerance) -> float:
-    """Gate on the distance from ``p`` to the hull, at the largest norm involved."""
-    largest = float(np.linalg.norm(gens, axis=1).max())
-    return tol.gate(float(np.linalg.norm(p)), largest, 1.0)
-
-
 def _generator_matrix(
     p: Vector, generators: Sequence[Sequence[float] | Vector], caller: str
 ) -> tuple[Vector, NDArray[np.float64]]:
@@ -424,11 +432,13 @@ def convex_coefficients(
     tolerance: the coefficients come from one non-negative least-squares
     solve and are returned only when they rebuild ``p`` to within
     ``tol.gate(s, 1)``, ``s`` the largest norm among ``p`` and the
-    generators.
+    generators measured from the generators' centroid.  The gate thus
+    scales with the menu and the point's offset from it, not with where
+    the menu sits in space.
     """
     p, gens = _generator_matrix(p, generators, "convex_coefficients")
-    coef, residual, _ = _hull_fit(p, gens)
-    return coef if residual <= _membership_gate(p, gens, tol) else None
+    coef, residual, spread = _hull_fit(p, gens)
+    return coef if residual <= tol.gate(spread, 1.0) else None
 
 
 def relative_interior_check(
@@ -454,7 +464,8 @@ def relative_interior_check(
     Raises NotInConvexHull when ``p`` is not in the hull at all.
     """
     p, gens = _generator_matrix(p, generators, "relative_interior_check")
-    if _hull_fit(p, gens)[1] > _membership_gate(p, gens, tol):
+    _, residual, spread = _hull_fit(p, gens)
+    if residual > tol.gate(spread, 1.0):
         raise NotInConvexHull("point is outside the convex hull of the generators")
 
     m = gens.shape[0]

@@ -37,6 +37,24 @@ from .geometry import (
     segment_coefficient,
 )
 
+__all__ = [
+    "feature_set",
+    "AggregationSource",
+    "DatasetSource",
+    "OracleSource",
+    "Representation",
+    "top_set",
+    "evaluate",
+    "induced_source",
+    "AxiomMode",
+    "AxiomCheck",
+    "AxiomReport",
+    "check_axiom",
+    "check_richness",
+    "StrongRichnessReport",
+    "check_strong_richness",
+]
+
 FeatureSet = frozenset[str]
 
 
@@ -64,21 +82,23 @@ def set_sort_key(members: FeatureSet) -> tuple[int, tuple[str, ...]]:
     return (len(members), tuple(sorted(members)))
 
 
-class SourceMode(Enum):
-    DATASET = "dataset"
-    ORACLE = "oracle"
-
-
 class AggregationSource:
     """Common interface of dataset-backed and oracle-backed sources."""
 
     dimension: int
-    mode: SourceMode
 
     def outcome(self, members: Iterable[str] | str) -> Vector:
         raise NotImplementedError
 
     def features(self) -> tuple[str, ...]:
+        raise NotImplementedError
+
+    def sets(self) -> tuple[FeatureSet, ...]:
+        """The sets whose outcomes are known, in canonical order.
+
+        A dataset knows what it stores; an oracle knows what it has been
+        asked so far.
+        """
         raise NotImplementedError
 
     def _lookup(self, members: Iterable[str]) -> Vector | None:
@@ -115,7 +135,6 @@ class DatasetSource(AggregationSource):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
-        self.mode = SourceMode.DATASET
         table: dict[FeatureSet, Vector] = {}
         for key, value in outcomes.items():
             fs = feature_set(key)
@@ -152,7 +171,6 @@ class DatasetSource(AggregationSource):
         return self._features
 
     def sets(self) -> tuple[FeatureSet, ...]:
-        """All stored sets in canonical order."""
         return self._sets
 
     def has(self, members: Iterable[str] | str) -> bool:
@@ -198,7 +216,6 @@ class OracleSource(AggregationSource):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
-        self.mode = SourceMode.ORACLE
         self._fn = fn
         self._features = tuple(sorted(validate_feature_id(f) for f in features))
         if not self._features:
@@ -225,7 +242,7 @@ class OracleSource(AggregationSource):
         """Same as :meth:`outcome`; an oracle never lacks a set."""
         return self.outcome(frozenset(members))
 
-    def queried_sets(self) -> tuple[FeatureSet, ...]:
+    def sets(self) -> tuple[FeatureSet, ...]:
         return tuple(sorted(self._cache, key=set_sort_key))
 
 

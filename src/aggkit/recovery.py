@@ -34,8 +34,6 @@ from .geometry import (
 )
 from .model import (
     AggregationSource,
-    DatasetSource,
-    FeatureSet,
     Representation,
     evaluate,
     top_set,
@@ -311,12 +309,6 @@ def recover_weights(
     return weights, tuple(indeterminate)
 
 
-def _verification_sets(src: AggregationSource) -> tuple[FeatureSet, ...]:
-    if isinstance(src, DatasetSource):
-        return src.sets()
-    return src.queried_sets()  # oracle: verify what was actually asked
-
-
 def _direct_ratios(
     src: AggregationSource,
     ranks: Mapping[str, int],
@@ -480,7 +472,7 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
 
     rows: list[VerificationRow] = []
     worst: VerificationRow | None = None
-    for s in _verification_sets(src):
+    for s in src.sets():
         observed = src.outcome(s)
         predicted = evaluate(rep, s)
         residual = _norm(observed - predicted)

@@ -63,13 +63,12 @@ __all__ = [
     "check_consistency_pair",
     "verify_certificate",
     "aggregate_coalition",
-    "verify_weight_table",
     "ExtendedParetoReport",
     "check_extended_pareto",
     "GswfRecovery",
     "recover_gswf_weights",
     "relative_utilitarian_weight",
-    "StateDependentResult",
+    "StateDependentRepresentation",
     "recover_state_dependent",
 ]
 
@@ -246,15 +245,12 @@ def aggregate_coalition(
     weights: Mapping[str, float],
     utilities: Mapping[str, Sequence[float] | Vector],
     coalition: Iterable[str] | str,
-    v: Sequence[float] | Vector | None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> Vector:
     """Weighted average of the coalition members' normalized utilities.
 
-    The result lands on the hyperplane <., v> = 1 automatically.  With
-    ``v`` None the utilities are taken as already normalized (for
-    instance by :func:`normalize_to_H`) and used as given, so a caller
-    that aggregates many coalitions normalizes each individual once.
+    The utilities must already lie on the hyperplane <., v> = 1 (for
+    instance through :func:`normalize_to_H`, once per individual); the
+    average then lies on it too.
     """
     fs = feature_set(coalition)
     unknown = fs - set(weights)
@@ -266,10 +262,7 @@ def aggregate_coalition(
         w = float(weights[m])
         if w <= 0.0:
             raise ValueError(f"weight of {m!r} must be strictly positive")
-        if v is None:
-            u = as_point(utilities[m])
-        else:
-            u = normalize_to_H(utilities[m], v, tol, who=m)
+        u = as_point(utilities[m])
         num = w * u if num is None else num + w * u
         den += w
     assert num is not None
@@ -305,7 +298,7 @@ def verify_weight_table(
             raise MissingDataError(
                 [(m,) for m in missing], f"no weight for individuals {missing}"
             )
-        predicted = aggregate_coalition(weights, utilities, members, None, tol)
+        predicted = aggregate_coalition(weights, utilities, members)
         residual = float(np.linalg.norm(norm_src.outcome(s) - predicted))
         rows.append((members, residual, residual <= tol.gate(1.0)))
     return tuple(rows)
@@ -549,8 +542,6 @@ def recover_gswf_weights(
             {i: weights[(i, profile[i])] for i in fs},
             {i: normalized[profile[i]] for i in fs},
             fs,
-            None,
-            tol,
         )
         observed = ask(profile, fs)
         rr = float(np.linalg.norm(observed - predicted))

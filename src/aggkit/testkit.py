@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import TooLarge, UnsatisfiablePolicy
-from .geometry import DEFAULT_TOL, Tolerance, Vector
+from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension
 from .model import (
     AxiomMode,
     DatasetSource,
@@ -95,8 +95,6 @@ def _class_sizes(cfg: GeneratorConfig, rng: np.random.Generator) -> list[int]:
 
 
 def _spans_plane(points: Sequence[Vector], tol: Tolerance) -> bool:
-    from .geometry import affine_dimension
-
     return affine_dimension(points, tol) >= 2
 
 

@@ -334,6 +334,20 @@ class TestRelativeInterior:
         assert not relative_interior_check(0.5 * (gens[0] + gens[1]), gens)
         assert relative_interior_check(np.mean(gens, axis=0), gens)
 
+    def test_gate_scales_with_the_menu_not_its_position(self):
+        # A menu 1e-3 across at (1e6, 0): the point lies 7e-4 outside it,
+        # far beyond any gate measured from the menu, but within a gate
+        # measured from the origin (1e-9 * 1e6).
+        offset = np.array([1e6, 0.0])
+        gens = [offset, offset + [1e-3, 0.0], offset + [0.0, 1e-3]]
+        outside = np.array([1e6 - 5e-4, -5e-4])
+        assert convex_coefficients(outside, gens) is None
+        with pytest.raises(NotInConvexHull):
+            relative_interior_check(outside, gens)
+        inside = offset + [3e-4, 3e-4]
+        assert convex_coefficients(inside, gens) is not None
+        assert relative_interior_check(inside, gens)
+
     def test_random_interior_points(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

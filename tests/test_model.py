@@ -96,7 +96,7 @@ class TestOracleSource:
         src.outcome(["a"])
         assert len(calls) == 1
         src.outcome(["a", "b"])
-        assert frozenset(["a", "b"]) in src.queried_sets()
+        assert frozenset(["a", "b"]) in src.sets()
 
     def test_unknown_feature_rejected(self):
         src = OracleSource(1, lambda fs: [0.0], ["a"])

@@ -125,19 +125,10 @@ class TestAggregateCoalition:
         v = np.array([1.0, 1.0])
         utils = {"p": [1.5, 0.5], "q": [0.25, 0.75]}
         w = {"p": 1.0, "q": 3.0}
-        agg = aggregate_coalition(w, utils, ["p", "q"], v)
+        normalized = {f: normalize_to_H(u, v) for f, u in utils.items()}
+        agg = aggregate_coalition(w, normalized, ["p", "q"])
         expected = (1.0 * np.array([0.75, 0.25]) + 3.0 * np.array([0.25, 0.75])) / 4.0
         np.testing.assert_allclose(agg, expected)
-
-    def test_prenormalized_utilities_give_identical_bits(self):
-        v = np.array([1.0, 2.0])
-        utils = {"p": [1.5, 0.5], "q": [0.25, 0.75], "r": [0.3, 0.1]}
-        w = {"p": 1.0, "q": 3.0, "r": 0.7}
-        normalized = {f: normalize_to_H(u, v, who=f) for f, u in utils.items()}
-        for combo in (["p", "q"], ["q", "r"], ["p", "q", "r"]):
-            raw = aggregate_coalition(w, utils, combo, v)
-            ready = aggregate_coalition(w, normalized, combo, None)
-            assert raw.tobytes() == ready.tobytes()
 
 
 def counting_normalizations(monkeypatch):
@@ -164,7 +155,8 @@ class TestNormalizeOncePerIndividual:
         for s in src.sets():
             if len(s) >= 2:
                 observed = normalize_to_H(src.outcome(s), v)
-                predicted = aggregate_coalition(weights, raw, sorted(s), v)
+                utilities = {m: normalize_to_H(raw[m], v) for m in s}
+                predicted = aggregate_coalition(weights, utilities, sorted(s))
                 expected.append(float(np.linalg.norm(observed - predicted)))
 
         calls = counting_normalizations(monkeypatch)
@@ -199,8 +191,9 @@ def pareto_profile(weights, utils, v, sets=None):
         for size in range(2, len(names) + 1)
         for c in itertools.combinations(names, size)
     ]
+    normalized = {f: normalize_to_H(u, v) for f, u in utils.items()}
     for combo in groups:
-        table[frozenset(combo)] = aggregate_coalition(weights, utils, combo, v)
+        table[frozenset(combo)] = aggregate_coalition(weights, normalized, combo)
     return DatasetSource(len(v), table)
 
 

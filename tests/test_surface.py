@@ -1,0 +1,75 @@
+"""Each public surface is stated once: the CLI command table, the module
+export lists, and the command lines the README promises."""
+
+import ast
+import contextlib
+import importlib
+import io
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+import aggkit
+from aggkit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ("belief", "choice", "errors", "fileio", "geometry", "model", "recovery", "social", "testkit")
+MODULES = LIBRARY + ("cli",)
+
+
+def defined_names(module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_report_schema_names_the_command_table():
+    schema = json.loads((ROOT / "src/aggkit/schemas/report.schema.json").read_text())
+    assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_only_its_own_names(name):
+    module = importlib.import_module(f"aggkit.{name}")
+    exported = module.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) <= defined_names(module)
+
+
+def test_package_exports_are_the_disjoint_module_lists():
+    lists = [importlib.import_module(f"aggkit.{name}").__all__ for name in MODULES]
+    everything = [n for names in lists for n in names]
+    assert len(everything) == len(set(everything))
+    library = [n for name in LIBRARY for n in importlib.import_module(f"aggkit.{name}").__all__]
+    assert aggkit.__all__ == library
+    for name in aggkit.__all__:
+        assert getattr(aggkit, name) is not None
+
+
+def readme_examples():
+    pattern = re.compile(r"^aggkit (.+?)\s+# exit (\d)\b")
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return [(m.group(1), int(m.group(2))) for m in map(pattern.match, lines) if m]
+
+
+def test_readme_lists_its_examples():
+    assert len(readme_examples()) == 14
+
+
+@pytest.mark.parametrize("command,code", readme_examples())
+def test_readme_example_exit_code(command, code, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(shlex.split(command)) == code
+    assert json.loads(out.getvalue())["exit_code"] == code
