@@ -239,7 +239,7 @@ def _recovery_result(outcome: RecoveryOutcome) -> Result:
 
 
 def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
-    mode = AxiomMode(args.axiom)
+    mode = AxiomMode.from_name(args.axiom)
     report = check_axiom(doc.source, mode, tol)
     rich = check_richness(doc.source, tol)
     try:
