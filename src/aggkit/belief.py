@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import (
     MultipleRankClasses,
@@ -40,10 +41,13 @@ from .model import (
     FeatureSet,
     OracleSource,
     Representation,
+    _membership,
+    _positive_weights,
     _stored_splits,
+    _subsets,
+    _top_mean,
     feature_set,
     set_sort_key,
-    top_set,
 )
 from .recovery import (
     MissingData,
@@ -161,6 +165,15 @@ class JointProbability:
         return np.asarray(self.table[:, cols].sum(axis=1) / mass)
 
 
+def _cells(beliefs: Sequence[Vector]) -> NDArray[np.float64]:
+    """Belief j as a flat (states x features) table, zero off column j: the
+    joint of a conditioning set is rule (3) over these points."""
+    n = len(beliefs)
+    cells = np.zeros((n, beliefs[0].size, n))
+    cells[np.arange(n), :, np.arange(n)] = np.vstack(beliefs)
+    return cells.reshape(n, -1)
+
+
 def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProbability:
     """Joint distribution whose conditioning reproduces single-class data.
 
@@ -175,10 +188,9 @@ def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProba
             f"joint construction needs one rank class, found {len(classes)}"
         )
     features = rep.features()
-    beliefs = {f: as_belief(rep.outcomes[f], tol) for f in features}
-    total_w = sum(rep.weights[f] for f in features)
-    table = np.column_stack([rep.weights[f] * beliefs[f] / total_w for f in features])
-    return JointProbability(features=features, table=table)
+    cells = _cells([as_belief(rep.outcomes[f], tol) for f in features])
+    table = _top_mean(rep._weight_array, cells)[0]
+    return JointProbability(features=features, table=table.reshape(-1, len(features)))
 
 
 @dataclass(frozen=True)
@@ -210,32 +222,17 @@ def check_bayesian(
 
     outcome = recover(src, tol)
     if isinstance(outcome, MissingData):
-        return BayesianCheck(
-            consistent=False,
-            joint=None,
-            max_residual=float("nan"),
-            detail="recovery lacked required sets",
-            recovery=outcome,
-        )
-    if isinstance(outcome, NonRepresentable):
-        return BayesianCheck(
-            consistent=False,
-            joint=None,
-            max_residual=outcome.max_residual,
-            detail="no weighted representation exists",
-            recovery=outcome,
-        )
-    rep = outcome.representation
-    if len(rep.rank_classes()) != 1:
-        return BayesianCheck(
-            consistent=False,
-            joint=None,
-            max_residual=0.0,
-            detail="recovered order has more than one rank class",
-            recovery=outcome,
-        )
+        failure = (float("nan"), "recovery lacked required sets")
+    elif isinstance(outcome, NonRepresentable):
+        failure = (outcome.max_residual, "no weighted representation exists")
+    elif len(outcome.representation.rank_classes()) != 1:
+        failure = (0.0, "recovered order has more than one rank class")
+    else:
+        failure = None
+    if failure is not None:
+        return BayesianCheck(False, None, *failure, recovery=outcome)
 
-    joint = build_joint(rep, tol)
+    joint = build_joint(outcome.representation, tol)
     worst = 0.0
     for s in src.sets():
         # Both sides are additive over states, so the worst event collects
@@ -246,13 +243,7 @@ def check_bayesian(
     detail = "conditioning reproduces every stored set" if consistent else (
         "conditional probabilities disagree with the stored aggregates"
     )
-    return BayesianCheck(
-        consistent=consistent,
-        joint=joint,
-        max_residual=worst,
-        detail=detail,
-        recovery=outcome,
-    )
+    return BayesianCheck(consistent, joint, worst, detail, outcome)
 
 
 @dataclass(frozen=True)
@@ -286,23 +277,15 @@ def build_cps(
     is top-ranked in A and zero otherwise.
     """
     features = rep.features()
-    beliefs = {f: as_belief(rep.outcomes[f], tol) for f in features}
-    n = next(iter(beliefs.values())).size
-    conditionals: dict[FeatureSet, JointProbability] = {}
-    for size in range(1, len(features) + 1):
-        for combo in itertools.combinations(features, size):
-            fs = frozenset(combo)
-            top = top_set(rep, fs)
-            total_w = sum(rep.weights[f] for f in top)
-            cols = []
-            for f in features:
-                if f in top:
-                    cols.append(rep.weights[f] * beliefs[f] / total_w)
-                else:
-                    cols.append(np.zeros(n))
-            conditionals[fs] = JointProbability(
-                features=features, table=np.column_stack(cols)
-            )
+    beliefs = [as_belief(rep.outcomes[f], tol) for f in features]
+    sets = _subsets(features)
+    members = _membership(rep._column, sets)
+    tables = _top_mean(rep._weight_array, _cells(beliefs), members, rep._rank_array)
+    n = beliefs[0].size
+    conditionals = {
+        frozenset(combo): JointProbability(features=features, table=table.reshape(n, -1))
+        for combo, table in zip(sets, tables)
+    }
     return ConditionalProbabilitySystem(
         features=features, num_states=n, conditionals=conditionals
     )
@@ -351,15 +334,11 @@ def verify_cps(
     if not stored:
         return CpsReport(max_residual=0.0, violations=(), checked_pairs=0)
     col = {f: i for i, f in enumerate(cps.features)}
-    member = np.zeros((len(stored), len(col)), dtype=bool)
-    masks = []
-    for row, fs in enumerate(stored):
-        unknown = fs - col.keys()
-        if unknown:
-            raise UnknownFeature(f"unknown features {sorted(unknown)}")
-        cols = [col[f] for f in fs]
-        member[row, cols] = True
-        masks.append(sum(1 << c for c in cols))
+    unknown = set().union(*stored) - col.keys()
+    if unknown:
+        raise UnknownFeature(f"unknown features {sorted(unknown)}")
+    member = _membership(col, stored)
+    masks = [sum(1 << col[f] for f in fs) for fs in stored]
     tables = np.stack([cps.conditionals[fs].table for fs in stored])
     masses = tables.sum(axis=1)  # (set, feature) mass of each column
 
@@ -446,22 +425,17 @@ def evaluate_discounted(
     """Discounted weighted average q^t(x) w(x) b(x), normalized.
 
     Invariant under a common shift of all times (up to floating error in
-    the powers), since the common factor q^c cancels.
+    the powers), since the common factor q^c cancels.  Raises
+    UnknownFeature for a member without a weight, ValueError for a
+    weight not positive and finite.
     """
     if not (q > 0.0 and np.isfinite(q)):
         raise ValueError(f"discount factor must be positive and finite, got {q!r}")
-    unknown = set(query.members) - set(weights)
-    if unknown:
-        raise UnknownFeature(f"unknown features {sorted(unknown)}")
-    num = None
-    den = 0.0
-    for f in sorted(query.members):
-        coef = (q ** query.times[f]) * float(weights[f])
-        vec = as_point(beliefs[f])
-        num = coef * vec if num is None else num + coef * vec
-        den += coef
-    assert num is not None
-    return num / den
+    members = sorted(query.members)
+    coefs = [
+        q ** query.times[f] * w for f, w in zip(members, _positive_weights(weights, members))
+    ]
+    return _top_mean(coefs, [as_point(beliefs[f]) for f in members])[0]
 
 
 @dataclass(frozen=True)

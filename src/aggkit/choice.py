@@ -26,7 +26,13 @@ from .geometry import (
     convex_coefficients,
     relative_interior_check,
 )
-from .model import DatasetSource, check_richness, feature_set
+from .model import (
+    DatasetSource,
+    _positive_weights,
+    _top_mean,
+    check_richness,
+    feature_set,
+)
 from .recovery import (
     MissingData,
     NonRepresentable,
@@ -151,47 +157,20 @@ def _luce_like(
     rich = check_richness(src, tol)
     outcome = recover(src, tol)
     if isinstance(outcome, MissingData):
-        return LuceOutcome(
-            rationalizable=False,
-            weights=None,
-            ranks=None,
-            reason="required menus are missing from the data",
-            recovery=outcome,
-            rich=rich,
-        )
-    if isinstance(outcome, NonRepresentable):
-        return LuceOutcome(
-            rationalizable=False,
-            weights=None,
-            ranks=None,
-            reason="no positive weight function reproduces the averages",
-            recovery=outcome,
-            rich=rich,
-        )
-    rep = outcome.representation
-    classes = rep.rank_classes()
-    if not allow_ranks and len(classes) > 1:
+        reason = "required menus are missing from the data"
+    elif isinstance(outcome, NonRepresentable):
+        reason = "no positive weight function reproduces the averages"
+    else:
+        rep = outcome.representation
+        classes = rep.rank_classes()
+        if allow_ranks or len(classes) == 1:
+            return LuceOutcome(True, rep.weights, rep.ranks, "", outcome, rich)
         low, high = sorted(classes[-1])[0], sorted(classes[0])[0]
-        return LuceOutcome(
-            rationalizable=False,
-            weights=None,
-            ranks=None,
-            reason=(
-                f"pair {{{low},{high}}} averages at an endpoint, so {low!r} is "
-                "never chosen against "
-                f"{high!r}; a single-stage Luce rule cannot do that"
-            ),
-            recovery=outcome,
-            rich=rich,
+        reason = (
+            f"pair {{{low},{high}}} averages at an endpoint, so {low!r} is "
+            f"never chosen against {high!r}; a single-stage Luce rule cannot do that"
         )
-    return LuceOutcome(
-        rationalizable=True,
-        weights=rep.weights,
-        ranks=rep.ranks,
-        reason="",
-        recovery=outcome,
-        rich=rich,
-    )
+    return LuceOutcome(False, None, None, reason, outcome, rich)
 
 
 def recover_luce(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> LuceOutcome:
@@ -217,18 +196,19 @@ def choice_probabilities(
     """Choice distribution of the two-stage rule on one menu.
 
     Top-ranked members split the mass in proportion to their weights;
-    everything else gets probability zero.
+    everything else gets probability zero.  Raises UnknownFeature for a
+    member without a weight or a rank, and ValueError for a weight that
+    is not strictly positive and finite.
     """
     fs = feature_set(members)
-    unknown = fs - set(weights)
+    unknown = fs - (weights.keys() & ranks.keys())
     if unknown:
         raise UnknownFeature(f"unknown alternatives {sorted(unknown)}")
-    best = max(ranks[f] for f in fs)
-    top = [f for f in sorted(fs) if ranks[f] == best]
-    total = sum(float(weights[f]) for f in top)
-    return {
-        f: (float(weights[f]) / total if f in top else 0.0) for f in sorted(fs)
-    }
+    ids = sorted(fs)
+    probs = _top_mean(
+        _positive_weights(weights, ids), np.eye(len(ids)), ranks=[ranks[f] for f in ids]
+    )[0]
+    return dict(zip(ids, probs.tolist()))
 
 
 def make_dictatorial_oracle() -> ChoiceOracle:
@@ -271,12 +251,7 @@ def make_luce_oracle(
 
     def oracle(menu: Menu) -> Vector:
         pts = menu.points()
-        ws = [weight_of(p) for p in pts]
-        total = sum(ws)
-        acc = np.zeros(menu.dimension)
-        for p, w in zip(pts, ws):
-            acc += w * p
-        return acc / total
+        return _top_mean([weight_of(p) for p in pts], pts)[0]
 
     return oracle
 

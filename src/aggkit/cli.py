@@ -11,6 +11,7 @@ the ``AGGKIT_TOL`` environment variable, then to 1e-9.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -508,16 +509,11 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
             raise DatasetFormatError(str(path), f"cannot read config: {exc}") from None
         if not isinstance(config_fields, dict):
             raise DatasetFormatError(str(path), "config must be an object")
-    if args.seed is not None:
-        config_fields["seed"] = args.seed
-    if args.features is not None:
-        config_fields["feature_count"] = args.features
-    if args.dimension is not None:
-        config_fields["dimension"] = args.dimension
-    if args.classes is not None:
-        config_fields["rank_classes"] = args.classes
-    if args.policy is not None:
-        config_fields["outcome_policy"] = args.policy
+    flags = {"seed": "seed", "features": "feature_count", "dimension": "dimension",
+             "classes": "rank_classes", "policy": "outcome_policy"}
+    for flag, field in flags.items():
+        if getattr(args, flag) is not None:
+            config_fields[field] = getattr(args, flag)
     if "seed" not in config_fields:
         raise DatasetFormatError("--seed", "gen needs a seed (flag or config)")
     policy_raw = config_fields.pop("outcome_policy", "random-rich")
@@ -525,9 +521,9 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
         policy = OutcomePolicy(policy_raw)
     except ValueError:
         raise DatasetFormatError("--policy", f"unknown policy {policy_raw!r}") from None
-    if "weight_range" in config_fields:
-        config_fields["weight_range"] = tuple(config_fields["weight_range"])
     try:
+        if "weight_range" in config_fields:
+            config_fields["weight_range"] = tuple(config_fields["weight_range"])
         cfg = GeneratorConfig(outcome_policy=policy, **config_fields)
     except TypeError as exc:
         raise DatasetFormatError("config", str(exc)) from None
@@ -599,7 +595,9 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="aggkit",
         description="Rationalizability checks and representation recovery "

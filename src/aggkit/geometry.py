@@ -113,6 +113,12 @@ def as_point(coords: Sequence[float] | Vector, *, dim: int | None = None) -> Vec
     return arr
 
 
+def _row_norms(rows: NDArray[np.float64]) -> Vector:
+    """``np.linalg.norm`` of each row, bit for bit: one batched ``matmul``
+    of each row with itself adds up as the single-vector dot does."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def _common_dim(*points: Vector) -> int:
     dims = {p.size for p in points}
     if len(dims) != 1:

@@ -6,17 +6,22 @@ weight per feature and an integer rank per feature: the outcome of a set
 is the weighted average of its highest-ranked members' singleton
 outcomes.  This module holds both notions plus the checks that connect
 raw data to the mixture axioms (weighted, strict, extreme averaging).
+
+That rule, form (3) of the paper, has one implementation: every forward
+evaluation in the package is a call to ``_top_mean``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import (
     DimensionMismatch,
@@ -246,6 +251,59 @@ class OracleSource(AggregationSource):
         return tuple(sorted(self._cache, key=set_sort_key))
 
 
+def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> list[float]:
+    """The weights of ``members`` as floats: UnknownFeature for a member
+    without one, ValueError for one that is not positive and finite."""
+    unknown = [m for m in members if m not in weights]
+    if unknown:
+        raise UnknownFeature(f"unknown features {unknown}")
+    out = [float(weights[m]) for m in members]
+    for m, w in zip(members, out):
+        if not (w > 0.0 and math.isfinite(w)):
+            raise ValueError(f"weight of {m!r} must be strictly positive, got {w!r}")
+    return out
+
+
+def _membership(column: Mapping[str, int], sets: Sequence[Iterable[str]]) -> NDArray[np.bool_]:
+    """Boolean (sets x features) matrix of ``sets``; ``column`` numbers the features."""
+    width = len(column)
+    members = np.zeros((len(sets), width), dtype=bool)
+    members.reshape(-1)[[row * width + column[f] for row, s in enumerate(sets) for f in s]] = True
+    return members
+
+
+def _top_mean(
+    weights: Sequence[float],
+    points: Sequence[Vector],
+    members: NDArray[np.bool_] | None = None,
+    ranks: Sequence[int] | None = None,
+) -> NDArray[np.float64]:
+    """Rule (3) for each row of ``members``: the weighted mean of its top rank.
+
+    ``members`` is a boolean (sets x features) matrix, by default one row
+    of every feature; ``weights``, ``points`` and ``ranks`` (by default
+    one rank) follow its columns, the features in sorted order.  Weights
+    and weight x point of each row's top members are added one column at
+    a time, step for step as a scalar loop in sorted order would.
+    """
+    points = np.asarray(points, dtype=float)
+    if members is None:
+        members = np.ones((1, len(points)), dtype=bool)
+    ranks = np.zeros(len(points)) if ranks is None else np.asarray(ranks)
+    columns = np.asfortranarray(members).T
+    used = np.flatnonzero(columns.any(axis=1))
+    best = np.full(len(members), -np.inf)
+    for j in used:
+        np.maximum(best, ranks[j], out=best, where=columns[j])
+    total = np.zeros(len(members))
+    acc = np.zeros((len(members), points.shape[1]))
+    for j in used:
+        top = columns[j] & (best == ranks[j])
+        np.add(total, weights[j], out=total, where=top)
+        np.add(acc, weights[j] * points[j], out=acc, where=top[:, None])
+    return acc / total[:, None]
+
+
 @dataclass(frozen=True)
 class Representation:
     """Weights, ranks, and singleton outcomes for a finite feature set.
@@ -267,22 +325,18 @@ class Representation:
             raise ValueError("a representation needs at least one feature")
         if keys != set(self.ranks) or keys != set(self.outcomes):
             raise ValueError("weights, ranks and outcomes must share one feature set")
-        for fid in keys:
+        features = tuple(sorted(keys))
+        for fid in features:
             validate_feature_id(fid)
         points = {f: as_point(p) for f, p in self.outcomes.items()}
         dims = {p.size for p in points.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"outcomes have mixed dimensions {sorted(dims)}")
-        ranks = {f: int(self.ranks[f]) for f in keys}
-        weights = {}
-        for f in keys:
-            w = float(self.weights[f])
-            if not (w > 0.0 and np.isfinite(w)):
-                raise ValueError(f"weight of {f!r} must be strictly positive, got {w!r}")
-            weights[f] = w
+        ranks = {f: int(self.ranks[f]) for f in features}
+        weights = dict(zip(features, _positive_weights(self.weights, features)))
         # Normalize each rank class at its lexicographically smallest member.
         for level in set(ranks.values()):
-            members = sorted(f for f in keys if ranks[f] == level)
+            members = [f for f in features if ranks[f] == level]
             anchor_w = weights[members[0]]
             for f in members:
                 weights[f] = weights[f] / anchor_w
@@ -291,13 +345,18 @@ class Representation:
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "ranks", MappingProxyType(ranks))
         object.__setattr__(self, "outcomes", MappingProxyType(points))
+        # The same three as arrays over the sorted features, for _top_mean.
+        object.__setattr__(self, "_column", {f: j for j, f in enumerate(features)})
+        object.__setattr__(self, "_weight_array", np.array([weights[f] for f in features]))
+        object.__setattr__(self, "_rank_array", np.array([ranks[f] for f in features]))
+        object.__setattr__(self, "_outcome_array", np.vstack([points[f] for f in features]))
 
     @property
     def dimension(self) -> int:
         return next(iter(self.outcomes.values())).size
 
     def features(self) -> tuple[str, ...]:
-        return tuple(sorted(self.weights))
+        return tuple(self._column)
 
     def rank_classes(self) -> tuple[tuple[str, ...], ...]:
         """Rank classes from highest to lowest, members sorted."""
@@ -308,37 +367,43 @@ class Representation:
         )
 
     def restrict(self, members: Iterable[str]) -> Representation:
-        fs = feature_set(members)
-        unknown = fs - set(self.weights)
-        if unknown:
-            raise UnknownFeature(f"unknown features {sorted(unknown)}")
+        fs = _known_set(self, members)
         return Representation(
             weights={f: self.weights[f] for f in fs},
             ranks={f: self.ranks[f] for f in fs},
             outcomes={f: self.outcomes[f] for f in fs},
         )
 
+    def _evaluate(self, sets: Sequence[Iterable[str]]) -> NDArray[np.float64]:
+        """Rule (3) on each of ``sets`` (non-empty, of known ids), one row each."""
+        members = _membership(self._column, sets)
+        return _top_mean(self._weight_array, self._outcome_array, members, self._rank_array)
+
+
+def _subsets(features: Sequence[str]) -> list[tuple[str, ...]]:
+    """Every non-empty subset, by size, then in ``itertools.combinations`` order."""
+    return [c for k in range(1, len(features) + 1) for c in itertools.combinations(features, k)]
+
+
+def _known_set(rep: Representation, members: Iterable[str] | str) -> FeatureSet:
+    """``members`` as a feature set, refusing ids the representation lacks."""
+    fs = feature_set(members)
+    unknown = fs - rep.weights.keys()
+    if unknown:
+        raise UnknownFeature(f"unknown features {sorted(unknown)}")
+    return fs
+
 
 def top_set(rep: Representation, members: Iterable[str] | str) -> FeatureSet:
     """Members of maximal rank within the given set."""
-    fs = feature_set(members)
-    unknown = fs - set(rep.weights)
-    if unknown:
-        raise UnknownFeature(f"unknown features {sorted(unknown)}")
+    fs = _known_set(rep, members)
     best = max(rep.ranks[f] for f in fs)
     return frozenset(f for f in fs if rep.ranks[f] == best)
 
 
 def evaluate(rep: Representation, members: Iterable[str] | str) -> Vector:
     """Weight-averaged outcome of the top-ranked members of the set."""
-    top = top_set(rep, members)
-    # Sorted, so the float sums do not depend on frozenset hash order.
-    members = sorted(top)
-    total = sum(rep.weights[f] for f in members)
-    acc = np.zeros(rep.dimension)
-    for f in members:
-        acc += rep.weights[f] * rep.outcomes[f]
-    return acc / total
+    return rep._evaluate([_known_set(rep, members)])[0]
 
 
 def induced_source(
@@ -351,19 +416,9 @@ def induced_source(
     evaluated (callers should keep the feature count modest).
     """
     features = rep.features()
-    if sets is None:
-        sets = (
-            combo
-            for size in range(1, len(features) + 1)
-            for combo in itertools.combinations(features, size)
-        )
-    table: dict[FeatureSet, Vector] = {}
-    for s in sets:
-        fs = feature_set(s)
-        table[fs] = evaluate(rep, fs)
-    for f in features:
-        table.setdefault(frozenset([f]), evaluate(rep, [f]))
-    return DatasetSource(rep.dimension, table)
+    known = [_known_set(rep, s) for s in (_subsets(features) if sets is None else sets)]
+    known += [frozenset([f]) for f in features]
+    return DatasetSource(rep.dimension, dict(zip(known, rep._evaluate(known))))
 
 
 class AxiomMode(Enum):

@@ -29,13 +29,14 @@ from .geometry import (
     SegmentKind,
     Tolerance,
     Vector,
+    _row_norms,
     interior_lambda,
     segment_coefficient,
 )
 from .model import (
     AggregationSource,
+    DatasetSource,
     Representation,
-    evaluate,
     top_set,
 )
 
@@ -117,10 +118,6 @@ class MissingData:
 
 
 RecoveryOutcome = Recovered | NonRepresentable | MissingData
-
-
-def _norm(v: Vector) -> float:
-    return float(np.linalg.norm(v))
 
 
 def recover_order(
@@ -382,10 +379,7 @@ def _ratio_conflict_witness(
 
 
 def _fallback_witness(
-    worst: VerificationRow,
-    rep: Representation,
-    src: AggregationSource,
-    tol: Tolerance,
+    worst: VerificationRow, rep: Representation, tol: Tolerance
 ) -> ContradictionWitness:
     """Witness built from the worst verification failure directly.
 
@@ -457,53 +451,53 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
     """
     try:
         ranks = recover_order(src, tol)
-    except MissingDataError as err:
-        return MissingData(required=err.required)
-
-    singles = {f: src.outcome([f]) for f in sorted(ranks)}
-    try:
         weights, indeterminate = recover_weights(src, ranks, tol)
     except MissingDataError as err:
         return MissingData(required=err.required)
     except DegenerateLambda as err:
         return NonRepresentable(witness=_witness_from_degenerate(err))
 
+    singles = {f: src.outcome([f]) for f in sorted(ranks)}
     rep = Representation(weights=weights, ranks=ranks, outcomes=singles)
-
-    rows: list[VerificationRow] = []
-    worst: VerificationRow | None = None
-    for s in src.sets():
-        observed = src.outcome(s)
-        predicted = evaluate(rep, s)
-        residual = _norm(observed - predicted)
-        passed = residual <= tol.gate(_norm(observed), _norm(predicted), 1.0)
-        row = VerificationRow(
-            members=tuple(sorted(s)),
-            observed=tuple(float(v) for v in observed),
-            predicted=tuple(float(v) for v in predicted),
-            residual=residual,
-            passed=passed,
-        )
-        rows.append(row)
-        if not passed and (worst is None or residual > worst.residual):
-            worst = row
+    rows = _verification(src, rep, tol)
     max_residual = max((r.residual for r in rows), default=0.0)
-
-    if worst is None:
+    failing = [r for r in rows if not r.passed]
+    if not failing:
         return Recovered(
             representation=rep,
-            verification=tuple(rows),
+            verification=rows,
             max_residual=max_residual,
             indeterminate_classes=indeterminate,
         )
 
     witness = _ratio_conflict_witness(src, ranks, singles, tol)
     if witness is None:
-        witness = _fallback_witness(worst, rep, src, tol)
+        worst = max(failing, key=lambda r: r.residual)
+        witness = _fallback_witness(worst, rep, tol)
     return NonRepresentable(
         witness=witness,
-        failing_sets=tuple(r.members for r in rows if not r.passed),
+        failing_sets=tuple(r.members for r in failing),
         max_residual=max_residual,
+    )
+
+
+def _verification(
+    src: AggregationSource, rep: Representation, tol: Tolerance
+) -> tuple[VerificationRow, ...]:
+    """Every known set of ``src`` against ``rep`` in one array pass; a row
+    passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
+    sets = src.sets()
+    if isinstance(src, DatasetSource):
+        observed = src._points
+    else:
+        observed = np.array([src.outcome(s) for s in sets])
+    predicted = rep._evaluate(sets)
+    residuals = _row_norms(observed - predicted)
+    scales = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
+    passes = residuals <= np.maximum(tol.abs_tol, tol.rel_tol * scales)
+    rows = zip(sets, observed.tolist(), predicted.tolist(), residuals.tolist(), passes.tolist())
+    return tuple(
+        VerificationRow(tuple(sorted(s)), tuple(o), tuple(p), r, ok) for s, o, p, r, ok in rows
     )
 
 
@@ -559,7 +553,7 @@ def continuity_diagnostic(
     coords = {f: np.asarray(list(embedding[f]), dtype=float) for f in rep.weights}
     pairs: list[ContinuityPair] = []
     for a, b in itertools.combinations(sorted(rep.weights), 2):
-        dist = _norm(coords[a] - coords[b])
+        dist = float(np.linalg.norm(coords[a] - coords[b]))
         if dist > radius:
             continue
         same = rep.ranks[a] == rep.ranks[b]

@@ -26,12 +26,12 @@ from .errors import (
     MissingDataError,
     ProfileConstructionFailed,
     ResidualTooLarge,
-    UnknownFeature,
 )
 from .geometry import (
     DEFAULT_TOL,
     Tolerance,
     Vector,
+    _row_norms,
     affine_dimension,
     as_point,
     interior_lambda,
@@ -41,6 +41,9 @@ from .model import (
     AxiomMode,
     AxiomReport,
     DatasetSource,
+    _membership,
+    _positive_weights,
+    _top_mean,
     check_axiom,
     feature_set,
 )
@@ -250,23 +253,13 @@ def aggregate_coalition(
 
     The utilities must already lie on the hyperplane <., v> = 1 (for
     instance through :func:`normalize_to_H`, once per individual); the
-    average then lies on it too.
+    average then lies on it too.  Raises UnknownFeature for a member
+    without a weight, ValueError for a weight not positive and finite.
     """
-    fs = feature_set(coalition)
-    unknown = fs - set(weights)
-    if unknown:
-        raise UnknownFeature(f"unknown members {sorted(unknown)}")
-    num = None
-    den = 0.0
-    for m in sorted(fs):
-        w = float(weights[m])
-        if w <= 0.0:
-            raise ValueError(f"weight of {m!r} must be strictly positive")
-        u = as_point(utilities[m])
-        num = w * u if num is None else num + w * u
-        den += w
-    assert num is not None
-    return num / den
+    members = sorted(feature_set(coalition))
+    return _top_mean(
+        _positive_weights(weights, members), [as_point(utilities[m]) for m in members]
+    )[0]
 
 
 def verify_weight_table(
@@ -280,28 +273,31 @@ def verify_weight_table(
     Individuals are the singletons of ``src``.  Every stored outcome must
     meet minimal agreement with ``v``.  Each set of two or more members
     gives a row (members, residual, passed): the distance on the
-    hyperplane between its normalized outcome and
-    :func:`aggregate_coalition` of its members, and whether that
-    distance is within the gate.  Raises MissingDataError naming the
-    members of the first coalition (in canonical order) that ``weights``
-    misses.
+    hyperplane between its normalized outcome and the weighted average
+    of its members' normalized utilities, and whether that distance is
+    within the gate.  Raises MissingDataError naming the members of the
+    first coalition (in canonical order) that ``weights`` misses, and
+    ValueError for a weight that is not strictly positive and finite.
     """
     norm_src = _normalized_source(src, v, tol)
-    utilities = {f: norm_src.outcome([f]) for f in src.features()}
-    rows = []
-    for s in src.sets():
-        if len(s) < 2:
-            continue
-        members = tuple(sorted(s))
+    rows = [row for row, s in enumerate(norm_src.sets()) if len(s) > 1]
+    coalitions = [tuple(sorted(norm_src.sets()[row])) for row in rows]
+    for members in coalitions:
         missing = [m for m in members if m not in weights]
         if missing:
             raise MissingDataError(
                 [(m,) for m in missing], f"no weight for individuals {missing}"
             )
-        predicted = aggregate_coalition(weights, utilities, members)
-        residual = float(np.linalg.norm(norm_src.outcome(s) - predicted))
-        rows.append((members, residual, residual <= tol.gate(1.0)))
-    return tuple(rows)
+    if not coalitions:
+        return ()
+    people = sorted({m for members in coalitions for m in members})
+    predicted = _top_mean(
+        _positive_weights(weights, people),
+        [norm_src.outcome([m]) for m in people],
+        _membership({m: j for j, m in enumerate(people)}, coalitions),
+    )
+    residuals = _row_norms(norm_src._points[rows] - predicted).tolist()
+    return tuple((c, r, r <= tol.gate(1.0)) for c, r in zip(coalitions, residuals))
 
 
 def _normalized_source(

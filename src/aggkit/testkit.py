@@ -23,8 +23,7 @@ from .model import (
     DatasetSource,
     FeatureSet,
     Representation,
-    evaluate,
-    feature_set,
+    _known_set,
     induced_source,
 )
 
@@ -181,8 +180,8 @@ def gen_dataset(
         sets += list(itertools.combinations(features, 2))
         sets += list(itertools.combinations(features, 3))
         return induced_source(rep, sets)
-    table = {feature_set(s): evaluate(rep, s) for s in subset_policy}
-    return DatasetSource(rep.dimension, table)
+    sets = [_known_set(rep, s) for s in subset_policy]
+    return DatasetSource(rep.dimension, dict(zip(sets, rep._evaluate(sets))))
 
 
 def _bf_locate(p: Vector, a: Vector, b: Vector, tol: float) -> tuple[str, float | None]:

@@ -176,6 +176,17 @@ class TestTimedQuery:
 
 
 class TestEvaluateDiscounted:
+    @pytest.mark.parametrize(
+        "weights",
+        [{"x": 0.0, "y": 0.0}, {"x": -1.0, "y": 1.0}, {"x": float("nan"), "y": 1.0}],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_weight_must_be_positive_and_finite(self, weights):
+        b = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}
+        query = TimedQuery(["x", "y"], {"x": 1, "y": 2})
+        with pytest.raises(ValueError, match="weight of 'x' must be strictly positive"):
+            evaluate_discounted(0.5, weights, b, query)
+
     def test_factor_one_is_plain_average(self):
         w = {"x": 1.0, "y": 3.0}
         b = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}

@@ -18,7 +18,7 @@ from aggkit import (
     recover_luce,
     recover_two_stage,
 )
-from aggkit.errors import OracleRefused
+from aggkit.errors import OracleRefused, UnknownFeature
 
 
 def luce_source(points, weights):
@@ -112,6 +112,20 @@ class TestChoiceProbabilities:
         base = choice_probabilities(w, ranks, ["a", "b"])
         wide = choice_probabilities(w, ranks, ["a", "b", "c", "d"])
         assert base["a"] / base["b"] == pytest.approx(wide["a"] / wide["b"])
+
+    def test_member_without_rank_is_unknown(self):
+        with pytest.raises(UnknownFeature, match="'b'"):
+            choice_probabilities({"a": 1.0, "b": 1.0}, {"a": 0}, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{"a": 0.0}, {"a": -1.0, "b": 1.0}, {"a": float("nan"), "b": 1.0}, {"a": float("inf")}],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_weight_must_be_positive_and_finite(self, weights):
+        ranks = {f: 0 for f in weights}
+        with pytest.raises(ValueError, match="weight of 'a' must be strictly positive"):
+            choice_probabilities(weights, ranks, sorted(weights))
 
 
 class TestReferenceOracles:

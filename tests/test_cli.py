@@ -1,5 +1,6 @@
 """Command line behavior: verdicts, exit codes, tolerance, and output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import aggkit
+from aggkit import cli
 
 
 def report_of(run_cli, *args, **kw):
@@ -225,21 +227,72 @@ class TestDeterminism:
     def test_recover_is_byte_identical_across_hash_seeds(self, run_cli, tmp_path):
         # Six features in one rank class: evaluate sums up to six weights
         # and outcomes, in an order that must not follow frozenset hashing.
-        _, gen = report_of(
-            run_cli, "gen", "--seed", "5", "--features", "6", "--classes", "1"
+        outputs = reports_across_hash_seeds(
+            run_cli,
+            tmp_path,
+            "recover",
+            ("--seed", "5", "--features", "6", "--classes", "1"),
+            ("1", "2", "3"),
         )
-        dataset = tmp_path / "flat6.json"
-        dataset.write_text(json.dumps(gen["result"]["dataset"]), encoding="utf-8")
-        src_dir = str(Path(aggkit.__file__).resolve().parents[1])
-        outputs = []
-        for hash_seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
-            proc = subprocess.run(
-                [sys.executable, "-m", "aggkit", "recover", str(dataset)],
-                env=env,
-                capture_output=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_cps_is_byte_identical_across_hash_seeds(self, run_cli, tmp_path):
+        # Each conditional divides by the total weight of its top members;
+        # that total must be added up in one order whatever the hashing.
+        outputs = reports_across_hash_seeds(
+            run_cli,
+            tmp_path,
+            "cps",
+            ("--seed", "9", "--features", "7", "--dimension", "3", "--classes", "1",
+             "--policy", "simplex-beliefs"),
+            ("0", "1", "2"),
+        )
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def reports_across_hash_seeds(run_cli, tmp_path, command, gen_args, hash_seeds):
+    """Stdout of ``command`` on an ``aggkit gen`` dataset, one process per hash seed."""
+    _, gen = report_of(run_cli, "gen", *gen_args)
+    dataset = tmp_path / "generated.json"
+    dataset.write_text(json.dumps(gen["result"]["dataset"]), encoding="utf-8")
+    src_dir = str(Path(aggkit.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in hash_seeds:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aggkit", command, str(dataset)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
+class TestParserAndConfig:
+    def test_parser_is_built_once(self, run_cli, fixtures_dir, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        dataset = str(fixtures_dir / "triangle_two_tier.json")
+        first = run_cli("recover", dataset)
+        second = run_cli("recover", dataset)
+        assert built.count("aggkit") == 1
+        assert first == second
+
+    @pytest.mark.parametrize("weight_range", [5, "ab"], ids=["number", "string"])
+    def test_gen_rejects_a_malformed_weight_range(self, run_cli, tmp_path, weight_range):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "weight_range": weight_range}), encoding="utf-8")
+        code, rep = report_of(run_cli, "gen", "--config", str(config))
+        assert code == 2
+        assert rep["exit_code"] == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"

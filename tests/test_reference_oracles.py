@@ -15,6 +15,11 @@ The hull tests must give the same verdicts wherever the point is clear
 of the hull's faces, where the two tolerance rules cannot disagree; the
 Bayes residual must agree to rounding and the CPS check must report the
 same pairs and the same violations in the same order.
+
+``reference_evaluate`` and its siblings are the scalar loops of rule (3)
+(top members in sorted order, add the weights and weight x outcome,
+divide); every forward evaluation, now one array kernel, must match them
+bit for bit.
 """
 
 import itertools
@@ -28,24 +33,40 @@ from aggkit import (
     ConditionalProbabilitySystem,
     DatasetSource,
     GeneratorConfig,
+    NonRepresentable,
     OracleSource,
     OutcomePolicy,
+    Recovered,
+    Representation,
     SubsetPolicy,
+    TimedQuery,
+    VerificationRow,
     affine_dimension,
+    aggregate_coalition,
+    as_belief,
     barycentric,
     build_cps,
+    build_joint,
     check_axiom,
     check_bayesian,
     check_richness,
     check_strong_richness,
+    choice_probabilities,
     convex_coefficients,
     evaluate,
+    evaluate_discounted,
     gen_dataset,
     gen_representation,
+    induced_source,
     perturb,
+    recover,
+    recover_order,
+    recover_weights,
     relative_interior_check,
+    top_set,
     verify_cps,
 )
+from aggkit import recovery
 from aggkit.belief import ChainViolation, CpsReport
 from aggkit.errors import (
     AffinelyDependentBasis,
@@ -657,3 +678,245 @@ class TestCpsMatchesReference:
         with pytest.raises(ValueError) as theirs:
             reference_verify_cps(broken)
         assert str(ours.value) == str(theirs.value)
+
+
+# --------------------------------------------------------------------------
+# Rule (3): the scalar loops every forward evaluation used to run
+
+
+def reference_evaluate(rep, members):
+    """Top members in sorted order: add weights, add weight x outcome, divide."""
+    top = sorted(top_set(rep, members))
+    total = sum(rep.weights[f] for f in top)
+    acc = np.zeros(rep.dimension)
+    for f in top:
+        acc += rep.weights[f] * rep.outcomes[f]
+    return acc / total
+
+
+def reference_verification(src, rep, tol=DEFAULT_TOL):
+    """One validating evaluation and three norms per known set."""
+    rows = []
+    for s in src.sets():
+        observed = src.outcome(s)
+        predicted = reference_evaluate(rep, s)
+        residual = float(np.linalg.norm(observed - predicted))
+        gate = tol.gate(float(np.linalg.norm(observed)), float(np.linalg.norm(predicted)), 1.0)
+        rows.append(
+            VerificationRow(
+                members=tuple(sorted(s)),
+                observed=tuple(float(v) for v in observed),
+                predicted=tuple(float(v) for v in predicted),
+                residual=residual,
+                passed=residual <= gate,
+            )
+        )
+    return tuple(rows)
+
+
+def reference_build_joint(rep, tol=DEFAULT_TOL):
+    features = rep.features()
+    beliefs = {f: as_belief(rep.outcomes[f], tol) for f in features}
+    total_w = sum(rep.weights[f] for f in features)
+    table = np.column_stack([rep.weights[f] * beliefs[f] / total_w for f in features])
+    return features, table
+
+
+def reference_build_cps(rep, tol=DEFAULT_TOL):
+    """Conditional tables per subset, top weights added in sorted order."""
+    features = rep.features()
+    beliefs = {f: as_belief(rep.outcomes[f], tol) for f in features}
+    n = next(iter(beliefs.values())).size
+    tables = {}
+    for size in range(1, len(features) + 1):
+        for combo in itertools.combinations(features, size):
+            top = sorted(top_set(rep, combo))
+            total_w = sum(rep.weights[f] for f in top)
+            cols = [
+                rep.weights[f] * beliefs[f] / total_w if f in top else np.zeros(n)
+                for f in features
+            ]
+            tables[frozenset(combo)] = np.column_stack(cols)
+    return tables
+
+
+def reference_choice_probabilities(weights, ranks, members):
+    fs = sorted(members)
+    best = max(ranks[f] for f in fs)
+    top = [f for f in fs if ranks[f] == best]
+    total = sum(float(weights[f]) for f in top)
+    return {f: (float(weights[f]) / total if f in top else 0.0) for f in fs}
+
+
+def reference_aggregate_coalition(weights, utilities, coalition):
+    num = None
+    den = 0.0
+    for m in sorted(coalition):
+        w = float(weights[m])
+        u = np.asarray(utilities[m], dtype=float)
+        num = w * u if num is None else num + w * u
+        den += w
+    return num / den
+
+
+def reference_evaluate_discounted(q, weights, beliefs, query):
+    num = None
+    den = 0.0
+    for f in sorted(query.members):
+        coef = (q ** query.times[f]) * float(weights[f])
+        vec = np.asarray(beliefs[f], dtype=float)
+        num = coef * vec if num is None else num + coef * vec
+        den += coef
+    return num / den
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _row_bits(rows):
+    """Members, verdicts and the bytes of every float of verification rows."""
+    floats = _bits(*([getattr(r, f) for r in rows] for f in ("observed", "predicted", "residual")))
+    return [r.members for r in rows], [r.passed for r in rows], floats
+
+
+def _equal_weights(rep):
+    return Representation(
+        weights={f: 1.0 for f in rep.features()}, ranks=rep.ranks, outcomes=rep.outcomes
+    )
+
+
+def _some_sets(rep, count, seed):
+    """Singletons, every pair, and ``count`` seeded sets of any size."""
+    names = rep.features()
+    rng = np.random.default_rng(seed)
+    sets = [(f,) for f in names] + list(itertools.combinations(names, 2))
+    for _ in range(count):
+        size = int(rng.integers(3, len(names) + 1))
+        sets.append(tuple(sorted(rng.choice(names, size, replace=False))))
+    return sets
+
+
+def _perturb_triples(src, magnitude, seed):
+    """Noise on the sets of three or more: order and weights still come
+    out of the pairs, and verification fails on the noisy sets."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for s in src.sets():
+        noise = rng.uniform(-magnitude, magnitude, src.dimension) if len(s) > 2 else 0.0
+        table[s] = src.outcome(s) + noise
+    return DatasetSource(src.dimension, table)
+
+
+KERNEL_REPS = {
+    "one-tier": lambda: _rep(51, 7),
+    "two-tiers": lambda: _rep(52, 8, classes=2),
+    "three-tiers": lambda: _rep(53, 9, classes=3),
+    "four-tiers": lambda: _rep(54, 12, classes=4, dimension=3),
+    "equal-weights": lambda: _equal_weights(_rep(55, 8, classes=2)),
+    "beliefs": lambda: _rep(56, 7, classes=2, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=4),
+    "menus": lambda: _rep(57, 6),
+    "70-features": lambda: _rep(58, 70, classes=3, dimension=3),
+}
+
+
+def _kernel_sets(rep):
+    if len(rep.features()) > 12:
+        return _some_sets(rep, 200, seed=len(rep.features()))
+    names = rep.features()
+    return [c for size in range(1, len(names) + 1) for c in itertools.combinations(names, size)]
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_REPS))
+def kernel_rep(request):
+    return KERNEL_REPS[request.param]()
+
+
+class TestForwardEvaluationMatchesReference:
+    def test_evaluate(self, kernel_rep):
+        for s in _kernel_sets(kernel_rep):
+            assert _bits(evaluate(kernel_rep, s)) == _bits(reference_evaluate(kernel_rep, s))
+
+    def test_induced_source(self, kernel_rep):
+        src = induced_source(kernel_rep, _kernel_sets(kernel_rep))
+        want = np.vstack([reference_evaluate(kernel_rep, s) for s in src.sets()])
+        assert _bits(src._points) == _bits(want)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3], ids=["exact", "perturbed"])
+    def test_recover_verification_rows(self, kernel_rep, noise):
+        src = induced_source(kernel_rep, _kernel_sets(kernel_rep))
+        if noise:
+            src = _perturb_triples(src, noise, seed=len(src))
+        ranks = recover_order(src)
+        weights, _ = recover_weights(src, ranks)
+        rep = Representation(weights, ranks, {f: src.outcome([f]) for f in ranks})
+        want = reference_verification(src, rep)
+        got = recovery._verification(src, rep, DEFAULT_TOL)
+        assert _row_bits(got) == _row_bits(want)
+        outcome = recover(src)
+        if noise:
+            assert isinstance(outcome, NonRepresentable)
+            assert outcome.failing_sets == tuple(r.members for r in want if not r.passed)
+            assert _bits(outcome.max_residual) == _bits(max(r.residual for r in want))
+        else:
+            assert isinstance(outcome, Recovered)
+            assert outcome.verification == got
+
+    def test_recover_verification_on_an_oracle(self):
+        rep = KERNEL_REPS["two-tiers"]()
+        src = OracleSource(rep.dimension, lambda fs: evaluate(rep, fs), rep.features())
+        outcome = recover(src)
+        assert isinstance(outcome, Recovered)
+        want = reference_verification(src, outcome.representation)
+        assert _row_bits(outcome.verification) == _row_bits(want)
+
+    def test_choice_probabilities(self, kernel_rep):
+        for s in _kernel_sets(kernel_rep)[:300]:
+            got = choice_probabilities(kernel_rep.weights, kernel_rep.ranks, s)
+            want = reference_choice_probabilities(kernel_rep.weights, kernel_rep.ranks, s)
+            assert list(got) == list(want)
+            assert _bits(list(got.values())) == _bits(list(want.values()))
+
+    def test_aggregate_coalition(self, kernel_rep):
+        for s in _kernel_sets(kernel_rep)[:300]:
+            got = aggregate_coalition(kernel_rep.weights, kernel_rep.outcomes, s)
+            want = reference_aggregate_coalition(kernel_rep.weights, kernel_rep.outcomes, s)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("q", [0.37, 1.0, 2.5])
+    def test_evaluate_discounted(self, kernel_rep, q):
+        rng = np.random.default_rng(int(q * 100))
+        for s in _kernel_sets(kernel_rep)[:300]:
+            query = TimedQuery(s, {f: int(rng.integers(1, 6)) for f in s})
+            got = evaluate_discounted(q, kernel_rep.weights, kernel_rep.outcomes, query)
+            want = reference_evaluate_discounted(q, kernel_rep.weights, kernel_rep.outcomes, query)
+            assert _bits(got) == _bits(want)
+
+
+BELIEF_REPS = {
+    "one-tier": lambda: _rep(61, 6, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=3),
+    "two-tiers": lambda: _rep(62, 7, classes=2, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=4),
+    "four-tiers": lambda: _rep(63, 8, classes=4, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=3),
+    "equal-weights": lambda: _equal_weights(
+        _rep(64, 6, classes=2, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=5)
+    ),
+}
+
+
+class TestBeliefTablesMatchReference:
+    @pytest.mark.parametrize("name", sorted(BELIEF_REPS))
+    def test_build_cps(self, name):
+        rep = BELIEF_REPS[name]()
+        cps = build_cps(rep)
+        want = reference_build_cps(rep)
+        assert list(cps.conditionals) == list(want)
+        for fs, table in want.items():
+            assert _bits(cps.conditionals[fs].table) == _bits(table)
+
+    @pytest.mark.parametrize("seed,states", [(65, 3), (66, 4), (67, 6)])
+    def test_build_joint(self, seed, states):
+        rep = _rep(seed, 7, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=states)
+        joint = build_joint(rep)
+        features, table = reference_build_joint(rep)
+        assert joint.features == features
+        assert _bits(joint.table) == _bits(table)

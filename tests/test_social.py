@@ -130,6 +130,14 @@ class TestAggregateCoalition:
         expected = (1.0 * np.array([0.75, 0.25]) + 3.0 * np.array([0.25, 0.75])) / 4.0
         np.testing.assert_allclose(agg, expected)
 
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_weight_must_be_positive_and_finite(self, weight):
+        utilities = {"p": [0.75, 0.25], "q": [0.25, 0.75]}
+        with pytest.raises(ValueError, match="weight of 'p' must be strictly positive"):
+            aggregate_coalition({"p": weight, "q": 1.0}, utilities, ["p", "q"])
+
 
 def counting_normalizations(monkeypatch):
     """Count social.normalize_to_H calls by their ``who`` label."""
