@@ -271,7 +271,7 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
             }
             for c in report.checks
         ],
-        "violations": sum(1 for c in report.checks if not c.passed),
+        "violations": len(report.violations),
         "rich": rich,
         "strong_richness": strong_json,
     }

@@ -113,10 +113,15 @@ def as_point(coords: Sequence[float] | Vector, *, dim: int | None = None) -> Vec
     return arr
 
 
+def _row_dots(x: NDArray[np.float64], y: NDArray[np.float64]) -> Vector:
+    """``np.dot`` of each row of ``x`` with the same row of ``y``, bit for
+    bit: one batched ``matmul`` adds up each row as the single dot does."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def _row_norms(rows: NDArray[np.float64]) -> Vector:
-    """``np.linalg.norm`` of each row, bit for bit: one batched ``matmul``
-    of each row with itself adds up as the single-vector dot does."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    """``np.linalg.norm`` of each row, bit for bit (it is the root of a dot)."""
+    return np.sqrt(_row_dots(rows, rows))
 
 
 def _common_dim(*points: Vector) -> int:
@@ -156,6 +161,57 @@ class SegmentPosition:
         return self.kind is SegmentKind.ON_SEGMENT
 
 
+# Kind codes of :func:`_segment_positions`: an index into this tuple.
+_SEGMENT_KINDS = (
+    SegmentKind.ON_SEGMENT,
+    SegmentKind.ON_LINE,
+    SegmentKind.OFF_LINE,
+    SegmentKind.DEGENERATE,
+)
+_ON_SEGMENT, _ON_LINE, _OFF_LINE, _DEGENERATE = range(4)
+
+
+def _segment_positions(
+    p: NDArray[np.float64],
+    a: NDArray[np.float64],
+    b: NDArray[np.float64],
+    tol: Tolerance,
+) -> tuple[NDArray[np.intp], Vector, Vector]:
+    """:func:`segment_coefficient` of each row of ``p`` against the same
+    rows of ``a`` and ``b``, three validated ``(k, d)`` arrays.
+
+    Returns each row's kind code (an index into ``_SEGMENT_KINDS``), its
+    coefficient (NaN for DEGENERATE rows) and its residual.  Every step
+    is the scalar formula applied column-wise, so each row gets the bits
+    a call on that row alone would get.
+    """
+    d = a - b
+    length = _row_norms(d)
+    degenerate = length <= tol.abs_tol
+    to_b = p - b
+    lam = np.divide(
+        _row_dots(to_b, d), length * length, out=np.zeros_like(length), where=~degenerate
+    )
+    projected = lam[:, None] * a + (1.0 - lam)[:, None] * b
+    residual = _row_norms(p - projected)
+    gate = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(length, _row_norms(to_b)))
+    slack = tol.lam_slack
+    kind = np.where((-slack <= lam) & (lam <= 1.0 + slack), _ON_SEGMENT, _ON_LINE)
+    kind[residual > gate] = _OFF_LINE
+    # Clamp into [0, 1] as max(0.0, lam) then min(1.0, lam) would, so -0.0
+    # reads 0.0 (np.maximum(0.0, -0.0) would keep the sign).
+    on_segment = kind == _ON_SEGMENT
+    lam[on_segment & ~(lam > 0.0)] = 0.0
+    lam[on_segment & ~(lam < 1.0)] = 1.0
+    if degenerate.any():
+        kind[degenerate] = _DEGENERATE
+        lam[degenerate] = np.nan
+        residual[degenerate] = _row_norms(
+            p[degenerate] - 0.5 * (a[degenerate] + b[degenerate])
+        )
+    return kind, lam, residual
+
+
 def segment_coefficient(
     p: Vector, a: Vector, b: Vector, tol: Tolerance = DEFAULT_TOL
 ) -> SegmentPosition:
@@ -166,36 +222,26 @@ def segment_coefficient(
     from ``p`` to the projected point.  Coefficients within ``lam_slack``
     of [0, 1] are clamped into the interval; collinear points beyond that
     slack are reported as ON_LINE with the raw coefficient so callers can
-    distinguish a violated mixture from an off-line point.
+    distinguish a violated mixture from an off-line point.  The endpoints
+    are DEGENERATE when ``|a - b| <= abs_tol``.
     """
     p = as_point(p)
     a = as_point(a)
     b = as_point(b)
     _common_dim(p, a, b)
+    kind, lam, residual = _segment_positions(p[None], a[None], b[None], tol)
+    code = int(kind[0])
+    return SegmentPosition(
+        kind=_SEGMENT_KINDS[code],
+        lam=None if code == _DEGENERATE else float(lam[0]),
+        residual=float(residual[0]),
+    )
 
-    d = a - b
-    length = float(np.linalg.norm(d))
-    if length <= tol.abs_tol:
-        common = 0.5 * (a + b)
-        return SegmentPosition(
-            kind=SegmentKind.DEGENERATE,
-            lam=None,
-            residual=float(np.linalg.norm(p - common)),
-        )
 
-    lam_raw = float(np.dot(p - b, d) / (length * length))
-    projected = lam_raw * a + (1.0 - lam_raw) * b
-    residual = float(np.linalg.norm(p - projected))
-    g = tol.gate(length, float(np.linalg.norm(p - b)))
-
-    if residual > g:
-        return SegmentPosition(kind=SegmentKind.OFF_LINE, lam=lam_raw, residual=residual)
-
+def _strictly_inside(lam: float | Vector, tol: Tolerance) -> bool | NDArray[np.bool_]:
+    """``lam_slack < lam < 1 - lam_slack``, for one coefficient or an array."""
     slack = tol.lam_slack
-    if -slack <= lam_raw <= 1.0 + slack:
-        lam = min(1.0, max(0.0, lam_raw))
-        return SegmentPosition(kind=SegmentKind.ON_SEGMENT, lam=lam, residual=residual)
-    return SegmentPosition(kind=SegmentKind.ON_LINE, lam=lam_raw, residual=residual)
+    return (slack < lam) & (lam < 1.0 - slack)
 
 
 def interior_lambda(pos: SegmentPosition, tol: Tolerance = DEFAULT_TOL) -> float | None:
@@ -209,8 +255,7 @@ def interior_lambda(pos: SegmentPosition, tol: Tolerance = DEFAULT_TOL) -> float
     """
     if pos.kind is not SegmentKind.ON_SEGMENT or pos.lam is None:
         return None
-    slack = tol.lam_slack
-    return pos.lam if slack < pos.lam < 1.0 - slack else None
+    return pos.lam if _strictly_inside(pos.lam, tol) else None
 
 
 def affine_dimension(

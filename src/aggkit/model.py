@@ -32,14 +32,14 @@ from .errors import (
 from .geometry import (
     DEFAULT_TOL,
     SegmentKind,
-    SegmentPosition,
     Tolerance,
     Vector,
+    _SEGMENT_KINDS,
     _affine_rank,
+    _segment_positions,
+    _strictly_inside,
     affine_dimension,
     as_point,
-    interior_lambda,
-    segment_coefficient,
 )
 
 __all__ = [
@@ -469,36 +469,43 @@ class AxiomReport:
         )
 
 
-def _judge_pair(
-    pos: SegmentPosition,
+# Why a split fails.  Its segment kind decides, except for an ON_SEGMENT
+# split, where the mode's rule maps the strict-interior mask to the
+# rows that pass.
+_KIND_FAILS = {
+    SegmentKind.DEGENERATE: "endpoints coincide but the union outcome differs from them",
+    SegmentKind.OFF_LINE: "union outcome is off the segment line",
+    SegmentKind.ON_LINE: "union outcome is collinear but outside the segment",
+}
+_MODE_RULES: dict[AxiomMode, tuple[Callable[[NDArray[np.bool_]], NDArray[np.bool_]], str]] = {
+    AxiomMode.WEIGHTED: (np.ones_like, ""),
+    AxiomMode.STRICT: (lambda inside: inside, "mixing coefficient sits at an endpoint"),
+    AxiomMode.EXTREME: (np.logical_not, "mixing coefficient is strictly interior"),
+}
+# Index 0, the empty reason, is a pass.
+_REASONS = ("", *_KIND_FAILS.values(), *(why for _, why in _MODE_RULES.values() if why))
+_KIND_REASON = np.array([_REASONS.index(_KIND_FAILS.get(k, "")) for k in _SEGMENT_KINDS])
+
+
+def _verdicts(
+    kind: NDArray[np.intp],
+    lam: Vector,
+    degenerate_equal: NDArray[np.bool_],
     mode: AxiomMode,
     tol: Tolerance,
-    degenerate_equal: bool | None,
-) -> tuple[bool, str]:
-    """Pass/fail of one pair under the given mode.
+) -> NDArray[np.intp]:
+    """Index into ``_REASONS`` of each split under ``mode``; 0 is a pass.
 
-    ``degenerate_equal`` says whether f(A | B) matches the common
-    endpoint when the pair is degenerate; None otherwise.
+    ``kind`` and ``lam`` come from ``_segment_positions``;
+    ``degenerate_equal`` marks the DEGENERATE rows whose f(A | B)
+    matches the common endpoint.
     """
-    if pos.kind is SegmentKind.DEGENERATE:
-        if degenerate_equal:
-            return True, ""
-        return False, "endpoints coincide but the union outcome differs from them"
-    if pos.kind is SegmentKind.OFF_LINE:
-        return False, "union outcome is off the segment line"
-    if pos.kind is SegmentKind.ON_LINE:
-        return False, "union outcome is collinear but outside the segment"
-    if mode is AxiomMode.WEIGHTED:
-        return True, ""
-    interior = interior_lambda(pos, tol) is not None
-    if mode is AxiomMode.STRICT:
-        if interior:
-            return True, ""
-        return False, "mixing coefficient sits at an endpoint"
-    # EXTREME
-    if not interior:
-        return True, ""
-    return False, "mixing coefficient is strictly interior"
+    reason = _KIND_REASON[kind]
+    reason[degenerate_equal] = 0
+    passes, why = _MODE_RULES[mode]
+    on_segment = kind == _SEGMENT_KINDS.index(SegmentKind.ON_SEGMENT)
+    reason[on_segment & ~passes(_strictly_inside(lam, tol))] = _REASONS.index(why)
+    return reason
 
 
 def _stored_splits(
@@ -542,46 +549,54 @@ def check_axiom(
     hold its smallest member or the stored sets whose smallest member is
     U's, whichever list is shorter, so each union costs
     min(2^(|U|-1), number of stored sets sharing U's smallest member)
-    lookups.  A wide union among few stored sets is cheap.
+    lookups.  A wide union among few stored sets is cheap.  The segment
+    geometry of all the splits found is then one array pass.
     """
     sets, mask_row, points = src.sets(), src._mask_row, src._points
     masks = tuple(mask_row)
     by_low: dict[int, list[int]] = {}
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)
-    checks: list[AxiomCheck] = []
+    keys = [tuple(sorted(s)) for s in sets]
+    unions: list[int] = []
+    parts_a: list[int] = []
+    parts_b: list[int] = []
     for row, union in enumerate(sets):
         if len(union) < 2:
             continue
         splits = sorted(
-            (tuple(sorted(sets[mask_row[a]])), tuple(sorted(sets[mask_row[b]])), a, b)
+            (keys[mask_row[a]], keys[mask_row[b]], mask_row[a], mask_row[b])
             for a, b in _stored_splits(mask_row, by_low, masks[row])
         )
-        if not splits:
-            continue
-        f_union = points[row]
-        key_union = tuple(sorted(union))
-        for key_a, key_b, a, b in splits:
-            f_a = points[mask_row[a]]
-            f_b = points[mask_row[b]]
-            pos = segment_coefficient(f_union, f_a, f_b, tol)
-            degenerate = pos.kind is SegmentKind.DEGENERATE
-            equal = tol.close(f_union, f_a) if degenerate else None
-            passed, reason = _judge_pair(pos, mode, tol, equal)
-            checks.append(
-                AxiomCheck(
-                    set_a=key_a,
-                    set_b=key_b,
-                    union=key_union,
-                    lam=None if degenerate else pos.lam,
-                    residual=pos.residual,
-                    degenerate=degenerate,
-                    passed=passed,
-                    reason=reason,
-                )
-            )
-    satisfied = all(c.passed for c in checks)
-    return AxiomReport(mode=mode, satisfied=satisfied, checks=tuple(checks), tolerance=tol)
+        for _, _, row_a, row_b in splits:
+            unions.append(row)
+            parts_a.append(row_a)
+            parts_b.append(row_b)
+    kind, lam, residual = _segment_positions(
+        points[unions], points[parts_a], points[parts_b], tol
+    )
+    degenerate = kind == _SEGMENT_KINDS.index(SegmentKind.DEGENERATE)
+    equal = np.zeros_like(degenerate)
+    for i in np.flatnonzero(degenerate):
+        equal[i] = tol.close(points[unions[i]], points[parts_a[i]])
+    reason = _verdicts(kind, lam, equal, mode, tol)
+    checks = tuple(
+        AxiomCheck(
+            set_a=keys[a],
+            set_b=keys[b],
+            union=keys[u],
+            lam=None if degen else lam_i,
+            residual=res,
+            degenerate=degen,
+            passed=not why,
+            reason=_REASONS[why],
+        )
+        for u, a, b, lam_i, res, degen, why in zip(
+            unions, parts_a, parts_b, lam.tolist(), residual.tolist(),
+            degenerate.tolist(), reason.tolist(),
+        )
+    )
+    return AxiomReport(mode=mode, satisfied=not reason.any(), checks=checks, tolerance=tol)
 
 
 def check_richness(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -528,7 +528,7 @@ def recover_gswf_weights(
     worst = 0.0
     for profile, coalition in validation:
         fs = feature_set(coalition)
-        missing = [i for i in fs if (i, profile[i]) not in weights]
+        missing = [i for i in sorted(fs) if (i, profile[i]) not in weights]
         if missing:
             raise MissingDataError(
                 [(i,) for i in missing],

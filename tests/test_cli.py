@@ -236,6 +236,19 @@ class TestDeterminism:
         )
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_check_is_byte_identical_across_hash_seeds(self, run_cli, tmp_path):
+        # Every split of every stored union, in one order, with its
+        # coefficient and residual bits, whatever the set hashing.
+        outputs = reports_across_hash_seeds(
+            run_cli,
+            tmp_path,
+            "check",
+            ("--seed", "7", "--features", "6", "--classes", "2"),
+            ("0", "1", "2"),
+        )
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["result"]["checks"]
+
     def test_cps_is_byte_identical_across_hash_seeds(self, run_cli, tmp_path):
         # Each conditional divides by the total weight of its top members;
         # that total must be added up in one order whatever the hashing.

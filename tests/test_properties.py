@@ -1,4 +1,4 @@
-"""Metamorphic properties of the hull and Bayes readings.
+"""Metamorphic properties of the axiom check and the hull and Bayes readings.
 
 Hull membership and relative interiority are affine notions, so moving
 or uniformly scaling a menu together with its point, or listing the
@@ -7,17 +7,32 @@ The Bayes residual is a worst case over state events, so renaming the
 states must leave it alone too.  Menus are drawn on an integer lattice:
 every test point then sits either exactly on a face of its hull or a
 lattice distance away from it, never within a tolerance of a threshold.
+
+The averaging axiom speaks of sets and segments, not of names, file
+order or origin: relabelling the features in an order-preserving way,
+listing the set records of the input file in another order, or moving
+every outcome by one integer vector must leave every split's verdict
+alone.  The datasets are drawn on a lattice of halves for the same
+reason as the menus.
 """
+
+import io
+import itertools
+import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aggkit import (
+    AxiomMode,
     DatasetSource,
     GeneratorConfig,
     OutcomePolicy,
+    check_axiom,
     check_bayesian,
+    dataset_to_json,
+    load_dataset,
     convex_coefficients,
     gen_dataset,
     gen_representation,
@@ -124,3 +139,82 @@ def test_state_permutation_keeps_bayes_residual(seed, states, noise, rnd):
     assert (after.joint is None) == (before.joint is None)
     if before.joint is not None:
         assert abs(after.max_residual - before.max_residual) <= 1e-12
+
+
+@st.composite
+def lattice_datasets(draw):
+    """Integer singletons; each union of two to four features, stored or not,
+    holds a mixture of one of its stored splits with a coefficient in halves
+    (inside, at the ends of or beyond [0, 1]), or an integer point.
+
+    Every outcome is exact in floating point, and every union sits on the
+    line of each split exactly or a lattice distance off it.
+    """
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+    names = [f"x{i}" for i in range(n)]
+    table = {(f,): draw(point) for f in names}
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(names, size):
+            if not draw(st.booleans()):
+                continue
+            cut = draw(st.integers(1, size - 1))
+            part_a, part_b = combo[:cut], combo[cut:]
+            if part_a in table and part_b in table and draw(st.booleans()):
+                lam = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+                table[combo] = lam * table[part_a] + (1.0 - lam) * table[part_b]
+            else:
+                table[combo] = draw(point)
+    return DatasetSource(d, {frozenset(k): v for k, v in table.items()})
+
+
+def split_verdicts(report):
+    """(passed, degenerate) of every split, and the violation count."""
+    return [(c.passed, c.degenerate) for c in report.checks], len(report.violations)
+
+
+@SETTINGS
+@given(
+    lattice_datasets(),
+    st.sampled_from(list(AxiomMode)),
+    st.lists(st.integers(0, 999), min_size=4, max_size=4, unique=True),
+)
+def test_order_preserving_relabelling_keeps_axiom_verdicts(src, mode, labels):
+    rename = dict(zip(src.features(), (f"f{k:03d}" for k in sorted(labels))))
+    relabelled = DatasetSource(
+        src.dimension, {frozenset(rename[f] for f in s): src.outcome(s) for s in src.sets()}
+    )
+    before = check_axiom(src, mode)
+    after = check_axiom(relabelled, mode)
+    assert split_verdicts(after) == split_verdicts(before)
+    assert [c.union for c in after.checks] == [
+        tuple(rename[f] for f in c.union) for c in before.checks
+    ]
+
+
+@SETTINGS
+@given(lattice_datasets(), st.sampled_from(list(AxiomMode)), st.randoms(use_true_random=False))
+def test_set_record_order_keeps_axiom_verdicts(src, mode, rnd):
+    doc = dataset_to_json(src)
+    rnd.shuffle(doc["sets"])
+    shuffled = load_dataset(io.StringIO(json.dumps(doc))).source
+    before = check_axiom(src, mode)
+    after = check_axiom(shuffled, mode)
+    assert split_verdicts(after) == split_verdicts(before)
+
+
+@SETTINGS
+@given(
+    lattice_datasets(),
+    st.sampled_from(list(AxiomMode)),
+    st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+)
+def test_integer_translation_keeps_axiom_verdicts(src, mode, shift):
+    t = np.array(shift[: src.dimension], dtype=float)
+    moved = DatasetSource(src.dimension, {s: src.outcome(s) + t for s in src.sets()})
+    before = check_axiom(src, mode)
+    after = check_axiom(moved, mode)
+    assert split_verdicts(after) == split_verdicts(before)

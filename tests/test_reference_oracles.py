@@ -1,7 +1,10 @@
 """Fast checks against their exhaustive references.
 
 ``reference_check_axiom`` enumerates every bipartition of every stored
-union and looks both parts up through the public, validating lookups;
+union, looks both parts up through the public, validating lookups, and
+judges each split alone with ``reference_segment_coefficient`` (the
+scalar segment formula) and ``reference_judge_pair``; the array kernel
+behind ``check_axiom`` must give the same report, bit for bit;
 ``reference_strong_richness`` recomputes every pair answer and runs the
 collinearity test for every candidate.  Both are the straightforward
 definitions the main code must reproduce exactly: same checks in the
@@ -22,7 +25,10 @@ divide); every forward evaluation, now one array kernel, must match them
 bit for bit.
 """
 
+import dataclasses
 import itertools
+import json
+import math
 import time
 
 import numpy as np
@@ -77,16 +83,78 @@ from aggkit.errors import (
 from aggkit.geometry import (
     DEFAULT_TOL,
     SegmentKind,
+    SegmentPosition,
     Tolerance,
+    _SEGMENT_KINDS,
+    _segment_positions,
+    as_point,
     segment_coefficient,
 )
 from aggkit.model import (
     AxiomCheck,
+    AxiomReport,
     StrongRichnessEntry,
     StrongRichnessReport,
-    _judge_pair,
     set_sort_key,
 )
+
+
+def reference_segment_coefficient(p, a, b, tol=DEFAULT_TOL):
+    """The segment formula on one point, in scalar steps."""
+    p = as_point(p)
+    a = as_point(a)
+    b = as_point(b)
+
+    d = a - b
+    length = float(np.linalg.norm(d))
+    if length <= tol.abs_tol:
+        common = 0.5 * (a + b)
+        return SegmentPosition(
+            kind=SegmentKind.DEGENERATE,
+            lam=None,
+            residual=float(np.linalg.norm(p - common)),
+        )
+
+    lam_raw = float(np.dot(p - b, d) / (length * length))
+    projected = lam_raw * a + (1.0 - lam_raw) * b
+    residual = float(np.linalg.norm(p - projected))
+    g = tol.gate(length, float(np.linalg.norm(p - b)))
+
+    if residual > g:
+        return SegmentPosition(kind=SegmentKind.OFF_LINE, lam=lam_raw, residual=residual)
+
+    slack = tol.lam_slack
+    if -slack <= lam_raw <= 1.0 + slack:
+        lam = min(1.0, max(0.0, lam_raw))
+        return SegmentPosition(kind=SegmentKind.ON_SEGMENT, lam=lam, residual=residual)
+    return SegmentPosition(kind=SegmentKind.ON_LINE, lam=lam_raw, residual=residual)
+
+
+def reference_judge_pair(pos, mode, tol, degenerate_equal):
+    """Pass/fail and reason of one split, one branch per case.
+
+    ``degenerate_equal`` says whether f(A | B) matches the common
+    endpoint when the pair is degenerate; None otherwise.
+    """
+    if pos.kind is SegmentKind.DEGENERATE:
+        if degenerate_equal:
+            return True, ""
+        return False, "endpoints coincide but the union outcome differs from them"
+    if pos.kind is SegmentKind.OFF_LINE:
+        return False, "union outcome is off the segment line"
+    if pos.kind is SegmentKind.ON_LINE:
+        return False, "union outcome is collinear but outside the segment"
+    if mode is AxiomMode.WEIGHTED:
+        return True, ""
+    slack = tol.lam_slack
+    interior = slack < pos.lam < 1.0 - slack
+    if mode is AxiomMode.STRICT:
+        if interior:
+            return True, ""
+        return False, "mixing coefficient sits at an endpoint"
+    if not interior:
+        return True, ""
+    return False, "mixing coefficient is strictly interior"
 
 
 def reference_check_axiom(src, mode, tol=DEFAULT_TOL):
@@ -111,10 +179,10 @@ def reference_check_axiom(src, mode, tol=DEFAULT_TOL):
         for key_a, key_b in sorted(seen):
             f_a = src.outcome(key_a)
             f_b = src.outcome(key_b)
-            pos = segment_coefficient(f_union, f_a, f_b, tol)
+            pos = reference_segment_coefficient(f_union, f_a, f_b, tol)
             degenerate = pos.kind is SegmentKind.DEGENERATE
             equal = tol.close(f_union, f_a) if degenerate else None
-            passed, reason = _judge_pair(pos, mode, tol, equal)
+            passed, reason = reference_judge_pair(pos, mode, tol, equal)
             checks.append(
                 AxiomCheck(
                     set_a=key_a,
@@ -345,6 +413,202 @@ class TestNoExponentialWalk:
         assert check_axiom(src).checks == ()
         # The smallest member's singleton is the only candidate part.
         assert index.tests == 1
+
+
+# --------------------------------------------------------------------------
+# the segment kernel against the scalar formula and the per-split loop
+
+
+def _coincident_singletons(seed=25, features=7):
+    """Singletons drawn from three lattice points, so many coincide exactly.
+
+    Each pair and triple stores the mean of its members' outcomes, and a
+    seeded share of them a lattice step away from it: degenerate splits
+    that pass and degenerate splits that fail.
+    """
+    rng = np.random.default_rng(seed)
+    spots = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]])
+    names = [f"x{i}" for i in range(features)]
+    single = {f: spots[rng.integers(len(spots))] for f in names}
+    table = {frozenset([f]): p for f, p in single.items()}
+    for size in (2, 3):
+        for combo in itertools.combinations(names, size):
+            point = np.mean([single[f] for f in combo], axis=0)
+            if rng.random() < 0.3:
+                point = point + rng.integers(-1, 2, size=2)
+            table[frozenset(combo)] = point
+    return DatasetSource(2, table)
+
+
+def _collinear_outside(seed=26, features=6):
+    """Lattice singletons; every union on the line of one of its splits.
+
+    Each pair stores ``lam * f(a) + (1 - lam) * f(b)``, each triple the
+    same over its (first two, last) split, with ``lam`` drawn from values
+    inside, at the ends of and outside [0, 1]: collinear unions beyond
+    the segment (ON_LINE) next to interior and endpoint ones.
+    """
+    rng = np.random.default_rng(seed)
+    lams = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+    names = [f"x{i}" for i in range(features)]
+    table = {frozenset([f]): rng.integers(-4, 5, size=2).astype(float) for f in names}
+    for size in (2, 3):
+        for combo in itertools.combinations(names, size):
+            lam = lams[rng.integers(len(lams))]
+            a, b = table[frozenset(combo[:-1])], table[frozenset(combo[-1:])]
+            table[frozenset(combo)] = lam * a + (1.0 - lam) * b
+    return DatasetSource(2, table)
+
+
+AXIOM_DATASETS = {
+    **DATASETS,
+    "coincident-singletons": _coincident_singletons,
+    "collinear-outside": _collinear_outside,
+}
+
+
+def _rows_json(checks):
+    return json.dumps([dataclasses.asdict(c) for c in checks])
+
+
+class TestAxiomReportMatchesPerSplitLoop:
+    @pytest.mark.parametrize("mode", list(AxiomMode))
+    @pytest.mark.parametrize("name", sorted(AXIOM_DATASETS))
+    def test_same_report_and_same_row_bytes(self, name, mode):
+        src = AXIOM_DATASETS[name]()
+        checks = reference_check_axiom(src, mode)
+        expected = AxiomReport(
+            mode=mode,
+            satisfied=all(c.passed for c in checks),
+            checks=checks,
+            tolerance=DEFAULT_TOL,
+        )
+        report = check_axiom(src, mode)
+        assert report == expected
+        # Equality reads -0.0 as 0.0; the serialized rows do not.
+        assert _rows_json(report.checks) == _rows_json(expected.checks)
+
+    def test_edge_datasets_reach_their_branches(self):
+        coincident = reference_check_axiom(_coincident_singletons(), AxiomMode.WEIGHTED)
+        degenerate = [c for c in coincident if c.degenerate]
+        assert any(c.passed for c in degenerate)
+        assert any(not c.passed for c in degenerate)
+        collinear = reference_check_axiom(_collinear_outside(), AxiomMode.STRICT)
+        reasons = {c.reason for c in collinear}
+        assert "union outcome is collinear but outside the segment" in reasons
+        assert "mixing coefficient sits at an endpoint" in reasons
+        assert "" in reasons
+
+
+SLACK = DEFAULT_TOL.lam_slack
+ABS = DEFAULT_TOL.abs_tol
+FALLING_A, FALLING_B = [0.0, 0.0], [3.0, 4.0]  # a - b is negative in every coordinate
+
+# (p, a, b, kind, lam) at each threshold of the segment formula.
+SEGMENT_CASES = {
+    "lam-at-minus-slack": ([-SLACK], [1.0], [0.0], SegmentKind.ON_SEGMENT, 0.0),
+    "lam-ulp-below-minus-slack": (
+        [np.nextafter(-SLACK, -1.0)], [1.0], [0.0],
+        SegmentKind.ON_LINE, float(np.nextafter(-SLACK, -1.0)),
+    ),
+    "lam-at-one-plus-slack": ([1.0 + SLACK], [1.0], [0.0], SegmentKind.ON_SEGMENT, 1.0),
+    "lam-ulp-above-one-plus-slack": (
+        [np.nextafter(1.0 + SLACK, 2.0)], [1.0], [0.0],
+        SegmentKind.ON_LINE, float(np.nextafter(1.0 + SLACK, 2.0)),
+    ),
+    "residual-at-gate": ([0.5, ABS], [1.0, 0.0], [0.0, 0.0], SegmentKind.ON_SEGMENT, 0.5),
+    "residual-ulp-above-gate": (
+        [0.5, np.nextafter(ABS, 1.0)], [1.0, 0.0], [0.0, 0.0], SegmentKind.OFF_LINE, 0.5
+    ),
+    "length-at-abs-tol": ([0.0, 0.0], [ABS, 0.0], [0.0, 0.0], SegmentKind.DEGENERATE, None),
+    "length-ulp-above-abs-tol": (
+        [0.0, 0.0], [np.nextafter(ABS, 1.0), 0.0], [0.0, 0.0], SegmentKind.ON_SEGMENT, 0.0
+    ),
+    "p-at-a-falling": (FALLING_A, FALLING_A, FALLING_B, SegmentKind.ON_SEGMENT, 1.0),
+    "p-at-b-falling": (FALLING_B, FALLING_A, FALLING_B, SegmentKind.ON_SEGMENT, 0.0),
+    # <p - b, a - b> / |a - b|^2 rounds to -0.0; the clamp must still say 0.0.
+    "lam-underflows-to-minus-zero": ([-5e-324], [2.0], [0.0], SegmentKind.ON_SEGMENT, 0.0),
+}
+
+
+def _position_bits(pos):
+    """Kind, and the bytes of lam (sign of zero included) and residual."""
+    return pos.kind, None if pos.lam is None else _bits(pos.lam), _bits(pos.residual)
+
+
+def _kernel_positions(rows, tol=DEFAULT_TOL):
+    """One kernel call over ``rows`` of (p, a, b), read back as positions."""
+    p, a, b = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
+    kind, lam, residual = _segment_positions(p, a, b, tol)
+    return [
+        SegmentPosition(
+            kind=_SEGMENT_KINDS[k],
+            lam=None if _SEGMENT_KINDS[k] is SegmentKind.DEGENERATE else lam_i,
+            residual=r,
+        )
+        for k, lam_i, r in zip(kind.tolist(), lam.tolist(), residual.tolist())
+    ]
+
+
+def _seeded_segment_rows(seed, count, dim):
+    """Rows of every kind: mixtures inside, at and beyond the ends, off-line
+    points, and coincident or nearly coincident endpoints."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        a, b = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 4), rng.normal(size=dim)
+        shape = rng.integers(5)
+        if shape == 1:
+            b = a.copy()
+        elif shape == 2:
+            b = a + rng.normal(size=dim) * 1e-10
+        lam = rng.choice([0.0, 1.0, -SLACK, 1.0 + SLACK, rng.uniform(-1.0, 2.0)])
+        p = lam * a + (1.0 - lam) * b
+        if shape == 3:
+            p = p + rng.normal(size=dim) * 10.0 ** rng.integers(-12, 0)
+        rows.append((p, a, b))
+    return rows
+
+
+class TestSegmentKernelMatchesScalarFormula:
+    @pytest.mark.parametrize("name", sorted(SEGMENT_CASES))
+    def test_threshold_case(self, name):
+        p, a, b, kind, lam = SEGMENT_CASES[name]
+        expected = reference_segment_coefficient(p, a, b)
+        assert expected.kind is kind
+        assert expected.lam == lam
+        if lam is not None:
+            assert json.dumps(expected.lam) == json.dumps(lam)
+        assert _position_bits(segment_coefficient(p, a, b)) == _position_bits(expected)
+
+    def test_cases_sit_on_their_thresholds(self):
+        # The residual case sits exactly at the gate, the length case exactly
+        # at abs_tol, and the underflow case really rounds to -0.0.
+        p, a, b, *_ = SEGMENT_CASES["residual-at-gate"]
+        assert reference_segment_coefficient(p, a, b).residual == ABS
+        _, a, b, *_ = SEGMENT_CASES["length-at-abs-tol"]
+        assert float(np.linalg.norm(np.subtract(a, b))) == ABS
+        p, a, b, *_ = SEGMENT_CASES["lam-underflows-to-minus-zero"]
+        raw = float(np.dot(np.subtract(p, b), np.subtract(a, b)) / 4.0)
+        assert raw == 0.0 and math.copysign(1.0, raw) < 0.0
+
+    def test_kernel_matches_every_row_in_one_call(self):
+        for dim in (1, 2):
+            rows = [c[:3] for c in SEGMENT_CASES.values() if len(c[0]) == dim]
+            got = _kernel_positions(rows)
+            expected = [reference_segment_coefficient(*row) for row in rows]
+            assert [_position_bits(g) for g in got] == [_position_bits(e) for e in expected]
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_tol=1e-6, rel_tol=1e-3)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_seeded_rows_bit_for_bit(self, dim, tol):
+        rows = _seeded_segment_rows(40 + dim, 400, dim)
+        got = _kernel_positions(rows, tol)
+        expected = [reference_segment_coefficient(*row, tol) for row in rows]
+        assert [_position_bits(g) for g in got] == [_position_bits(e) for e in expected]
+        # A line has no off-line points.
+        kinds = set(SegmentKind) - ({SegmentKind.OFF_LINE} if dim == 1 else set())
+        assert {e.kind for e in expected} == kinds
 
 
 # --------------------------------------------------------------------------

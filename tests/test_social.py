@@ -2,6 +2,11 @@
 
 import collections
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +286,47 @@ class TestGswfRecovery:
             column = {rec.weights[(i, r)] for i in inds}
             lo, hi = min(column), max(column)
             assert hi - lo <= 1e-9 * max(1.0, hi)
+
+    def test_missing_weights_are_named_in_one_order_whatever_the_hashing(self):
+        # A validation query puts three individuals at a preference outside
+        # the library; the error names them, and the order must not follow
+        # frozenset hashing.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from aggkit import normalize_to_H, recover_gswf_weights
+            from aggkit.errors import MissingDataError
+
+            v = np.ones(3)
+            prefs = {"r1": [3.0, 1.0, 1.0], "r2": [1.0, 3.0, 1.0], "r3": [1.0, 1.0, 3.0]}
+            normalized = {r: normalize_to_H(u, v) for r, u in prefs.items()}
+
+            def oracle(profile, coalition):
+                return np.mean([normalized[profile[i]] for i in sorted(coalition)], axis=0)
+
+            profile = {"i1": "r9", "i2": "r9", "i3": "r9", "i4": "r1"}
+            try:
+                recover_gswf_weights(
+                    oracle, ["i1", "i2", "i3", "i4"], prefs, v,
+                    validation=[(profile, ["i1", "i2", "i3"])],
+                )
+            except MissingDataError as err:
+                print(err)
+            """
+        )
+        src_dir = str(Path(social.__file__).resolve().parents[1])
+        messages = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {
+            "no recovered weight for individuals ['i1', 'i2', 'i3'] at their profile\n"
+        }
 
     def test_validation_residuals(self):
         inds = ["i1", "i2", "i3", "i4"]
