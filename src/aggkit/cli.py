@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -109,6 +110,8 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
                 raise DatasetFormatError(ENV_TOL, f"not a number: {raw!r}") from None
     if value is None:
         return Tolerance()
+    if not math.isfinite(value):
+        raise DatasetFormatError("--tol", f"must be finite, got {value!r}")
     if not value > 0:
         raise DatasetFormatError("--tol", f"must be positive, got {value!r}")
     return Tolerance(abs_tol=value, rel_tol=value)
@@ -624,11 +627,14 @@ def _emit(report: Mapping[str, Any], args: argparse.Namespace) -> None:
 
 
 def _argument_echo(args: argparse.Namespace) -> dict[str, Any]:
-    return {
+    echo = {
         key.replace("_", "-"): value
         for key, value in sorted(vars(args).items())
         if key not in ("command", "out") and value is not None
     }
+    if "tol" in echo:  # a non-finite --tol is refused, and echoed as null
+        echo["tol"] = jnum(echo["tol"])
+    return echo
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,14 +7,33 @@ is canonical so identical inputs produce byte-identical files: keys are
 sorted, set members are sorted lexicographically, sets are ordered by
 size then lexicographically, and floats use the shortest round-trip
 decimal form (non-finite values become null).
+
+``dump_json`` writes exactly the bytes of ``json.dump(doc, indent=2,
+sort_keys=True, allow_nan=False)`` plus a newline, but lets the standard
+library's C encoder, which only runs without ``indent``, do the
+formatting.  A list is taken in blocks of ``_BLOCK`` items.  A block of
+scalars and flat lists of scalars is one encoder call with a newline as
+the item separator; ASCII escaping leaves no newline inside a string,
+so splitting on newlines gives every value, and the indentation is put
+back with string replacements.  A block of records (dicts with one set
+of string keys whose values are scalars or flat lists of scalars, such
+as the rows of ``check`` and ``recover``) is formatted column by
+column in the same way and filled into one ``%`` template per row.
+Anything else, such as the report envelope, goes through a small
+recursive writer.  Each block of a long list is written to the stream
+before the next one is formatted, so a report is never held whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Any, IO, Iterable, Mapping, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Callable, IO, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -38,6 +57,8 @@ KINDS = ("generic", "belief", "menu", "profile", "sdeu", "timed")
 _TOP_KEYS = ("format_version", "kind", "dimension", "features", "sets", "direction", "weights")
 _FEATURE_KEYS = ("outcome", "weight")
 _SET_KEYS = ("members", "outcome", "timing")
+# The largest finite float; the schema bounds every number by it.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -72,12 +93,26 @@ def _as_vector(value: Any, dim: int, where: str) -> list[float]:
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise DatasetFormatError(f"{where}[{i}]", f"expected a number, got {x!r}")
-        if not math.isfinite(float(x)):
+        if not abs(x) <= _FLOAT_MAX:  # NaN, infinities and integers beyond float range
             raise DatasetFormatError(f"{where}[{i}]", f"non-finite value {x!r}")
         out.append(float(x))
     if len(out) != dim:
         raise DatasetFormatError(where, f"length {len(out)} does not match dimension {dim}")
     return out
+
+
+def _positive_number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= _FLOAT_MAX:
+        raise DatasetFormatError(where, f"expected a positive number, got {value!r}")
+    return float(value)
+
+
+def _positive_integer(value: Any, where: str) -> int:
+    """A JSON integer of at least one; as in JSON Schema, 2.0 is the integer 2."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, bool) or not isinstance(number, int) or number < 1:
+        raise DatasetFormatError(where, f"expected a positive integer, got {value!r}")
+    return number
 
 
 def load_dataset(
@@ -104,9 +139,7 @@ def load_dataset(
     kind = raw.get("kind", "generic")
     if kind not in KINDS:
         raise DatasetFormatError("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
-    dimension = _need(raw, "dimension", name)
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
-        raise DatasetFormatError("dimension", f"expected a positive integer, got {dimension!r}")
+    dimension = _positive_integer(_need(raw, "dimension", name), "dimension")
 
     features = _need(raw, "features", name)
     if not isinstance(features, dict) or not features:
@@ -126,10 +159,7 @@ def load_dataset(
         outcome = _as_vector(_need(entry, "outcome", where), dimension, f"{where}.outcome")
         table[frozenset([fid])] = outcome
         if "weight" in entry:
-            w = entry["weight"]
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not float(w) > 0:
-                raise DatasetFormatError(f"{where}.weight", f"expected a positive number, got {w!r}")
-            feature_weights[fid] = float(w)
+            feature_weights[fid] = _positive_number(entry["weight"], f"{where}.weight")
 
     sets_raw = raw.get("sets", [])
     if not isinstance(sets_raw, list):
@@ -157,12 +187,7 @@ def load_dataset(
                 raise DatasetFormatError(f"{where}.timing", "expected an object")
             times: dict[str, int] = {}
             for m in members:
-                t = timing.get(m)
-                if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-                    raise DatasetFormatError(
-                        f"{where}.timing[{m!r}]", f"expected a positive integer, got {t!r}"
-                    )
-                times[m] = t
+                times[m] = _positive_integer(timing.get(m), f"{where}.timing[{m!r}]")
             extra = set(timing) - set(members)
             if extra:
                 raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
@@ -210,10 +235,7 @@ def load_dataset(
         for fid in sorted(wt):
             if fid not in features:
                 raise DatasetFormatError(f"weights[{fid!r}]", "undeclared feature")
-            w = wt[fid]
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not float(w) > 0:
-                raise DatasetFormatError(f"weights[{fid!r}]", f"expected a positive number, got {w!r}")
-            weight_table[fid] = float(w)
+            weight_table[fid] = _positive_number(wt[fid], f"weights[{fid!r}]")
 
     source = DatasetSource(dimension, table)
     return DatasetDocument(
@@ -268,6 +290,216 @@ def dataset_to_json(
 
 
 def dump_json(doc: Mapping[str, Any], stream: IO[str]) -> None:
-    """Canonical JSON output: sorted keys, two-space indent, newline at end."""
-    json.dump(doc, stream, indent=2, sort_keys=True, allow_nan=False)
-    stream.write("\n")
+    """Canonical JSON output: sorted keys, two-space indent, newline at end.
+
+    The bytes are those of ``json.dump(doc, stream, indent=2,
+    sort_keys=True, allow_nan=False)`` followed by ``"\\n"``, errors
+    included; lists are written to ``stream`` block by block.
+    """
+    parts: list[str] = []
+    _value(doc, 0, parts, stream.write)
+    parts.append("\n")
+    stream.write("".join(parts))
+
+
+# --------------------------------------------------------------------------
+# the canonical emitter behind dump_json
+
+# Rows per block of a long list: each block is formatted in one piece and
+# written out before the next one starts.
+_BLOCK = 256
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LISTS = frozenset({list, tuple})
+
+# The C encoder (``indent`` is None), one value per line: ensure_ascii
+# escapes every newline inside a string, so "\n" splits it into values.
+_encode_lines = json.JSONEncoder(separators=("\n", ": "), allow_nan=False).encode
+_string = encode_basestring_ascii
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _refuse(o: Any) -> NoReturn:
+    """Raise the error of the pure-Python encoder (``indent`` set) on ``o``."""
+    json.JSONEncoder(indent=0, allow_nan=False).encode(o)
+    raise AssertionError(f"{o!r} was expected to be refused")
+
+
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else _refuse(x)
+
+
+def _scalar(o: Any) -> str | None:
+    """``o`` as the reference encoder writes a scalar, or None for a container."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    _refuse(o)
+
+
+def _key(k: Any) -> str:
+    if isinstance(k, str):
+        pass
+    elif isinstance(k, float):
+        k = _float(k)
+    elif k is True:
+        k = "true"
+    elif k is False:
+        k = "false"
+    elif k is None:
+        k = "null"
+    elif isinstance(k, int):
+        k = int.__repr__(k)
+    else:
+        _refuse({k: None})
+    return _string(k)
+
+
+def _encode(values: Sequence) -> str:
+    try:
+        return _encode_lines(values)
+    except ValueError:  # the C encoder words its errors differently
+        _refuse(values)
+
+
+def _tokens(scalars: Sequence) -> list[str]:
+    """Each of a list of plain scalars, formatted."""
+    if not scalars:
+        return []
+    return _encode(scalars)[1:-1].split("\n")
+
+
+def _lists(values: Sequence, level: int) -> list[str] | None:
+    """Each of a list of lists formatted at ``level``, or None unless every
+    item of every list is a plain scalar."""
+    if not set(map(type, chain.from_iterable(values))) <= _SCALARS:
+        return None
+    if not values:
+        return []
+    inner, close = _indent(level + 1), _indent(level) + "]"
+    # "[[a\nb]\n[c]]": no scalar ends in "]" or starts with "[", so lists
+    # end at "]\n[" and their items are split at the other newlines.
+    text = _encode(values)[2:-2]
+    text = text.replace("]\n[", "\0").replace("\n", "," + inner)
+    text = "[" + inner + text.replace("\0", close + "\0[" + inner) + close
+    rows = text.split("\0")
+    if not all(values):
+        rows = [row if v else "[]" for row, v in zip(rows, values)]
+    return rows
+
+
+def _column(values: Sequence, level: int) -> list[str] | None:
+    """Each value formatted at ``level``, or None unless every value is a
+    plain scalar or a flat list of plain scalars."""
+    types = set(map(type, values))
+    if types <= _SCALARS:
+        return _tokens(values)
+    if types <= _LISTS:
+        return _lists(values, level)
+    if not types <= _SCALARS | _LISTS:
+        return None
+    is_list = [type(v) in _LISTS for v in values]
+    lists = _lists([v for v, listed in zip(values, is_list) if listed], level)
+    if lists is None:
+        return None
+    scalars = iter(_tokens([v for v, listed in zip(values, is_list) if not listed]))
+    lists_it = iter(lists)
+    return [next(lists_it) if listed else next(scalars) for listed in is_list]
+
+
+def _records(rows: Sequence, level: int) -> list[str] | None:
+    """Each row of a list at ``level`` formatted as one record, or None
+    unless the rows are dicts with one set of string keys whose values
+    ``_column`` takes."""
+    first = rows[0]
+    if type(first) is not dict or not first or set(map(type, first)) != {str}:
+        return None
+    # Rows of one length that all hold the first row's keys have its keys.
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    columns = []
+    for k in keys:
+        try:
+            column = _column(list(map(itemgetter(k), rows)), level + 2)
+        except KeyError:
+            return None
+        if column is None:
+            return None
+        columns.append(column)
+    inner = _indent(level + 2)
+    template = (
+        "{"
+        + inner
+        + ("," + inner).join(_string(k).replace("%", "%%") + ": %s" for k in keys)
+        + _indent(level + 1)
+        + "}"
+    )
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) -> None:
+    """Append ``o`` at ``level`` to ``parts``; long lists flush ``parts``
+    to ``write`` after each block."""
+    text = _scalar(o)
+    if text is not None:
+        parts.append(text)
+    elif isinstance(o, dict):
+        _dict(o, level, parts, write)
+    elif not o:
+        parts.append("[]")
+    else:
+        inner = _indent(level + 1)
+        sep = "," + inner
+        parts.append("[" + inner)
+        for start in range(0, len(o), _BLOCK):
+            block = o[start : start + _BLOCK]
+            if start:
+                parts.append(sep)
+            lines = _column(block, level + 1)
+            if lines is None:
+                lines = _records(block, level)
+            if lines is not None:
+                parts.append(sep.join(lines))
+            else:
+                for i, item in enumerate(block):
+                    if i:
+                        parts.append(sep)
+                    _value(item, level + 1, parts, write)
+            if len(o) > _BLOCK:
+                write("".join(parts))
+                parts.clear()
+        parts.append(_indent(level) + "]")
+
+
+def _dict(o: dict, level: int, parts: list[str], write: Callable[[str], Any]) -> None:
+    if not o:
+        parts.append("{}")
+        return
+    items = sorted(o.items())
+    inner = _indent(level + 1)
+    sep = "," + inner
+    keys = [_key(k) + ": " for k, _ in items]
+    values = _column([v for _, v in items], level + 1)
+    if values is not None:
+        parts.append("{" + inner + sep.join(map(str.__add__, keys, values)))
+    else:
+        parts.append("{")
+        for i, (key, (_, v)) in enumerate(zip(keys, items)):
+            parts.append((sep if i else inner) + key)
+            _value(v, level + 1, parts, write)
+    parts.append(_indent(level) + "}")

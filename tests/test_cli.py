@@ -212,6 +212,27 @@ class TestToleranceResolution:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("nan", None), ("inf", None), ("1e400", None), (None, "inf")],
+        ids=["tol-nan", "tol-inf", "tol-overflow", "env-inf"],
+    )
+    def test_non_finite_tolerance_rejected(self, run_cli, fixtures_dir, tmp_path, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("AGGKIT_TOL", env)
+        args = ["check", str(fixtures_dir / "triangle_two_tier.json")]
+        if flag is not None:
+            args += ["--tol", flag]
+        code, rep = report_of(run_cli, *args)
+        assert code == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert rep["arguments"].get("tol") is None
+        target = tmp_path / "report.json"
+        assert run_cli(*args, "--out", str(target)) == (2, "")
+        assert json.loads(target.read_text(encoding="utf-8")) == rep
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, run_cli, fixtures_dir):
         args = ("recover", str(fixtures_dir / "triangle_two_tier.json"))
@@ -309,3 +330,40 @@ class TestParserAndConfig:
         assert rep["exit_code"] == 2
         assert rep["verdict"] == "error"
         assert rep["result"]["error"] == "DatasetFormatError"
+
+
+def corpus_invocations():
+    """Every shipped fixture under each command that takes its kind, each
+    fixture under the strict and extreme axioms, and a few ``gen`` runs."""
+    out = []
+    for path in sorted(Path(__file__).resolve().parent.parent.joinpath("fixtures").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        kind = doc.get("kind", "generic")
+        for name, cmd in cli.COMMANDS.items():
+            if not cmd.reads_dataset or (cmd.kinds and kind not in cmd.kinds):
+                continue
+            args = [name, str(path)]
+            if name == "eval":
+                args += ["--members", ",".join(sorted(doc["features"])[:2])]
+            out.append(args)
+        out += [["check", str(path), "--axiom", mode] for mode in ("strict", "extreme")]
+    out += [
+        ["gen", "--seed", "3"],
+        ["gen", "--seed", "4", "--features", "5", "--classes", "2", "--subsets", "pairs-triples"],
+        ["gen", "--seed", "5", "--policy", "simplex-beliefs", "--dimension", "3"],
+    ]
+    return out
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize(
+        "args", corpus_invocations(), ids=lambda a: " ".join([a[0], Path(a[1]).stem, *a[2:]])
+    )
+    def test_report_is_the_canonical_form_of_itself(self, run_cli, args):
+        # Floats print as their shortest round-trip repr, so parsing a report
+        # and writing it again with the standard library's indent=2 encoder
+        # must give the very same bytes.
+        code, out = run_cli(*args)
+        reparsed = json.loads(out)
+        assert reparsed["exit_code"] == code
+        assert json.dumps(reparsed, indent=2, sort_keys=True) + "\n" == out

@@ -1,15 +1,20 @@
 """Dataset file format: parsing, validation, and canonical output."""
 
 import io
+import itertools
 import json
 import math
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aggkit
-from aggkit import dataset_to_json, dump_json, load_dataset
+from aggkit import dataset_to_json, dump_json, fileio, load_dataset
 from aggkit.errors import DatasetFormatError
 from aggkit.fileio import jnum, jvec
 
@@ -181,6 +186,141 @@ class TestDumpAndRoundTrip:
         assert jvec([1.0, math.nan]) == [1.0, None]
 
 
+_ids = st.text(min_size=1, max_size=4).filter(
+    lambda s: "," not in s and not any(c.isspace() for c in s)
+)
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**308), 10**308),
+    st.sampled_from([0, -0.0, 1e308, -1e308, 5e-324]),
+)
+_positive = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False), st.integers(1, 10**308)
+)
+# A JSON integer may be written as 2.0; the loader reads it as 2, as the schema does.
+_counts = st.integers(1, 3).flatmap(lambda n: st.sampled_from([n, float(n)]))
+# bool before number: True is an int to Python, not a number to JSON.
+_JSON_TYPES = (bool, (int, float), type(None), str, list, dict)
+
+
+def _json_type(value):
+    return next(i for i, t in enumerate(_JSON_TYPES) if isinstance(value, t))
+
+
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    _finite,
+    st.text(max_size=3),
+    st.lists(_finite | st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), _finite, max_size=2),
+)
+
+
+@st.composite
+def dataset_documents(draw):
+    """Valid dataset documents of every kind, a few features and sets each."""
+    kind = draw(st.sampled_from(fileio.KINDS))
+    dim = draw(_counts)
+    d = int(dim)
+    if kind == "belief":
+        corners = [[float(i == j) for j in range(d)] for i in range(d)]
+        vectors = st.sampled_from(corners + [[1.0 / d] * d])
+    else:
+        vectors = st.lists(_finite, min_size=d, max_size=d)
+    names = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    features = {}
+    for f in names:
+        features[f] = {"outcome": draw(vectors)}
+        if draw(st.booleans()):
+            features[f]["weight"] = draw(_positive)
+    doc = {"format_version": "1", "dimension": dim, "features": features}
+    if kind != "generic" or draw(st.booleans()):
+        doc["kind"] = kind
+    unions = [c for r in range(2, len(names) + 1) for c in itertools.combinations(names, r)]
+    if unions:
+        sets = []
+        for members in draw(st.lists(st.sampled_from(unions), max_size=3, unique=True)):
+            entry = {"members": list(members), "outcome": draw(vectors)}
+            if kind == "timed" and draw(st.booleans()):
+                entry["timing"] = {m: draw(_counts) for m in members}
+            sets.append(entry)
+        doc["sets"] = sets
+    if kind in ("profile", "sdeu") or draw(st.booleans()):
+        doc["direction"] = draw(st.lists(_finite, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        doc["weights"] = {f: draw(_positive) for f in draw(st.lists(st.sampled_from(names), unique=True))}
+    return doc
+
+
+def _places(value, path=()):
+    """Every (path, key) of a dict key or list index inside ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from _places(child, path + (key,))
+
+
+# Objects with a fixed set of key names, by their path's shape.
+_CLOSED = {(): fileio._TOP_KEYS, ("features", None): fileio._FEATURE_KEYS, ("sets", None): fileio._SET_KEYS}
+
+
+def _closed_keys(path):
+    return _CLOSED.get(path[:1] + (None,) * (len(path) - 1))
+
+
+def _renamed_feature(doc, old, new):
+    """``doc`` with feature ``old`` called ``new`` wherever it is named."""
+    name = {old: new}
+    doc["features"] = {name.get(f, f): v for f, v in doc["features"].items()}
+    for entry in doc.get("sets", []):
+        entry["members"] = [name.get(m, m) for m in entry["members"]]
+        if "timing" in entry:
+            entry["timing"] = {name.get(m, m): t for m, t in entry["timing"].items()}
+    if "weights" in doc:
+        doc["weights"] = {name.get(f, f): w for f, w in doc["weights"].items()}
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one key of a closed object dropped or renamed,
+    any one value replaced by a value of another JSON type, or one feature
+    id changed to any other text wherever it is named."""
+    doc = draw(dataset_documents())
+    if draw(st.integers(0, 4)) == 0:
+        old = draw(st.sampled_from(sorted(doc["features"])))
+        new = draw(st.text(max_size=4).filter(lambda f: f not in doc["features"]))
+        return _renamed_feature(doc, old, new)
+    path, key = draw(st.sampled_from(list(_places(doc))))
+    target = doc
+    for step in path:
+        target = target[step]
+    closed = _closed_keys(path)
+    change = draw(st.sampled_from(["drop", "rename", "retype"] if closed else ["retype"]))
+    if change == "retype":
+        old = _json_type(target[key])
+        target[key] = draw(_json_values.filter(lambda v: _json_type(v) != old))
+    else:
+        value = target.pop(key)
+        if change == "rename":
+            target[draw(st.text(max_size=6).filter(lambda k: k not in closed))] = value
+    return doc
+
+
+def _loads(doc):
+    try:
+        parse(doc)
+    except DatasetFormatError:
+        return False
+    return True
+
+
 def _with(doc, path, key, value):
     """Copy of ``doc`` with ``key`` set on the object at ``path``."""
     out = json.loads(json.dumps(doc))
@@ -232,9 +372,183 @@ class TestSchemaAgreement:
             validator.validate(doc)
             parse(doc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(doc=dataset_documents())
+    def test_generated_documents_accepted_by_both(self, validator, doc):
+        assert validator.is_valid(doc)
+        parse(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mutated_documents())
+    def test_one_key_mutations_judged_alike(self, validator, doc):
+        assert validator.is_valid(doc) == _loads(doc)
+
+    @pytest.mark.parametrize("big", [10**309, -(10**309), 2**1024])
+    @pytest.mark.parametrize(
+        "path, key",
+        [(("features", "a", "outcome"), 0), (("sets", 0, "outcome"), 0),
+         (("features", "a"), "weight"), (("weights",), "b")],
+        ids=["feature-outcome", "set-outcome", "feature-weight", "weight-table"],
+    )
+    def test_numbers_beyond_float_range_rejected_by_both(self, validator, path, key, big):
+        doc = _with(minimal(weights={"b": 1.0}), path, key, big)
+        assert not validator.is_valid(doc)
+        with pytest.raises(DatasetFormatError):
+            parse(doc)
+
+    def test_largest_float_accepted_by_both(self, validator):
+        doc = _with(minimal(), ("features", "a", "outcome"), 0, sys.float_info.max)
+        assert validator.is_valid(doc)
+        parse(doc)
+
     def test_generated_dataset_accepted_by_both(self, validator, run_cli):
         code, out = run_cli("gen", "--seed", "5", "--features", "4")
         assert code == 0
         doc = json.loads(out)["result"]["dataset"]
         validator.validate(doc)
         parse(doc)
+
+
+def reference_bytes(doc):
+    """The canonical form by definition: the standard library's indent=2 encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def dumped(doc):
+    buf = io.StringIO()
+    dump_json(doc, buf)
+    return buf.getvalue()
+
+
+def raised(write, doc):
+    """(type, message) of the exception ``write(doc)`` raises."""
+    with pytest.raises((TypeError, ValueError)) as err:
+        write(doc)
+    return type(err.value), str(err.value)
+
+
+_TRICKY_TEXT = ["", "%", "%s", "a%%b", '"', "\\", "\n", "a\nb", "é", "€ ", "x%(y)s"]
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**63, 2**90),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1e16, 1e-7, 1, True, 0, False]),
+    st.text(max_size=6),
+    st.sampled_from(_TRICKY_TEXT),
+)
+_keys = st.text(max_size=4) | st.sampled_from(_TRICKY_TEXT + ["a", "b", "passed", "residual"])
+_flat_lists = st.lists(_scalars, max_size=4) | st.tuples(_scalars, _scalars)
+_fields = _scalars | _flat_lists
+# The emitter's block size in the property tests: small, so that lists
+# longer than a block stay cheap to generate and to shrink.
+SMALL_BLOCK = 3
+
+
+@st.composite
+def record_lists(draw):
+    """Report rows: one key set, each key drawing from a small pool of values
+    (scalars, flat lists, or both), a few rows with another key set."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    pools = {k: draw(st.lists(_fields, min_size=1, max_size=4)) for k in keys}
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [
+        {k: rnd.choice(pool) for k, pool in pools.items()}
+        for _ in range(draw(st.integers(0, 3 * SMALL_BLOCK + 1)))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rnd.choice(rows)
+        change = draw(st.sampled_from(["drop", "add", "rename"]))
+        if change != "add":
+            row.pop(rnd.choice(keys), None)
+        if change != "drop":
+            row[draw(_keys)] = draw(_fields)
+    return rows if draw(st.booleans()) else tuple(rows)
+
+
+_documents = st.recursive(
+    _scalars | _flat_lists | record_lists(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_keys, inner, max_size=4)
+    | st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+class TestCanonicalEmitter:
+    """dump_json writes exactly what the standard library's indent=2 encoder writes."""
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, fileio._BLOCK])
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.dictionaries(_keys, _documents, max_size=5))
+    def test_report_shaped_documents(self, block, doc):
+        with mock.patch.object(fileio, "_BLOCK", block):
+            assert dumped(doc) == reference_bytes(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_documents)
+    def test_any_top_level_value(self, doc):
+        with mock.patch.object(fileio, "_BLOCK", SMALL_BLOCK):
+            assert dumped(doc) == reference_bytes(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {1: "a", 2.5: "b", -3: "c"},
+            {True: 1, False: 2, 0.5: 3},
+            {None: [1]},
+            [{"a": 1, "b": [1, None]}, {"b": [], "a": True}],
+            [[{"a": 1}], [{"a": 2}]],
+            [[1, [2]], [3]],
+            [{"a": {"b": 1}}, {"a": {"b": 2}}],
+            [{}, {}],
+            [{"a": np.float64(0.5)}, {"a": 1.5}],
+        ],
+        ids=["number-keys", "constant-keys", "null-key", "row-key-order", "rows-in-rows",
+             "nested-list", "dict-fields", "empty-rows", "float-subclass"],
+    )
+    def test_shapes_outside_the_record_path(self, doc):
+        assert dumped(doc) == reference_bytes(doc)
+
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda v: v,
+            lambda v: {"x": v},
+            lambda v: [1.0, v],
+            lambda v: [[1.0], [2.0, v]],
+            lambda v: [{"a": 1.0, "b": [1.0]}, {"a": v, "b": [1.0]}],
+            lambda v: [{"a": [1.0]}, {"a": [2.0, v]}],
+            lambda v: [{"a": None}, {"a": [v]}],
+            lambda v: {"w": {"x": 1, "y": v}},
+        ],
+        ids=["top", "envelope", "flat-list", "list-of-lists", "record-scalar",
+             "record-list", "record-mixed", "dict-values"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, {1}, np.int64(3)], ids=repr
+    )
+    def test_errors_match_the_standard_library(self, place, bad):
+        doc = place(bad)
+        expected = raised(reference_bytes, doc)
+        assert raised(dumped, doc) == expected
+
+    @pytest.mark.parametrize("key", [math.nan, np.int64(1), (1, 2)], ids=repr)
+    def test_key_errors_match_the_standard_library(self, key):
+        doc = {"a": {key: 1}}
+        assert raised(dumped, doc) == raised(reference_bytes, doc)
+
+    def test_long_lists_are_written_block_by_block(self):
+        rows = [{"a": [i, i + 0.5], "b": f"r{i}", "c": i % 2 == 0} for i in range(4 * fileio._BLOCK)]
+        doc = {"checks": rows, "n": len(rows)}
+        chunks = []
+
+        class Stream:
+            write = staticmethod(chunks.append)
+
+        dump_json(doc, Stream())
+        text = "".join(chunks)
+        assert text == reference_bytes(doc)
+        assert len(chunks) >= 4
+        assert max(map(len, chunks)) < len(text) / 3
