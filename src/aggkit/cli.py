@@ -41,7 +41,6 @@ from .choice import (
 from .errors import (
     AggkitError,
     DatasetFormatError,
-    IntransitivityDetected,
     MissingDataError,
     MultipleRankClasses,
     NotStationary,
@@ -100,20 +99,21 @@ __all__ = ["main"]
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    value = args.tol
+    """``--tol``, else ``AGGKIT_TOL``, else 1e-9; an error names its source."""
+    value, origin = args.tol, "--tol"
     if value is None:
         raw = os.environ.get(ENV_TOL)
-        if raw is not None:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DatasetFormatError(ENV_TOL, f"not a number: {raw!r}") from None
-    if value is None:
-        return Tolerance()
+        if raw is None:
+            return Tolerance()
+        origin = ENV_TOL
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DatasetFormatError(ENV_TOL, f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise DatasetFormatError("--tol", f"must be finite, got {value!r}")
+        raise DatasetFormatError(origin, f"must be finite, got {value!r}")
     if not value > 0:
-        raise DatasetFormatError("--tol", f"must be positive, got {value!r}")
+        raise DatasetFormatError(origin, f"must be positive, got {value!r}")
     return Tolerance(abs_tol=value, rel_tol=value)
 
 
@@ -125,6 +125,8 @@ def _load(args: argparse.Namespace, tol: Tolerance) -> DatasetDocument:
             return load_dataset(fh, tol, name=args.input)
     except FileNotFoundError:
         raise DatasetFormatError(args.input, "no such file") from None
+    except OSError as exc:
+        raise DatasetFormatError(args.input, f"cannot read: {exc.strerror or exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -657,10 +659,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{' or '.join(repr(k) for k in cmd.kinds)}, got {doc.kind!r}",
             )
         verdict, result, code = cmd.handler(args, tol, doc)
-    except IntransitivityDetected as err:
-        verdict = "intransitive"
-        result = {"triple": list(err.triple), "message": str(err)}
-        code = EXIT_NEGATIVE
     except MissingDataError as err:
         verdict = "missing-data"
         result = {

@@ -127,6 +127,10 @@ def load_dataset(
         raw = json.load(stream)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(name, f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # Undecodable bytes, an integer beyond the digit limit, or nesting
+        # deeper than the parser's recursion limit.
+        raise DatasetFormatError(name, f"cannot parse: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetFormatError(name, "top level must be an object")
     _closed(raw, _TOP_KEYS, name)

@@ -124,6 +124,15 @@ def _row_norms(rows: NDArray[np.float64]) -> Vector:
     return np.sqrt(_row_dots(rows, rows))
 
 
+def _close_rows(
+    a: NDArray[np.float64], b: NDArray[np.float64], tol: Tolerance
+) -> NDArray[np.bool_]:
+    """:meth:`Tolerance.close` of each row of ``a`` with the same row of
+    ``b``, bit for bit: the same gate on :func:`_row_norms`."""
+    scale = np.maximum(_row_norms(a), _row_norms(b))
+    return _row_norms(a - b) <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
+
+
 def _common_dim(*points: Vector) -> int:
     dims = {p.size for p in points}
     if len(dims) != 1:

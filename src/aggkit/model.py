@@ -36,6 +36,7 @@ from .geometry import (
     Vector,
     _SEGMENT_KINDS,
     _affine_rank,
+    _close_rows,
     _segment_positions,
     _strictly_inside,
     affine_dimension,
@@ -576,9 +577,11 @@ def check_axiom(
         points[unions], points[parts_a], points[parts_b], tol
     )
     degenerate = kind == _SEGMENT_KINDS.index(SegmentKind.DEGENERATE)
-    equal = np.zeros_like(degenerate)
-    for i in np.flatnonzero(degenerate):
-        equal[i] = tol.close(points[unions[i]], points[parts_a[i]])
+    rows = np.flatnonzero(degenerate).tolist()
+    equal = degenerate.copy()
+    equal[degenerate] = _close_rows(
+        points[[unions[i] for i in rows]], points[[parts_a[i] for i in rows]], tol
+    )
     reason = _verdicts(kind, lam, equal, mode, tol)
     checks = tuple(
         AxiomCheck(

@@ -3,10 +3,13 @@
 Given a source whose outcomes obey the weighted averaging axiom, the
 rank order is read off pairwise aggregates (a pair aggregate equal to
 one endpoint demotes that endpoint) and the weights are read off the
-mixing coefficients of same-rank pairs against a per-class anchor.  A
-mandatory verification pass then forward-evaluates every available set;
-data that passes the pairwise axiom but admits no single weight
-function is caught there and reported with a concrete ratio conflict.
+mixing coefficients of same-rank pairs against a per-class anchor, each
+reading one array pass over the pairs.  A mandatory verification pass
+then forward-evaluates every available set; data that passes the
+pairwise axiom but admits no single weight function is caught there
+and reported with a concrete ratio conflict.  :func:`recover` never
+raises on a valid source (an intransitive order is NonRepresentable
+too); :func:`recover_order` and :func:`recover_weights` raise.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import (
     DegenerateLambda,
@@ -27,9 +31,13 @@ from .errors import (
 from .geometry import (
     DEFAULT_TOL,
     SegmentKind,
+    SegmentPosition,
     Tolerance,
     Vector,
+    _SEGMENT_KINDS,
+    _close_rows,
     _row_norms,
+    _segment_positions,
     interior_lambda,
     segment_coefficient,
 )
@@ -120,6 +128,26 @@ class MissingData:
 RecoveryOutcome = Recovered | NonRepresentable | MissingData
 
 
+def _equal_matrix(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.bool_]:
+    """``equal[i, j]``: rows i and j of ``points`` pass ``Tolerance.close``."""
+    n = len(points)
+    return _close_rows(np.repeat(points, n, axis=0), np.tile(points, (n, 1)), tol).reshape(n, n)
+
+
+def _pair_outcomes(
+    src: AggregationSource, features: Sequence[str], pairs: NDArray[np.bool_]
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64], set[tuple[str, ...]]]:
+    """Look up every pair (i, j), i < j, marked in ``pairs`` once, in
+    ``itertools.combinations`` order: the stored pairs' indices i and j,
+    their aggregates as rows, and the absent pairs by name."""
+    first, second = np.nonzero(np.triu(pairs, 1))
+    aggs = [src._lookup((features[i], features[j])) for i, j in zip(first.tolist(), second.tolist())]
+    stored = np.array([agg is not None for agg in aggs], dtype=bool)
+    missing = {(features[i], features[j]) for i, j in zip(first[~stored], second[~stored])}
+    rows = np.array([agg for agg in aggs if agg is not None]).reshape(-1, src.dimension)
+    return first[stored], second[stored], rows, missing
+
+
 def recover_order(
     src: AggregationSource, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, int]:
@@ -132,75 +160,65 @@ def recover_order(
     if no witness exists the pair is observationally indistinguishable
     and classed together.  Ranks are dense integers from 0 (lowest).
 
+    The comparisons fill a boolean matrix ``geq`` from one gate pass
+    over the pairs; transitivity is the test ``(geq @ geq) & ~geq``.
+
     Raises IntransitivityDetected when the pairwise comparisons admit no
-    weak order, and MissingDataError when required pair sets are absent.
+    weak order, naming the first violating triple (x, y, z) in
+    ``itertools.permutations`` order, and MissingDataError when required
+    pair sets are absent.
     """
     features = sorted(src.features())
     n = len(features)
     if n == 0:
         raise ValueError("source has no features")
-    singles = {f: src.outcome([f]) for f in features}
+    points = np.array([src.outcome([f]) for f in features])
+    equal = _equal_matrix(points, tol)
 
-    def find_witness(x: str, exclude: str) -> str | None:
-        """A feature z with f(z) distinct from f(x) and f({x,z}) strictly
-        between the endpoints (which forces z into x's rank class)."""
-        for z in features:
-            if z == x or z == exclude:
-                continue
-            if tol.close(singles[z], singles[x]):
-                continue
-            agg = src._lookup((x, z))
-            if agg is None:
-                continue
-            if not tol.close(agg, singles[x]) and not tol.close(agg, singles[z]):
-                return z
-        return None
+    first, second, aggs, missing = _pair_outcomes(src, features, ~equal)
+    geq = np.eye(n, dtype=bool)
+    geq[first, second] = ~_close_rows(aggs, points[second], tol)
+    geq[second, first] = ~_close_rows(aggs, points[first], tol)
+    # A witness for x: a feature whose pair with x lands strictly inside.
+    witness = geq & geq.T & ~equal
 
-    geq: dict[tuple[str, str], bool] = {}
-    missing: set[tuple[str, ...]] = set()
-
-    for x, y in itertools.combinations(features, 2):
-        fx, fy = singles[x], singles[y]
-        if not tol.close(fx, fy):
-            agg = src._lookup((x, y))
-            if agg is None:
-                missing.add(tuple(sorted((x, y))))
-                continue
-            geq[(x, y)] = not tol.close(agg, fy)
-            geq[(y, x)] = not tol.close(agg, fx)
+    # Equal-outcome pairs compare through a witness z of one of them: z
+    # shares that one's rank, so f({z, other}) decides the pair.
+    settled: list[tuple[int, int, int, Vector]] = []
+    for x, y in zip(*(k.tolist() for k in np.nonzero(np.triu(equal, 1)))):
+        for a, b in ((x, y), (y, x)):
+            if witness[a].any():
+                z = int(np.argmax(witness[a]))
+                agg = src._lookup((features[z], features[b]))
+                if agg is None:
+                    missing.add(tuple(sorted((features[z], features[b]))))
+                else:
+                    settled.append((a, b, z, agg))
+                break
         else:
-            z = find_witness(x, exclude=y)
-            if z is None:
-                z = find_witness(y, exclude=x)
-                if z is not None:
-                    x, y = y, x  # compare through y's witness instead
-            if z is None:
-                # Indistinguishable pair: no witness separates them.
-                geq[(x, y)] = True
-                geq[(y, x)] = True
-                continue
-            agg = src._lookup((z, y))
-            if agg is None:
-                missing.add(tuple(sorted((z, y))))
-                continue
-            # z shares x's rank, so comparisons against z transfer to x.
-            geq[(x, y)] = not tol.close(agg, singles[y])
-            geq[(y, x)] = not tol.close(agg, singles[z])
+            geq[x, y] = geq[y, x] = True  # indistinguishable: nothing separates them
 
     if missing:
         raise MissingDataError(sorted(missing))
+    if settled:
+        a, b, z, rows = (list(column) for column in zip(*settled))
+        aggs = np.array(rows)
+        geq[a, b] = ~_close_rows(aggs, points[b], tol)
+        geq[b, a] = ~_close_rows(aggs, points[z], tol)
 
-    for x, y, z in itertools.permutations(features, 3):
-        if geq[(x, y)] and geq[(y, z)] and not geq[(x, z)]:
-            raise IntransitivityDetected((x, y, z))
+    # (x, y, z) violates transitivity when geq[x, y] and geq[y, z] but not
+    # geq[x, z]; with geq reflexive no triple repeats a feature.
+    outside = ~geq
+    broken = (geq @ geq) & outside
+    if broken.any():
+        x = int(np.argmax(broken.any(axis=1)))
+        y = int(np.argmax(geq[x] & (geq & outside[x]).any(axis=1)))
+        z = int(np.argmax(geq[y] & outside[x]))
+        raise IntransitivityDetected((features[x], features[y], features[z]))
 
-    # Completeness plus transitivity: counting dominated features ranks them.
-    better_than: dict[str, set[str]] = {f: set() for f in features}
-    for x, y in itertools.permutations(features, 2):
-        if geq[(x, y)] and not geq[(y, x)]:
-            better_than[x].add(y)
-    levels = sorted({len(better_than[f]) for f in features})
-    return {f: levels.index(len(better_than[f])) for f in features}
+    beats = (geq & ~geq.T).sum(axis=1).tolist()
+    level = {count: k for k, count in enumerate(sorted(set(beats)))}
+    return {f: level[count] for f, count in zip(features, beats)}
 
 
 _NOT_INTERIOR = {
@@ -211,15 +229,31 @@ _NOT_INTERIOR = {
 }
 
 
-def _pair_lambda(
-    agg: Vector, fa: Vector, fb: Vector, pair: tuple[str, str], tol: Tolerance
-) -> float:
-    """Interior mixing coefficient of ``fa`` in a same-rank pair aggregate."""
-    pos = segment_coefficient(agg, fa, fb, tol)
-    lam = interior_lambda(pos, tol)
-    if lam is None:
-        raise DegenerateLambda(pair, pos.lam, _NOT_INTERIOR[pos.kind])
-    return lam
+def _same_rank_positions(
+    src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
+) -> tuple[list[str], NDArray[np.bool_], dict[tuple[str, str], SegmentPosition]]:
+    """The sorted features, their ``equal`` matrix, and from one
+    ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b))
+    for every stored same-rank pair with distinct outcomes, keyed (a, b)
+    in both orientations (``lam`` is the coefficient of f(a))."""
+    features = sorted(ranks)
+    points = np.array([src.outcome([f]) for f in features]).reshape(len(features), src.dimension)
+    equal = _equal_matrix(points, tol)
+    level = np.array([ranks[f] for f in features])
+    first, second, aggs, _ = _pair_outcomes(src, features, (level[:, None] == level) & ~equal)
+    ends = np.concatenate([first, second]), np.concatenate([second, first])
+    kind, lam, residual = _segment_positions(
+        np.concatenate([aggs, aggs]), points[ends[0]], points[ends[1]], tol
+    )
+    positions = {
+        (features[a], features[b]): SegmentPosition(
+            _SEGMENT_KINDS[code], None if math.isnan(coef) else coef, res
+        )
+        for a, b, code, coef, res in zip(
+            *(k.tolist() for k in (*ends, kind, lam, residual))
+        )
+    }
+    return features, equal, positions
 
 
 def recover_weights(
@@ -235,71 +269,49 @@ def recover_weights(
     anchor pair, and equal-outcome members are reached through a bridge
     classmate that already has a weight.  A class whose outcomes all
     coincide carries uniform weight one and is reported as indeterminate.
+    Every coefficient is read off one ``_same_rank_positions`` table.
 
     Returns (weights, indeterminate classes).
     """
-    features = sorted(ranks)
-    singles = {f: src.outcome([f]) for f in features}
+    features, equal, positions = _same_rank_positions(src, ranks, tol)
+    index = {f: k for k, f in enumerate(features)}
 
     weights: dict[str, float] = {}
     indeterminate: list[tuple[str, ...]] = []
     missing: set[tuple[str, ...]] = set()
 
+    def derive(known: str, m: str) -> None:
+        """Weight of ``m`` from the pair of ``m`` with weighted ``known``."""
+        pos = positions.get((known, m))
+        if pos is None:
+            missing.add(tuple(sorted((known, m))))
+            return
+        lam = interior_lambda(pos, tol)
+        if lam is None:
+            raise DegenerateLambda((known, m), pos.lam, _NOT_INTERIOR[pos.kind])
+        weights[m] = weights[known] * (1.0 - lam) / lam
+
     for level in sorted(set(ranks.values())):
-        members = sorted(f for f in features if ranks[f] == level)
-        if len(members) == 1:
-            weights[members[0]] = 1.0
-            continue
-        anchor = next(
-            (
-                m
-                for m in members
-                if any(not tol.close(singles[m], singles[o]) for o in members if o != m)
-            ),
-            None,
-        )
+        members = [f for f in features if ranks[f] == level]
+        rows = [index[m] for m in members]
+        anchor = next((m for m in members if not equal[index[m], rows].all()), None)
         if anchor is None:
             # All outcomes in the class coincide; data cannot see the weights.
-            for m in members:
-                weights[m] = 1.0
-            indeterminate.append(tuple(members))
+            weights.update(dict.fromkeys(members, 1.0))
+            if len(members) > 1:
+                indeterminate.append(tuple(members))
             continue
         weights[anchor] = 1.0
-        deferred: list[str] = []
+        deferred = [m for m in members if m != anchor and equal[index[anchor], index[m]]]
         for m in members:
-            if m == anchor:
-                continue
-            if tol.close(singles[m], singles[anchor]):
-                deferred.append(m)
-                continue
-            agg = src._lookup((anchor, m))
-            if agg is None:
-                missing.add(tuple(sorted((anchor, m))))
-                continue
-            lam = _pair_lambda(
-                agg, singles[anchor], singles[m], (anchor, m), tol
-            )
-            weights[m] = (1.0 - lam) / lam
+            if m != anchor and m not in deferred:
+                derive(anchor, m)
         for m in deferred:
-            bridge = next(
-                (
-                    o
-                    for o in members
-                    if o != m and o in weights and not tol.close(singles[o], singles[m])
-                ),
-                None,
-            )
+            bridge = next((o for o in members if o in weights and not equal[index[o], index[m]]), None)
             if bridge is None:
                 weights[m] = weights[anchor]  # same outcome as anchor, no bridge
-                continue
-            agg = src._lookup((bridge, m))
-            if agg is None:
-                missing.add(tuple(sorted((bridge, m))))
-                continue
-            lam = _pair_lambda(
-                agg, singles[bridge], singles[m], (bridge, m), tol
-            )
-            weights[m] = weights[bridge] * (1.0 - lam) / lam
+            else:
+                derive(bridge, m)
 
     if missing:
         raise MissingDataError(sorted(missing))
@@ -307,35 +319,29 @@ def recover_weights(
 
 
 def _direct_ratios(
-    src: AggregationSource,
-    ranks: Mapping[str, int],
-    singles: Mapping[str, Vector],
-    tol: Tolerance,
+    positions: Mapping[tuple[str, str], SegmentPosition], tol: Tolerance
 ) -> dict[tuple[str, str], float]:
     """Weight ratios w(a)/w(b) readable directly off same-rank pair sets."""
     out: dict[tuple[str, str], float] = {}
-    for a, b in itertools.combinations(sorted(ranks), 2):
-        if ranks[a] != ranks[b]:
-            continue
-        fa, fb = singles[a], singles[b]
-        if tol.close(fa, fb):
-            continue
-        agg = src._lookup((a, b))
-        if agg is None:
-            continue
-        lam = interior_lambda(segment_coefficient(agg, fa, fb, tol), tol)
-        if lam is None:
-            continue
-        out[(a, b)] = lam / (1.0 - lam)
-        out[(b, a)] = (1.0 - lam) / lam
+    for (a, b), pos in positions.items():
+        lam = interior_lambda(pos, tol) if a < b else None
+        if lam is not None:
+            out[(a, b)] = lam / (1.0 - lam)
+            out[(b, a)] = (1.0 - lam) / lam
     return out
 
 
+def _witness(
+    pair: tuple[str, str],
+    first: tuple[float, tuple[tuple[str, ...], ...], str],
+    second: tuple[float, tuple[tuple[str, ...], ...], str],
+) -> ContradictionWitness:
+    """Two derivations of the weight ratio of ``pair``, each (ratio, via, note)."""
+    return ContradictionWitness(pair, RatioDerivation(pair, *first), RatioDerivation(pair, *second))
+
+
 def _ratio_conflict_witness(
-    src: AggregationSource,
-    ranks: Mapping[str, int],
-    singles: Mapping[str, Vector],
-    tol: Tolerance,
+    src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
 ) -> ContradictionWitness | None:
     """Search for a pair whose direct ratio disagrees with a chained one.
 
@@ -345,35 +351,23 @@ def _ratio_conflict_witness(
     conflict.  A second unrestricted pass catches inconsistencies that
     only show up through out-of-order chains in partial data.
     """
-    direct = _direct_ratios(src, ranks, singles, tol)
+    features, _, positions = _same_rank_positions(src, ranks, tol)
+    direct = _direct_ratios(positions, tol)
     ordered = sorted((a, b) for (a, b) in direct if a < b)
     for between_only in (True, False):
         for a, b in ordered:
             r_ab = direct[(a, b)]
-            for c in sorted(ranks):
-                if c in (a, b):
-                    continue
-                if between_only and not (a < c < b):
+            for c in features:
+                if c in (a, b) or (between_only and not a < c < b):
                     continue
                 if (a, c) not in direct or (c, b) not in direct:
                     continue
                 chained = direct[(a, c)] * direct[(c, b)]
-                gap = abs(chained - r_ab)
-                if gap > tol.gate(abs(chained), abs(r_ab)) * 10.0:
-                    return ContradictionWitness(
-                        pair=(a, b),
-                        first=RatioDerivation(
-                            pair=(a, b),
-                            ratio=r_ab,
-                            via=(tuple(sorted((a, b))),),
-                            note="mixing coefficient of the pair aggregate",
-                        ),
-                        second=RatioDerivation(
-                            pair=(a, b),
-                            ratio=chained,
-                            via=(tuple(sorted((a, c))), tuple(sorted((c, b)))),
-                            note=f"chained through {c}",
-                        ),
+                if abs(chained - r_ab) > tol.gate(abs(chained), abs(r_ab)) * 10.0:
+                    return _witness(
+                        (a, b),
+                        (r_ab, ((a, b),), "mixing coefficient of the pair aggregate"),
+                        (chained, (tuple(sorted((a, c))), tuple(sorted((c, b)))), f"chained through {c}"),
                     )
     return None
 
@@ -387,55 +381,50 @@ def _fallback_witness(
     observed aggregate implies one weight ratio for them (or none, when
     it leaves the segment), while the recovered weights imply another.
     """
-    members = frozenset(worst.members)
-    top = sorted(top_set(rep, members))
+    top = sorted(top_set(rep, worst.members))
     a, b = (top[0], top[1]) if len(top) >= 2 else (top[0], top[0])
-    observed = np.asarray(worst.observed)
     fa, fb = rep.outcomes[a], rep.outcomes[b]
     ratio = math.nan
     note = "no valid mixing coefficient for the observed aggregate"
     if len(top) == 2 and not tol.close(fa, fb):
-        lam = interior_lambda(segment_coefficient(observed, fa, fb, tol), tol)
+        lam = interior_lambda(segment_coefficient(np.asarray(worst.observed), fa, fb, tol), tol)
         if lam is not None:
             ratio = lam / (1.0 - lam)
             note = "mixing coefficient of the observed aggregate"
-    recovered_ratio = rep.weights[a] / rep.weights[b]
-    return ContradictionWitness(
-        pair=(a, b),
-        first=RatioDerivation(
-            pair=(a, b), ratio=ratio, via=(worst.members,), note=note
-        ),
-        second=RatioDerivation(
-            pair=(a, b),
-            ratio=recovered_ratio,
-            via=(),
-            note="implied by the recovered weights",
-        ),
+    return _witness(
+        (a, b),
+        (ratio, (worst.members,), note),
+        (rep.weights[a] / rep.weights[b], (), "implied by the recovered weights"),
     )
 
 
 def _witness_from_degenerate(err: DegenerateLambda) -> ContradictionWitness:
-    a, b = err.pair
     lam = err.lam
     ratio = math.nan
     if lam is not None and 0.0 < lam < 1.0:
         ratio = lam / (1.0 - lam)
     elif lam is not None:
         ratio = math.inf if lam >= 1.0 else 0.0
-    return ContradictionWitness(
-        pair=(a, b),
-        first=RatioDerivation(
-            pair=(a, b),
-            ratio=ratio,
-            via=(tuple(sorted((a, b))),),
-            note=str(err),
+    return _witness(
+        err.pair,
+        (ratio, (tuple(sorted(err.pair)),), str(err)),
+        (math.nan, (), "same-rank members need a finite strictly positive ratio"),
+    )
+
+
+def _witness_from_intransitivity(err: IntransitivityDetected) -> ContradictionWitness:
+    """The triple (x, y, z) as two readings of the pair (x, z): the chain
+    through y ranks x at least as high as z, the pair itself does not.
+    Neither fixes a weight ratio, so both ratios are NaN."""
+    x, y, z = err.triple
+    return _witness(
+        (x, z),
+        (
+            math.nan,
+            (tuple(sorted((x, y))), tuple(sorted((y, z)))),
+            f"{x} ranks at least as high as {y}, and {y} at least as high as {z}",
         ),
-        second=RatioDerivation(
-            pair=(a, b),
-            ratio=math.nan,
-            via=(),
-            note="same-rank members need a finite strictly positive ratio",
-        ),
+        (math.nan, ((x, z),), f"the pairwise comparison does not rank {x} at least as high as {z}"),
     )
 
 
@@ -443,10 +432,12 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
     """Full recovery pipeline: order, weights, then verification.
 
     Returns Recovered only when forward evaluation reproduces every
-    available set within tolerance.  Data that defeats the weight
-    construction or the verification pass yields NonRepresentable with a
-    concrete conflict; absent sets yield MissingData.  The result is
-    deterministic given the source (anchors and witnesses are chosen
+    available set within tolerance.  Data that defeats the order or the
+    weight construction or the verification pass yields NonRepresentable
+    with a concrete conflict (an intransitive triple, a pair without an
+    interior coefficient, or two disagreeing weight ratios); absent sets
+    yield MissingData.  It never raises on a valid source.  The result
+    is deterministic given the source (anchors and witnesses are chosen
     lexicographically).
     """
     try:
@@ -454,6 +445,8 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
         weights, indeterminate = recover_weights(src, ranks, tol)
     except MissingDataError as err:
         return MissingData(required=err.required)
+    except IntransitivityDetected as err:
+        return NonRepresentable(witness=_witness_from_intransitivity(err))
     except DegenerateLambda as err:
         return NonRepresentable(witness=_witness_from_degenerate(err))
 
@@ -470,7 +463,7 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
             indeterminate_classes=indeterminate,
         )
 
-    witness = _ratio_conflict_witness(src, ranks, singles, tol)
+    witness = _ratio_conflict_witness(src, ranks, tol)
     if witness is None:
         worst = max(failing, key=lambda r: r.residual)
         witness = _fallback_witness(worst, rep, tol)

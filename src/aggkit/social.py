@@ -48,12 +48,11 @@ from .model import (
     feature_set,
 )
 from .recovery import (
-    ContradictionWitness,
     MissingData,
     NonRepresentable,
-    RatioDerivation,
     Recovered,
     RecoveryOutcome,
+    _witness,
     recover,
 )
 
@@ -617,23 +616,13 @@ def recover_state_dependent(
                 norm_src.outcome(pair),
                 tol,
             )
-        witness = ContradictionWitness(
-            pair=(high, low),
-            first=RatioDerivation(
-                pair=(high, low),
-                ratio=math.inf,
-                via=(tuple(sorted(pair)),),
-                note=(
-                    "conditional on the pair ignores one state entirely"
-                    + (f"; separation: {farkas!r}" if farkas is not None else "")
-                ),
-            ),
-            second=RatioDerivation(
-                pair=(high, low),
-                ratio=math.nan,
-                via=(),
-                note="state probabilities must be strictly positive",
-            ),
+        note = "conditional on the pair ignores one state entirely"
+        if farkas is not None:
+            note += f"; separation: {farkas!r}"
+        witness = _witness(
+            (high, low),
+            (math.inf, (tuple(sorted(pair)),), note),
+            (math.nan, (), "state probabilities must be strictly positive"),
         )
         return NonRepresentable(witness=witness)
 

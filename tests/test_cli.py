@@ -142,6 +142,62 @@ class TestVerdictsAndExitCodes:
         assert rec["result"]["ranks"] == rep["result"]["true_ranks"]
 
 
+def _cyclic_doc(kind):
+    """Pair winners a > b > c > a: each pair stores one endpoint."""
+    points = {"a": [0.1, 0.9], "b": [0.2, 0.8], "c": [0.3, 0.7]}
+    doc = {
+        "format_version": "1",
+        "kind": kind,
+        "dimension": 2,
+        "features": {f: {"outcome": p} for f, p in points.items()},
+        "sets": [
+            {"members": ["a", "b"], "outcome": points["a"]},
+            {"members": ["b", "c"], "outcome": points["b"]},
+            {"members": ["a", "c"], "outcome": points["c"]},
+        ],
+    }
+    if kind in ("sdeu", "profile"):
+        doc["direction"] = [1.0, 1.0]
+    if kind == "timed":  # the shifted records the stationarity spot check asks for
+        doc["sets"] += [
+            {"members": ["a", "b"], "outcome": points["a"], "timing": {"a": s, "b": t}}
+            for s, t in ((1, 2), (2, 3), (2, 2))
+        ] + [{"members": ["a"], "outcome": points["a"], "timing": {"a": 2}}]
+    return doc
+
+
+class TestIntransitivePairs:
+    @pytest.mark.parametrize(
+        "command, kind, verdict",
+        [
+            ("recover", "generic", "non-representable"),
+            ("eval", "generic", "non-representable"),
+            ("bayes", "belief", "inconsistent"),
+            ("cps", "belief", "non-representable"),
+            ("luce", "menu", "not-rationalizable"),
+            ("sdeu", "sdeu", "non-representable"),
+            ("discount", "timed", "not-stationary"),
+        ],
+    )
+    def test_each_command_gives_its_negative_verdict(self, run_cli, tmp_path, command, kind, verdict):
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(_cyclic_doc(kind)))
+        args = [command, str(path)] + (["--members", "a,b"] if command == "eval" else [])
+        code, rep = report_of(run_cli, *args)
+        assert (code, rep["verdict"]) == (1, verdict)
+
+    def test_recover_reports_the_triple_as_a_witness(self, run_cli, tmp_path):
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(_cyclic_doc("generic")))
+        code, rep = report_of(run_cli, "recover", str(path))
+        witness = rep["result"]["witness"]
+        assert witness["pair"] == ["a", "c"]
+        assert witness["first"]["via"] == [["a", "b"], ["b", "c"]]
+        assert witness["second"]["via"] == [["a", "c"]]
+        assert witness["first"]["ratio"] is None and witness["second"]["ratio"] is None
+        assert rep["result"]["failing_sets"] == []
+
+
 class TestInputHandling:
     def test_stdin_dash(self, run_cli, fixtures_dir):
         payload = (fixtures_dir / "coin_beliefs.json").read_text()
@@ -164,6 +220,33 @@ class TestInputHandling:
         bad.write_text(json.dumps({"format_version": "1", "dimension": 2}))
         code, rep = report_of(run_cli, "check", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
+            pytest.param(
+                b'{"format_version": "1", "dimension": 1, "features": {"a": {"outcome": ['
+                + b"9" * 5000
+                + b"]}}}",
+                id="5000-digit-integer",
+            ),
+            pytest.param(b'{"format_version": "\xff\xfe"}', id="not-utf-8"),
+        ],
+    )
+    def test_unparsable_bytes_are_usage_errors(self, run_cli, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        code, rep = report_of(run_cli, "check", str(bad))
+        assert code == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"
+
+    def test_directory_is_usage_error(self, run_cli, tmp_path):
+        code, rep = report_of(run_cli, "check", str(tmp_path))
+        assert code == 2
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert rep["result"]["message"].startswith(f"{tmp_path}: ")
 
     def test_kind_gate(self, run_cli, fixtures_dir):
         code, rep = report_of(run_cli, "bayes", str(fixtures_dir / "triangle_two_tier.json"))
@@ -210,6 +293,20 @@ class TestToleranceResolution:
         monkeypatch.setenv("AGGKIT_TOL", "banana")
         code, rep = report_of(run_cli, "check", str(fixtures_dir / "broken_average.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("flag, env, location", [
+        ("-1", None, "--tol"), ("inf", None, "--tol"), ("-1", "0.5", "--tol"),
+        (None, "-1", "AGGKIT_TOL"), (None, "inf", "AGGKIT_TOL"),
+    ])
+    def test_error_names_where_the_value_came_from(self, run_cli, fixtures_dir, monkeypatch, flag, env, location):
+        if env is not None:
+            monkeypatch.setenv("AGGKIT_TOL", env)
+        args = ["check", str(fixtures_dir / "triangle_two_tier.json")]
+        if flag is not None:
+            args += ["--tol", flag]
+        code, rep = report_of(run_cli, *args)
+        assert code == 2
+        assert rep["result"]["message"].startswith(f"{location}: must be ")
 
 
     @pytest.mark.parametrize(

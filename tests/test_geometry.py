@@ -21,7 +21,7 @@ from aggkit.errors import (
     NotInAffineHull,
     NotInConvexHull,
 )
-from aggkit.geometry import SegmentPosition, interior_lambda
+from aggkit.geometry import SegmentPosition, _close_rows, interior_lambda
 
 
 class TestTolerance:
@@ -38,6 +38,28 @@ class TestTolerance:
         assert not tol.close(a, a + 1e-6)
         big = np.array([1e9, 0.0])
         assert tol.close(big, big + np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "tol", [Tolerance(), Tolerance(1e-3, 1e-6), Tolerance(0.0, 1e-9)], ids=["default", "loose", "relative"]
+    )
+    def test_close_rows_is_close_row_by_row(self, dim, tol):
+        # Seeded pairs of every magnitude, gaps near and far from the gate,
+        # points far from the origin, zero rows and equal rows.
+        rng = np.random.default_rng(dim)
+        scale = 10.0 ** rng.integers(-12, 13, size=(300, 1))
+        a = rng.normal(size=(300, dim)) * scale
+        b = a + rng.normal(size=(300, dim)) * scale * 10.0 ** rng.integers(-12, 1, size=(300, 1))
+        far = 1e9 + rng.normal(size=(40, dim))
+        zero = np.zeros((4, dim))
+        near_zero = np.zeros((4, dim))
+        near_zero[:, 0] = [0.0, 5e-10, 1e-9, 2e-9]
+        a = np.vstack([a, far, far, zero, zero, a[:5]])
+        b = np.vstack([b, far + 1e-1 * rng.normal(size=(40, dim)), far + 1.0, zero, near_zero, a[:5]])
+        got = _close_rows(a, b, tol)
+        want = [tol.close(x, y) for x, y in zip(a, b)]
+        assert got.tolist() == want
+        assert any(want) and not all(want)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,11 @@ listing the set records of the input file in another order, or moving
 every outcome by one integer vector must leave every split's verdict
 alone.  The datasets are drawn on a lattice of halves for the same
 reason as the menus.
+
+Recovery speaks of the same things: the same relabelling, set order
+and a round trip through the dataset file format must leave its
+status, ranks and weight bits alone, and the data a recovered
+representation induces on the same sets must recover to it again.
 """
 
 import io
@@ -29,6 +34,9 @@ from aggkit import (
     DatasetSource,
     GeneratorConfig,
     OutcomePolicy,
+    Recovered,
+    Representation,
+    SubsetPolicy,
     check_axiom,
     check_bayesian,
     dataset_to_json,
@@ -36,7 +44,9 @@ from aggkit import (
     convex_coefficients,
     gen_dataset,
     gen_representation,
+    induced_source,
     perturb,
+    recover,
     relative_interior_check,
 )
 from aggkit.errors import NotInConvexHull
@@ -218,3 +228,83 @@ def test_integer_translation_keeps_axiom_verdicts(src, mode, shift):
     before = check_axiom(src, mode)
     after = check_axiom(moved, mode)
     assert split_verdicts(after) == split_verdicts(before)
+
+
+@st.composite
+def recovery_sources(draw):
+    """Generated pairs and triples, some outcomes shared between features,
+    some sets dropped and some noise, or a lattice dataset: every
+    recovery status, intransitive pairs included, shows up."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(lattice_datasets())
+    n = draw(st.integers(3, 7))
+    policy = draw(st.sampled_from([OutcomePolicy.RANDOM_RICH, OutcomePolicy.COLLINEAR]))
+    most = n // 3 if policy is OutcomePolicy.RANDOM_RICH else 3
+    rep = gen_representation(
+        GeneratorConfig(
+            seed=draw(st.integers(0, 10_000)),
+            feature_count=n,
+            rank_classes=draw(st.integers(1, most)),
+            outcome_policy=policy,
+        )
+    )
+    names = rep.features()
+    outcomes = dict(rep.outcomes)
+    for f in names:
+        if draw(st.integers(0, 3)) == 0:
+            outcomes[f] = outcomes[draw(st.sampled_from(names))]
+    rep = Representation(weights=rep.weights, ranks=rep.ranks, outcomes=outcomes)
+    src = gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES)
+    drop = draw(st.sets(st.sampled_from(src.sets()[n:]), max_size=2))
+    src = DatasetSource(src.dimension, {s: src.outcome(s) for s in src.sets() if s not in drop})
+    noise = draw(st.sampled_from([0.0, 0.0, 1e-3]))
+    return perturb(src, noise, seed=n) if noise else src
+
+
+def recovery_digest(outcome, rename=None):
+    """Status, ranks and weight bits of a recovery, under ``rename``."""
+    rename = rename or {}
+    if not isinstance(outcome, Recovered):
+        return type(outcome).__name__, None, None
+    rep = outcome.representation
+    return (
+        "Recovered",
+        {rename.get(f, f): r for f, r in rep.ranks.items()},
+        [(rename.get(f, f), np.float64(w).tobytes()) for f, w in rep.weights.items()],
+    )
+
+
+@SETTINGS
+@given(recovery_sources(), st.lists(st.integers(0, 999), min_size=7, max_size=7, unique=True))
+def test_order_preserving_relabelling_keeps_recovery(src, labels):
+    rename = dict(zip(src.features(), (f"f{k:03d}" for k in sorted(labels))))
+    relabelled = DatasetSource(
+        src.dimension, {frozenset(rename[f] for f in s): src.outcome(s) for s in src.sets()}
+    )
+    assert recovery_digest(recover(relabelled)) == recovery_digest(recover(src), rename)
+
+
+@SETTINGS
+@given(recovery_sources(), st.randoms(use_true_random=False))
+def test_set_order_and_file_round_trip_keep_recovery(src, rnd):
+    doc = dataset_to_json(src)
+    round_trip = load_dataset(io.StringIO(json.dumps(doc))).source
+    rnd.shuffle(doc["sets"])
+    shuffled = load_dataset(io.StringIO(json.dumps(doc))).source
+    want = recovery_digest(recover(src))
+    assert recovery_digest(recover(round_trip)) == want
+    assert recovery_digest(recover(shuffled)) == want
+
+
+@SETTINGS
+@given(recovery_sources())
+def test_recovered_representation_is_a_fixed_point(src):
+    first = recover(src)
+    if not isinstance(first, Recovered):
+        return
+    rep = first.representation
+    again = recover(induced_source(rep, src.sets()))
+    assert isinstance(again, Recovered)
+    assert again.representation.ranks == rep.ranks
+    for f, w in rep.weights.items():
+        assert abs(again.representation.weights[f] - w) <= 1e-9 * w

@@ -121,6 +121,28 @@ class TestRecover:
         assert ratios[0] == pytest.approx(1.0)
         assert ratios[1] == pytest.approx(5.0 / 3.0)
 
+    def test_cyclic_comparisons_are_non_representable(self):
+        # The cycle that makes recover_order raise: recover returns it.
+        src = DatasetSource(
+            1,
+            {
+                frozenset(["a"]): [0.1],
+                frozenset(["b"]): [0.2],
+                frozenset(["c"]): [0.3],
+                frozenset(["a", "b"]): [0.1],
+                frozenset(["b", "c"]): [0.2],
+                frozenset(["a", "c"]): [0.3],
+            },
+        )
+        outcome = recover(src)
+        assert isinstance(outcome, NonRepresentable)
+        assert outcome.witness.pair == ("a", "c")
+        assert outcome.witness.first.via == (("a", "b"), ("b", "c"))
+        assert outcome.witness.second.via == (("a", "c"),)
+        assert all(np.isnan(r) for r in outcome.witness.ratios())
+        assert outcome.failing_sets == ()
+        assert outcome.max_residual == 0.0
+
     def test_off_segment_pair_is_non_representable(self):
         src = DatasetSource(
             2,

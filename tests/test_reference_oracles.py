@@ -23,6 +23,11 @@ same pairs and the same violations in the same order.
 (top members in sorted order, add the weights and weight x outcome,
 divide); every forward evaluation, now one array kernel, must match them
 bit for bit.
+
+``reference_recover_order``, ``reference_recover_weights`` and the
+reference ratio search decide one pair at a time with ``Tolerance.close``
+and ``segment_coefficient``; recovery, which reads the pairs as arrays,
+must give the same ranks, weight bits, errors and witnesses.
 """
 
 import dataclasses
@@ -76,6 +81,8 @@ from aggkit import recovery
 from aggkit.belief import ChainViolation, CpsReport
 from aggkit.errors import (
     AffinelyDependentBasis,
+    DegenerateLambda,
+    IntransitivityDetected,
     MissingDataError,
     NotInAffineHull,
     NotInConvexHull,
@@ -88,6 +95,7 @@ from aggkit.geometry import (
     _SEGMENT_KINDS,
     _segment_positions,
     as_point,
+    interior_lambda,
     segment_coefficient,
 )
 from aggkit.model import (
@@ -97,6 +105,7 @@ from aggkit.model import (
     StrongRichnessReport,
     set_sort_key,
 )
+from aggkit.recovery import ContradictionWitness, RatioDerivation
 
 
 def reference_segment_coefficient(p, a, b, tol=DEFAULT_TOL):
@@ -1184,3 +1193,338 @@ class TestBeliefTablesMatchReference:
         features, table = reference_build_joint(rep)
         assert joint.features == features
         assert _bits(joint.table) == _bits(table)
+
+
+# --------------------------------------------------------------------------
+# order and weight recovery against the per-pair loops
+
+
+def reference_recover_order(src, tol=DEFAULT_TOL):
+    """Every pairwise comparison on its own, then every triple in turn."""
+    features = sorted(src.features())
+    singles = {f: src.outcome([f]) for f in features}
+
+    def find_witness(x, exclude):
+        for z in features:
+            if z == x or z == exclude:
+                continue
+            if tol.close(singles[z], singles[x]):
+                continue
+            agg = src._lookup((x, z))
+            if agg is None:
+                continue
+            if not tol.close(agg, singles[x]) and not tol.close(agg, singles[z]):
+                return z
+        return None
+
+    geq = {}
+    missing = set()
+    for x, y in itertools.combinations(features, 2):
+        fx, fy = singles[x], singles[y]
+        if not tol.close(fx, fy):
+            agg = src._lookup((x, y))
+            if agg is None:
+                missing.add(tuple(sorted((x, y))))
+                continue
+            geq[(x, y)] = not tol.close(agg, fy)
+            geq[(y, x)] = not tol.close(agg, fx)
+        else:
+            z = find_witness(x, exclude=y)
+            if z is None:
+                z = find_witness(y, exclude=x)
+                if z is not None:
+                    x, y = y, x
+            if z is None:
+                geq[(x, y)] = True
+                geq[(y, x)] = True
+                continue
+            agg = src._lookup((z, y))
+            if agg is None:
+                missing.add(tuple(sorted((z, y))))
+                continue
+            geq[(x, y)] = not tol.close(agg, singles[y])
+            geq[(y, x)] = not tol.close(agg, singles[z])
+    if missing:
+        raise MissingDataError(sorted(missing))
+    for x, y, z in itertools.permutations(features, 3):
+        if geq[(x, y)] and geq[(y, z)] and not geq[(x, z)]:
+            raise IntransitivityDetected((x, y, z))
+    better_than = {f: set() for f in features}
+    for x, y in itertools.permutations(features, 2):
+        if geq[(x, y)] and not geq[(y, x)]:
+            better_than[x].add(y)
+    levels = sorted({len(better_than[f]) for f in features})
+    return {f: levels.index(len(better_than[f])) for f in features}
+
+
+def _reference_pair_lambda(agg, fa, fb, pair, tol):
+    pos = segment_coefficient(agg, fa, fb, tol)
+    lam = interior_lambda(pos, tol)
+    if lam is None:
+        raise DegenerateLambda(pair, pos.lam, recovery._NOT_INTERIOR[pos.kind])
+    return lam
+
+
+def reference_recover_weights(src, ranks, tol=DEFAULT_TOL):
+    """Anchor, classmates and bridges, one ``segment_coefficient`` call each."""
+    features = sorted(ranks)
+    singles = {f: src.outcome([f]) for f in features}
+    weights = {}
+    indeterminate = []
+    missing = set()
+    for level in sorted(set(ranks.values())):
+        members = sorted(f for f in features if ranks[f] == level)
+        if len(members) == 1:
+            weights[members[0]] = 1.0
+            continue
+        anchor = next(
+            (
+                m
+                for m in members
+                if any(not tol.close(singles[m], singles[o]) for o in members if o != m)
+            ),
+            None,
+        )
+        if anchor is None:
+            for m in members:
+                weights[m] = 1.0
+            indeterminate.append(tuple(members))
+            continue
+        weights[anchor] = 1.0
+        deferred = []
+        for m in members:
+            if m == anchor:
+                continue
+            if tol.close(singles[m], singles[anchor]):
+                deferred.append(m)
+                continue
+            agg = src._lookup((anchor, m))
+            if agg is None:
+                missing.add(tuple(sorted((anchor, m))))
+                continue
+            lam = _reference_pair_lambda(agg, singles[anchor], singles[m], (anchor, m), tol)
+            weights[m] = (1.0 - lam) / lam
+        for m in deferred:
+            bridge = next(
+                (o for o in members if o != m and o in weights and not tol.close(singles[o], singles[m])),
+                None,
+            )
+            if bridge is None:
+                weights[m] = weights[anchor]
+                continue
+            agg = src._lookup((bridge, m))
+            if agg is None:
+                missing.add(tuple(sorted((bridge, m))))
+                continue
+            lam = _reference_pair_lambda(agg, singles[bridge], singles[m], (bridge, m), tol)
+            weights[m] = weights[bridge] * (1.0 - lam) / lam
+    if missing:
+        raise MissingDataError(sorted(missing))
+    return weights, tuple(indeterminate)
+
+
+def reference_direct_ratios(src, ranks, tol=DEFAULT_TOL):
+    singles = {f: src.outcome([f]) for f in ranks}
+    out = {}
+    for a, b in itertools.combinations(sorted(ranks), 2):
+        if ranks[a] != ranks[b]:
+            continue
+        fa, fb = singles[a], singles[b]
+        if tol.close(fa, fb):
+            continue
+        agg = src._lookup((a, b))
+        if agg is None:
+            continue
+        lam = interior_lambda(segment_coefficient(agg, fa, fb, tol), tol)
+        if lam is None:
+            continue
+        out[(a, b)] = lam / (1.0 - lam)
+        out[(b, a)] = (1.0 - lam) / lam
+    return out
+
+
+def reference_ratio_conflict_witness(src, ranks, tol=DEFAULT_TOL):
+    """The two-pass triangle search over ``reference_direct_ratios``."""
+    direct = reference_direct_ratios(src, ranks, tol)
+    ordered = sorted((a, b) for (a, b) in direct if a < b)
+    for between_only in (True, False):
+        for a, b in ordered:
+            r_ab = direct[(a, b)]
+            for c in sorted(ranks):
+                if c in (a, b) or (between_only and not (a < c < b)):
+                    continue
+                if (a, c) not in direct or (c, b) not in direct:
+                    continue
+                chained = direct[(a, c)] * direct[(c, b)]
+                if abs(chained - r_ab) > tol.gate(abs(chained), abs(r_ab)) * 10.0:
+                    return ContradictionWitness(
+                        pair=(a, b),
+                        first=RatioDerivation(
+                            pair=(a, b),
+                            ratio=r_ab,
+                            via=(tuple(sorted((a, b))),),
+                            note="mixing coefficient of the pair aggregate",
+                        ),
+                        second=RatioDerivation(
+                            pair=(a, b),
+                            ratio=chained,
+                            via=(tuple(sorted((a, c))), tuple(sorted((c, b)))),
+                            note=f"chained through {c}",
+                        ),
+                    )
+    return None
+
+
+def _outcome_of(fn, *args):
+    """``fn(*args)``, or what its error carries: the required sets, the
+    triple, or the pair, coefficient bits and message."""
+    try:
+        return fn(*args)
+    except MissingDataError as err:
+        return ("missing", err.required)
+    except IntransitivityDetected as err:
+        return ("intransitive", err.triple)
+    except DegenerateLambda as err:
+        return ("degenerate", err.pair, _bits(np.nan if err.lam is None else err.lam), str(err))
+
+
+def _with_shared_outcomes(rep, seed, collapse=False):
+    """``rep`` with a seeded third of its features moved onto the outcome
+    of another feature, of the same rank or not; with ``collapse``, every
+    member of the lowest rank class then shares one outcome."""
+    rng = np.random.default_rng(seed)
+    names = rep.features()
+    outcomes = dict(rep.outcomes)
+    for f in names:
+        if rng.random() < 0.35:
+            outcomes[f] = outcomes[names[int(rng.integers(len(names)))]]
+    if collapse:
+        lowest = sorted(f for f in names if rep.ranks[f] == min(rep.ranks.values()))
+        outcomes.update(dict.fromkeys(lowest, outcomes[lowest[0]]))
+    return Representation(weights=rep.weights, ranks=rep.ranks, outcomes=outcomes)
+
+
+def _cyclic(seed, features=6, dimension=2):
+    """Singletons on nine lattice points, so some coincide, whose pair
+    aggregates sit at a seeded endpoint or at the midpoint: pairwise
+    winners that often form cycles, and equal-outcome pairs whose
+    witnesses disagree."""
+    rng = np.random.default_rng(seed)
+    names = [f"c{i}" for i in range(features)]
+    table = {frozenset([f]): rng.integers(-1, 2, size=dimension).astype(float) for f in names}
+    for a, b in itertools.combinations(names, 2):
+        fa, fb = table[frozenset([a])], table[frozenset([b])]
+        table[frozenset([a, b])] = (fa, fb, 0.5 * (fa + fb))[int(rng.integers(3))]
+    return DatasetSource(dimension, table)
+
+
+def _pairs_only(rep):
+    return gen_dataset(rep, [(f,) for f in rep.features()] + list(itertools.combinations(rep.features(), 2)))
+
+
+def _recovery_case(seed):
+    """One seeded source of the recovery corpus, and the ranks its
+    weights are read with when the order cannot be recovered."""
+    kind = seed % 8
+    classes = 2 + seed % 3
+    rep = _rep(100 + seed, 3 * classes + seed % 4, classes=classes)
+    if kind == 0:
+        src = gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES)
+    elif kind == 1:
+        rep = _with_shared_outcomes(rep, seed, collapse=seed % 16 == 1)
+        src = _pairs_only(rep)
+    elif kind == 2:
+        src = _thinned(gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES), seed, keep=0.9)
+    elif kind == 3:
+        # Noise along the line moves interior coefficients: ratio conflicts.
+        rep = _rep(100 + seed, 3 * classes, classes=classes, policy=OutcomePolicy.COLLINEAR, dimension=1)
+        src = perturb(_pairs_only(rep), 1e-3, seed=seed)
+    elif kind == 4:
+        src = perturb(_pairs_only(rep), 0.3, seed=seed)
+    elif kind == 5:
+        return _cyclic(seed, features=4 + seed % 5), None
+    elif kind == 6:
+        return _coincident_singletons(seed=seed, features=5 + seed % 4), None
+    else:
+        rep = _with_shared_outcomes(rep, seed)
+        src = _thinned(_pairs_only(rep), seed, keep=0.95)
+    return src, dict(rep.ranks)
+
+
+RECOVERY_SEEDS = range(48)
+
+
+def _label(outcome):
+    """Which way an order or weight recovery (or its reference) came out."""
+    if isinstance(outcome, dict):
+        return "ranks"
+    if isinstance(outcome[0], str):
+        return outcome[0]
+    return "indeterminate" if outcome[1] else "weights"
+
+
+def _ranks_for_weights(src, truth):
+    """The recovered ranks, else the generator's, else one class."""
+    try:
+        return reference_recover_order(src)
+    except (MissingDataError, IntransitivityDetected):
+        return truth or {f: 0 for f in src.features()}
+
+
+class TestRecoveryMatchesPerPairLoops:
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_same_ranks_or_same_error(self, seed):
+        src, _ = _recovery_case(seed)
+        assert _outcome_of(recover_order, src) == _outcome_of(reference_recover_order, src)
+
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_same_weight_bits_or_same_error(self, seed):
+        src, truth = _recovery_case(seed)
+        ranks = _ranks_for_weights(src, truth)
+        got = _outcome_of(recover_weights, src, ranks)
+        want = _outcome_of(reference_recover_weights, src, ranks)
+        if isinstance(want, tuple) and isinstance(want[0], dict):
+            assert list(got[0]) == list(want[0])
+            assert _bits(list(got[0].values())) == _bits(list(want[0].values()))
+            assert got[1] == want[1]
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_same_direct_ratios_and_conflict(self, seed):
+        src, truth = _recovery_case(seed)
+        ranks = _ranks_for_weights(src, truth)
+        _, _, positions = recovery._same_rank_positions(src, ranks, DEFAULT_TOL)
+        got = recovery._direct_ratios(positions, DEFAULT_TOL)
+        want = reference_direct_ratios(src, ranks)
+        assert list(got) == list(want)
+        assert _bits(list(got.values())) == _bits(list(want.values()))
+        assert recovery._ratio_conflict_witness(
+            src, ranks, DEFAULT_TOL
+        ) == reference_ratio_conflict_witness(src, ranks)
+
+    def test_corpus_reaches_every_outcome(self):
+        orders, weights, conflicts = set(), set(), 0
+        for seed in RECOVERY_SEEDS:
+            src, truth = _recovery_case(seed)
+            orders.add(_label(_outcome_of(reference_recover_order, src)))
+            ranks = _ranks_for_weights(src, truth)
+            weights.add(_label(_outcome_of(reference_recover_weights, src, ranks)))
+            conflicts += reference_ratio_conflict_witness(src, ranks) is not None
+        assert orders == {"ranks", "missing", "intransitive"}
+        assert weights == {"weights", "indeterminate", "missing", "degenerate"}
+        assert conflicts
+
+    @pytest.mark.parametrize("seed", [3, 9, 17])
+    def test_oracle_queries_the_same_pairs(self, seed):
+        rep = _with_shared_outcomes(_rep(200 + seed, 9, classes=3), seed)
+
+        def oracle():
+            return OracleSource(rep.dimension, lambda fs: evaluate(rep, fs), rep.features())
+
+        ours, theirs = oracle(), oracle()
+        outcome = recover(ours)
+        ranks = reference_recover_order(theirs)
+        reference_recover_weights(theirs, ranks)
+        assert isinstance(outcome, Recovered)
+        assert set(ours.query_log) == set(theirs.query_log)
