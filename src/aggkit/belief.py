@@ -449,6 +449,11 @@ class DiscountRecovery:
     recovery: Recovered
 
 
+def _braced(members: Iterable[str]) -> str:
+    """A set as the reports write it in a message: ``{a,b}``."""
+    return "{" + ",".join(members) + "}"
+
+
 def recover_discounted(
     oracle: DiscountOracle,
     features: Iterable[str],
@@ -507,9 +512,15 @@ def recover_discounted(
             )
 
     outcome = recover(flat, tol)
-    if not isinstance(outcome, Recovered):
+    if isinstance(outcome, NonRepresentable):
         raise NotStationary(
-            f"equal-time restriction is not strictly rationalizable: {outcome!r}"
+            "equal-time restriction is not strictly rationalizable: "
+            f"non-representable, witness pair {_braced(outcome.witness.pair)}"
+        )
+    if isinstance(outcome, MissingData):
+        raise NotStationary(
+            "equal-time restriction is not strictly rationalizable: "
+            f"missing-data, required sets {', '.join(map(_braced, outcome.required))}"
         )
     rep = outcome.representation
     if len(rep.rank_classes()) != 1:

@@ -8,6 +8,12 @@ sorted, set members are sorted lexicographically, sets are ordered by
 size then lexicographically, and floats use the shortest round-trip
 decimal form (non-finite values become null).
 
+``load_dataset`` validates a file once, at the boundary: one
+``json.load``, then one pass over the records in which each check has a
+C-level fast path.  The element-by-element code runs only to name a
+fault, with the location and message a record-by-record reading gives.
+The table then goes to ``DatasetSource``, which checks it in batch.
+
 ``dump_json`` writes exactly the bytes of ``json.dump(doc, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline, but lets the standard
 library's C encoder, which only runs without ``indent``, do the
@@ -57,6 +63,9 @@ KINDS = ("generic", "belief", "menu", "profile", "sdeu", "timed")
 _TOP_KEYS = ("format_version", "kind", "dimension", "features", "sets", "direction", "weights")
 _FEATURE_KEYS = ("outcome", "weight")
 _SET_KEYS = ("members", "outcome", "timing")
+_SET_KEY_SET = frozenset(_SET_KEYS)
+# The types json.load gives a number, booleans aside.
+_NUMBER_TYPES = frozenset({int, float})
 # The largest finite float; the schema bounds every number by it.
 _FLOAT_MAX = sys.float_info.max
 
@@ -87,6 +96,16 @@ def _closed(obj: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
 
 
 def _as_vector(value: Any, dim: int, where: str) -> list[float]:
+    if type(value) is list and len(value) == dim and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            out = list(map(float, value))
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            # Strictly below the largest float: an integer just above it
+            # converts to it, so that value is left to the exact test below.
+            if all(map(_FLOAT_MAX.__gt__, map(abs, out))):
+                return out
     if not isinstance(value, (list, tuple)):
         raise DatasetFormatError(where, "expected an array of numbers")
     out = []
@@ -99,6 +118,25 @@ def _as_vector(value: Any, dim: int, where: str) -> list[float]:
     if len(out) != dim:
         raise DatasetFormatError(where, f"length {len(out)} does not match dimension {dim}")
     return out
+
+
+def _member_set(members: Any, features: Mapping[str, Any], where: str) -> FeatureSet:
+    """The members of a set record, refusing anything but a non-empty
+    array of distinct declared feature ids."""
+    if isinstance(members, list) and members:
+        try:
+            fs = frozenset(members)
+        except TypeError:  # an unhashable member
+            pass
+        else:
+            if len(fs) == len(members) and features.keys() >= fs:
+                return fs
+    if not isinstance(members, list) or not members:
+        raise DatasetFormatError(where, "expected a non-empty array of feature ids")
+    for m in members:
+        if not isinstance(m, str) or m not in features:
+            raise DatasetFormatError(where, f"undeclared feature {m!r}")
+    raise DatasetFormatError(where, "duplicate members")
 
 
 def _positive_number(value: Any, where: str) -> float:
@@ -173,15 +211,10 @@ def load_dataset(
         where = f"sets[{idx}]"
         if not isinstance(entry, dict):
             raise DatasetFormatError(where, "expected an object")
-        _closed(entry, _SET_KEYS, where)
+        if not entry.keys() <= _SET_KEY_SET:
+            _closed(entry, _SET_KEYS, where)
         members = _need(entry, "members", where)
-        if not isinstance(members, list) or not members:
-            raise DatasetFormatError(f"{where}.members", "expected a non-empty array of feature ids")
-        for m in members:
-            if not isinstance(m, str) or m not in features:
-                raise DatasetFormatError(f"{where}.members", f"undeclared feature {m!r}")
-        if len(set(members)) != len(members):
-            raise DatasetFormatError(f"{where}.members", "duplicate members")
+        fs = _member_set(members, features, f"{where}.members")
         outcome = _as_vector(_need(entry, "outcome", where), dimension, f"{where}.outcome")
         if "timing" in entry:
             if kind != "timed":
@@ -192,19 +225,18 @@ def load_dataset(
             times: dict[str, int] = {}
             for m in members:
                 times[m] = _positive_integer(timing.get(m), f"{where}.timing[{m!r}]")
-            extra = set(timing) - set(members)
+            extra = timing.keys() - fs
             if extra:
                 raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
             timed.append((TimedQuery(members, times), np.asarray(outcome)))
             if all(t == 1 for t in times.values()):
-                table[frozenset(members)] = outcome
+                table[fs] = outcome
             continue
         if kind == "timed":
             # No timing field means everything at time one.
             timed.append(
                 (TimedQuery(members, {m: 1 for m in members}), np.asarray(outcome))
             )
-        fs = frozenset(members)
         if fs in table and len(fs) > 1:
             raise DatasetFormatError(f"{where}.members", f"duplicate set {sorted(fs)}")
         if len(fs) == 1 and table.get(fs) != outcome:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,12 +64,16 @@ __all__ = [
 
 FeatureSet = frozenset[str]
 
+# What a feature id may not contain: the pattern of
+# schemas/dataset.schema.json (for ``re``, ``\s`` is ``str.isspace``).
+_ID_FORBIDDEN = re.compile(r"[\s,]")
+
 
 def validate_feature_id(fid: str) -> str:
     """Feature ids are non-empty strings without whitespace or commas."""
     if not isinstance(fid, str) or not fid:
         raise ValueError(f"feature id must be a non-empty string, got {fid!r}")
-    if any(c.isspace() for c in fid) or "," in fid:
+    if _ID_FORBIDDEN.search(fid):
         raise ValueError(f"feature id may not contain whitespace or commas: {fid!r}")
     return fid
 
@@ -86,6 +91,22 @@ def feature_set(members: Iterable[str] | str) -> FeatureSet:
 def set_sort_key(members: FeatureSet) -> tuple[int, tuple[str, ...]]:
     """Canonical ordering: by size first, then lexicographically."""
     return (len(members), tuple(sorted(members)))
+
+
+def _first_fault(items: Sequence[tuple[object, object]], dimension: int) -> NoReturn:
+    """Raise the error of the first faulty entry of a dataset table.
+
+    The entries are walked in insertion order with the per-entry checks,
+    so the error is the one a one-entry-at-a-time constructor raises.
+    """
+    seen: set[FeatureSet] = set()
+    for key, value in items:
+        fs = feature_set(key)
+        as_point(value, dim=dimension)
+        if fs in seen:
+            raise ValueError(f"duplicate set {sorted(fs)} in dataset")
+        seen.add(fs)
+    raise AssertionError("the batched checks refused a table without a faulty entry")
 
 
 class AggregationSource:
@@ -124,13 +145,18 @@ class DatasetSource(AggregationSource):
     singleton, so the data always contains the underlying feature map;
     violating that raises MissingSingleton at construction time.
 
-    The data is validated and interned once, at construction: each
-    feature gets one bit (in sorted order, so the lowest bit of a set is
+    The data is validated and interned once, at construction, in batch:
+    each distinct feature id is checked once, and all outcomes are
+    stacked into one float array for one shape and one finiteness test.
+    Only a table that fails is walked entry by entry, so the error is
+    that of its first faulty entry in insertion order.  Each feature
+    gets one bit (in sorted order, so the lowest bit of a set is
     its smallest member), each stored set becomes an int bitmask, and
     the outcomes are the rows of one read-only ``(m, d)`` array in
-    canonical set order.  The public lookups validate their arguments;
-    code inside the package that already holds valid ids uses
-    ``_lookup`` and the mask index directly.
+    canonical set order; ``_members`` holds each set's sorted members,
+    row for row.  The public lookups validate their arguments; code
+    inside the package that already holds valid ids uses ``_lookup``,
+    ``_members`` and the mask index directly.
     """
 
     def __init__(
@@ -141,35 +167,42 @@ class DatasetSource(AggregationSource):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
-        table: dict[FeatureSet, Vector] = {}
-        for key, value in outcomes.items():
-            fs = feature_set(key)
-            arr = as_point(value, dim=self.dimension)
-            if fs in table:
-                raise ValueError(f"duplicate set {sorted(fs)} in dataset")
-            table[fs] = arr
-        missing = sorted(
-            {
-                (m,)
-                for fs in table
-                for m in fs
-                if frozenset([m]) not in table
-            }
-        )
+        items = list(outcomes.items())
+        try:
+            sets = [frozenset((k,)) if isinstance(k, str) else frozenset(k) for k, _ in items]
+            ids = frozenset().union(*sets)
+            for fid in ids:
+                validate_feature_id(fid)
+            stack = (
+                np.array([value for _, value in items], dtype=float)
+                if items
+                else np.empty((0, self.dimension))
+            )
+        except (TypeError, ValueError, OverflowError):
+            _first_fault(items, self.dimension)
+        if (
+            not all(sets)
+            or stack.shape != (len(items), self.dimension)
+            or not np.isfinite(stack).all()
+            or len(set(sets)) != len(sets)
+        ):
+            _first_fault(items, self.dimension)
+        singles = {m for fs in sets if len(fs) == 1 for m in fs}
+        missing = sorted((m,) for m in ids - singles)
         if missing:
             raise MissingSingleton(
                 missing, "every member of every set needs a singleton entry"
             )
-        self._features = tuple(sorted({m for fs in table for m in fs}))
+        members = [tuple(sorted(fs)) for fs in sets]
+        order = sorted(range(len(sets)), key=lambda i: (len(members[i]), members[i]))
+        self._features = tuple(sorted(ids))
         self._bit = {f: 1 << i for i, f in enumerate(self._features)}
-        self._sets = tuple(sorted(table, key=set_sort_key))
+        self._sets = tuple(sets[i] for i in order)
+        self._members = tuple(members[i] for i in order)
         # Mask of each stored set -> its row; insertion order is row order.
-        self._mask_row = {
-            sum(self._bit[m] for m in fs): row for row, fs in enumerate(self._sets)
-        }
-        points = np.empty((len(self._sets), self.dimension))
-        for row, fs in enumerate(self._sets):
-            points[row] = table[fs]
+        bit = self._bit.__getitem__
+        self._mask_row = {sum(map(bit, fs)): row for row, fs in enumerate(self._sets)}
+        points = stack[order]
         points.setflags(write=False)
         self._points = points
 
@@ -553,12 +586,11 @@ def check_axiom(
     lookups.  A wide union among few stored sets is cheap.  The segment
     geometry of all the splits found is then one array pass.
     """
-    sets, mask_row, points = src.sets(), src._mask_row, src._points
+    sets, mask_row, points, keys = src.sets(), src._mask_row, src._points, src._members
     masks = tuple(mask_row)
     by_low: dict[int, list[int]] = {}
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)
-    keys = [tuple(sorted(s)) for s in sets]
     unions: list[int] = []
     parts_a: list[int] = []
     parts_b: list[int] = []

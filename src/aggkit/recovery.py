@@ -481,17 +481,16 @@ def _verification(
     passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
     sets = src.sets()
     if isinstance(src, DatasetSource):
-        observed = src._points
+        observed, members = src._points, src._members
     else:
         observed = np.array([src.outcome(s) for s in sets])
+        members = [tuple(sorted(s)) for s in sets]
     predicted = rep._evaluate(sets)
     residuals = _row_norms(observed - predicted)
     scales = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
     passes = residuals <= np.maximum(tol.abs_tol, tol.rel_tol * scales)
-    rows = zip(sets, observed.tolist(), predicted.tolist(), residuals.tolist(), passes.tolist())
-    return tuple(
-        VerificationRow(tuple(sorted(s)), tuple(o), tuple(p), r, ok) for s, o, p, r, ok in rows
-    )
+    rows = zip(members, observed.tolist(), predicted.tolist(), residuals.tolist(), passes.tolist())
+    return tuple(VerificationRow(m, tuple(o), tuple(p), r, ok) for m, o, p, r, ok in rows)
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,7 @@ def verify_weight_table(
     """
     norm_src = _normalized_source(src, v, tol)
     rows = [row for row, s in enumerate(norm_src.sets()) if len(s) > 1]
-    coalitions = [tuple(sorted(norm_src.sets()[row])) for row in rows]
+    coalitions = [norm_src._members[row] for row in rows]
     for members in coalitions:
         missing = [m for m in members if m not in weights]
         if missing:

@@ -186,6 +186,30 @@ class TestIntransitivePairs:
         code, rep = report_of(run_cli, *args)
         assert (code, rep["verdict"]) == (1, verdict)
 
+    def test_discount_names_the_status_and_the_witness_pair(self, run_cli, tmp_path):
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(_cyclic_doc("timed")))
+        code, rep = report_of(run_cli, "discount", str(path))
+        message = rep["result"]["message"]
+        assert (code, rep["verdict"]) == (1, "not-stationary")
+        assert message == (
+            "equal-time restriction is not strictly rationalizable: "
+            "non-representable, witness pair {a,c}"
+        )
+        assert "NonRepresentable(" not in message
+
+    def test_discount_names_the_required_sets(self, run_cli, tmp_path):
+        doc = _cyclic_doc("timed")
+        doc["sets"] = [s for s in doc["sets"] if s["members"] != ["a", "c"]]
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, "discount", str(path))
+        assert (code, rep["verdict"]) == (1, "not-stationary")
+        assert rep["result"]["message"] == (
+            "equal-time restriction is not strictly rationalizable: "
+            "missing-data, required sets {a@1,c@1}"
+        )
+
     def test_recover_reports_the_triple_as_a_witness(self, run_cli, tmp_path):
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps(_cyclic_doc("generic")))

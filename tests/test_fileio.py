@@ -163,6 +163,184 @@ class TestLoadDataset:
             parse(minimal(weights={"zzz": 1.0}))
 
 
+def _corpus_base():
+    """Three features and three stored sets; the faults edit sets[1] and sets[2]."""
+    return {
+        "format_version": "1",
+        "kind": "generic",
+        "dimension": 2,
+        "features": {"a": {"outcome": [0, 1]}, "b": {"outcome": [1, 0]}, "c": {"outcome": [1, 1]}},
+        "sets": [
+            {"members": ["a", "b"], "outcome": [0.5, 0.5]},
+            {"members": ["b", "c"], "outcome": [1, 0.5]},
+            {"members": ["a", "b", "c"], "outcome": [0.75, 0.5]},
+        ],
+    }
+
+
+def _set_field(key, value, idx=1):
+    def edit(doc):
+        doc["sets"][idx][key] = value
+
+    return edit
+
+
+def _set_entry(value, idx=1):
+    def edit(doc):
+        doc["sets"][idx] = value
+
+    return edit
+
+
+def _set_without(key, idx=1):
+    def edit(doc):
+        del doc["sets"][idx][key]
+
+    return edit
+
+
+def _timing(value, kind="timed"):
+    def edit(doc):
+        doc["kind"] = kind
+        doc["sets"][1]["timing"] = value
+
+    return edit
+
+
+def _feature(fid, value):
+    def edit(doc):
+        doc["features"][fid] = value
+
+    return edit
+
+
+_BIG = 10**400
+_ABOVE_MAX = int(sys.float_info.max) + 1  # converts to the largest float
+_SET_KEYS_MSG = "expected keys among ('members', 'outcome', 'timing')"
+
+# (fault, edit, location, message): each document carries one fault.
+ONE_FAULT = [
+    ("non-number", _set_field("outcome", [0.5, "x"]), "sets[1].outcome[1]", "expected a number, got 'x'"),
+    ("null", _set_field("outcome", [None, 0.5]), "sets[1].outcome[0]", "expected a number, got None"),
+    ("bool", _set_field("outcome", [True, 0.5]), "sets[1].outcome[0]", "expected a number, got True"),
+    ("nested list", _set_field("outcome", [[0.5], 0.5]), "sets[1].outcome[0]",
+     "expected a number, got [0.5]"),
+    ("NaN", _set_field("outcome", [math.nan, 0.5]), "sets[1].outcome[0]", "non-finite value nan"),
+    ("Infinity", _set_field("outcome", [0.5, math.inf]), "sets[1].outcome[1]", "non-finite value inf"),
+    ("-Infinity", _set_field("outcome", [0.5, -math.inf]), "sets[1].outcome[1]", "non-finite value -inf"),
+    ("10**400", _set_field("outcome", [_BIG, 0]), "sets[1].outcome[0]", f"non-finite value {_BIG}"),
+    ("-10**400", _set_field("outcome", [0, -_BIG]), "sets[1].outcome[1]", f"non-finite value {-_BIG}"),
+    ("just above the largest float", _set_field("outcome", [_ABOVE_MAX, 0]), "sets[1].outcome[0]",
+     f"non-finite value {_ABOVE_MAX}"),
+    ("wrong length", _set_field("outcome", [0.5]), "sets[1].outcome", "length 1 does not match dimension 2"),
+    ("too long", _set_field("outcome", [0.5] * 3), "sets[1].outcome", "length 3 does not match dimension 2"),
+    ("empty outcome", _set_field("outcome", []), "sets[1].outcome", "length 0 does not match dimension 2"),
+    ("object outcome", _set_field("outcome", {"x": 0.5}), "sets[1].outcome", "expected an array of numbers"),
+    ("number outcome", _set_field("outcome", 0.5), "sets[1].outcome", "expected an array of numbers"),
+    ("string outcome", _set_field("outcome", "0.5,0.5"), "sets[1].outcome", "expected an array of numbers"),
+    ("no outcome", _set_without("outcome"), "sets[1]", "missing required key 'outcome'"),
+    ("undeclared member", _set_field("members", ["b", "zzz"]), "sets[1].members", "undeclared feature 'zzz'"),
+    ("non-string member", _set_field("members", ["b", 1]), "sets[1].members", "undeclared feature 1"),
+    ("array member", _set_field("members", ["b", ["c"]]), "sets[1].members", "undeclared feature ['c']"),
+    ("duplicate members", _set_field("members", ["b", "c", "b"]), "sets[1].members", "duplicate members"),
+    ("empty members", _set_field("members", []), "sets[1].members",
+     "expected a non-empty array of feature ids"),
+    ("string members", _set_field("members", "b"), "sets[1].members",
+     "expected a non-empty array of feature ids"),
+    ("no members", _set_without("members"), "sets[1]", "missing required key 'members'"),
+    ("duplicate set", _set_field("members", ["b", "a"]), "sets[1].members", "duplicate set ['a', 'b']"),
+    ("singleton disagrees", _set_entry({"members": ["a"], "outcome": [1, 1]}), "sets[1].outcome",
+     "singleton disagrees with its feature entry"),
+    ("unknown set key", _set_field("weight", 1), "sets[1]", f"unknown key 'weight', {_SET_KEYS_MSG}"),
+    ("set not an object", _set_entry(["b", "c"]), "sets[1]", "expected an object"),
+    ("timing outside timed kind", _timing({"b": 1, "c": 2}, kind="generic"), "sets[1].timing",
+     "timing is only allowed in timed datasets"),
+    ("timing not an object", _timing([1, 2]), "sets[1].timing", "expected an object"),
+    ("timing misses a member", _timing({"b": 1}), "sets[1].timing['c']",
+     "expected a positive integer, got None"),
+    ("timing zero", _timing({"b": 0, "c": 1}), "sets[1].timing['b']", "expected a positive integer, got 0"),
+    ("timing bool", _timing({"b": True, "c": 1}), "sets[1].timing['b']",
+     "expected a positive integer, got True"),
+    ("timing fraction", _timing({"b": 1.5, "c": 1}), "sets[1].timing['b']",
+     "expected a positive integer, got 1.5"),
+    ("timing string", _timing({"b": "1", "c": 1}), "sets[1].timing['b']",
+     "expected a positive integer, got '1'"),
+    ("timing for a non-member", _timing({"b": 1, "c": 1, "a": 1}), "sets[1].timing",
+     "times for non-members ['a']"),
+    ("feature NaN", _feature("b", {"outcome": [math.nan, 0]}), "features['b'].outcome[0]",
+     "non-finite value nan"),
+    ("feature wrong length", _feature("b", {"outcome": [1]}), "features['b'].outcome",
+     "length 1 does not match dimension 2"),
+    ("feature bool", _feature("b", {"outcome": [1, False]}), "features['b'].outcome[1]",
+     "expected a number, got False"),
+    ("feature unknown key", _feature("b", {"outcome": [1, 0], "rank": 1}), "features['b']",
+     "unknown key 'rank', expected keys among ('outcome', 'weight')"),
+    ("feature bad id", _feature("b c", {"outcome": [1, 0]}), "features['b c']",
+     "feature ids are non-empty strings without spaces or commas"),
+]
+
+# (faults, edits, location, message): two faults in different set records;
+# the one in the earlier record is reported.
+TWO_FAULTS = [
+    ("NaN, undeclared", [_set_field("outcome", [math.nan, 0]), _set_field("members", ["a", "z"], 2)],
+     "sets[1].outcome[0]", "non-finite value nan"),
+    ("undeclared, NaN", [_set_field("members", ["a", "z"]), _set_field("outcome", [math.nan, 0], 2)],
+     "sets[1].members", "undeclared feature 'z'"),
+    ("wrong length, bool", [_set_field("outcome", [0.5]), _set_field("outcome", [True, 0], 2)],
+     "sets[1].outcome", "length 1 does not match dimension 2"),
+    ("bool, wrong length", [_set_field("outcome", [True, 0]), _set_field("outcome", [0.5], 2)],
+     "sets[1].outcome[0]", "expected a number, got True"),
+    ("duplicate members, 10**400", [_set_field("members", ["b", "b"]), _set_field("outcome", [_BIG, 0], 2)],
+     "sets[1].members", "duplicate members"),
+    ("unknown key, duplicate set", [_set_field("why", 1), _set_field("members", ["b", "a"], 2)],
+     "sets[1]", f"unknown key 'why', {_SET_KEYS_MSG}"),
+    ("duplicate set, unknown key", [_set_field("members", ["b", "a"]), _set_field("why", 1, 2)],
+     "sets[1].members", "duplicate set ['a', 'b']"),
+    ("singleton disagrees, Infinity",
+     [_set_entry({"members": ["c"], "outcome": [0, 0]}), _set_field("outcome", [math.inf, 0], 2)],
+     "sets[1].outcome", "singleton disagrees with its feature entry"),
+    ("timing, non-number", [_timing({"b": 0, "c": 1}), _set_field("outcome", ["x", 0], 2)],
+     "sets[1].timing['b']", "expected a positive integer, got 0"),
+]
+
+
+def _cases(table):
+    return [pytest.param(*case[1:], id=case[0]) for case in table]
+
+
+def _corpus_error(edits):
+    doc = _corpus_base()
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(io.StringIO(json.dumps(doc)))
+    return err.value
+
+
+class TestLoaderErrorCorpus:
+    """Each malformed document is refused at the same place with the same words."""
+
+    @pytest.mark.parametrize("edit, location, message", _cases(ONE_FAULT))
+    def test_one_fault(self, edit, location, message):
+        err = _corpus_error([edit])
+        assert (err.location, str(err)) == (location, f"{location}: {message}")
+
+    @pytest.mark.parametrize("edits, location, message", _cases(TWO_FAULTS))
+    def test_earlier_of_two_faults(self, edits, location, message):
+        err = _corpus_error(edits)
+        assert (err.location, str(err)) == (location, f"{location}: {message}")
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [[sys.float_info.max, -sys.float_info.max], [int(sys.float_info.max), 0], [2**53 + 1, -(10**30)]],
+    )
+    def test_numbers_at_the_edges_are_read_as_floats(self, outcome):
+        doc = _corpus_base()
+        doc["sets"][1]["outcome"] = outcome
+        parsed = load_dataset(io.StringIO(json.dumps(doc)))
+        assert parsed.source.outcome(["b", "c"]).tolist() == [float(x) for x in outcome]
+
+
 class TestDumpAndRoundTrip:
     def test_canonical_bytes(self):
         buf1, buf2 = io.StringIO(), io.StringIO()

@@ -1,5 +1,7 @@
 """Sources, representations, and the averaging-axiom checker."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from aggkit.errors import (
     MissingSingleton,
     UnknownFeature,
 )
+from aggkit.model import _ID_FORBIDDEN, validate_feature_id
 
 
 class TestFeatureSet:
@@ -39,6 +42,16 @@ class TestFeatureSet:
             feature_set(["a,b"])
         with pytest.raises(ValueError):
             feature_set([])
+
+    def test_id_rule_is_whitespace_or_comma_on_every_code_point(self):
+        # The compiled schema pattern against the isspace-or-comma test it
+        # replaced, one character at a time over all of Unicode.
+        refused = [chr(c) for c in range(sys.maxunicode + 1) if _ID_FORBIDDEN.search(chr(c))]
+        old = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace() or chr(c) == ","]
+        assert refused == old
+        for c in refused:
+            with pytest.raises(ValueError, match="may not contain whitespace or commas"):
+                validate_feature_id(f"a{c}b")
 
 
 class TestDatasetSource:

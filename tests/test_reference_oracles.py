@@ -28,6 +28,10 @@ bit for bit.
 reference ratio search decide one pair at a time with ``Tolerance.close``
 and ``segment_coefficient``; recovery, which reads the pairs as arrays,
 must give the same ranks, weight bits, errors and witnesses.
+
+``reference_dataset_source`` is the constructor that validates one entry
+at a time; the batched ``DatasetSource`` must intern the same table bit
+for bit and, on a faulty table, raise the same error for the same entry.
 """
 
 import dataclasses
@@ -35,6 +39,8 @@ import itertools
 import json
 import math
 import time
+import types
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -84,6 +90,7 @@ from aggkit.errors import (
     DegenerateLambda,
     IntransitivityDetected,
     MissingDataError,
+    MissingSingleton,
     NotInAffineHull,
     NotInConvexHull,
 )
@@ -103,6 +110,7 @@ from aggkit.model import (
     AxiomReport,
     StrongRichnessEntry,
     StrongRichnessReport,
+    feature_set,
     set_sort_key,
 )
 from aggkit.recovery import ContradictionWitness, RatioDerivation
@@ -1528,3 +1536,183 @@ class TestRecoveryMatchesPerPairLoops:
         reference_recover_weights(theirs, ranks)
         assert isinstance(outcome, Recovered)
         assert set(ours.query_log) == set(theirs.query_log)
+
+
+def reference_dataset_source(dimension, outcomes):
+    """The one-entry-at-a-time constructor: each key through ``feature_set``,
+    each value through ``as_point``, then the duplicate test, in insertion
+    order; the interned fields as ``DatasetSource`` keeps them."""
+    if dimension < 1:
+        raise ValueError("dimension must be a positive integer")
+    ref = types.SimpleNamespace(dimension=int(dimension))
+    table = {}
+    for key, value in outcomes.items():
+        fs = feature_set(key)
+        arr = as_point(value, dim=ref.dimension)
+        if fs in table:
+            raise ValueError(f"duplicate set {sorted(fs)} in dataset")
+        table[fs] = arr
+    missing = sorted({(m,) for fs in table for m in fs if frozenset([m]) not in table})
+    if missing:
+        raise MissingSingleton(missing, "every member of every set needs a singleton entry")
+    ref._features = tuple(sorted({m for fs in table for m in fs}))
+    ref._bit = {f: 1 << i for i, f in enumerate(ref._features)}
+    ref._sets = tuple(sorted(table, key=set_sort_key))
+    ref._mask_row = {sum(ref._bit[m] for m in fs): row for row, fs in enumerate(ref._sets)}
+    points = np.empty((len(ref._sets), ref.dimension))
+    for row, fs in enumerate(ref._sets):
+        points[row] = table[fs]
+    points.setflags(write=False)
+    ref._points = points
+    return ref
+
+
+class _Pairs(Mapping):
+    """A mapping kept as a list of (key, value) pairs, so that its keys may
+    be lists; ``items()`` gives the pairs in insertion order."""
+
+    def __init__(self, pairs):
+        self._pairs = list(pairs)
+
+    def __getitem__(self, key):
+        return next(v for k, v in self._pairs if k == key)
+
+    def __iter__(self):
+        return (k for k, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def items(self):
+        return list(self._pairs)
+
+
+def _spelled(members, rng):
+    """One key for a set: bare string (singletons), frozenset, tuple or list."""
+    if len(members) == 1 and rng.random() < 0.5:
+        return members[0]
+    return [frozenset, tuple, list][rng.integers(3)](rng.permutation(members).tolist())
+
+
+def _valued(point, rng, rows):
+    """One value for a point: list, tuple, numpy row, or integers of all sizes."""
+    style = rng.integers(5)
+    if style == 0:
+        return list(point)
+    if style == 1:
+        return tuple(point)
+    if style == 2:
+        rows.append(np.asarray(point, dtype=float))
+        return np.vstack(rows)[-1]
+    if style == 3:  # integers beyond 2**53, where the float rounds
+        return [int(x * 1e6) * 2**40 + 1 for x in point]
+    return [int(x * 1e3) * 10**30 if i % 2 else -int(x * 10) for i, x in enumerate(point)]
+
+
+def _table_pairs(seed, features=6, dimension=3):
+    """Seeded (key, value) pairs: every singleton plus some larger sets."""
+    rng = np.random.default_rng(seed)
+    names = [f"f{i}" for i in range(features)]
+    sets = [[f] for f in names] + [
+        list(c) for k in (2, 3) for c in itertools.combinations(names, k) if rng.random() < 0.4
+    ]
+    rows = []
+    pairs = [
+        (_spelled(s, rng), _valued(rng.uniform(-5, 5, dimension), rng, rows))
+        for s in rng.permutation(np.array(sets, dtype=object)).tolist()
+    ]
+    return pairs, dimension
+
+
+def _table(pairs):
+    """A dict when every key is hashable, a list-backed mapping otherwise."""
+    if any(isinstance(k, list) for k, _ in pairs):
+        return _Pairs(pairs)
+    return dict(pairs)
+
+
+def _built(dimension, pairs):
+    try:
+        return DatasetSource(dimension, _table(pairs))
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return err
+
+
+def _reference(dimension, pairs):
+    try:
+        return reference_dataset_source(dimension, _table(pairs))
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return err
+
+
+def _assert_same_error(got, want):
+    assert isinstance(want, Exception), "the table was meant to be faulty"
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+# One fault each: (name, how it changes the well-formed pairs).
+_FAULTS = {
+    "bad id": lambda p, d: p.append((("f0", "f 1"), [0.0] * d)),
+    "comma id": lambda p, d: p.append(("f,1", [0.0] * d)),
+    "empty key": lambda p, d: p.append((frozenset(), [0.0] * d)),
+    "empty string key": lambda p, d: p.append(("", [0.0] * d)),
+    "non-string id": lambda p, d: p.append(((0, "f1"), [0.0] * d)),
+    "wrong length": lambda p, d: p.append((("f0", "f1", "f2", "f3"), [0.0] * (d + 1))),
+    "nan": lambda p, d: p.append((("f0", "f5"), [math.nan] + [0.0] * (d - 1))),
+    "inf": lambda p, d: p.append((("f1", "f5"), [0.0] * (d - 1) + [-math.inf])),
+    "2-d value": lambda p, d: p.append((("f2", "f5"), [[0.0] * d])),
+    "empty value": lambda p, d: p.append((("f3", "f5"), [])),
+    "ragged values": lambda p, d: p.append((("f4", "f5"), [[0.0], [0.0, 1.0]] + [0.0] * (d - 2))),
+    "scalar value": lambda p, d: p.append((("f0", "f4"), 1.5)),
+    "huge integer": lambda p, d: p.append((("f1", "f4"), [10**400] + [0] * (d - 1))),
+    "two spellings": lambda p, d: p.extend(
+        [(("f0", "f1", "f5"), [0.0] * d), (frozenset(["f5", "f1", "f0"]), [1.0] * d)]
+    ),
+    "missing singleton": lambda p, d: p.append((("f0", "g9"), [0.0] * d)),
+}
+
+
+class TestDatasetSourceMatchesPerEntryConstructor:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_interned_table(self, seed):
+        pairs, dimension = _table_pairs(seed)
+        got, want = _built(dimension, pairs), _reference(dimension, pairs)
+        assert got._features == want._features
+        assert got._sets == want._sets
+        assert got._mask_row == want._mask_row
+        assert got._points.tobytes() == want._points.tobytes()
+        assert got._points.flags.writeable is want._points.flags.writeable is False
+        assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
+
+    def test_tables_use_every_key_and_value_spelling(self):
+        pairs = [p for seed in range(12) for p in _table_pairs(seed)[0]]
+        assert {type(k) for k, _ in pairs} == {str, frozenset, tuple, list}
+        assert {type(v) for _, v in pairs} == {list, tuple, np.ndarray}
+        assert any(isinstance(x, int) and abs(x) > 10**30 for _, v in pairs for x in v)
+
+    def test_empty_table(self):
+        got, want = _built(2, []), _reference(2, [])
+        assert (got._features, got._sets, got._members) == (want._features, want._sets, ())
+        assert got._points.shape == want._points.shape == (0, 2)
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_fault_same_error(self, fault, seed):
+        pairs, dimension = _table_pairs(seed)
+        _FAULTS[fault](pairs, dimension)
+        _assert_same_error(_built(dimension, pairs), _reference(dimension, pairs))
+
+    @pytest.mark.parametrize(
+        "first, second", [(a, b) for a in sorted(_FAULTS) for b in sorted(_FAULTS) if a != b]
+    )
+    def test_first_of_two_faults_is_reported(self, first, second):
+        pairs, dimension = _table_pairs(3)
+        _FAULTS[first](pairs, dimension)
+        _FAULTS[second](pairs, dimension)
+        got = _built(dimension, pairs)
+        _assert_same_error(got, _reference(dimension, pairs))
+        # A missing singleton is a fault of the whole table, found after
+        # every entry has passed; any other fault is the first entry's.
+        alone, _ = _table_pairs(3)
+        _FAULTS[second if first == "missing singleton" else first](alone, dimension)
+        _assert_same_error(got, _reference(dimension, alone))
