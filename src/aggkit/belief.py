@@ -36,7 +36,6 @@ from .geometry import (
     segment_coefficient,
 )
 from .model import (
-    AggregationSource,
     DatasetSource,
     FeatureSet,
     OracleSource,
@@ -59,7 +58,6 @@ from .recovery import (
 
 __all__ = [
     "as_belief",
-    "is_belief_source",
     "JointProbability",
     "build_joint",
     "BayesianCheck",
@@ -98,16 +96,6 @@ def as_belief(vec: Sequence[float] | Vector, tol: Tolerance = DEFAULT_TOL) -> Ve
         logger.debug("belief renormalized, max entry correction %.3e", drift)
     fixed.setflags(write=False)
     return fixed
-
-
-def is_belief_source(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when every singleton outcome is a probability vector."""
-    try:
-        for f in src.features():
-            as_belief(src.outcome([f]), tol)
-    except NotABelief:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .geometry import (
     Tolerance,
     Vector,
     as_point,
-    convex_coefficients,
     relative_interior_check,
 )
 from .model import (
@@ -43,8 +42,6 @@ from .recovery import (
 
 __all__ = [
     "Menu",
-    "check_menu_feasibility",
-    "MenuFeasibilityReport",
     "LuceOutcome",
     "recover_luce",
     "recover_two_stage",
@@ -93,46 +90,6 @@ class Menu:
 
 
 ChoiceOracle = Callable[[Menu], Sequence[float]]
-
-
-@dataclass(frozen=True)
-class MenuFeasibilityRow:
-    members: tuple[str, ...]
-    feasible: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class MenuFeasibilityReport:
-    rows: tuple[MenuFeasibilityRow, ...]
-
-    @property
-    def all_feasible(self) -> bool:
-        return all(r.feasible for r in self.rows)
-
-
-def check_menu_feasibility(
-    src: DatasetSource, tol: Tolerance = DEFAULT_TOL
-) -> MenuFeasibilityReport:
-    """Is every recorded average choice inside its menu's convex hull?
-
-    Any stochastic choice rule keeps the average inside the hull of the
-    alternatives, so a failure here rules out every such rule at once.
-    """
-    rows = []
-    for s in src.sets():
-        members = sorted(s)
-        outcome = src.outcome(s)
-        points = [src.outcome([m]) for m in members]
-        coef = convex_coefficients(outcome, points, tol)
-        rows.append(
-            MenuFeasibilityRow(
-                members=tuple(members),
-                feasible=coef is not None,
-                note="" if coef is not None else "average choice outside the hull",
-            )
-        )
-    return MenuFeasibilityReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,17 @@ from .errors import (
 from .fileio import (
     DatasetDocument,
     FORMAT_VERSION,
+    Records,
     dataset_to_json,
     dump_json,
+    jcolumn,
     jnum,
     jvec,
     load_dataset,
 )
 from .geometry import Tolerance
 from .model import (
+    _REASONS,
     AxiomMode,
     check_axiom,
     check_richness,
@@ -156,16 +159,17 @@ def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str
             "indeterminate_classes": [list(c) for c in outcome.indeterminate_classes],
         }
         if with_rows:
-            out["verification"] = [
-                {
-                    "members": list(r.members),
-                    "observed": jvec(r.observed),
-                    "predicted": jvec(r.predicted),
-                    "residual": jnum(r.residual),
-                    "passed": r.passed,
-                }
-                for r in outcome.verification
-            ]
+            checked = outcome.verification
+            out["verification"] = Records(
+                ("members", "observed", "predicted", "residual", "passed"),
+                (
+                    checked.members,
+                    jcolumn(checked.observed),
+                    jcolumn(checked.predicted),
+                    jcolumn(checked.residual),
+                    checked.passed.tolist(),
+                ),
+            )
         return out
     if isinstance(outcome, NonRepresentable):
         return {
@@ -260,23 +264,25 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
         }
     except MissingDataError as err:
         strong_json = {"status": "undecidable", "required": [list(s) for s in err.required]}
+    members_of = report.members.__getitem__
+    reason = report.reason.tolist()
     result = {
         "axiom": mode.value,
         "satisfied": report.satisfied,
-        "checks": [
-            {
-                "a": list(c.set_a),
-                "b": list(c.set_b),
-                "union": list(c.union),
-                "lambda": jnum(c.lam) if c.lam is not None else None,
-                "residual": jnum(c.residual),
-                "degenerate": c.degenerate,
-                "passed": c.passed,
-                "reason": c.reason,
-            }
-            for c in report.checks
-        ],
-        "violations": len(report.violations),
+        "checks": Records(
+            ("a", "b", "union", "lambda", "residual", "degenerate", "passed", "reason"),
+            (
+                list(map(members_of, report.part_a.tolist())),
+                list(map(members_of, report.part_b.tolist())),
+                list(map(members_of, report.union.tolist())),
+                jcolumn(report.lam),
+                jcolumn(report.residual),
+                report.degenerate.tolist(),
+                [not why for why in reason],
+                list(map(_REASONS.__getitem__, reason)),
+            ),
+        ),
+        "violations": int(np.count_nonzero(report.reason)),
         "rich": rich,
         "strong_richness": strong_json,
     }
@@ -446,7 +452,7 @@ def cmd_pareto(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -
     report = check_extended_pareto(doc.source, doc.direction, tol)
     result: dict[str, Any] = {
         "satisfied": report.satisfied,
-        "splits_checked": len(report.axiom.checks),
+        "splits_checked": report.axiom.check_count,
         "violations": [
             {
                 "a": list(v.part_a),

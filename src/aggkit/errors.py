@@ -36,10 +36,6 @@ class DimensionMismatch(AggkitError):
     """Operands do not live in the same coordinate space."""
 
 
-class DegenerateLine(AggkitError):
-    """A line was specified by two coincident points."""
-
-
 class AffinelyDependentBasis(AggkitError):
     """Barycentric coordinates require an affinely independent basis."""
 

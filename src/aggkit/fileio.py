@@ -15,19 +15,20 @@ fault, with the location and message a record-by-record reading gives.
 The table then goes to ``DatasetSource``, which checks it in batch.
 
 ``dump_json`` writes exactly the bytes of ``json.dump(doc, indent=2,
-sort_keys=True, allow_nan=False)`` plus a newline, but lets the standard
-library's C encoder, which only runs without ``indent``, do the
-formatting.  A list is taken in blocks of ``_BLOCK`` items.  A block of
-scalars and flat lists of scalars is one encoder call with a newline as
-the item separator; ASCII escaping leaves no newline inside a string,
-so splitting on newlines gives every value, and the indentation is put
-back with string replacements.  A block of records (dicts with one set
-of string keys whose values are scalars or flat lists of scalars, such
-as the rows of ``check`` and ``recover``) is formatted column by
-column in the same way and filled into one ``%`` template per row.
-Anything else, such as the report envelope, goes through a small
-recursive writer.  Each block of a long list is written to the stream
-before the next one is formatted, so a report is never held whole.
+sort_keys=True, allow_nan=False)`` plus a newline, with each ``Records``
+table in ``doc`` written as its list of objects, one per row.  It lets
+the standard library's C encoder, which only runs without ``indent``,
+do the formatting.  A list is taken in blocks of ``_BLOCK`` items.  A
+block of scalars and flat lists of scalars is one encoder call with a
+newline as the item separator; ASCII escaping leaves no newline inside
+a string, so splitting on newlines gives every value, and the
+indentation is put back with string replacements.  A block of a
+``Records`` table (the rows of ``check`` and ``recover``) is formatted
+column by column in the same way and filled into one ``%`` template per
+row; no row object is built.  Anything else, such as the report
+envelope or a list of dicts, goes through a small recursive writer.
+Each block of a long list is written to the stream before the next one
+is formatted, so a report is never held whole.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, Callable, IO, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .belief import TimedQuery, as_belief
 from .errors import DatasetFormatError, NotABelief
@@ -52,6 +53,7 @@ __all__ = [
     "DatasetDocument",
     "load_dataset",
     "dataset_to_json",
+    "Records",
     "dump_json",
 ]
 
@@ -229,10 +231,9 @@ def load_dataset(
             if extra:
                 raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
             timed.append((TimedQuery(members, times), np.asarray(outcome)))
-            if all(t == 1 for t in times.values()):
-                table[fs] = outcome
-            continue
-        if kind == "timed":
+            if any(t != 1 for t in times.values()):
+                continue  # only a record with every time at one is a plain set outcome
+        elif kind == "timed":
             # No timing field means everything at time one.
             timed.append(
                 (TimedQuery(members, {m: 1 for m in members}), np.asarray(outcome))
@@ -295,6 +296,37 @@ def jvec(v: Iterable[float]) -> list[float | None]:
     return [jnum(x) for x in v]
 
 
+def jcolumn(values: NDArray) -> list:
+    """``values.tolist()`` with every non-finite float as None, at any depth."""
+    finite = np.isfinite(values)
+    return values.tolist() if finite.all() else np.where(finite, values, None).tolist()
+
+
+@dataclass(frozen=True)
+class Records:
+    """A table of JSON objects held as columns, for :func:`dump_json`.
+
+    ``columns[i]`` holds the value of ``keys[i]`` (distinct strings) in
+    every row, in row order, and all columns have one length; a value is
+    a JSON scalar or a flat list of scalars.  ``dump_json`` writes the
+    table as its list of rows, one object per row, straight from the
+    columns.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence[Any], ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, rows: slice) -> Records:
+        return Records(self.keys, tuple(column[rows] for column in self.columns))
+
+    def rows(self) -> list[dict[str, Any]]:
+        """The table as a list of dicts, one per row."""
+        return [dict(zip(self.keys, values)) for values in zip(*self.columns)]
+
+
 def dataset_to_json(
     source: DatasetSource,
     kind: str = "generic",
@@ -330,7 +362,9 @@ def dump_json(doc: Mapping[str, Any], stream: IO[str]) -> None:
 
     The bytes are those of ``json.dump(doc, stream, indent=2,
     sort_keys=True, allow_nan=False)`` followed by ``"\\n"``, errors
-    included; lists are written to ``stream`` block by block.
+    included, where ``doc`` has each ``Records`` table replaced by its
+    list of rows (``Records.rows()``); lists are written to ``stream``
+    block by block.
     """
     parts: list[str] = []
     _value(doc, 0, parts, stream.write)
@@ -382,7 +416,7 @@ def _scalar(o: Any) -> str | None:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float(o)
-    if isinstance(o, (list, tuple, dict)):
+    if isinstance(o, (list, tuple, dict, Records)):
         return None
     _refuse(o)
 
@@ -457,26 +491,16 @@ def _column(values: Sequence, level: int) -> list[str] | None:
     return [next(lists_it) if listed else next(scalars) for listed in is_list]
 
 
-def _records(rows: Sequence, level: int) -> list[str] | None:
-    """Each row of a list at ``level`` formatted as one record, or None
-    unless the rows are dicts with one set of string keys whose values
-    ``_column`` takes."""
-    first = rows[0]
-    if type(first) is not dict or not first or set(map(type, first)) != {str}:
+def _record_lines(table: Records, level: int) -> list[str] | None:
+    """Each row of a table in a list at ``level`` formatted as one object,
+    or None unless ``_column`` takes every column without an error."""
+    keys, columns = zip(*sorted(zip(table.keys, table.columns), key=lambda kc: kc[0]))
+    try:
+        columns = [_column(column, level + 2) for column in columns]
+    except ValueError:  # a non-finite float; the rows raise for the first one
         return None
-    # Rows of one length that all hold the first row's keys have its keys.
-    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
+    if any(column is None for column in columns):
         return None
-    keys = sorted(first)
-    columns = []
-    for k in keys:
-        try:
-            column = _column(list(map(itemgetter(k), rows)), level + 2)
-        except KeyError:
-            return None
-        if column is None:
-            return None
-        columns.append(column)
     inner = _indent(level + 2)
     template = (
         "{"
@@ -499,6 +523,7 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
     elif not o:
         parts.append("[]")
     else:
+        table = type(o) is Records
         inner = _indent(level + 1)
         sep = "," + inner
         parts.append("[" + inner)
@@ -506,13 +531,11 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
             block = o[start : start + _BLOCK]
             if start:
                 parts.append(sep)
-            lines = _column(block, level + 1)
-            if lines is None:
-                lines = _records(block, level)
+            lines = _record_lines(block, level) if table else _column(block, level + 1)
             if lines is not None:
                 parts.append(sep.join(lines))
             else:
-                for i, item in enumerate(block):
+                for i, item in enumerate(block.rows() if table else block):
                     if i:
                         parts.append(sep)
                     _value(item, level + 1, parts, write)

@@ -21,7 +21,6 @@ from numpy.typing import NDArray
 
 from .errors import (
     AffinelyDependentBasis,
-    DegenerateLine,
     DimensionMismatch,
     NotInAffineHull,
     NotInConvexHull,
@@ -35,7 +34,6 @@ __all__ = [
     "SegmentPosition",
     "segment_coefficient",
     "affine_dimension",
-    "intersect_lines",
     "barycentric",
     "convex_coefficients",
     "relative_interior_check",
@@ -300,52 +298,6 @@ def _numerical_rank(svals: Vector, tol: Tolerance) -> int:
         return 0
     thresh = max(tol.abs_tol, tol.rel_tol * float(svals[0]))
     return int(np.count_nonzero(svals > thresh))
-
-
-def intersect_lines(
-    a1: Vector,
-    a2: Vector,
-    b1: Vector,
-    b2: Vector,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Vector | None:
-    """Unique intersection point of two infinite lines, or None.
-
-    Each line is given by two distinct points (DegenerateLine otherwise).
-    The closest points of the two lines are found by least squares; the
-    intersection exists when they coincide within the gate.  Parallel or
-    identical lines, and skew lines in dimension three or more, return
-    None.  The result is symmetric in the two lines and in the order of
-    each line's defining points, up to floating error.
-    """
-    a1 = as_point(a1)
-    a2 = as_point(a2)
-    b1 = as_point(b1)
-    b2 = as_point(b2)
-    _common_dim(a1, a2, b1, b2)
-
-    d1 = a2 - a1
-    d2 = b2 - b1
-    len1 = float(np.linalg.norm(d1))
-    len2 = float(np.linalg.norm(d2))
-    if len1 <= tol.abs_tol or len2 <= tol.abs_tol:
-        raise DegenerateLine("each line needs two distinct defining points")
-
-    # Solve min |a1 + s*d1 - (b1 + t*d2)| over (s, t).
-    m = np.column_stack([d1, -d2])
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= max(tol.abs_tol, tol.rel_tol * float(svals[0])):
-        return None  # parallel or identical directions: no unique point
-    st, *_ = np.linalg.lstsq(m, b1 - a1, rcond=None)
-    p_on_a = a1 + st[0] * d1
-    p_on_b = b1 + st[1] * d2
-    gap = float(np.linalg.norm(p_on_a - p_on_b))
-    scale = max(
-        float(np.linalg.norm(p_on_a)), float(np.linalg.norm(p_on_b)), len1, len2
-    )
-    if gap > tol.gate(scale):
-        return None  # skew lines
-    return 0.5 * (p_on_a + p_on_b)
 
 
 def barycentric(

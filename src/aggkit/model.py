@@ -484,22 +484,74 @@ class AxiomCheck:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomReport:
+    """The splits one ``check_axiom`` call judged, as the kernel's columns.
+
+    Row k is one split U = A + B, in canonical order: ``union[k]``,
+    ``part_a[k]`` and ``part_b[k]`` index the sorted member tuples in
+    ``members`` (the source's stored sets); ``degenerate[k]`` marks
+    coinciding f(A) and f(B), where ``lam[k]``, A's mixing coefficient,
+    is NaN; ``residual[k]`` is the distance of f(U) from the segment
+    line (from the endpoints' midpoint when degenerate); and ``reason[k]``
+    indexes ``_REASONS``, 0 for a pass.  ``checks`` and ``violations``
+    build ``AxiomCheck`` rows from these columns on each call; the
+    counts and the verdict read the columns alone.
+    """
+
     mode: AxiomMode
-    satisfied: bool
-    checks: tuple[AxiomCheck, ...]
     tolerance: Tolerance
+    members: tuple[tuple[str, ...], ...]
+    union: NDArray[np.intp]
+    part_a: NDArray[np.intp]
+    part_b: NDArray[np.intp]
+    lam: Vector
+    residual: Vector
+    degenerate: NDArray[np.bool_]
+    reason: NDArray[np.intp]
+
+    @property
+    def satisfied(self) -> bool:
+        return not self.reason.any()
+
+    @property
+    def check_count(self) -> int:
+        return len(self.reason)
+
+    @property
+    def checks(self) -> tuple[AxiomCheck, ...]:
+        return self._rows(slice(None))
 
     @property
     def violations(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return self._rows(self.reason != 0)
+
+    def _rows(self, rows: slice | NDArray[np.bool_]) -> tuple[AxiomCheck, ...]:
+        keys = self.members
+        return tuple(
+            AxiomCheck(
+                set_a=keys[a],
+                set_b=keys[b],
+                union=keys[u],
+                lam=None if degen else lam,
+                residual=res,
+                degenerate=degen,
+                passed=not why,
+                reason=_REASONS[why],
+            )
+            for u, a, b, lam, res, degen, why in zip(
+                *(column[rows].tolist() for column in (
+                    self.union, self.part_a, self.part_b, self.lam,
+                    self.residual, self.degenerate, self.reason,
+                ))
+            )
+        )
 
     def summary(self) -> str:
         return (
             f"{self.mode.value} axiom: "
             f"{'satisfied' if self.satisfied else 'violated'} "
-            f"({len(self.checks)} checks, {len(self.violations)} violations)"
+            f"({self.check_count} checks, {np.count_nonzero(self.reason)} violations)"
         )
 
 
@@ -591,47 +643,32 @@ def check_axiom(
     by_low: dict[int, list[int]] = {}
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)
-    unions: list[int] = []
-    parts_a: list[int] = []
-    parts_b: list[int] = []
-    for row, union in enumerate(sets):
-        if len(union) < 2:
+    splits: list[tuple[int, int, int]] = []
+    for row, stored in enumerate(sets):
+        if len(stored) < 2:
             continue
-        splits = sorted(
+        parts = sorted(
             (keys[mask_row[a]], keys[mask_row[b]], mask_row[a], mask_row[b])
             for a, b in _stored_splits(mask_row, by_low, masks[row])
         )
-        for _, _, row_a, row_b in splits:
-            unions.append(row)
-            parts_a.append(row_a)
-            parts_b.append(row_b)
-    kind, lam, residual = _segment_positions(
-        points[unions], points[parts_a], points[parts_b], tol
-    )
+        splits.extend((row, row_a, row_b) for _, _, row_a, row_b in parts)
+    union, part_a, part_b = np.array(splits, dtype=np.intp).reshape(-1, 3).T
+    kind, lam, residual = _segment_positions(points[union], points[part_a], points[part_b], tol)
     degenerate = kind == _SEGMENT_KINDS.index(SegmentKind.DEGENERATE)
-    rows = np.flatnonzero(degenerate).tolist()
     equal = degenerate.copy()
-    equal[degenerate] = _close_rows(
-        points[[unions[i] for i in rows]], points[[parts_a[i] for i in rows]], tol
+    equal[degenerate] = _close_rows(points[union[degenerate]], points[part_a[degenerate]], tol)
+    return AxiomReport(
+        mode=mode,
+        tolerance=tol,
+        members=keys,
+        union=union,
+        part_a=part_a,
+        part_b=part_b,
+        lam=lam,
+        residual=residual,
+        degenerate=degenerate,
+        reason=_verdicts(kind, lam, equal, mode, tol),
     )
-    reason = _verdicts(kind, lam, equal, mode, tol)
-    checks = tuple(
-        AxiomCheck(
-            set_a=keys[a],
-            set_b=keys[b],
-            union=keys[u],
-            lam=None if degen else lam_i,
-            residual=res,
-            degenerate=degen,
-            passed=not why,
-            reason=_REASONS[why],
-        )
-        for u, a, b, lam_i, res, degen, why in zip(
-            unions, parts_a, parts_b, lam.tolist(), residual.tolist(),
-            degenerate.tolist(), reason.tolist(),
-        )
-    )
-    return AxiomReport(mode=mode, satisfied=not reason.any(), checks=checks, tolerance=tol)
 
 
 def check_richness(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -14,10 +14,9 @@ too); :func:`recover_order` and :func:`recover_weights` raise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,7 +25,6 @@ from .errors import (
     DegenerateLambda,
     IntransitivityDetected,
     MissingDataError,
-    UnknownFeature,
 )
 from .geometry import (
     DEFAULT_TOL,
@@ -51,7 +49,7 @@ from .model import (
 __all__ = [
     "RatioDerivation",
     "ContradictionWitness",
-    "VerificationRow",
+    "Verification",
     "Recovered",
     "NonRepresentable",
     "MissingData",
@@ -59,8 +57,6 @@ __all__ = [
     "recover_order",
     "recover_weights",
     "recover",
-    "continuity_diagnostic",
-    "ContinuityReport",
 ]
 
 
@@ -90,21 +86,33 @@ class ContradictionWitness:
         return (self.first.ratio, self.second.ratio)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    members: tuple[str, ...]
-    observed: tuple[float, ...]
-    predicted: tuple[float, ...]
-    residual: float
-    passed: bool
+@dataclass(frozen=True, eq=False)
+class Verification:
+    """Every known set forward-evaluated against a representation, as columns.
+
+    Row k is one set: ``members[k]`` its sorted members, ``observed[k]``
+    and ``predicted[k]`` the stored and the evaluated outcome (rows of
+    two ``(sets, d)`` arrays), ``residual[k]`` their distance, and
+    ``passed[k]`` whether that distance is within tolerance.
+    """
+
+    members: Sequence[tuple[str, ...]]
+    observed: NDArray[np.float64]
+    predicted: NDArray[np.float64]
+    residual: NDArray[np.float64]
+    passed: NDArray[np.bool_]
+
+    def __len__(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
 class Recovered:
-    """Successful recovery: a representation plus its verification table."""
+    """Successful recovery: a representation plus its verification table,
+    held as the columns of the one array pass that checked every set."""
 
     representation: Representation
-    verification: tuple[VerificationRow, ...]
+    verification: Verification
     max_residual: float
     indeterminate_classes: tuple[tuple[str, ...], ...] = ()
 
@@ -373,27 +381,28 @@ def _ratio_conflict_witness(
 
 
 def _fallback_witness(
-    worst: VerificationRow, rep: Representation, tol: Tolerance
+    members: tuple[str, ...], observed: Vector, rep: Representation, tol: Tolerance
 ) -> ContradictionWitness:
     """Witness built from the worst verification failure directly.
 
-    Uses the first two top-ranked members of the failing set: the
-    observed aggregate implies one weight ratio for them (or none, when
-    it leaves the segment), while the recovered weights imply another.
+    Uses the first two top-ranked members of the failing set (its sorted
+    ``members`` and ``observed`` outcome): the observed aggregate implies
+    one weight ratio for them (or none, when it leaves the segment),
+    while the recovered weights imply another.
     """
-    top = sorted(top_set(rep, worst.members))
+    top = sorted(top_set(rep, members))
     a, b = (top[0], top[1]) if len(top) >= 2 else (top[0], top[0])
     fa, fb = rep.outcomes[a], rep.outcomes[b]
     ratio = math.nan
     note = "no valid mixing coefficient for the observed aggregate"
     if len(top) == 2 and not tol.close(fa, fb):
-        lam = interior_lambda(segment_coefficient(np.asarray(worst.observed), fa, fb, tol), tol)
+        lam = interior_lambda(segment_coefficient(observed, fa, fb, tol), tol)
         if lam is not None:
             ratio = lam / (1.0 - lam)
             note = "mixing coefficient of the observed aggregate"
     return _witness(
         (a, b),
-        (ratio, (worst.members,), note),
+        (ratio, (members,), note),
         (rep.weights[a] / rep.weights[b], (), "implied by the recovered weights"),
     )
 
@@ -452,111 +461,40 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
 
     singles = {f: src.outcome([f]) for f in sorted(ranks)}
     rep = Representation(weights=weights, ranks=ranks, outcomes=singles)
-    rows = _verification(src, rep, tol)
-    max_residual = max((r.residual for r in rows), default=0.0)
-    failing = [r for r in rows if not r.passed]
+    checked = _verification(src, rep, tol)
+    residuals = checked.residual.tolist()
+    max_residual = max(residuals, default=0.0)
+    failing = np.flatnonzero(~checked.passed).tolist()
     if not failing:
         return Recovered(
             representation=rep,
-            verification=rows,
+            verification=checked,
             max_residual=max_residual,
             indeterminate_classes=indeterminate,
         )
 
     witness = _ratio_conflict_witness(src, ranks, tol)
     if witness is None:
-        worst = max(failing, key=lambda r: r.residual)
-        witness = _fallback_witness(worst, rep, tol)
+        worst = max(failing, key=residuals.__getitem__)
+        witness = _fallback_witness(checked.members[worst], checked.observed[worst], rep, tol)
     return NonRepresentable(
         witness=witness,
-        failing_sets=tuple(r.members for r in failing),
+        failing_sets=tuple(checked.members[k] for k in failing),
         max_residual=max_residual,
     )
 
 
-def _verification(
-    src: AggregationSource, rep: Representation, tol: Tolerance
-) -> tuple[VerificationRow, ...]:
-    """Every known set of ``src`` against ``rep`` in one array pass; a row
+def _verification(src: AggregationSource, rep: Representation, tol: Tolerance) -> Verification:
+    """Every known set of ``src`` against ``rep`` in one array pass; a set
     passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
     sets = src.sets()
     if isinstance(src, DatasetSource):
         observed, members = src._points, src._members
     else:
         observed = np.array([src.outcome(s) for s in sets])
-        members = [tuple(sorted(s)) for s in sets]
+        members = tuple(tuple(sorted(s)) for s in sets)
     predicted = rep._evaluate(sets)
-    residuals = _row_norms(observed - predicted)
-    scales = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
-    passes = residuals <= np.maximum(tol.abs_tol, tol.rel_tol * scales)
-    rows = zip(members, observed.tolist(), predicted.tolist(), residuals.tolist(), passes.tolist())
-    return tuple(VerificationRow(m, tuple(o), tuple(p), r, ok) for m, o, p, r, ok in rows)
-
-
-@dataclass(frozen=True)
-class ContinuityPair:
-    feature_a: str
-    feature_b: str
-    distance: float
-    same_rank: bool
-    ratio_deviation: float | None  # |w(a)/w(b) - 1|, same-rank pairs only
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Descriptive look at how the representation treats nearby features.
-
-    No continuous aggregation rule can be strictly averaging on a rich
-    domain, so recovered weights and ranks are generally discontinuous
-    in the feature embedding; this report shows where.
-    """
-
-    radius: float
-    pairs: tuple[ContinuityPair, ...]
-
-    @property
-    def rank_disagreements(self) -> tuple[ContinuityPair, ...]:
-        return tuple(p for p in self.pairs if not p.same_rank)
-
-    @property
-    def max_ratio_deviation(self) -> float:
-        devs = [p.ratio_deviation for p in self.pairs if p.ratio_deviation is not None]
-        return max(devs, default=0.0)
-
-
-def continuity_diagnostic(
-    rep: Representation,
-    embedding: Mapping[str, Iterable[float]],
-    radius: float,
-) -> ContinuityReport:
-    """Report rank flips and weight spread among nearby feature pairs.
-
-    ``embedding`` places each feature in a metric space; every pair
-    within ``radius`` is listed with its rank agreement and, for
-    same-rank pairs, the deviation of the weight ratio from one.  Ratio
-    deviations across different ranks are not reported since weights in
-    different classes are not commensurable.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    unknown = set(rep.weights) - set(embedding)
-    if unknown:
-        raise UnknownFeature(f"embedding misses features {sorted(unknown)}")
-    coords = {f: np.asarray(list(embedding[f]), dtype=float) for f in rep.weights}
-    pairs: list[ContinuityPair] = []
-    for a, b in itertools.combinations(sorted(rep.weights), 2):
-        dist = float(np.linalg.norm(coords[a] - coords[b]))
-        if dist > radius:
-            continue
-        same = rep.ranks[a] == rep.ranks[b]
-        dev = abs(rep.weights[a] / rep.weights[b] - 1.0) if same else None
-        pairs.append(
-            ContinuityPair(
-                feature_a=a,
-                feature_b=b,
-                distance=dist,
-                same_rank=same,
-                ratio_deviation=dev,
-            )
-        )
-    return ContinuityReport(radius=radius, pairs=tuple(pairs))
+    residual = _row_norms(observed - predicted)
+    scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
+    passed = residual <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    return Verification(members, observed, predicted, residual, passed)

@@ -332,7 +332,7 @@ class ExtendedParetoReport:
     def summary(self) -> str:
         verdict = "satisfied" if self.satisfied else "violated"
         return (
-            f"extended Pareto {verdict}: {len(self.axiom.checks)} coalition "
+            f"extended Pareto {verdict}: {self.axiom.check_count} coalition "
             f"splits checked, {len(self.violations)} violations"
         )
 
@@ -628,9 +628,8 @@ def recover_state_dependent(
 
     total = sum(rep.weights[s] for s in rep.features())
     probabilities = {s: rep.weights[s] / total for s in rep.features()}
-    verification = tuple(
-        (row.members, row.residual) for row in outcome.verification
-    )
+    checked = outcome.verification
+    verification = tuple(zip(checked.members, checked.residual.tolist()))
     return StateDependentRepresentation(
         probabilities=probabilities,
         utilities={s: rep.outcomes[s] for s in rep.features()},

@@ -13,7 +13,6 @@ from aggkit import (
     check_bayesian,
     evaluate_discounted,
     induced_source,
-    is_belief_source,
     recover_discounted,
     verify_cps,
 )
@@ -41,9 +40,6 @@ class TestAsBelief:
         with pytest.raises(NotABelief):
             as_belief([-0.3, 1.3])
 
-    def test_source_detection(self, coin_beliefs_source, flat_source):
-        assert is_belief_source(coin_beliefs_source)
-        assert not is_belief_source(flat_source)
 
 
 class TestBuildJoint:

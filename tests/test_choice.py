@@ -8,7 +8,6 @@ from aggkit import (
     Menu,
     Representation,
     boundary_diagnostic,
-    check_menu_feasibility,
     check_path_independence,
     choice_probabilities,
     induced_source,
@@ -46,24 +45,6 @@ class TestMenu:
     def test_empty_menu_rejected(self):
         with pytest.raises(ValueError):
             Menu({})
-
-
-class TestMenuFeasibility:
-    def test_interior_averages_are_feasible(self):
-        src = luce_source(TRIANGLE, LUCE_W)
-        assert check_menu_feasibility(src).all_feasible
-
-    def test_outside_point_is_flagged(self):
-        src = DatasetSource(
-            2,
-            {
-                frozenset(["a"]): [0.0, 0.0],
-                frozenset(["b"]): [1.0, 0.0],
-                frozenset(["a", "b"]): [0.5, 0.5],
-            },
-        )
-        report = check_menu_feasibility(src)
-        assert not report.all_feasible
 
 
 class TestLuceRecovery:

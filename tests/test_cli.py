@@ -10,12 +10,57 @@ from pathlib import Path
 import pytest
 
 import aggkit
-from aggkit import cli
+from aggkit import AxiomMode, check_axiom, cli, load_dataset
 
 
 def report_of(run_cli, *args, **kw):
     code, out = run_cli(*args, **kw)
     return code, json.loads(out)
+
+
+class TestReportTablesStayColumnar:
+    @pytest.mark.parametrize("command, table", [("check", "checks"), ("recover", "verification")])
+    def test_no_axiom_check_row_is_built(self, run_cli, fixtures_dir, monkeypatch, command, table):
+        # check and recover write their tables straight from the kernels'
+        # columns; an AxiomCheck row exists only when a caller asks for one.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AxiomCheck row was built")
+
+        monkeypatch.setattr(aggkit.model, "AxiomCheck", refuse)
+        code, rep = report_of(run_cli, command, str(fixtures_dir / "triangle_two_tier.json"))
+        assert code == 0
+        assert rep["result"][table]
+
+    @pytest.mark.parametrize("axiom", ["weighted", "strict", "extreme"])
+    def test_check_rows_are_the_axiom_checks(self, run_cli, tmp_path, axiom):
+        # Coincident, interior, endpoint and off-line splits: every column
+        # of the table reads as the AxiomCheck rows say.
+        doc = {
+            "format_version": "1",
+            "dimension": 2,
+            "features": {f: {"outcome": p} for f, p in
+                         {"a": [0, 0], "b": [0, 0], "c": [1, 0], "d": [0, 1]}.items()},
+            "sets": [
+                {"members": ["a", "b"], "outcome": [0, 0]},
+                {"members": ["a", "c"], "outcome": [0.5, 0]},
+                {"members": ["a", "d"], "outcome": [0.5, 0.5]},
+                {"members": ["b", "c"], "outcome": [1, 0]},
+                {"members": ["a", "b", "c"], "outcome": [0.25, 0]},
+            ],
+        }
+        path = tmp_path / "splits.json"
+        path.write_text(json.dumps(doc))
+        with path.open() as fh:
+            report = check_axiom(load_dataset(fh).source, AxiomMode(axiom))
+        code, rep = report_of(run_cli, "check", "--axiom", axiom, str(path))
+        assert code == (0 if report.satisfied else 1)
+        assert rep["result"]["checks"] == [
+            {"a": list(c.set_a), "b": list(c.set_b), "union": list(c.union), "lambda": c.lam,
+             "residual": c.residual, "degenerate": c.degenerate, "passed": c.passed,
+             "reason": c.reason}
+            for c in report.checks
+        ]
+        assert rep["result"]["violations"] == len(report.violations) > 0
 
 
 class TestVerdictsAndExitCodes:

@@ -207,6 +207,14 @@ def _timing(value, kind="timed"):
     return edit
 
 
+def _timed_entry(value):
+    def edit(doc):
+        doc["kind"] = "timed"
+        doc["sets"][1] = value
+
+    return edit
+
+
 def _feature(fid, value):
     def edit(doc):
         doc["features"][fid] = value
@@ -267,6 +275,10 @@ ONE_FAULT = [
      "expected a positive integer, got '1'"),
     ("timing for a non-member", _timing({"b": 1, "c": 1, "a": 1}), "sets[1].timing",
      "times for non-members ['a']"),
+    ("timed duplicate set", _timed_entry({"members": ["a", "b"], "outcome": [0.9, 0.1], "timing": {"a": 1, "b": 1}}),
+     "sets[1].members", "duplicate set ['a', 'b']"),
+    ("timed singleton disagrees", _timed_entry({"members": ["a"], "outcome": [9, 9], "timing": {"a": 1}}),
+     "sets[1].outcome", "singleton disagrees with its feature entry"),
     ("feature NaN", _feature("b", {"outcome": [math.nan, 0]}), "features['b'].outcome[0]",
      "non-finite value nan"),
     ("feature wrong length", _feature("b", {"outcome": [1]}), "features['b'].outcome",
@@ -587,9 +599,21 @@ class TestSchemaAgreement:
         parse(doc)
 
 
+def as_rows(doc):
+    """``doc`` with each ``Records`` table replaced by its list of rows."""
+    if isinstance(doc, fileio.Records):
+        doc = doc.rows()
+    if isinstance(doc, dict):
+        return {k: as_rows(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_rows(v) for v in doc]
+    return doc
+
+
 def reference_bytes(doc):
-    """The canonical form by definition: the standard library's indent=2 encoder."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The canonical form by definition: the standard library's indent=2
+    encoder, with each ``Records`` table written as its list of rows."""
+    return json.dumps(as_rows(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def dumped(doc):
@@ -627,7 +651,8 @@ SMALL_BLOCK = 3
 @st.composite
 def record_lists(draw):
     """Report rows: one key set, each key drawing from a small pool of values
-    (scalars, flat lists, or both), a few rows with another key set."""
+    (scalars, flat lists, or both), a few rows with another key set; or
+    the same rows of one key set held as a ``Records`` table."""
     keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
     pools = {k: draw(st.lists(_fields, min_size=1, max_size=4)) for k in keys}
     rnd = draw(st.randoms(use_true_random=False))
@@ -635,6 +660,8 @@ def record_lists(draw):
         {k: rnd.choice(pool) for k, pool in pools.items()}
         for _ in range(draw(st.integers(0, 3 * SMALL_BLOCK + 1)))
     ]
+    if draw(st.booleans()):
+        return fileio.Records(tuple(keys), tuple([row[k] for row in rows] for k in keys))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row = rnd.choice(rows)
         change = draw(st.sampled_from(["drop", "add", "rename"]))
@@ -700,25 +727,36 @@ class TestCanonicalEmitter:
             lambda v: [{"a": [1.0]}, {"a": [2.0, v]}],
             lambda v: [{"a": None}, {"a": [v]}],
             lambda v: {"w": {"x": 1, "y": v}},
+            lambda v: fileio.Records(("b", "a"), ([[1.0]] * 5, [1.0] * 4 + [v])),
+            lambda v: fileio.Records(("a",), ([[1.0]] * 4 + [[2.0, v]],)),
+            lambda v: fileio.Records(("a",), ([None] * 4 + [[v]],)),
+            # The first fault in row order is in the column written last.
+            lambda v: fileio.Records(("a", "b"), ([1.0] * 4 + [v], [1.0] * 3 + [-math.inf, 1.0])),
         ],
         ids=["top", "envelope", "flat-list", "list-of-lists", "record-scalar",
-             "record-list", "record-mixed", "dict-values"],
+             "record-list", "record-mixed", "dict-values", "table-scalar",
+             "table-list", "table-mixed", "table-two-faults"],
     )
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, {1}, np.int64(3)], ids=repr
     )
-    def test_errors_match_the_standard_library(self, place, bad):
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, fileio._BLOCK])
+    def test_errors_match_the_standard_library(self, place, bad, block):
         doc = place(bad)
         expected = raised(reference_bytes, doc)
-        assert raised(dumped, doc) == expected
+        with mock.patch.object(fileio, "_BLOCK", block):
+            assert raised(dumped, doc) == expected
 
     @pytest.mark.parametrize("key", [math.nan, np.int64(1), (1, 2)], ids=repr)
     def test_key_errors_match_the_standard_library(self, key):
         doc = {"a": {key: 1}}
         assert raised(dumped, doc) == raised(reference_bytes, doc)
 
-    def test_long_lists_are_written_block_by_block(self):
+    @pytest.mark.parametrize("table", [False, True], ids=["dicts", "records"])
+    def test_long_lists_are_written_block_by_block(self, table):
         rows = [{"a": [i, i + 0.5], "b": f"r{i}", "c": i % 2 == 0} for i in range(4 * fileio._BLOCK)]
+        if table:
+            rows = fileio.Records(("a", "b", "c"), tuple([r[k] for r in rows] for k in "abc"))
         doc = {"checks": rows, "n": len(rows)}
         chunks = []
 

@@ -10,13 +10,11 @@ from aggkit import (
     as_point,
     barycentric,
     convex_coefficients,
-    intersect_lines,
     relative_interior_check,
     segment_coefficient,
 )
 from aggkit.errors import (
     AffinelyDependentBasis,
-    DegenerateLine,
     DimensionMismatch,
     NotInAffineHull,
     NotInConvexHull,
@@ -217,41 +215,6 @@ class TestAffineDimension:
     def test_collinear_triples(self):
         pts = [np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([2.0, 4.0])]
         assert affine_dimension(pts) == 1
-
-
-class TestIntersectLines:
-    def test_crossing_lines(self):
-        p = intersect_lines(
-            np.array([0.0, 0.0]),
-            np.array([2.0, 2.0]),
-            np.array([0.0, 2.0]),
-            np.array([2.0, 0.0]),
-        )
-        assert p is not None
-        np.testing.assert_allclose(p, [1.0, 1.0], atol=1e-12)
-
-    def test_parallel_lines(self):
-        p = intersect_lines(
-            np.array([0.0, 0.0]),
-            np.array([1.0, 0.0]),
-            np.array([0.0, 1.0]),
-            np.array([1.0, 1.0]),
-        )
-        assert p is None
-
-    def test_skew_lines(self):
-        p = intersect_lines(
-            np.array([0.0, 0.0, 0.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 1.0]),
-            np.array([0.0, -1.0, 1.0]),
-        )
-        assert p is None
-
-    def test_degenerate_direction_raises(self):
-        a = np.array([1.0, 1.0])
-        with pytest.raises(DegenerateLine):
-            intersect_lines(a, a, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestBarycentric:

@@ -9,13 +9,12 @@ from aggkit import (
     NonRepresentable,
     Recovered,
     Representation,
-    continuity_diagnostic,
     evaluate,
     induced_source,
     recover,
     recover_order,
 )
-from aggkit.errors import IntransitivityDetected, MissingDataError, UnknownFeature
+from aggkit.errors import IntransitivityDetected, MissingDataError
 
 
 class TestRecoverOrder:
@@ -96,8 +95,10 @@ class TestRecover:
     def test_every_stored_set_is_verified(self, flat_source):
         outcome = recover(flat_source)
         assert isinstance(outcome, Recovered)
-        checked = {row.members for row in outcome.verification}
-        assert ("a", "b", "c") in checked
+        checked = outcome.verification
+        assert ("a", "b", "c") in checked.members
+        assert len(checked) == len(flat_source)
+        assert checked.passed.all()
 
     def test_missing_data_outcome(self):
         src = DatasetSource(
@@ -207,26 +208,3 @@ class TestRecover:
                     evaluate(rep, s),
                     atol=1e-8,
                 )
-
-
-class TestContinuityDiagnostic:
-    def test_nearby_pairs_listed_with_ratio_deviation(self, two_tier_rep):
-        embedding = {"a": [0.0], "b": [0.05], "c": [1.0]}
-        report = continuity_diagnostic(two_tier_rep, embedding, radius=0.1)
-        assert len(report.pairs) == 1
-        pair = report.pairs[0]
-        assert (pair.feature_a, pair.feature_b) == ("a", "b")
-        assert pair.same_rank
-        assert pair.ratio_deviation == pytest.approx(0.5)
-
-    def test_rank_flip_within_radius_is_a_disagreement(self, two_tier_rep):
-        embedding = {"a": [0.0], "b": [5.0], "c": [0.01]}
-        report = continuity_diagnostic(two_tier_rep, embedding, radius=0.1)
-        flips = [(p.feature_a, p.feature_b) for p in report.rank_disagreements]
-        assert flips == [("a", "c")]
-
-    def test_embedding_must_cover_features(self, two_tier_rep):
-        with pytest.raises(UnknownFeature):
-            continuity_diagnostic(two_tier_rep, {"a": [0.0]}, radius=1.0)
-        with pytest.raises(ValueError):
-            continuity_diagnostic(two_tier_rep, {"a": [0], "b": [0], "c": [0]}, radius=0.0)

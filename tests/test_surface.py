@@ -1,5 +1,6 @@
 """Each public surface is stated once: the CLI command table, the module
-export lists, and the command lines the README promises."""
+export lists, and the command lines the README promises.  Every export
+has a use: the package, the benchmark or a README example names it."""
 
 import ast
 import contextlib
@@ -55,6 +56,49 @@ def test_package_exports_are_the_disjoint_module_lists():
     assert aggkit.__all__ == library
     for name in aggkit.__all__:
         assert getattr(aggkit, name) is not None
+
+
+def names_read(path: Path) -> set[str]:
+    """Names a module reads, as variables or attributes, outside the
+    top-level definition that binds the same name."""
+    names = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        read = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        read.discard(getattr(top, "name", None))
+        names |= read
+    return names
+
+
+def readme_code_blocks(language: str = r"\w*") -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.S | re.M)
+
+
+def test_every_export_is_named_by_the_package_the_bench_or_the_readme():
+    read = set().union(*map(names_read, (ROOT / "src/aggkit").glob("*.py")))
+    text = "\n".join(
+        [p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")] + readme_code_blocks()
+    )
+    unused = [
+        name
+        for name in aggkit.__all__
+        if name not in aggkit.testkit.__all__
+        and name not in read
+        and not re.search(rf"\b{re.escape(name)}\b", text)
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("index", range(len(readme_code_blocks("python"))))
+def test_readme_python_example_runs(index):
+    code = compile(readme_code_blocks("python")[index], f"README python block {index}", "exec")
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(code, {})
 
 
 def readme_examples():
