@@ -12,6 +12,7 @@ diagnostics on top of that.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -22,6 +23,7 @@ from .geometry import (
     DEFAULT_TOL,
     Tolerance,
     Vector,
+    _certify_interior,
     as_point,
     relative_interior_check,
 )
@@ -317,34 +319,53 @@ def boundary_diagnostic(
 
     ``recovery`` is the outcome of :func:`recover` on ``src`` (as held in
     ``LuceOutcome.recovery``); its rank classes decide the contradictions.
-    """
-    rows = []
-    boundary = []
-    for s in src.sets():
-        members = sorted(s)
-        if len(members) < 2:
-            continue
-        outcome = src.outcome(s)
-        points = [src.outcome([m]) for m in members]
-        try:
-            interior = relative_interior_check(outcome, points, tol)
-            in_hull = True
-        except NotInConvexHull:
-            interior = False
-            in_hull = False
-        rows.append(
-            BoundaryRow(members=tuple(members), interior=interior, in_hull=in_hull)
-        )
-        if not interior:
-            boundary.append(tuple(members))
 
+    When it is ``Recovered``, rule (3) already names a convex combination
+    for every menu S whose members share one rank: coefficient
+    ``w_i / sum of w over S`` on each member.  Those combinations are
+    checked as certificates, one array pass per menu size, against the
+    inequalities of :func:`relative_interior_check`; a menu they settle
+    is interior.  Every other menu (other outcomes, menus across rank
+    classes, certificates that fail) gets the hull search itself, so the
+    verdicts are the search's either way.
+    """
+    members, points = src._members, src._points
+    row_of = {ms[0]: row for row, ms in enumerate(members) if len(ms) == 1}
+    menus = [row for row, ms in enumerate(members) if len(ms) >= 2]
+    settled: set[int] = set()
     single: bool | None = None
     if isinstance(recovery, Recovered):
-        single = len(recovery.representation.rank_classes()) == 1
-    contradictions = tuple(boundary) if single else ()
+        rep = recovery.representation
+        single = len(rep.rank_classes()) == 1
+        by_size: dict[int, list[int]] = {}
+        for row in menus:
+            if len({rep.ranks[f] for f in members[row]}) == 1:
+                by_size.setdefault(len(members[row]), []).append(row)
+        for same_size in by_size.values():
+            gens = [[row_of[f] for f in members[row]] for row in same_size]
+            w = np.array([[rep.weights[f] for f in members[row]] for row in same_size])
+            coef = w / w.sum(axis=1, keepdims=True)
+            accepted = _certify_interior(points[same_size], points[gens], coef, tol)
+            settled.update(itertools.compress(same_size, accepted.tolist()))
+
+    rows = []
+    boundary = []
+    for row in menus:
+        interior = in_hull = True
+        if row not in settled:
+            try:
+                interior = relative_interior_check(
+                    points[row], [points[row_of[f]] for f in members[row]], tol
+                )
+            except NotInConvexHull:
+                interior = in_hull = False
+        rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
+        if not interior:
+            boundary.append(members[row])
+
     return BoundaryReport(
         rows=tuple(rows),
         boundary_menus=tuple(boundary),
-        contradictions=contradictions,
+        contradictions=tuple(boundary) if single else (),
         single_class=single,
     )

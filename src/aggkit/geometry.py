@@ -54,6 +54,14 @@ _RELINT_MARGIN = 1e3
 # hull up to floating error because the stretch is already the tolerance.
 _FIT_EPS = 1e-12
 
+# Share of each of those two gates that a certificate of interiority may
+# use.  The search's own fit, renormalised to sum to one, can sit up to
+# about sqrt(2) times further from the point than a combination that
+# already sums to one, so a certificate within half a gate leaves the
+# search inside the whole gate; a point that rebuilds at the gate itself
+# is left to the search.
+_CERTIFICATE_SHARE = 0.5
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -394,6 +402,12 @@ def _nnls(a: NDArray[np.float64], b: Vector) -> Vector:
     return x
 
 
+def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64]) -> Vector:
+    """Each row's largest norm among its centred point, a row of ``q``
+    ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``."""
+    return np.maximum(_row_norms(q), np.linalg.norm(spokes, axis=2).max(axis=1))
+
+
 def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:
     """Best convex fit of ``p`` by the rows of ``gens``.
 
@@ -409,7 +423,7 @@ def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, floa
     origin = gens.mean(axis=0)
     q = p - origin
     spokes = gens - origin
-    spread = max(float(np.linalg.norm(q)), float(np.linalg.norm(spokes, axis=1).max()))
+    spread = float(_spread(q[None], spokes[None])[0])
     row = spread if spread > 0.0 else 1.0  # p on a one-point hull: weigh the sum alone
     system = np.vstack([spokes.T, np.full((1, gens.shape[0]), row)])
     coef = _nnls(system, np.append(q, row))
@@ -453,6 +467,23 @@ def convex_coefficients(
     return coef if residual <= tol.gate(spread, 1.0) else None
 
 
+def _interior_terms(
+    m: int, spread: float | Vector, tol: Tolerance
+) -> tuple[float | Vector, float, float]:
+    """The numbers of the relative-interior test on ``m`` generators.
+
+    Returns the hull gate ``tol.gate(spread, 1)`` (for one spread or an
+    array of them), the strictness level t (``lam_slack`` amplified by
+    the margin, at most 1/(2m) so the stretch stays finite for huge
+    tolerances) and the stretch factor ``1 + m t / (1 - m t)``.
+    """
+    level = _RELINT_MARGIN * tol.lam_slack
+    if m * level >= 0.5:
+        level = 0.5 / m
+    gate = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(spread, 1.0))
+    return gate, level, 1.0 + m * level / (1.0 - m * level)
+
+
 def relative_interior_check(
     p: Vector,
     generators: Sequence[Sequence[float] | Vector],
@@ -477,10 +508,10 @@ def relative_interior_check(
     """
     p, gens = _generator_matrix(p, generators, "relative_interior_check")
     _, residual, spread = _hull_fit(p, gens)
-    if residual > tol.gate(spread, 1.0):
+    gate, _, stretch = _interior_terms(gens.shape[0], spread, tol)
+    if residual > gate:
         raise NotInConvexHull("point is outside the convex hull of the generators")
 
-    m = gens.shape[0]
     centroid = np.mean(gens, axis=0)
     centered = gens - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
@@ -488,9 +519,54 @@ def relative_interior_check(
     if span.shape[0] == 0:
         return True  # the hull is a single point and equals its relative interior
 
-    level = _RELINT_MARGIN * tol.lam_slack
-    if m * level >= 0.5:
-        level = 0.5 / m  # keep the stretch factor finite for huge tolerances
-    stretched = (1.0 + m * level / (1.0 - m * level)) * (span @ (p - centroid))
-    _, residual, spread = _hull_fit(stretched, centered @ span.T)
+    _, residual, spread = _hull_fit(stretch * (span @ (p - centroid)), centered @ span.T)
     return residual <= _FIT_EPS * spread
+
+
+def _certify_interior(
+    points: NDArray[np.float64],
+    gens: NDArray[np.float64],
+    coef: NDArray[np.float64],
+    tol: Tolerance,
+) -> NDArray[np.bool_]:
+    """Rows on which :func:`relative_interior_check` is known to return True.
+
+    ``gens`` is a ``(k, m, d)`` stack of menus of one size m, ``points``
+    the ``(k, d)`` points and ``coef`` the ``(k, m)`` convex coefficients
+    (rows summing to one) claimed for them.  Instead of searching for a
+    combination, each row checks the one it is given against the
+    inequalities the search tests, with half of each gate: the
+    combination rebuilds the point within the hull gate, about the
+    centroid as :func:`_hull_fit` measures it; every coefficient reaches
+    the strictness level t; and the stretched coefficients
+    ``phi c - (phi - 1) / m``, which sum to one and are non-negative once
+    every c reaches t, rebuild the stretched point in coordinates of the
+    menu's affine span up to the rounding allowance.  A menu whose span
+    has rank 0 is a single point: all its span coordinates are zero, so
+    the third test holds and the first two decide.  A row that is not
+    accepted is undecided, not refuted: the search has to decide it.
+    """
+    m = gens.shape[1]
+    origin = gens.mean(axis=1)
+    spokes = gens - origin[:, None, :]
+    q = points - origin
+    gate, level, stretch = _interior_terms(m, _spread(q, spokes), tol)
+    rebuilt = np.einsum("km,kmd->kd", coef, spokes)
+    accepted = (_row_norms(rebuilt - q) <= _CERTIFICATE_SHARE * gate) & (
+        coef.min(axis=1) >= level
+    )
+
+    # Each row's span: the right singular vectors of its centred menu up
+    # to its numerical rank (counted as _numerical_rank counts one), the
+    # rest masked to zero so that every row keeps the same shape.
+    _, svals, vt = np.linalg.svd(spokes, full_matrices=False)
+    rank = np.count_nonzero(svals > np.maximum(tol.abs_tol, tol.rel_tol * svals[:, :1]), axis=1)
+    span = vt * (np.arange(vt.shape[1]) < rank[:, None])[:, :, None]
+    flat = np.matmul(spokes, span.transpose(0, 2, 1))
+    target = stretch * np.matmul(span, q[:, :, None])[:, :, 0]
+    flat_origin = flat.mean(axis=1)
+    flat_spokes = flat - flat_origin[:, None, :]
+    flat_q = target - flat_origin
+    stretched = stretch * coef - (stretch - 1.0) / m
+    miss = _row_norms(np.einsum("km,kmr->kr", stretched, flat_spokes) - flat_q)
+    return accepted & (miss <= _CERTIFICATE_SHARE * _FIT_EPS * _spread(flat_q, flat_spokes))

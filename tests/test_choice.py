@@ -5,18 +5,26 @@ import pytest
 
 from aggkit import (
     DatasetSource,
+    GeneratorConfig,
     Menu,
+    NonRepresentable,
     Representation,
     boundary_diagnostic,
     check_path_independence,
     choice_probabilities,
+    choice,
+    gen_dataset,
+    gen_representation,
     induced_source,
+    load_dataset,
+    perturb,
     make_dictatorial_oracle,
     make_luce_oracle,
     recover,
     recover_luce,
     recover_two_stage,
 )
+from aggkit.geometry import relative_interior_check
 from aggkit.errors import OracleRefused, UnknownFeature
 
 
@@ -190,3 +198,53 @@ class TestBoundaryDiagnostic:
         report = boundary_diagnostic(src, recover(src))
         assert report.boundary_menus
         assert not report.single_class
+
+
+class TestBoundaryCertificates:
+    """Menus whose members share one rank are settled by the recovered
+    weights; only the others reach the hull search."""
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        points = []
+
+        def counting(p, generators, tol):
+            points.append(p)
+            return relative_interior_check(p, generators, tol)
+
+        monkeypatch.setattr(choice, "relative_interior_check", counting)
+        return points
+
+    def test_luce_fixture_needs_no_search(self, searched, fixtures_dir):
+        with open(fixtures_dir / "menu_luce.json") as fh:
+            src = load_dataset(fh).source
+        report = boundary_diagnostic(src, recover(src))
+        assert len(report.rows) == 4 and not report.boundary_menus
+        assert searched == []
+
+    def test_single_class_luce_data_needs_no_search(self, searched):
+        rep = gen_representation(GeneratorConfig(seed=1, feature_count=7, dimension=3))
+        src = gen_dataset(rep)
+        report = boundary_diagnostic(src, recover(src))
+        assert len(report.rows) == 2**7 - 1 - 7 and not report.boundary_menus
+        assert searched == []
+
+    def test_two_stage_data_searches_the_menus_across_classes(self, searched):
+        rep = gen_representation(
+            GeneratorConfig(seed=2, feature_count=7, dimension=2, rank_classes=2)
+        )
+        src = gen_dataset(rep)
+        report = boundary_diagnostic(src, recover_two_stage(src).recovery)
+        across = [s for s in src.sets() if len({rep.ranks[f] for f in s}) == 2]
+        assert 0 < len(across) < len(report.rows)
+        assert len(searched) == len(across)
+        for p, s in zip(searched, across):
+            assert np.array_equal(p, src.outcome(s))
+
+    def test_non_representable_data_searches_every_menu(self, searched):
+        rep = gen_representation(GeneratorConfig(seed=3, feature_count=5, dimension=2))
+        src = perturb(gen_dataset(rep), 1e-3, seed=3)
+        recovery = recover(src)
+        assert isinstance(recovery, NonRepresentable)
+        boundary_diagnostic(src, recovery)
+        assert len(searched) == sum(len(s) >= 2 for s in src.sets())

@@ -15,6 +15,12 @@ every outcome by one integer vector must leave every split's verdict
 alone.  The datasets are drawn on a lattice of halves for the same
 reason as the menus.
 
+A certificate of interiority (the coefficients recovered for a menu)
+is a shortcut past the hull search, so it may only ever accept what the
+search accepts.  Its draws sit on purpose at the thresholds the lattice
+menus avoid: the smallest coefficient just above or below the
+strictness level, the point off its menu's span by about the hull gate.
+
 Recovery speaks of the same things: the same relabelling, set order
 and a round trip through the dataset file format must leave its
 status, ranks and weight bits alone, and the data a recovered
@@ -50,7 +56,7 @@ from aggkit import (
     relative_interior_check,
 )
 from aggkit.errors import NotInConvexHull
-from aggkit.geometry import Tolerance
+from aggkit.geometry import Tolerance, _certify_interior, _interior_terms
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -118,6 +124,77 @@ def test_generator_order_keeps_hull_verdicts(case, rnd):
     shuffled = list(gens)
     rnd.shuffle(shuffled)
     assert verdicts(p, shuffled) == verdicts(p, gens)
+
+
+@st.composite
+def certified_menus(draw):
+    """A lattice menu of two to five alternatives (in general position,
+    on one line or with a duplicate), a tolerance, and coefficients whose
+    smallest entry is the strictness level t moved by a relative step
+    either way, with the point they rebuild moved off it in a lattice
+    direction by a multiple of the hull gate.
+
+    At ``abs_tol = rel_tol = 1e-3`` the level hits its 1/(2m) cap.
+    """
+    tol = draw(st.sampled_from([Tolerance(), Tolerance(1e-6, 1e-6), Tolerance(1e-3, 1e-3)]))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 5))
+    vector = st.lists(st.integers(-4, 4), min_size=d, max_size=d).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+    shape = draw(st.sampled_from(["general", "collinear", "duplicate"]))
+    if shape == "collinear":
+        base, step = draw(vector), draw(vector)
+        steps = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        gens = [base + k * step for k in steps]
+    else:
+        gens = [draw(vector) for _ in range(m)]
+        if shape == "duplicate":
+            gens[draw(st.integers(1, m - 1))] = gens[0].copy()
+    _, level, _ = _interior_terms(m, 0.0, tol)
+    share = np.array([0, *draw(st.lists(st.integers(1, 9), min_size=m - 1, max_size=m - 1))])
+    coef = level + (1.0 - m * level) * share / share.sum()
+    step = draw(st.sampled_from([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
+    coef[int(np.argmax(coef))] -= level * step
+    coef[0] += level * step
+    p = np.vstack(gens).T @ coef
+    direction = draw(vector)
+    if direction.any():
+        centroid = np.mean(gens, axis=0)
+        spread = max(np.linalg.norm(g - centroid) for g in [p, *gens])
+        gates = draw(st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0]))
+        offset = gates * tol.gate(spread, 1.0)
+        p = p + offset * direction / np.linalg.norm(direction)
+    return p, gens, coef, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(certified_menus())
+# The capped level 1/(2m) on two alternatives, met exactly: the stretched
+# point is a vertex.
+@example(
+    case=(
+        np.array([0.75]),
+        [np.array([0.0]), np.array([1.0])],
+        np.array([0.25, 0.75]),
+        Tolerance(1e-3, 1e-3),
+    )
+)
+# Collinear with a duplicate, off the line by the whole hull gate: the
+# coefficients rebuild the point at exactly the gate, the search's fit
+# one rounding step beyond it.
+@example(
+    case=(
+        np.array([1.5000015, 2e-9]),
+        [np.array([3.0, 0.0]), np.array([3.0, 0.0]), np.array([0.0, 0.0])],
+        np.array([1e-6, 0.4999995, 0.4999995]),
+        Tolerance(),
+    )
+)
+def test_accepted_certificate_means_the_search_finds_the_interior(case):
+    p, gens, coef, tol = case
+    if _certify_interior(p[None], np.vstack(gens)[None], coef[None], tol)[0]:
+        assert relative_interior_check(p, gens, tol)
 
 
 @settings(max_examples=25, deadline=None)

@@ -32,6 +32,10 @@ must give the same ranks, weight bits, errors and witnesses.
 ``reference_dataset_source`` is the constructor that validates one entry
 at a time; the batched ``DatasetSource`` must intern the same table bit
 for bit and, on a faulty table, raise the same error for the same entry.
+
+``reference_boundary_diagnostic`` runs the hull search on every menu;
+``boundary_diagnostic``, which settles the menus it can from the
+recovered weights and searches only the rest, must give the same report.
 """
 
 import dataclasses
@@ -50,6 +54,7 @@ from aggkit import (
     ConditionalProbabilitySystem,
     DatasetSource,
     GeneratorConfig,
+    MissingData,
     NonRepresentable,
     OracleSource,
     OutcomePolicy,
@@ -61,6 +66,7 @@ from aggkit import (
     aggregate_coalition,
     as_belief,
     barycentric,
+    boundary_diagnostic,
     build_cps,
     build_joint,
     check_axiom,
@@ -84,6 +90,7 @@ from aggkit import (
 )
 from aggkit import recovery
 from aggkit.belief import ChainViolation, CpsReport
+from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
     AffinelyDependentBasis,
     DegenerateLambda,
@@ -1730,3 +1737,108 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         alone, _ = _table_pairs(3)
         _FAULTS[second if first == "missing singleton" else first](alone, dimension)
         _assert_same_error(got, _reference(dimension, alone))
+
+
+def reference_boundary_diagnostic(src, recovery, tol=DEFAULT_TOL):
+    """One hull search per menu of two or more alternatives."""
+    rows = []
+    boundary = []
+    for s in src.sets():
+        members = sorted(s)
+        if len(members) < 2:
+            continue
+        outcome = src.outcome(s)
+        points = [src.outcome([m]) for m in members]
+        try:
+            interior = relative_interior_check(outcome, points, tol)
+            in_hull = True
+        except NotInConvexHull:
+            interior = False
+            in_hull = False
+        rows.append(BoundaryRow(members=tuple(members), interior=interior, in_hull=in_hull))
+        if not interior:
+            boundary.append(tuple(members))
+    single = None
+    if isinstance(recovery, Recovered):
+        single = len(recovery.representation.rank_classes()) == 1
+    return BoundaryReport(
+        rows=tuple(rows),
+        boundary_menus=tuple(boundary),
+        contradictions=tuple(boundary) if single else (),
+        single_class=single,
+    )
+
+
+def _menus(seed, features=7, dimension=3, classes=1, shift=0.0, factor=1.0):
+    """Every menu of a seeded two-stage rule, its outcomes moved as given."""
+    rep = gen_representation(
+        GeneratorConfig(
+            seed=seed, feature_count=features, dimension=dimension, rank_classes=classes
+        )
+    )
+    moved = {f: factor * p + shift for f, p in rep.outcomes.items()}
+    return gen_dataset(Representation(weights=rep.weights, ranks=rep.ranks, outcomes=moved))
+
+
+def _faces_and_outside(src, seed):
+    """Every third menu moved onto a vertex of its hull or out beyond one."""
+    rng = np.random.default_rng(seed)
+    table = {s: src.outcome(s) for s in src.sets()}
+    for k, s in enumerate(s for s in src.sets() if len(s) >= 2):
+        if k % 3 == 0:
+            gens = np.vstack([src.outcome([f]) for f in sorted(s)])
+            vertex = gens[np.argmax(gens @ rng.normal(size=src.dimension))]
+            table[s] = vertex if k % 2 == 0 else 3.0 * vertex - 2.0 * gens.mean(axis=0)
+    return DatasetSource(src.dimension, table)
+
+
+def _boundary_case(name):
+    """(source, recovery, tolerance) of one named menu dataset."""
+    tol = DEFAULT_TOL
+    if name == "luce":
+        src = _menus(41)
+    elif name in ("two classes", "three classes"):
+        classes = 2 if name == "two classes" else 3
+        src = _menus(42 + classes, features=3 * classes + 1, dimension=2, classes=classes)
+    elif name == "faces, clean weights":
+        clean = _menus(45)
+        return _faces_and_outside(clean, 45), recover(clean), tol
+    elif name == "faces":
+        src = _faces_and_outside(_menus(45), 45)
+    elif name == "non-representable":
+        src = perturb(_menus(46, features=5), 1e-3, seed=46)
+    elif name == "missing pair":
+        full = _menus(47, features=5)
+        src = DatasetSource(
+            full.dimension, {s: full.outcome(s) for s in full.sets() if s != {"x00", "x01"}}
+        )
+    elif name == "translated":
+        src = _menus(41, shift=1e6)
+    else:
+        src = _menus(41, factor=1e-6)
+        tol = Tolerance(abs_tol=1e-15)
+    return src, recover(src, tol), tol
+
+
+_BOUNDARY_OUTCOMES = {
+    "luce": Recovered,
+    "two classes": Recovered,
+    "three classes": Recovered,
+    "faces, clean weights": Recovered,
+    "faces": NonRepresentable,
+    "non-representable": NonRepresentable,
+    "missing pair": MissingData,
+    "translated": Recovered,
+    "scaled": Recovered,
+}
+
+
+class TestBoundaryMatchesPerMenuSearch:
+    @pytest.mark.parametrize("name", sorted(_BOUNDARY_OUTCOMES))
+    def test_same_report(self, name):
+        src, recovery, tol = _boundary_case(name)
+        assert isinstance(recovery, _BOUNDARY_OUTCOMES[name])
+        want = reference_boundary_diagnostic(src, recovery, tol)
+        assert boundary_diagnostic(src, recovery, tol) == want
+        if name.startswith("faces"):
+            assert want.boundary_menus and not all(row.in_hull for row in want.rows)
