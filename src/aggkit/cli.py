@@ -297,6 +297,8 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
     members = [m for m in args.members.split(",") if m]
     if not members:
         raise DatasetFormatError("--members", "expected a comma-separated list of features")
+    if len(set(members)) != len(members):
+        raise DatasetFormatError("--members", "duplicate members")
     outcome = recover(doc.source, tol)
     if not isinstance(outcome, Recovered):
         return _recovery_result(outcome)

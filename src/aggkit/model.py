@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     MissingDataError,
     MissingSingleton,
+    TooLarge,
     UnknownFeature,
 )
 from .geometry import (
@@ -285,6 +286,47 @@ class OracleSource(AggregationSource):
         return tuple(sorted(self._cache, key=set_sort_key))
 
 
+def _equal_matrix(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.bool_]:
+    """``equal[i, j]``: rows i and j of ``points`` pass ``Tolerance.close``."""
+    n = len(points)
+    return _close_rows(np.repeat(points, n, axis=0), np.tile(points, (n, 1)), tol).reshape(n, n)
+
+
+def _pair_outcomes(
+    src: AggregationSource, features: Sequence[str], pairs: NDArray[np.bool_]
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]]:
+    """Look up every pair (i, j), i < j, marked in ``pairs`` once, in
+    ``itertools.combinations`` order: the stored pairs' indices i and j,
+    their aggregates as rows, and ``absent[i, j]`` (symmetric), the
+    marked pairs the source lacks."""
+    first, second = np.nonzero(np.triu(pairs, 1))
+    aggs = [src._lookup((features[i], features[j])) for i, j in zip(first.tolist(), second.tolist())]
+    stored = np.array([agg is not None for agg in aggs], dtype=bool)
+    absent = np.zeros(pairs.shape, dtype=bool)
+    absent[first[~stored], second[~stored]] = absent[second[~stored], first[~stored]] = True
+    rows = np.array([agg for agg in aggs if agg is not None]).reshape(-1, src.dimension)
+    return first[stored], second[stored], rows, absent
+
+
+def _pairs_away(
+    src: AggregationSource,
+    features: Sequence[str],
+    points: NDArray[np.float64],
+    pairs: NDArray[np.bool_],
+    tol: Tolerance,
+) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
+    """The endpoint gate on every pair marked in ``pairs``, from one
+    ``_pair_outcomes`` pass: ``away[i, j]``, the stored f({i, j}) is not
+    ``_close_rows``-close to f(j) = ``points[j]``, so ``away & away.T``
+    marks the pair aggregates away from both endpoints; and ``absent``,
+    the marked pairs the source lacks."""
+    first, second, aggs, absent = _pair_outcomes(src, features, pairs)
+    away = np.zeros(pairs.shape, dtype=bool)
+    away[first, second] = ~_close_rows(aggs, points[second], tol)
+    away[second, first] = ~_close_rows(aggs, points[first], tol)
+    return away, absent
+
+
 def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> list[float]:
     """The weights of ``members`` as floats: UnknownFeature for a member
     without one, ValueError for one that is not positive and finite."""
@@ -440,6 +482,10 @@ def evaluate(rep: Representation, members: Iterable[str] | str) -> Vector:
     return rep._evaluate([_known_set(rep, members)])[0]
 
 
+# Most features whose 2^n - 1 subsets ``induced_source`` enumerates.
+_MAX_ALL_SUBSETS = 10
+
+
 def induced_source(
     rep: Representation,
     sets: Iterable[Iterable[str]] | None = None,
@@ -447,9 +493,14 @@ def induced_source(
     """Dataset of forward evaluations of the representation.
 
     With ``sets`` omitted, every non-empty subset of the features is
-    evaluated (callers should keep the feature count modest).
+    evaluated; beyond ``_MAX_ALL_SUBSETS`` features that raises TooLarge.
     """
     features = rep.features()
+    if sets is None and len(features) > _MAX_ALL_SUBSETS:
+        raise TooLarge(
+            f"all subsets of {len(features)} features is too large; "
+            f"the limit is {_MAX_ALL_SUBSETS}"
+        )
     known = [_known_set(rep, s) for s in (_subsets(features) if sets is None else sets)]
     known += [frozenset([f]) for f in features]
     return DatasetSource(rep.dimension, dict(zip(known, rep._evaluate(known))))
@@ -715,68 +766,40 @@ def check_strong_richness(
     """Per-feature witness search for the strong richness condition.
 
     A feature x is witnessed by (y, z) when the three singleton outcomes
-    are not collinear and both pair aggregates f({x,y}), f({x,z}) differ
-    from each endpoint.  Candidates are tried in lexicographic order.
-    Raises MissingDataError when a feature has no witness among the
-    decidable candidates but some candidate pair set is absent.
+    are not collinear and both pair aggregates f({x,y}), f({x,z}) lie
+    away from both of their endpoints.  Every pair is looked up once, in
+    ``itertools.combinations`` order (an oracle is asked for all of
+    them), and the endpoint gate of ``recover_order`` marks the interior
+    pairs in one pass.  Candidates with both pairs interior are then
+    tried in lexicographic order until the first non-collinear triple,
+    normally one collinearity test per feature.  Raises MissingDataError
+    when a feature has no witness and some absent pair (x, u) lies in a
+    non-collinear triple (x, u, v); those pairs are the required sets.
     """
     features = src.features()
-    singles = {f: src.outcome([f]) for f in features}
+    n = len(features)
+    points = np.array([src.outcome([f]) for f in features]).reshape(n, src.dimension)
+    away, absent = _pairs_away(src, features, points, np.ones((n, n), dtype=bool), tol)
+    interior = away & away.T
     entries: list[StrongRichnessEntry] = []
     all_blocked: set[tuple[str, ...]] = set()
-    # Answer per unordered pair (features are sorted, so (x, y) with x < y).
-    known: dict[tuple[str, str], bool | None] = {}
-
-    def pair_interior(x: str, other: str) -> bool | None:
-        """True/False when decidable, None when the pair set is missing."""
-        key = (x, other) if x < other else (other, x)
-        if key in known:
-            return known[key]
-        agg = src._lookup(key)
-        answer = None
-        if agg is not None:
-            answer = not tol.close(agg, singles[x]) and not tol.close(agg, singles[other])
-        known[key] = answer
-        return answer
-
-    def settled(x: str, y: str, z: str) -> bool:
-        """(y, z) can neither witness x nor block it, whatever the geometry.
-
-        Only answers already computed count; a pair not yet asked about
-        (or missing) reads None here and leaves the candidate open, so
-        the oracle is queried in the same order as without the shortcut.
-        """
-        oy = known.get((x, y) if x < y else (y, x), None)
-        oz = known.get((x, z) if x < z else (z, x), None)
-        return oy is not None and oz is not None and not (oy and oz)
-
-    for x in features:
-        witness: tuple[str, str] | None = None
-        blocked: set[tuple[str, ...]] = set()
-        others = [f for f in features if f != x]
-        for y, z in itertools.combinations(others, 2):
-            if settled(x, y, z):
-                continue
-            if _affine_rank(np.vstack([singles[x], singles[y], singles[z]]), tol) < 2:
-                continue
-            oy = pair_interior(x, y)
-            oz = pair_interior(x, z)
-            if oy is None:
-                blocked.add(tuple(sorted((x, y))))
-            if oz is None:
-                blocked.add(tuple(sorted((x, z))))
-            if oy and oz:
-                witness = (y, z)
-                break
-        if witness is None and blocked:
-            all_blocked |= blocked
-        entries.append(
-            StrongRichnessEntry(
-                feature=x,
-                witness=witness,
-                blocked_by=tuple(sorted(blocked)) if witness is None else (),
-            )
+    for x in range(n):
+        candidates = itertools.combinations(np.flatnonzero(interior[x]).tolist(), 2)
+        witness = next(
+            ((features[y], features[z]) for y, z in candidates
+             if _affine_rank(points[[x, y, z]], tol) >= 2),
+            None,
         )
+        blocked: tuple[tuple[str, ...], ...] = ()
+        if witness is None:
+            blocked = tuple(sorted(
+                tuple(sorted((features[x], features[u])))
+                for u in np.flatnonzero(absent[x]).tolist()
+                if any(_affine_rank(points[[x, *sorted((u, v))]], tol) >= 2
+                       for v in range(n) if v not in (x, u))
+            ))
+            all_blocked.update(blocked)
+        entries.append(StrongRichnessEntry(features[x], witness, blocked))
     if all_blocked:
         raise MissingDataError(sorted(all_blocked))
     return StrongRichnessReport(entries=tuple(entries))

@@ -43,6 +43,9 @@ from .model import (
     AggregationSource,
     DatasetSource,
     Representation,
+    _equal_matrix,
+    _pair_outcomes,
+    _pairs_away,
     top_set,
 )
 
@@ -136,26 +139,6 @@ class MissingData:
 RecoveryOutcome = Recovered | NonRepresentable | MissingData
 
 
-def _equal_matrix(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.bool_]:
-    """``equal[i, j]``: rows i and j of ``points`` pass ``Tolerance.close``."""
-    n = len(points)
-    return _close_rows(np.repeat(points, n, axis=0), np.tile(points, (n, 1)), tol).reshape(n, n)
-
-
-def _pair_outcomes(
-    src: AggregationSource, features: Sequence[str], pairs: NDArray[np.bool_]
-) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64], set[tuple[str, ...]]]:
-    """Look up every pair (i, j), i < j, marked in ``pairs`` once, in
-    ``itertools.combinations`` order: the stored pairs' indices i and j,
-    their aggregates as rows, and the absent pairs by name."""
-    first, second = np.nonzero(np.triu(pairs, 1))
-    aggs = [src._lookup((features[i], features[j])) for i, j in zip(first.tolist(), second.tolist())]
-    stored = np.array([agg is not None for agg in aggs], dtype=bool)
-    missing = {(features[i], features[j]) for i, j in zip(first[~stored], second[~stored])}
-    rows = np.array([agg for agg in aggs if agg is not None]).reshape(-1, src.dimension)
-    return first[stored], second[stored], rows, missing
-
-
 def recover_order(
     src: AggregationSource, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, int]:
@@ -183,12 +166,11 @@ def recover_order(
     points = np.array([src.outcome([f]) for f in features])
     equal = _equal_matrix(points, tol)
 
-    first, second, aggs, missing = _pair_outcomes(src, features, ~equal)
-    geq = np.eye(n, dtype=bool)
-    geq[first, second] = ~_close_rows(aggs, points[second], tol)
-    geq[second, first] = ~_close_rows(aggs, points[first], tol)
+    away, absent = _pairs_away(src, features, points, ~equal, tol)
+    missing = {(features[i], features[j]) for i, j in zip(*np.nonzero(np.triu(absent)))}
+    geq = away | np.eye(n, dtype=bool)
     # A witness for x: a feature whose pair with x lands strictly inside.
-    witness = geq & geq.T & ~equal
+    witness = away & away.T
 
     # Equal-outcome pairs compare through a witness z of one of them: z
     # shares that one's rank, so f({z, other}) decides the pair.

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TooLarge, UnsatisfiablePolicy
+from .errors import UnsatisfiablePolicy
 from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension
 from .model import (
     AxiomMode,
@@ -37,9 +37,6 @@ __all__ = [
     "brute_force_axiom_check",
     "perturb",
 ]
-
-_MAX_ALL_SUBSETS = 10
-
 
 class OutcomePolicy(Enum):
     RANDOM_RICH = "random-rich"       # every rank class spans a plane
@@ -169,11 +166,6 @@ def gen_dataset(
     """
     features = rep.features()
     if subset_policy is SubsetPolicy.ALL_SUBSETS:
-        if len(features) > _MAX_ALL_SUBSETS:
-            raise TooLarge(
-                f"all subsets of {len(features)} features is too large; "
-                f"the limit is {_MAX_ALL_SUBSETS}"
-            )
         return induced_source(rep)
     if subset_policy is SubsetPolicy.PAIRS_AND_TRIPLES:
         sets: list[tuple[str, ...]] = [(f,) for f in features]

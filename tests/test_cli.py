@@ -99,6 +99,15 @@ class TestVerdictsAndExitCodes:
         assert code == 0
         assert rep["result"]["value"] == pytest.approx([2.0 / 3.0, 0.0])
 
+    def test_eval_refuses_duplicate_members(self, run_cli, fixtures_dir):
+        # {a} is not the set "a,a" names; refused like the loader refuses it.
+        code, rep = report_of(
+            run_cli, "eval", "--members", "a,a", str(fixtures_dir / "triangle_two_tier.json")
+        )
+        assert code == 2
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert rep["result"]["message"] == "--members: duplicate members"
+
     def test_bayes_consistent(self, run_cli, fixtures_dir):
         code, rep = report_of(run_cli, "bayes", str(fixtures_dir / "coin_beliefs.json"))
         assert code == 0

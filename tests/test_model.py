@@ -8,20 +8,26 @@ import pytest
 from aggkit import (
     AxiomMode,
     DatasetSource,
+    GeneratorConfig,
     OracleSource,
     Representation,
+    SubsetPolicy,
     Tolerance,
     check_axiom,
     check_richness,
     check_strong_richness,
     evaluate,
     feature_set,
+    gen_dataset,
+    gen_representation,
     induced_source,
     top_set,
 )
+from aggkit import model
 from aggkit.errors import (
     MissingDataError,
     MissingSingleton,
+    TooLarge,
     UnknownFeature,
 )
 from aggkit.model import _ID_FORBIDDEN, validate_feature_id
@@ -167,6 +173,16 @@ class TestInducedSource:
         assert src.has(["b"])
         assert src.has(["a", "b"])
 
+    def test_all_subsets_refused_beyond_ten_features(self):
+        def rep(count):
+            return gen_representation(GeneratorConfig(seed=5, feature_count=count, dimension=2))
+
+        assert len(induced_source(rep(10)).sets()) == 2**10 - 1
+        with pytest.raises(TooLarge, match="all subsets of 11 features is too large; the limit is 10"):
+            induced_source(rep(11))
+        # A given list of sets has no such limit.
+        assert len(induced_source(rep(11), [("x00", "x10")]).sets()) == 12
+
 
 class TestCheckAxiom:
     def test_weighted_holds_on_induced_data(self, two_tier_source):
@@ -286,3 +302,22 @@ class TestStrongRichness:
         report = check_strong_richness(src)
         assert not report.satisfied
         assert report.witness_for("a") is None
+
+    def test_one_collinearity_test_per_feature(self, monkeypatch):
+        # The interior pairs are one array pass; each feature then tests
+        # its first candidate triple, which is not collinear.
+        rep = gen_representation(
+            GeneratorConfig(seed=6, feature_count=18, dimension=2, rank_classes=2)
+        )
+        src = gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES)
+        calls = []
+
+        def counted(mat, tol):
+            calls.append(len(mat))
+            return rank(mat, tol)
+
+        rank = model._affine_rank
+        monkeypatch.setattr(model, "_affine_rank", counted)
+        report = check_strong_richness(src)
+        assert report.satisfied
+        assert len(calls) <= 18

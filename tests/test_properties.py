@@ -25,6 +25,13 @@ Recovery speaks of the same things: the same relabelling, set order
 and a round trip through the dataset file format must leave its
 status, ranks and weight bits alone, and the data a recovered
 representation induces on the same sets must recover to it again.
+
+Strong richness reads every pair through the endpoint gate that
+``recover_order`` uses, in one pass; it must give the report (or the
+required sets) of ``reference_strong_richness``, which decides one pair
+at a time.  Its draws put pairs at the gate's edge too: missing, at an
+endpoint, inside the segment, or moved off an endpoint by the gate
+times 1 +- 1e-3, among lattice singletons with many collinear triples.
 """
 
 import io
@@ -45,6 +52,7 @@ from aggkit import (
     SubsetPolicy,
     check_axiom,
     check_bayesian,
+    check_strong_richness,
     dataset_to_json,
     load_dataset,
     convex_coefficients,
@@ -56,7 +64,8 @@ from aggkit import (
     relative_interior_check,
 )
 from aggkit.errors import NotInConvexHull
-from aggkit.geometry import Tolerance, _certify_interior, _interior_terms
+from aggkit.geometry import DEFAULT_TOL, Tolerance, _certify_interior, _interior_terms
+from test_reference_oracles import _strong_richness_or_missing, reference_strong_richness
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -385,3 +394,38 @@ def test_recovered_representation_is_a_fixed_point(src):
     assert again.representation.ranks == rep.ranks
     for f, w in rep.weights.items():
         assert abs(again.representation.weights[f] - w) <= 1e-9 * w
+
+
+@st.composite
+def richness_sources(draw):
+    """Lattice singletons; each pair missing, at an endpoint, inside its
+    segment, or off an endpoint by the endpoint gate x (1 +- 1e-3)."""
+    n = draw(st.integers(3, 7))
+    d = draw(st.integers(1, 3))
+    coord = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    points = {f"f{i}": np.array(draw(coord), dtype=float) for i in range(n)}
+    table = {frozenset([f]): p for f, p in points.items()}
+    for x, y in itertools.combinations(points, 2):
+        kind = draw(st.sampled_from(["missing", "endpoint", "inside", "near"]))
+        a, b = draw(st.permutations([points[x], points[y]]))
+        if kind == "endpoint":
+            table[frozenset([x, y])] = a
+        elif kind == "inside":
+            lam = draw(st.sampled_from([0.25, 0.5, 0.75]))
+            table[frozenset([x, y])] = lam * a + (1.0 - lam) * b
+        elif kind == "near":
+            step = np.zeros(d)
+            step[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+            scale = DEFAULT_TOL.gate(float(np.linalg.norm(a))) * draw(
+                st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3])
+            )
+            table[frozenset([x, y])] = a + scale * step
+    return DatasetSource(d, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(richness_sources())
+def test_strong_richness_matches_the_pairwise_reference(src):
+    assert _strong_richness_or_missing(check_strong_richness, src) == (
+        _strong_richness_or_missing(reference_strong_richness, src)
+    )

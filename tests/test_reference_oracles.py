@@ -8,7 +8,7 @@ behind ``check_axiom`` must give the same report, bit for bit;
 ``reference_strong_richness`` recomputes every pair answer and runs the
 collinearity test for every candidate.  Both are the straightforward
 definitions the main code must reproduce exactly: same checks in the
-same order, same witnesses, same blocked pairs, same oracle queries.
+same order, same witnesses, same blocked pairs.
 
 ``reference_convex_coefficients`` and ``reference_relative_interior``
 search every affinely independent generator subset,
@@ -387,16 +387,24 @@ class TestStrongRichnessMatchesReference:
         assert got[0] == "missing"
 
     @pytest.mark.parametrize("seed,classes", [(22, 1), (23, 2), (24, 3)])
-    def test_oracle_queries_in_the_same_order(self, seed, classes):
+    def test_oracle_queries_every_pair_once(self, seed, classes):
+        # The interior pairs are one array pass, so an oracle is asked for
+        # every singleton and then every pair, each once, in
+        # ``itertools.combinations`` order.
         rep = _rep(seed, 9, classes=classes)
+        asked = []
 
-        def oracle():
-            return OracleSource(rep.dimension, lambda fs: evaluate(rep, fs), rep.features())
+        def answer(fs):
+            asked.append(fs)
+            return evaluate(rep, fs)
 
-        ours, theirs = oracle(), oracle()
+        ours = OracleSource(rep.dimension, answer, rep.features())
+        theirs = OracleSource(rep.dimension, lambda fs: evaluate(rep, fs), rep.features())
         assert check_strong_richness(ours) == reference_strong_richness(theirs)
-        assert ours.query_log == theirs.query_log
-        assert ours.query_log
+        names = rep.features()
+        expected = [frozenset([f]) for f in names]
+        expected += [frozenset(pair) for pair in itertools.combinations(names, 2)]
+        assert asked == ours.query_log == expected
 
 
 def _wide_union_among_singletons(size):
