@@ -25,6 +25,7 @@ from .errors import (
     MultipleRankClasses,
     NotABelief,
     NotStationary,
+    TooLarge,
     UnknownFeature,
 )
 from .geometry import (
@@ -42,11 +43,10 @@ from .model import (
     Representation,
     _membership,
     _positive_weights,
-    _stored_splits,
+    _split_rows,
     _subsets,
     _top_mean,
     feature_set,
-    set_sort_key,
 )
 from .recovery import (
     MissingData,
@@ -234,25 +234,40 @@ def check_bayesian(
     return BayesianCheck(consistent, joint, worst, detail, outcome)
 
 
+# Most features whose 2^n - 1 conditioning sets ``build_cps`` builds.
+_MAX_CPS_FEATURES = 14
+
+
 @dataclass(frozen=True)
 class ConditionalProbabilitySystem:
     """Family of joint distributions indexed by the conditioning set.
 
-    Each conditioning set A gets a distribution concentrated on the
-    cylinder (all states) x A; for a two-tier order the mass sits on the
-    top-ranked members of A only.
+    The outcome of each conditioning set A in ``source`` is its
+    ``num_states`` x features joint table, flattened state by state; a
+    table of another size or with a negative cell raises ValueError.
+    The mass sits on the cylinder (all states) x A; for a two-tier order
+    on the top-ranked members of A only.
     """
 
-    features: tuple[str, ...]
     num_states: int
-    conditionals: Mapping[FeatureSet, JointProbability]
+    source: DatasetSource
+
+    def __post_init__(self) -> None:
+        if self.source.dimension != self.num_states * len(self.source.features()):
+            raise ValueError("table must be states x features")
+        if float(self.source._points.min()) < 0.0:
+            raise ValueError("joint probabilities must be non-negative")
+
+    @property
+    def features(self) -> tuple[str, ...]:
+        return self.source.features()
 
     def conditional(self, members: Iterable[str] | str) -> JointProbability:
         fs = feature_set(members)
-        try:
-            return self.conditionals[fs]
-        except KeyError:
-            raise UnknownFeature(f"no conditional stored for {sorted(fs)}") from None
+        table = self.source._lookup(fs)
+        if table is None:
+            raise UnknownFeature(f"no conditional stored for {sorted(fs)}")
+        return JointProbability(features=self.features, table=table.reshape(self.num_states, -1))
 
 
 def build_cps(
@@ -262,20 +277,22 @@ def build_cps(
 
     For every non-empty feature subset A, cell (state, x) gets
     weight(x) * belief(x)(state) / (total weight of the top of A) when x
-    is top-ranked in A and zero otherwise.
+    is top-ranked in A and zero otherwise.  More than
+    ``_MAX_CPS_FEATURES`` features raise TooLarge before any subset is
+    built.
     """
     features = rep.features()
+    if len(features) > _MAX_CPS_FEATURES:
+        raise TooLarge(
+            f"a conditional probability system on {len(features)} features is too large; "
+            f"the limit is {_MAX_CPS_FEATURES}"
+        )
     beliefs = [as_belief(rep.outcomes[f], tol) for f in features]
     sets = _subsets(features)
     members = _membership(rep._column, sets)
     tables = _top_mean(rep._weight_array, _cells(beliefs), members, rep._rank_array)
-    n = beliefs[0].size
-    conditionals = {
-        frozenset(combo): JointProbability(features=features, table=table.reshape(n, -1))
-        for combo, table in zip(sets, tables)
-    }
     return ConditionalProbabilitySystem(
-        features=features, num_states=n, conditionals=conditionals
+        num_states=beliefs[0].size, source=DatasetSource(tables.shape[1], dict(zip(sets, tables)))
     )
 
 
@@ -313,45 +330,35 @@ def verify_cps(
     For every stored disjoint pair (A, B) whose union is stored, and
     every cell C = (state, feature):
     P(C | A+B) = P(all x A | A+B) P(C | A) + P(all x B | A+B) P(C | B).
-    Pairs are found as stored splits of each stored union and checked in
-    canonical order of (A, B); the coefficients come from the column
-    masses of each conditional, computed once.
+    This is the averaging axiom with lambda = P(all x A | A+B), so the
+    pairs are the stored splits ``check_axiom`` walks on ``cps.source``,
+    checked in canonical order of (A, B); the coefficients are the
+    column masses of each conditional, computed once.
     """
     g = tol.gate(1.0)
-    stored = sorted(cps.conditionals, key=set_sort_key)
-    if not stored:
-        return CpsReport(max_residual=0.0, violations=(), checked_pairs=0)
-    col = {f: i for i, f in enumerate(cps.features)}
-    unknown = set().union(*stored) - col.keys()
-    if unknown:
-        raise UnknownFeature(f"unknown features {sorted(unknown)}")
-    member = _membership(col, stored)
-    masks = [sum(1 << col[f] for f in fs) for fs in stored]
-    tables = np.stack([cps.conditionals[fs].table for fs in stored])
+    src = cps.source
+    features, keys = src.features(), src._members
+    tables = src._points.reshape(len(src), cps.num_states, len(features))
+    member = _membership({f: j for j, f in enumerate(features)}, keys)
     masses = tables.sum(axis=1)  # (set, feature) mass of each column
+    total = masses.sum(axis=1)
+    unnormalized = np.abs(total - 1.0) > g
+    outside = np.abs(total - np.where(member, masses, 0.0).sum(axis=1)) > g
+    faulty = np.flatnonzero(unnormalized | outside)
+    if faulty.size:
+        row = faulty[0]
+        why = "is not normalized" if unnormalized[row] else "has mass outside its set"
+        raise ValueError(f"conditional on {list(keys[row])} {why}")
 
-    for row, fs in enumerate(stored):
-        total = float(masses[row].sum())
-        if abs(total - 1.0) > g:
-            raise ValueError(f"conditional on {sorted(fs)} is not normalized")
-        if abs(total - float(masses[row, member[row]].sum())) > g:
-            raise ValueError(f"conditional on {sorted(fs)} has mass outside its set")
-
-    row_of = {mask: row for row, mask in enumerate(masks)}
-    by_low: dict[int, list[int]] = {}
-    for mask in masks:
-        by_low.setdefault(mask & -mask, []).append(mask)
-    pairs = sorted(
-        (*sorted((row_of[part_a], row_of[part_b])), row_of[union])
-        for union in masks
-        for part_a, part_b in _stored_splits(row_of, by_low, union)
-    )
+    union, *parts = _split_rows(src)
+    pairs = np.vstack([np.sort(parts, axis=0), union])  # rows A < B, then A + B
+    pairs = pairs[:, np.lexsort(pairs[::-1])]
 
     violations: list[ChainViolation] = []
     worst = 0.0
-    block = max(1, _CPS_BLOCK_CELLS // max(1, len(col) * cps.num_states))
-    for start in range(0, len(pairs), block):
-        a, b, u = np.array(pairs[start : start + block], dtype=np.intp).T
+    block = max(1, _CPS_BLOCK_CELLS // src.dimension)
+    for start in range(0, pairs.shape[1], block):
+        a, b, u = pairs[:, start : start + block]
         coef_a = (masses[u] * member[a]).sum(axis=1)[:, None, None]
         coef_b = (masses[u] * member[b]).sum(axis=1)[:, None, None]
         lhs = tables[u]
@@ -359,19 +366,13 @@ def verify_cps(
         gaps = np.abs(lhs - rhs)
         worst = max(worst, float(gaps.max()))
         # Feature-major within each pair, as the cells are reported.
-        for k, c, state in np.argwhere(gaps.transpose(0, 2, 1) > g):
-            violations.append(
-                ChainViolation(
-                    part_a=tuple(sorted(stored[a[k]])),
-                    part_b=tuple(sorted(stored[b[k]])),
-                    state=int(state),
-                    feature=cps.features[c],
-                    lhs=float(lhs[k, state, c]),
-                    rhs=float(rhs[k, state, c]),
-                )
-            )
+        violations += [
+            ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
+                           float(lhs[k, state, c]), float(rhs[k, state, c]))
+            for k, c, state in np.argwhere(gaps.transpose(0, 2, 1) > g)
+        ]
     return CpsReport(
-        max_residual=worst, violations=tuple(violations), checked_pairs=len(pairs)
+        max_residual=worst, violations=tuple(violations), checked_pairs=pairs.shape[1]
     )
 
 

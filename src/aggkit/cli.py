@@ -334,7 +334,7 @@ def cmd_cps(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> R
     cps = build_cps(outcome.representation, tol)
     report = verify_cps(cps, tol)
     result = {
-        "conditioning_sets": len(cps.conditionals),
+        "conditioning_sets": len(cps.source),
         "checked_pairs": report.checked_pairs,
         "max_residual": jnum(report.max_residual),
         "violations": [

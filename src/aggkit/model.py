@@ -142,9 +142,10 @@ class DatasetSource(AggregationSource):
     """Finite table of set outcomes.
 
     Keys are feature sets, values are outcome points of a common
-    dimension.  Every member of every set must also appear as a
-    singleton, so the data always contains the underlying feature map;
-    violating that raises MissingSingleton at construction time.
+    dimension; an empty table raises ValueError.  Every member of every
+    set must also appear as a singleton, so the data always contains the
+    underlying feature map; violating that raises MissingSingleton at
+    construction time.
 
     The data is validated and interned once, at construction, in batch:
     each distinct feature id is checked once, and all outcomes are
@@ -169,16 +170,14 @@ class DatasetSource(AggregationSource):
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
         items = list(outcomes.items())
+        if not items:
+            raise ValueError("a dataset needs at least one set")
         try:
             sets = [frozenset((k,)) if isinstance(k, str) else frozenset(k) for k, _ in items]
             ids = frozenset().union(*sets)
             for fid in ids:
                 validate_feature_id(fid)
-            stack = (
-                np.array([value for _, value in items], dtype=float)
-                if items
-                else np.empty((0, self.dimension))
-            )
+            stack = np.array([value for _, value in items], dtype=float)
         except (TypeError, ValueError, OverflowError):
             _first_fault(items, self.dimension)
         if (
@@ -651,7 +650,7 @@ def _stored_splits(
     """Stored (A, B) masks with A + B = ``union`` and A holding its lowest bit.
 
     ``by_low`` groups the stored masks by lowest bit; see
-    :func:`check_axiom` for how the candidate list is chosen.
+    :func:`_split_rows` for how the candidate list is chosen.
     """
     low = union & -union
     stored_low = by_low[low]
@@ -670,40 +669,44 @@ def _stored_splits(
             yield part_a, union ^ part_a
 
 
-def check_axiom(
-    src: DatasetSource,
-    mode: AxiomMode = AxiomMode.WEIGHTED,
-    tol: Tolerance = DEFAULT_TOL,
-) -> AxiomReport:
-    """Check every disjoint pair with recorded union against the axiom.
+def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+    """Every stored split U = A + B of ``src`` as row indices (union, A, B).
 
-    Pairs are enumerated from the stored sets: for every stored set U
-    with at least two members, every bipartition U = A + B with both
-    parts stored is checked once, A holding the smallest member of U,
-    in canonical order.
-
-    The candidates for A are either the 2^(|U|-1) subsets of U that
-    hold its smallest member or the stored sets whose smallest member is
-    U's, whichever list is shorter, so each union costs
-    min(2^(|U|-1), number of stored sets sharing U's smallest member)
-    lookups.  A wide union among few stored sets is cheap.  The segment
-    geometry of all the splits found is then one array pass.
+    Unions come in row order, each with every bipartition whose parts are
+    stored, A holding U's smallest member, in canonical order of (A, B).
+    A's candidates are the 2^(|U|-1) subsets of U holding that member or
+    the stored sets sharing it as smallest, whichever list is shorter.
     """
-    sets, mask_row, points, keys = src.sets(), src._mask_row, src._points, src._members
+    mask_row, keys = src._mask_row, src._members
     masks = tuple(mask_row)
     by_low: dict[int, list[int]] = {}
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)
-    splits: list[tuple[int, int, int]] = []
-    for row, stored in enumerate(sets):
+    splits: list[int] = []  # (union, A, B) flat, without a tuple per split
+    for row, stored in enumerate(keys):
         if len(stored) < 2:
             continue
         parts = sorted(
             (keys[mask_row[a]], keys[mask_row[b]], mask_row[a], mask_row[b])
             for a, b in _stored_splits(mask_row, by_low, masks[row])
         )
-        splits.extend((row, row_a, row_b) for _, _, row_a, row_b in parts)
+        splits.extend(i for _, _, row_a, row_b in parts for i in (row, row_a, row_b))
     union, part_a, part_b = np.array(splits, dtype=np.intp).reshape(-1, 3).T
+    return union, part_a, part_b
+
+
+def check_axiom(
+    src: DatasetSource,
+    mode: AxiomMode = AxiomMode.WEIGHTED,
+    tol: Tolerance = DEFAULT_TOL,
+) -> AxiomReport:
+    """Check every stored split (``_split_rows``) against the axiom.
+
+    A union U costs min(2^(|U|-1), stored sets sharing U's smallest
+    member) lookups; the segment geometry of all splits is one array pass.
+    """
+    points = src._points
+    union, part_a, part_b = _split_rows(src)
     kind, lam, residual = _segment_positions(points[union], points[part_a], points[part_b], tol)
     degenerate = kind == _SEGMENT_KINDS.index(SegmentKind.DEGENERATE)
     equal = degenerate.copy()
@@ -711,7 +714,7 @@ def check_axiom(
     return AxiomReport(
         mode=mode,
         tolerance=tol,
-        members=keys,
+        members=src._members,
         union=union,
         part_a=part_a,
         part_b=part_b,

@@ -161,8 +161,6 @@ def recover_order(
     """
     features = sorted(src.features())
     n = len(features)
-    if n == 0:
-        raise ValueError("source has no features")
     points = np.array([src.outcome([f]) for f in features])
     equal = _equal_matrix(points, tol)
 

@@ -353,22 +353,17 @@ def check_extended_pareto(
     norm_src = _normalized_source(src, v, tol)
 
     axiom = check_axiom(norm_src, AxiomMode.STRICT, tol)
-    violations = []
-    for chk in axiom.violations:
-        farkas = check_consistency_pair(
-            norm_src.outcome(chk.set_a),
-            norm_src.outcome(chk.set_b),
-            norm_src.outcome(chk.union),
-            tol,
+    failed = axiom.reason != 0
+    points, keys = norm_src._points, axiom.members
+    violations = tuple(
+        ParetoViolation(
+            part_a=keys[a],
+            part_b=keys[b],
+            union=keys[u],
+            farkas=check_consistency_pair(points[a], points[b], points[u], tol),
         )
-        violations.append(
-            ParetoViolation(
-                part_a=chk.set_a,
-                part_b=chk.set_b,
-                union=chk.union,
-                farkas=farkas,
-            )
-        )
+        for u, a, b in zip(*(rows[failed].tolist() for rows in (axiom.union, axiom.part_a, axiom.part_b)))
+    )
 
     # The extended Pareto property is exactly the strict averaging axiom on
     # the normalized table; weights are a bonus that needs recovery to work.
@@ -382,7 +377,7 @@ def check_extended_pareto(
     return ExtendedParetoReport(
         satisfied=axiom.satisfied,
         axiom=axiom,
-        violations=tuple(violations),
+        violations=violations,
         weights=weights,
         recovery=recovery,
     )

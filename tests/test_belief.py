@@ -16,10 +16,12 @@ from aggkit import (
     recover_discounted,
     verify_cps,
 )
+from aggkit import belief
 from aggkit.errors import (
     MultipleRankClasses,
     NotABelief,
     NotStationary,
+    TooLarge,
     UnknownFeature,
 )
 
@@ -141,7 +143,27 @@ class TestConditionalProbabilitySystem:
 
     def test_every_nonempty_subset_is_conditioned(self, coin_beliefs_rep):
         cps = build_cps(coin_beliefs_rep)
-        assert len(cps.conditionals) == 3
+        assert len(cps.source) == 3
+        assert cps.source.sets() == (frozenset("a"), frozenset("b"), frozenset("ab"))
+
+    @pytest.mark.parametrize("n, refused", [(14, False), (15, True)])
+    def test_feature_limit(self, monkeypatch, n, refused):
+        # Beyond the limit TooLarge comes before any subset is built.
+        def no_subsets(features):
+            raise AssertionError("a subset list was built")
+
+        if refused:
+            monkeypatch.setattr(belief, "_subsets", no_subsets)
+        rep = Representation(
+            weights={f"x{i:02d}": 1.0 for i in range(n)},
+            ranks={f"x{i:02d}": 0 for i in range(n)},
+            outcomes={f"x{i:02d}": [0.5, 0.5] for i in range(n)},
+        )
+        if refused:
+            with pytest.raises(TooLarge, match="the limit is 14"):
+                build_cps(rep)
+        else:
+            assert len(build_cps(rep).source) == 2**n - 1
 
     def test_conditioning_on_null_events_stays_defined(self):
         # b has observation weight but zero mass under a's belief; the

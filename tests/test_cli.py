@@ -31,6 +31,27 @@ class TestReportTablesStayColumnar:
         assert code == 0
         assert rep["result"][table]
 
+    @pytest.mark.parametrize("profile", ["profile_committee", "profile_pair", "tilted_pair"])
+    def test_pareto_builds_no_axiom_check_row(self, run_cli, fixtures_dir, tmp_path, monkeypatch, profile):
+        # pareto reads its failed splits from the axiom report's columns.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AxiomCheck row was built")
+
+        if profile == "tilted_pair":
+            doc = json.loads((fixtures_dir / "profile_pair.json").read_text())
+            doc["sets"][0]["outcome"] = [0.9, -0.2]  # off the segment of its parts
+            path = tmp_path / "tilted_pair.json"
+            path.write_text(json.dumps(doc))
+        else:
+            path = fixtures_dir / f"{profile}.json"
+        monkeypatch.setattr(aggkit.model, "AxiomCheck", refuse)
+        code, rep = report_of(run_cli, "pareto", str(path))
+        violated = profile == "tilted_pair"
+        assert code == (1 if violated else 0)
+        assert bool(rep["result"]["violations"]) == violated
+        if violated:
+            assert rep["result"]["violations"][0]["union"] == ["p", "q"]
+
     @pytest.mark.parametrize("axiom", ["weighted", "strict", "extreme"])
     def test_check_rows_are_the_axiom_checks(self, run_cli, tmp_path, axiom):
         # Coincident, interior, endpoint and off-line splits: every column

@@ -855,22 +855,23 @@ class TestBayesMatchesReference:
 def reference_verify_cps(cps, tol=DEFAULT_TOL):
     """Every pair of stored conditioning sets, cell by cell."""
     g = tol.gate(1.0)
-    for fs in sorted(cps.conditionals, key=set_sort_key):
-        joint = cps.conditionals[fs]
+    stored = sorted(cps.source.sets(), key=set_sort_key)
+    joints = {fs: cps.conditional(fs) for fs in stored}
+    for fs in stored:
+        joint = joints[fs]
         if abs(joint.total() - 1.0) > g:
             raise ValueError(f"conditional on {sorted(fs)} is not normalized")
         off = joint.feature_marginal(cps.features) - joint.feature_marginal(fs)
         if abs(off) > g:
             raise ValueError(f"conditional on {sorted(fs)} has mass outside its set")
-    stored = sorted(cps.conditionals, key=set_sort_key)
     violations = []
     worst = 0.0
     checked = 0
     for a, b in itertools.combinations(stored, 2):
-        if a & b or (a | b) not in cps.conditionals:
+        if a & b or (a | b) not in joints:
             continue
         checked += 1
-        j_u, j_a, j_b = (cps.conditionals[x] for x in (a | b, a, b))
+        j_u, j_a, j_b = (joints[x] for x in (a | b, a, b))
         coef_a = j_u.feature_marginal(a)
         coef_b = j_u.feature_marginal(b)
         for col, f in enumerate(cps.features):
@@ -896,6 +897,19 @@ def _cps(seed, features, classes, states=3):
     return build_cps(rep)
 
 
+def _tables(cps):
+    """The (states x features) table of every conditioning set, in canonical order."""
+    return {fs: np.array(cps.conditional(fs).table) for fs in cps.source.sets()}
+
+
+def _system(num_states, tables):
+    """A conditional probability system from (states x features) tables."""
+    width = num_states * len(frozenset().union(*tables))
+    return ConditionalProbabilitySystem(
+        num_states, DatasetSource(width, {fs: np.ravel(t) for fs, t in tables.items()})
+    )
+
+
 def _tilted(cps, seed, share=0.3):
     """Mix a seeded share of conditionals with a member's own conditional.
 
@@ -903,24 +917,22 @@ def _tilted(cps, seed, share=0.3):
     can fail.
     """
     rng = np.random.default_rng(seed)
-    conditionals = dict(cps.conditionals)
-    for fs in sorted(conditionals, key=set_sort_key):
+    tables = _tables(cps)
+    for fs in sorted(tables, key=set_sort_key):
         if len(fs) > 1 and rng.random() < share:
-            single = conditionals[frozenset([min(fs)])]
-            mixed = 0.7 * conditionals[fs].table + 0.3 * single.table
-            conditionals[fs] = type(single)(features=single.features, table=mixed)
-    return ConditionalProbabilitySystem(cps.features, cps.num_states, conditionals)
+            tables[fs] = 0.7 * tables[fs] + 0.3 * tables[frozenset([min(fs)])]
+    return _system(cps.num_states, tables)
 
 
 def _sparse(cps, seed, keep=0.5):
     """Keep the singletons and a seeded share of the larger conditioning sets."""
     rng = np.random.default_rng(seed)
-    conditionals = {
-        fs: joint
-        for fs, joint in sorted(cps.conditionals.items(), key=lambda kv: set_sort_key(kv[0]))
+    tables = {
+        fs: table
+        for fs, table in sorted(_tables(cps).items(), key=lambda kv: set_sort_key(kv[0]))
         if len(fs) == 1 or rng.random() < keep
     }
-    return ConditionalProbabilitySystem(cps.features, cps.num_states, conditionals)
+    return _system(cps.num_states, tables)
 
 
 CPS_CASES = {
@@ -947,6 +959,13 @@ class TestCpsMatchesReference:
             assert ours.rhs == pytest.approx(theirs.rhs, rel=0.0, abs=1e-12)
         assert got.max_residual == pytest.approx(want.max_residual, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(CPS_CASES))
+    def test_chain_rule_walks_the_axiom_splits(self, name):
+        # The chain rule is the averaging axiom with lambda = P(A | A+B):
+        # one split walk serves both checks.
+        cps = CPS_CASES[name]()
+        assert verify_cps(cps).checked_pairs == check_axiom(cps.source).check_count
+
     def test_references_find_violations(self):
         assert verify_cps(CPS_CASES["tilted"]()).violations
         assert verify_cps(CPS_CASES["sparse-tilted"]()).violations
@@ -955,21 +974,32 @@ class TestCpsMatchesReference:
     @pytest.mark.parametrize("defect", ["unnormalized", "mass-outside"])
     def test_same_rejection_of_malformed_conditionals(self, defect):
         cps = _cps(47, 4, 2)
-        conditionals = dict(cps.conditionals)
+        tables = _tables(cps)
         fs = frozenset(["x00", "x01"])
-        table = np.array(conditionals[fs].table)
         if defect == "unnormalized":
-            table = 2.0 * table
+            tables[fs] = 2.0 * tables[fs]
         else:
-            outside = np.array(conditionals[frozenset(["x02"])].table)
-            table = 0.5 * table + 0.5 * outside
-        conditionals[fs] = type(conditionals[fs])(features=cps.features, table=table)
-        broken = ConditionalProbabilitySystem(cps.features, cps.num_states, conditionals)
+            tables[fs] = 0.5 * tables[fs] + 0.5 * tables[frozenset(["x02"])]
+        broken = _system(cps.num_states, tables)
         with pytest.raises(ValueError) as ours:
             verify_cps(broken)
         with pytest.raises(ValueError) as theirs:
             reference_verify_cps(broken)
         assert str(ours.value) == str(theirs.value)
+
+    def test_negative_cell_is_refused(self):
+        cps = _cps(47, 4, 2)
+        tables = _tables(cps)
+        tables[frozenset(["x00", "x01"])][0, 0] = -1e-3
+        with pytest.raises(ValueError, match="joint probabilities must be non-negative"):
+            _system(cps.num_states, tables)
+
+    def test_missing_singleton_is_refused(self):
+        cps = _cps(47, 4, 2)
+        tables = _tables(cps)
+        del tables[frozenset(["x02"])]
+        with pytest.raises(MissingSingleton):
+            _system(cps.num_states, tables)
 
 
 # --------------------------------------------------------------------------
@@ -1219,9 +1249,9 @@ class TestBeliefTablesMatchReference:
         rep = BELIEF_REPS[name]()
         cps = build_cps(rep)
         want = reference_build_cps(rep)
-        assert list(cps.conditionals) == list(want)
+        assert list(cps.source.sets()) == list(want)
         for fs, table in want.items():
-            assert _bits(cps.conditionals[fs].table) == _bits(table)
+            assert _bits(cps.conditional(fs).table) == _bits(table)
 
     @pytest.mark.parametrize("seed,states", [(65, 3), (66, 4), (67, 6)])
     def test_build_joint(self, seed, states):
@@ -1720,9 +1750,10 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         assert any(isinstance(x, int) and abs(x) > 10**30 for _, v in pairs for x in v)
 
     def test_empty_table(self):
-        got, want = _built(2, []), _reference(2, [])
-        assert (got._features, got._sets, got._members) == (want._features, want._sets, ())
-        assert got._points.shape == want._points.shape == (0, 2)
+        # A dataset without sets is refused: recovery and richness have
+        # nothing to read.
+        got = _built(2, [])
+        assert (type(got), str(got)) == (ValueError, "a dataset needs at least one set")
 
     @pytest.mark.parametrize("fault", sorted(_FAULTS))
     @pytest.mark.parametrize("seed", [0, 1])
