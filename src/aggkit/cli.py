@@ -11,6 +11,7 @@ the ``AGGKIT_TOL`` environment variable, then to 1e-9.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -18,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
 from .fileio import (
     DatasetDocument,
     FORMAT_VERSION,
+    Indexed,
     Records,
     dataset_to_json,
     dump_json,
@@ -264,22 +266,20 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
         }
     except MissingDataError as err:
         strong_json = {"status": "undecidable", "required": [list(s) for s in err.required]}
-    members_of = report.members.__getitem__
-    reason = report.reason.tolist()
     result = {
         "axiom": mode.value,
         "satisfied": report.satisfied,
         "checks": Records(
             ("a", "b", "union", "lambda", "residual", "degenerate", "passed", "reason"),
             (
-                list(map(members_of, report.part_a.tolist())),
-                list(map(members_of, report.part_b.tolist())),
-                list(map(members_of, report.union.tolist())),
+                Indexed(report.part_a.tolist(), report.members),
+                Indexed(report.part_b.tolist(), report.members),
+                Indexed(report.union.tolist(), report.members),
                 jcolumn(report.lam),
                 jcolumn(report.residual),
-                report.degenerate.tolist(),
-                [not why for why in reason],
-                list(map(_REASONS.__getitem__, reason)),
+                Indexed(report.degenerate.tolist(), (False, True)),
+                Indexed((report.reason == 0).tolist(), (False, True)),
+                Indexed(report.reason.tolist(), _REASONS),
             ),
         ),
         "violations": int(np.count_nonzero(report.reason)),
@@ -628,12 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Mapping[str, Any], args: argparse.Namespace) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_json(report, fh)
-    else:
-        dump_json(report, sys.stdout)
+def _usage_error(err: Exception) -> Result:
+    return "error", {"message": str(err), "error": type(err).__name__}, EXIT_USAGE
 
 
 def _argument_echo(args: argparse.Namespace) -> dict[str, Any]:
@@ -675,13 +671,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         code = EXIT_MISSING
     except (AggkitError, ValueError) as err:
-        verdict = "error"
-        result = {"message": str(err), "error": type(err).__name__}
-        code = EXIT_USAGE
-    report["verdict"] = verdict
-    report["result"] = result
-    report["exit_code"] = code
-    _emit(report, args)
+        verdict, result, code = _usage_error(err)
+    stream: Any = contextlib.nullcontext(sys.stdout)
+    try:
+        stream = open(args.out, "w", encoding="utf-8") if args.out else stream
+    except OSError as exc:  # the report goes to stdout instead
+        verdict, result, code = _usage_error(DatasetFormatError("--out", f"cannot write: {exc.strerror or exc}"))
+    report.update(verdict=verdict, result=result, exit_code=code)
+    with stream as out:
+        dump_json(report, out)
     return code
 
 

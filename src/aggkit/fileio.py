@@ -25,7 +25,8 @@ a string, so splitting on newlines gives every value, and the
 indentation is put back with string replacements.  A block of a
 ``Records`` table (the rows of ``check`` and ``recover``) is formatted
 column by column in the same way and filled into one ``%`` template per
-row; no row object is built.  Anything else, such as the report
+row; no row object is built; an ``Indexed`` column's values are
+formatted once per table.  Anything else, such as the report
 envelope or a list of dicts, goes through a small recursive writer.
 Each block of a long list is written to the stream before the next one
 is formatted, so a report is never held whole.
@@ -39,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, IO, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,12 +48,13 @@ from numpy.typing import NDArray
 from .belief import TimedQuery, as_belief
 from .errors import DatasetFormatError, NotABelief
 from .geometry import DEFAULT_TOL, Tolerance, Vector
-from .model import DatasetSource, FeatureSet, set_sort_key, validate_feature_id
+from .model import DatasetSource, FeatureSet, validate_feature_id
 
 __all__ = [
     "DatasetDocument",
     "load_dataset",
     "dataset_to_json",
+    "Indexed",
     "Records",
     "dump_json",
 ]
@@ -247,12 +249,15 @@ def load_dataset(
                 )
         table[fs] = outcome
 
+    source = DatasetSource(dimension, table)
     if kind == "belief":
-        for fs in sorted(table, key=set_sort_key):
+        points, gate = source._points, tol.gate(1.0)
+        flagged = ~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)
+        for row in np.flatnonzero(flagged).tolist():  # as_belief names the first fault
             try:
-                as_belief(np.asarray(table[fs]), tol)
+                as_belief(points[row], tol)
             except NotABelief as exc:
-                label = ",".join(sorted(fs))
+                label = ",".join(source._members[row])
                 raise DatasetFormatError(f"outcome of {{{label}}}", str(exc)) from None
 
     direction = None
@@ -274,7 +279,6 @@ def load_dataset(
                 raise DatasetFormatError(f"weights[{fid!r}]", "undeclared feature")
             weight_table[fid] = _positive_number(wt[fid], f"weights[{fid!r}]")
 
-    source = DatasetSource(dimension, table)
     return DatasetDocument(
         kind=kind,
         dimension=dimension,
@@ -303,18 +307,36 @@ def jcolumn(values: NDArray) -> list:
 
 
 @dataclass(frozen=True)
+class Indexed:
+    """A dictionary-encoded :class:`Records` column: row i holds
+    ``values[codes[i]]``, and each referenced value is formatted once per table."""
+
+    codes: Sequence[int]
+    values: Sequence[Any]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> Indexed:
+        return Indexed(self.codes[rows], self.values)
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.values.__getitem__, self.codes)
+
+
+@dataclass(frozen=True)
 class Records:
     """A table of JSON objects held as columns, for :func:`dump_json`.
 
     ``columns[i]`` holds the value of ``keys[i]`` (distinct strings) in
-    every row, in row order, and all columns have one length; a value is
-    a JSON scalar or a flat list of scalars.  ``dump_json`` writes the
-    table as its list of rows, one object per row, straight from the
-    columns.
+    every row, in row order, as a sequence or an :class:`Indexed` column,
+    and all columns have one length; a value is a JSON scalar or a flat
+    list of scalars.  ``dump_json`` writes the table as its list of rows,
+    one object per row, straight from the columns.
     """
 
     keys: tuple[str, ...]
-    columns: tuple[Sequence[Any], ...]
+    columns: tuple[Sequence[Any] | Indexed, ...]
 
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
@@ -323,7 +345,7 @@ class Records:
         return Records(self.keys, tuple(column[rows] for column in self.columns))
 
     def rows(self) -> list[dict[str, Any]]:
-        """The table as a list of dicts, one per row."""
+        """The table as a list of dicts, one per row, codes expanded."""
         return [dict(zip(self.keys, values)) for values in zip(*self.columns)]
 
 
@@ -364,7 +386,7 @@ def dump_json(doc: Mapping[str, Any], stream: IO[str]) -> None:
     sort_keys=True, allow_nan=False)`` followed by ``"\\n"``, errors
     included, where ``doc`` has each ``Records`` table replaced by its
     list of rows (``Records.rows()``); lists are written to ``stream``
-    block by block.
+    block by block, and an ``Indexed`` column's values once per table.
     """
     parts: list[str] = []
     _value(doc, 0, parts, stream.write)
@@ -491,24 +513,43 @@ def _column(values: Sequence, level: int) -> list[str] | None:
     return [next(lists_it) if listed else next(scalars) for listed in is_list]
 
 
-def _record_lines(table: Records, level: int) -> list[str] | None:
-    """Each row of a table in a list at ``level`` formatted as one object,
-    or None unless ``_column`` takes every column without an error."""
+def _dictionaries(table: Records, level: int) -> dict[int, dict[int, str]] | None:
+    """Each value the ``Indexed`` columns of ``table`` reference, formatted at
+    ``level``, by ``id(values)`` and code; None unless ``_column`` takes all."""
+    used: dict[int, tuple[Sequence[Any], set[int]]] = {}
+    for column in table.columns:
+        if type(column) is Indexed:
+            used.setdefault(id(column.values), (column.values, set()))[1].update(column.codes)
+    texts = {}
+    for key, (values, codes) in used.items():
+        try:
+            lines = _column([values[c] for c in codes], level)
+        except ValueError:  # a non-finite float; the rows raise for the first one
+            return None
+        if lines is None:
+            return None
+        texts[key] = dict(zip(codes, lines))
+    return texts
+
+
+def _record_lines(table: Records, level: int, texts: dict[int, dict[int, str]] | None) -> list[str] | None:
+    """Each row of a table in a list at ``level`` formatted as one object, or
+    None unless ``_column`` takes every column (``texts``: ``_dictionaries``)."""
+    if texts is None:
+        return None
     keys, columns = zip(*sorted(zip(table.keys, table.columns), key=lambda kc: kc[0]))
     try:
-        columns = [_column(column, level + 2) for column in columns]
+        columns = [
+            list(map(texts[id(c.values)].__getitem__, c.codes)) if type(c) is Indexed else _column(c, level + 2)
+            for c in columns
+        ]
     except ValueError:  # a non-finite float; the rows raise for the first one
         return None
     if any(column is None for column in columns):
         return None
     inner = _indent(level + 2)
-    template = (
-        "{"
-        + inner
-        + ("," + inner).join(_string(k).replace("%", "%%") + ": %s" for k in keys)
-        + _indent(level + 1)
-        + "}"
-    )
+    fields = ("," + inner).join(_string(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + fields + _indent(level + 1) + "}"
     return list(map(template.__mod__, zip(*columns)))
 
 
@@ -524,6 +565,7 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
         parts.append("[]")
     else:
         table = type(o) is Records
+        texts = _dictionaries(o, level + 2) if table else None
         inner = _indent(level + 1)
         sep = "," + inner
         parts.append("[" + inner)
@@ -531,7 +573,7 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
             block = o[start : start + _BLOCK]
             if start:
                 parts.append(sep)
-            lines = _record_lines(block, level) if table else _column(block, level + 1)
+            lines = _record_lines(block, level, texts) if table else _column(block, level + 1)
             if lines is not None:
                 parts.append(sep.join(lines))
             else:

@@ -676,6 +676,8 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], NDArray[np.intp],
     stored, A holding U's smallest member, in canonical order of (A, B).
     A's candidates are the 2^(|U|-1) subsets of U holding that member or
     the stored sets sharing it as smallest, whichever list is shorter.
+    One ``lexsort`` by union row and A's lexicographic rank orders the
+    splits (in a union, A fixes B).
     """
     mask_row, keys = src._mask_row, src._members
     masks = tuple(mask_row)
@@ -683,16 +685,14 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], NDArray[np.intp],
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)
     splits: list[int] = []  # (union, A, B) flat, without a tuple per split
-    for row, stored in enumerate(keys):
-        if len(stored) < 2:
-            continue
-        parts = sorted(
-            (keys[mask_row[a]], keys[mask_row[b]], mask_row[a], mask_row[b])
-            for a, b in _stored_splits(mask_row, by_low, masks[row])
-        )
-        splits.extend(i for _, _, row_a, row_b in parts for i in (row, row_a, row_b))
+    for row, mask in enumerate(masks):  # a singleton has no split
+        for a, b in _stored_splits(mask_row, by_low, mask):
+            splits += (row, mask_row[a], mask_row[b])
     union, part_a, part_b = np.array(splits, dtype=np.intp).reshape(-1, 3).T
-    return union, part_a, part_b
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    order = np.lexsort((rank[part_a], union))
+    return union[order], part_a[order], part_b[order]
 
 
 def check_axiom(

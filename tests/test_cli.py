@@ -31,6 +31,26 @@ class TestReportTablesStayColumnar:
         assert code == 0
         assert rep["result"][table]
 
+    def test_check_formats_each_member_list_once(self, run_cli, tmp_path, monkeypatch):
+        # 726 splits, three blocks of the checks table: the a, b and union
+        # columns index the stored sets' member lists, each formatted once.
+        _, gen = report_of(run_cli, "gen", "--seed", "7", "--features", "12", "--subsets", "pairs-triples")
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(gen["result"]["dataset"]))
+        formatted = []
+        lists = aggkit.fileio._lists
+
+        def counting(values, level):
+            formatted.extend(v for v in values if type(v) is tuple)
+            return lists(values, level)
+
+        monkeypatch.setattr(aggkit.fileio, "_lists", counting)
+        code, rep = report_of(run_cli, "check", str(path))
+        checks = rep["result"]["checks"]
+        assert code == 0 and len(checks) == 726
+        referenced = {tuple(row[k]) for row in checks for k in ("a", "b", "union")}
+        assert sorted(formatted) == sorted(referenced)
+
     @pytest.mark.parametrize("profile", ["profile_committee", "profile_pair", "tilted_pair"])
     def test_pareto_builds_no_axiom_check_row(self, run_cli, fixtures_dir, tmp_path, monkeypatch, profile):
         # pareto reads its failed splits from the axiom report's columns.
@@ -360,6 +380,20 @@ class TestInputHandling:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["verdict"] == "satisfied"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, run_cli, fixtures_dir, tmp_path, where):
+        # The verdict cannot be written where asked, so the error report
+        # goes to stdout, naming --out, with the usage exit code.
+        target = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+        code, rep = report_of(
+            run_cli, "check", str(fixtures_dir / "triangle_two_tier.json"), "--out", str(target)
+        )
+        assert code == rep["exit_code"] == 2
+        assert rep["verdict"] == "error"
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert rep["result"]["message"].startswith("--out: cannot write: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 class TestToleranceResolution:

@@ -672,6 +672,37 @@ def record_lists(draw):
     return rows if draw(st.booleans()) else tuple(rows)
 
 
+@st.composite
+def indexed_tables(draw):
+    """A ``Records`` table with ``Indexed`` columns, and its rows built
+    apart from it.  Codes repeat; two columns may share one values list
+    (as a, b and union share the stored sets); some values are never
+    referenced, a non-finite one among them; and a plain column may hold
+    a non-finite float, which sends its block to the row fallback."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(0, 3 * SMALL_BLOCK + 1))
+    non_finite = st.sampled_from([math.nan, -math.inf])
+    unused = st.lists(_fields | non_finite, max_size=2)
+    shared = draw(st.lists(_fields, min_size=1, max_size=4)) + draw(unused)
+    columns, cells = [], []
+    for _ in keys:
+        kind = draw(st.sampled_from(["shared", "own", "plain"]))
+        if kind == "plain":
+            column = draw(st.lists(_fields, min_size=count, max_size=count))
+            if column and draw(st.integers(0, 4)) == 0:
+                column[draw(st.integers(0, count - 1))] = draw(non_finite)
+            columns.append(column)
+            cells.append(column)
+            continue
+        values = shared if kind == "shared" else draw(st.lists(_fields, min_size=1, max_size=4)) + draw(unused)
+        used = draw(st.integers(1, len(values)))  # codes reach only the first ``used`` values
+        codes = draw(st.lists(st.integers(0, used - 1), min_size=count, max_size=count))
+        columns.append(fileio.Indexed(codes, values))
+        cells.append([values[c] for c in codes])
+    rows = [dict(zip(keys, row)) for row in zip(*cells)]
+    return fileio.Records(tuple(keys), tuple(columns)), rows
+
+
 _documents = st.recursive(
     _scalars | _flat_lists | record_lists(),
     lambda inner: st.lists(inner, max_size=3)
@@ -690,6 +721,25 @@ class TestCanonicalEmitter:
     def test_report_shaped_documents(self, block, doc):
         with mock.patch.object(fileio, "_BLOCK", block):
             assert dumped(doc) == reference_bytes(doc)
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, fileio._BLOCK])
+    @settings(max_examples=200, deadline=None)
+    @given(indexed_tables())
+    def test_indexed_columns_write_their_rows(self, block, table_and_rows):
+        table, rows = table_and_rows
+        assert table.rows() == rows
+        doc = {"checks": table, "n": len(rows)}
+
+        def reference(_):
+            return json.dumps({"checks": rows, "n": len(rows)}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+        with mock.patch.object(fileio, "_BLOCK", block):
+            try:
+                expected = reference(doc)
+            except ValueError:
+                assert raised(dumped, doc) == raised(reference, doc)
+            else:
+                assert dumped(doc) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(_documents)
@@ -732,10 +782,16 @@ class TestCanonicalEmitter:
             lambda v: fileio.Records(("a",), ([None] * 4 + [[v]],)),
             # The first fault in row order is in the column written last.
             lambda v: fileio.Records(("a", "b"), ([1.0] * 4 + [v], [1.0] * 3 + [-math.inf, 1.0])),
+            lambda v: fileio.Records(("a",), (fileio.Indexed([0, 0, 1, 0, 0], [[1.0], [2.0, v]]),)),
+            # The indexed column's fault comes one row after the plain one's.
+            lambda v: fileio.Records(
+                ("a", "b"), ([1.0] * 3 + [v, 1.0], fileio.Indexed([0] * 4 + [1], [[1.0], [-math.inf]]))
+            ),
         ],
         ids=["top", "envelope", "flat-list", "list-of-lists", "record-scalar",
              "record-list", "record-mixed", "dict-values", "table-scalar",
-             "table-list", "table-mixed", "table-two-faults"],
+             "table-list", "table-mixed", "table-two-faults", "table-indexed",
+             "table-indexed-two-faults"],
     )
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, {1}, np.int64(3)], ids=repr

@@ -33,12 +33,22 @@ must give the same ranks, weight bits, errors and witnesses.
 at a time; the batched ``DatasetSource`` must intern the same table bit
 for bit and, on a faulty table, raise the same error for the same entry.
 
+``reference_split_rows`` sorts each union's bipartitions by their
+member tuples; ``_split_rows``, which orders all splits with one sort,
+must give the same rows in the same order.
+
+``reference_belief_check`` is the loader's per-set ``as_belief`` loop;
+``load_dataset``, which flags the faulty rows in one array pass, must
+accept the same belief datasets and refuse the others with the same
+location and message.
+
 ``reference_boundary_diagnostic`` runs the hull search on every menu;
 ``boundary_diagnostic``, which settles the menus it can from the
 recovered weights and searches only the rest, must give the same report.
 """
 
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -48,6 +58,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aggkit import (
     AxiomMode,
@@ -88,15 +100,17 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import recovery
+from aggkit import fileio, model, recovery
 from aggkit.belief import ChainViolation, CpsReport
 from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
     AffinelyDependentBasis,
+    DatasetFormatError,
     DegenerateLambda,
     IntransitivityDetected,
     MissingDataError,
     MissingSingleton,
+    NotABelief,
     NotInAffineHull,
     NotInConvexHull,
 )
@@ -1881,3 +1895,132 @@ class TestBoundaryMatchesPerMenuSearch:
         assert boundary_diagnostic(src, recovery, tol) == want
         if name.startswith("faces"):
             assert want.boundary_menus and not all(row.in_hull for row in want.rows)
+
+
+# --------------------------------------------------------------------------
+# the split walk against a per-union sorted walk
+
+
+def reference_split_rows(src):
+    """Each stored union's bipartitions (A holding its smallest member),
+    sorted by the parts' member tuples, as row indices."""
+    row = {members: i for i, members in enumerate(src._members)}
+    splits = []
+    for union in src._members:
+        head, rest = union[0], union[1:]
+        parts = []
+        for size in range(len(rest)):
+            for extra in itertools.combinations(rest, size):
+                part_a = (head, *extra)
+                part_b = tuple(m for m in rest if m not in extra)
+                if part_a in row and part_b in row:
+                    parts.append((part_a, part_b))
+        splits += [(row[union], row[a], row[b]) for a, b in sorted(parts)]
+    return splits
+
+
+@st.composite
+def set_families(draw):
+    """A stored family over up to seven features: every singleton plus any
+    subsets (sparse ones take the walk over stored sets sharing a union's
+    smallest member), or every subset (the submask walk)."""
+    names = draw(st.lists(st.text("abxyz01", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+    subsets = [c for k in range(2, len(names) + 1) for c in itertools.combinations(names, k)]
+    chosen = subsets if draw(st.booleans()) else draw(st.lists(st.sampled_from(subsets), unique=True)) if subsets else []
+    table = {frozenset(s): [float(i)] for i, s in enumerate([(n,) for n in names] + chosen)}
+    return DatasetSource(1, table)
+
+
+_FULL_FAMILY = DatasetSource(1, {frozenset(s): [0.0] for k in range(1, 6) for s in itertools.combinations("abcde", k)})
+_SPARSE_FAMILY = DatasetSource(
+    1, {frozenset(s): [0.0] for s in ["a", "b", "c", "d", "e", "ab", "cd", "abcd", "ce", "abce", "bcde"]}
+)
+_NO_SPLIT = DatasetSource(1, {frozenset(s): [0.0] for s in ["a", "b", "c", "abc"]})
+
+
+class TestSplitRowsMatchPerUnionSort:
+    @settings(max_examples=300, deadline=None)
+    @example(_FULL_FAMILY)
+    @example(_SPARSE_FAMILY)
+    @example(_NO_SPLIT)
+    @given(set_families())
+    def test_same_rows_in_same_order(self, src):
+        union, part_a, part_b = model._split_rows(src)
+        assert union.dtype == part_a.dtype == part_b.dtype == np.intp
+        assert list(zip(union.tolist(), part_a.tolist(), part_b.tolist())) == reference_split_rows(src)
+
+
+# --------------------------------------------------------------------------
+# the loader's belief check against the per-set loop
+
+
+def reference_belief_check(src, tol):
+    """(location, message) of the first stored set, in canonical order,
+    that ``as_belief`` refuses; None when it accepts them all."""
+    for fs in sorted(src.sets(), key=set_sort_key):
+        try:
+            as_belief(np.asarray(src.outcome(fs)), tol)
+        except NotABelief as exc:
+            return f"outcome of {{{','.join(sorted(fs))}}}", str(exc)
+    return None
+
+
+def _ulps(x, steps):
+    """``x`` moved by ``steps`` units in the last place."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+@st.composite
+def belief_rows(draw, d, gate):
+    """A probability vector of ``d`` entries, or one whose sum sits at
+    1 +- gate or whose smallest entry sits at -gate, give or take a few ulps."""
+    row = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))) + 1e-3
+    row = (row / row.sum()).tolist()
+    edge = draw(st.sampled_from(["none", "sum", "entry"]))
+    steps = draw(st.integers(-3, 3))
+    if edge == "sum":
+        target = _ulps(1.0 + draw(st.sampled_from([-gate, gate])), steps)
+        row[-1] = target - math.fsum(row[:-1])
+    elif edge == "entry":
+        row[draw(st.integers(0, d - 1))] = _ulps(-gate, draw(st.integers(-1, 1)))
+    return row
+
+
+@st.composite
+def belief_documents(draw):
+    """A belief dataset of up to three features and their stored unions,
+    and the tolerance to load it with."""
+    d = draw(st.integers(1, 16))
+    tol = draw(st.sampled_from([DEFAULT_TOL, Tolerance(abs_tol=1e-6, rel_tol=1e-6), Tolerance(abs_tol=0.25)]))
+    rows = belief_rows(d, tol.gate(1.0))
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    unions = [c for k in range(2, len(names) + 1) for c in itertools.combinations(names, k)]
+    doc = {
+        "format_version": "1",
+        "kind": "belief",
+        "dimension": d,
+        "features": {n: {"outcome": draw(rows)} for n in names},
+        "sets": [{"members": list(u), "outcome": draw(rows)} for u in unions],
+    }
+    return doc, tol
+
+
+def _loaded(doc, tol, kind):
+    return fileio.load_dataset(io.StringIO(json.dumps({**doc, "kind": kind})), tol)
+
+
+class TestBeliefLoaderMatchesPerSetLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(belief_documents())
+    def test_same_acceptance_and_first_fault(self, doc_tol):
+        doc, tol = doc_tol
+        want = reference_belief_check(_loaded(doc, tol, "generic").source, tol)
+        try:
+            _loaded(doc, tol, "belief")
+        except DatasetFormatError as err:
+            assert want is not None
+            assert (err.location, str(err)) == (want[0], f"{want[0]}: {want[1]}")
+        else:
+            assert want is None
