@@ -294,8 +294,8 @@ def cmd_recover(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) 
 
 
 def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
-    members = [m for m in args.members.split(",") if m]
-    if not members:
+    members = args.members.split(",")
+    if not all(members):
         raise DatasetFormatError("--members", "expected a comma-separated list of features")
     if len(set(members)) != len(members):
         raise DatasetFormatError("--members", "duplicate members")
@@ -524,6 +524,7 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
             raise DatasetFormatError(str(path), "config must be an object")
     flags = {"seed": "seed", "features": "feature_count", "dimension": "dimension",
              "classes": "rank_classes", "policy": "outcome_policy"}
+    origin = {field: f"--{flag}" for flag, field in flags.items() if getattr(args, flag) is not None}
     for flag, field in flags.items():
         if getattr(args, flag) is not None:
             config_fields[field] = getattr(args, flag)
@@ -533,13 +534,13 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
     try:
         policy = OutcomePolicy(policy_raw)
     except ValueError:
-        raise DatasetFormatError("--policy", f"unknown policy {policy_raw!r}") from None
+        raise DatasetFormatError(origin.get("outcome_policy", "config"), f"unknown policy {policy_raw!r}") from None
     try:
         if "weight_range" in config_fields:
             config_fields["weight_range"] = tuple(config_fields["weight_range"])
         cfg = GeneratorConfig(outcome_policy=policy, **config_fields)
-    except TypeError as exc:
-        raise DatasetFormatError("config", str(exc)) from None
+    except (TypeError, ValueError) as exc:  # a field's own fault opens with its name: point at its flag
+        raise DatasetFormatError(origin.get(str(exc).split(" ", 1)[0], "config"), str(exc)) from None
 
     rep = gen_representation(cfg)
     subsets = SubsetPolicy.PAIRS_AND_TRIPLES if args.subsets == "pairs-triples" else SubsetPolicy.ALL_SUBSETS

@@ -9,10 +9,10 @@ size then lexicographically, and floats use the shortest round-trip
 decimal form (non-finite values become null).
 
 ``load_dataset`` validates a file once, at the boundary: one
-``json.load``, then one pass over the records in which each check has a
-C-level fast path.  The element-by-element code runs only to name a
-fault, with the location and message a record-by-record reading gives.
-The table then goes to ``DatasetSource``, which checks it in batch.
+``json.load``, then each check of the set records is one batch test over
+all of them, whose columns go straight to ``DatasetSource._from_columns``.
+Only a timed file, or one that fails a test, is read record by record,
+which names the first fault with the location and message it always had.
 
 ``dump_json`` writes exactly the bytes of ``json.dump(doc, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline, with each ``Records``
@@ -39,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, IO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -67,7 +68,6 @@ KINDS = ("generic", "belief", "menu", "profile", "sdeu", "timed")
 _TOP_KEYS = ("format_version", "kind", "dimension", "features", "sets", "direction", "weights")
 _FEATURE_KEYS = ("outcome", "weight")
 _SET_KEYS = ("members", "outcome", "timing")
-_SET_KEY_SET = frozenset(_SET_KEYS)
 # The types json.load gives a number, booleans aside.
 _NUMBER_TYPES = frozenset({int, float})
 # The largest finite float; the schema bounds every number by it.
@@ -100,16 +100,6 @@ def _closed(obj: Mapping[str, Any], keys: tuple[str, ...], where: str) -> None:
 
 
 def _as_vector(value: Any, dim: int, where: str) -> list[float]:
-    if type(value) is list and len(value) == dim and _NUMBER_TYPES.issuperset(map(type, value)):
-        try:
-            out = list(map(float, value))
-        except OverflowError:  # an integer beyond float range
-            pass
-        else:
-            # Strictly below the largest float: an integer just above it
-            # converts to it, so that value is left to the exact test below.
-            if all(map(_FLOAT_MAX.__gt__, map(abs, out))):
-                return out
     if not isinstance(value, (list, tuple)):
         raise DatasetFormatError(where, "expected an array of numbers")
     out = []
@@ -127,20 +117,14 @@ def _as_vector(value: Any, dim: int, where: str) -> list[float]:
 def _member_set(members: Any, features: Mapping[str, Any], where: str) -> FeatureSet:
     """The members of a set record, refusing anything but a non-empty
     array of distinct declared feature ids."""
-    if isinstance(members, list) and members:
-        try:
-            fs = frozenset(members)
-        except TypeError:  # an unhashable member
-            pass
-        else:
-            if len(fs) == len(members) and features.keys() >= fs:
-                return fs
     if not isinstance(members, list) or not members:
         raise DatasetFormatError(where, "expected a non-empty array of feature ids")
     for m in members:
         if not isinstance(m, str) or m not in features:
             raise DatasetFormatError(where, f"undeclared feature {m!r}")
-    raise DatasetFormatError(where, "duplicate members")
+    if len(set(members)) != len(members):
+        raise DatasetFormatError(where, "duplicate members")
+    return frozenset(members)
 
 
 def _positive_number(value: Any, where: str) -> float:
@@ -155,6 +139,40 @@ def _positive_integer(value: Any, where: str) -> int:
     if isinstance(number, bool) or not isinstance(number, int) or number < 1:
         raise DatasetFormatError(where, f"expected a positive integer, got {value!r}")
     return number
+
+
+def _set_columns(dimension: int, ids: tuple[str, ...], table: dict, sets_raw: list) -> DatasetSource | None:
+    """The source of the feature ``table`` (rows in ``ids`` order) and the set
+    records, tested in batch; None when a test fails.  Values are type-tested
+    before ``np.array``, which would read "1.5" and true as numbers; the
+    largest float, and an integer rounding to it, are left to the record walk."""
+    code = dict(zip(ids, range(len(ids)))).__getitem__
+    try:  # anything but an object, an array or a declared id raises here
+        members = list(map(itemgetter("members"), sets_raw))
+        outcomes = list(map(itemgetter("outcome"), sets_raw))
+        values = list(chain.from_iterable(outcomes))
+        # Two keys each (members and outcome), arrays of members, outcomes of numbers only.
+        if not ({2} >= set(map(len, sets_raw)) and {list} >= set(map(type, members))
+                and {dimension} >= set(map(len, outcomes)) and _NUMBER_TYPES.issuperset(map(type, values))):
+            return None
+        codes = np.fromiter(map(code, chain.from_iterable(members)), np.intp)
+        points = np.array(values, dtype=float).reshape(-1, dimension)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    lengths = np.fromiter(map(len, members), np.intp, len(members))
+    singletons, single = np.array(list(table.values())), lengths == 1
+    if not lengths.all() or not (np.abs(points) < _FLOAT_MAX).all():
+        return None
+    if points[single].tobytes() != singletons[codes[np.cumsum(lengths)[single] - 1]].tobytes():
+        return None  # a singleton record must repeat its feature entry bit for bit
+    try:  # a repeated member or a set given twice raises ValueError
+        return DatasetSource._from_columns(
+            dimension, ids, np.concatenate([np.arange(len(ids)), codes[np.repeat(~single, lengths)]]),
+            np.concatenate([np.ones(len(ids), dtype=np.intp), lengths[~single]]),
+            np.vstack([singletons, points[~single]]),
+        )
+    except ValueError:
+        return None
 
 
 def load_dataset(
@@ -190,9 +208,10 @@ def load_dataset(
     features = _need(raw, "features", name)
     if not isinstance(features, dict) or not features:
         raise DatasetFormatError("features", "expected a non-empty object")
+    ids = tuple(sorted(features))
     table: dict[FeatureSet, list[float]] = {}
     feature_weights: dict[str, float] = {}
-    for fid in sorted(features):
+    for fid in ids:
         where = f"features[{fid!r}]"
         entry = features[fid]
         try:
@@ -211,45 +230,40 @@ def load_dataset(
     if not isinstance(sets_raw, list):
         raise DatasetFormatError("sets", "expected an array")
     timed: list[tuple[TimedQuery, Vector]] = []
-    for idx, entry in enumerate(sets_raw):
-        where = f"sets[{idx}]"
-        if not isinstance(entry, dict):
-            raise DatasetFormatError(where, "expected an object")
-        if not entry.keys() <= _SET_KEY_SET:
+    source = None if kind == "timed" else _set_columns(dimension, ids, table, sets_raw)
+    if source is None:  # one record at a time, to name the first fault
+        for idx, entry in enumerate(sets_raw):
+            where = f"sets[{idx}]"
+            if not isinstance(entry, dict):
+                raise DatasetFormatError(where, "expected an object")
             _closed(entry, _SET_KEYS, where)
-        members = _need(entry, "members", where)
-        fs = _member_set(members, features, f"{where}.members")
-        outcome = _as_vector(_need(entry, "outcome", where), dimension, f"{where}.outcome")
-        if "timing" in entry:
-            if kind != "timed":
-                raise DatasetFormatError(f"{where}.timing", "timing is only allowed in timed datasets")
-            timing = entry["timing"]
-            if not isinstance(timing, dict):
-                raise DatasetFormatError(f"{where}.timing", "expected an object")
-            times: dict[str, int] = {}
-            for m in members:
-                times[m] = _positive_integer(timing.get(m), f"{where}.timing[{m!r}]")
-            extra = timing.keys() - fs
-            if extra:
-                raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
-            timed.append((TimedQuery(members, times), np.asarray(outcome)))
-            if any(t != 1 for t in times.values()):
-                continue  # only a record with every time at one is a plain set outcome
-        elif kind == "timed":
-            # No timing field means everything at time one.
-            timed.append(
-                (TimedQuery(members, {m: 1 for m in members}), np.asarray(outcome))
-            )
-        if fs in table and len(fs) > 1:
-            raise DatasetFormatError(f"{where}.members", f"duplicate set {sorted(fs)}")
-        if len(fs) == 1 and table.get(fs) != outcome:
-            if fs in table:
-                raise DatasetFormatError(
-                    f"{where}.outcome", "singleton disagrees with its feature entry"
-                )
-        table[fs] = outcome
-
-    source = DatasetSource(dimension, table)
+            members = _need(entry, "members", where)
+            fs = _member_set(members, features, f"{where}.members")
+            outcome = _as_vector(_need(entry, "outcome", where), dimension, f"{where}.outcome")
+            if "timing" in entry:
+                if kind != "timed":
+                    raise DatasetFormatError(f"{where}.timing", "timing is only allowed in timed datasets")
+                timing = entry["timing"]
+                if not isinstance(timing, dict):
+                    raise DatasetFormatError(f"{where}.timing", "expected an object")
+                times: dict[str, int] = {}
+                for m in members:
+                    times[m] = _positive_integer(timing.get(m), f"{where}.timing[{m!r}]")
+                extra = timing.keys() - fs
+                if extra:
+                    raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
+                timed.append((TimedQuery(members, times), np.asarray(outcome)))
+                if any(t != 1 for t in times.values()):
+                    continue  # only a record with every time at one is a plain set outcome
+            elif kind == "timed":
+                # No timing field means everything at time one.
+                timed.append((TimedQuery(members, {m: 1 for m in members}), np.asarray(outcome)))
+            if fs in table and len(fs) > 1:
+                raise DatasetFormatError(f"{where}.members", f"duplicate set {sorted(fs)}")
+            if len(fs) == 1 and table[fs] != outcome:
+                raise DatasetFormatError(f"{where}.outcome", "singleton disagrees with its feature entry")
+            table[fs] = outcome
+        source = DatasetSource(dimension, table)
     if kind == "belief":
         points, gate = source._points, tol.gate(1.0)
         flagged = ~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)

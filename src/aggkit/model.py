@@ -147,18 +147,18 @@ class DatasetSource(AggregationSource):
     underlying feature map; violating that raises MissingSingleton at
     construction time.
 
-    The data is validated and interned once, at construction, in batch:
-    each distinct feature id is checked once, and all outcomes are
-    stacked into one float array for one shape and one finiteness test.
-    Only a table that fails is walked entry by entry, so the error is
-    that of its first faulty entry in insertion order.  Each feature
-    gets one bit (in sorted order, so the lowest bit of a set is
-    its smallest member), each stored set becomes an int bitmask, and
-    the outcomes are the rows of one read-only ``(m, d)`` array in
-    canonical set order; ``_members`` holds each set's sorted members,
-    row for row.  The public lookups validate their arguments; code
-    inside the package that already holds valid ids uses ``_lookup``,
-    ``_members`` and the mask index directly.
+    The data is validated once, at construction, in batch: each distinct
+    feature id is checked once, and all outcomes are stacked into one
+    float array for one shape and one finiteness test.  Only a table that
+    fails is walked entry by entry, so the error is that of its first
+    faulty entry in insertion order.  This source, and every one that
+    ``fileio.load_dataset`` reads, is built by ``_from_columns``: each
+    feature gets one bit (in sorted order, so the lowest bit of a set is
+    its smallest member), each stored set an int bitmask, and the outcomes
+    are the rows of one read-only ``(m, d)`` array in canonical set order;
+    ``_members`` holds each set's sorted members, row for row.  The public
+    lookups validate their arguments; code inside the package that holds
+    valid ids uses ``_lookup``, ``_members`` and the mask index directly.
     """
 
     def __init__(
@@ -168,7 +168,6 @@ class DatasetSource(AggregationSource):
     ):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        self.dimension = int(dimension)
         items = list(outcomes.items())
         if not items:
             raise ValueError("a dataset needs at least one set")
@@ -179,38 +178,60 @@ class DatasetSource(AggregationSource):
                 validate_feature_id(fid)
             stack = np.array([value for _, value in items], dtype=float)
         except (TypeError, ValueError, OverflowError):
-            _first_fault(items, self.dimension)
-        if (
-            not all(sets)
-            or stack.shape != (len(items), self.dimension)
-            or not np.isfinite(stack).all()
-            or len(set(sets)) != len(sets)
-        ):
-            _first_fault(items, self.dimension)
-        singles = {m for fs in sets if len(fs) == 1 for m in fs}
-        missing = sorted((m,) for m in ids - singles)
+            _first_fault(items, int(dimension))
+        if (not all(sets) or stack.shape != (len(items), dimension) or not np.isfinite(stack).all()
+                or len(set(sets)) != len(sets)):
+            _first_fault(items, int(dimension))
+        missing = sorted((m,) for m in ids - {m for fs in sets if len(fs) == 1 for m in fs})
         if missing:
-            raise MissingSingleton(
-                missing, "every member of every set needs a singleton entry"
-            )
-        members = [tuple(sorted(fs)) for fs in sets]
-        order = sorted(range(len(sets)), key=lambda i: (len(members[i]), members[i]))
-        self._features = tuple(sorted(ids))
-        self._bit = {f: 1 << i for i, f in enumerate(self._features)}
-        self._sets = tuple(sets[i] for i in order)
-        self._members = tuple(members[i] for i in order)
+            raise MissingSingleton(missing, "every member of every set needs a singleton entry")
+        features = tuple(sorted(ids))
+        codes = map(dict(zip(features, range(len(features)))).__getitem__, itertools.chain(*sets))
+        lengths = np.fromiter(map(len, sets), np.intp, len(sets))
+        vars(self).update(vars(self._from_columns(dimension, features, np.fromiter(codes, np.intp), lengths, stack)))
+
+    @classmethod
+    def _from_columns(cls, dimension: int, features: tuple[str, ...], codes, lengths, points) -> DatasetSource:
+        """The source of unchecked columns: ``features``, valid ids in sorted order,
+        each with a singleton row; row i's ``lengths[i]`` > 0 codes (indices into
+        ``features``, in any order) end to end in ``codes``, and its finite
+        outcome ``points[i]``.  ValueError when a row repeats a code or two rows
+        hold one set."""
+        self = cls.__new__(cls)
+        starts = np.cumsum(lengths) - lengths
+        names = np.array(features, dtype=object)
+        bits = np.array([1 << i for i in range(len(features))], dtype=object)  # a mask is an int of any width
+        order, members, masks = [], [], []
+        for size in np.flatnonzero(np.bincount(lengths)).tolist():  # one set size at a time
+            group = np.flatnonzero(lengths == size)
+            block = codes[starts[group, None] + np.arange(size)]
+            if not (block[:, 1:] > block[:, :-1]).all():  # sort each row's codes
+                block = block.ravel()[np.lexsort((block.ravel(), np.repeat(group, size)))].reshape(-1, size)
+                if (block[:, 1:] == block[:, :-1]).any():
+                    raise ValueError("a set lists a member twice")
+            sort = np.lexsort(block.T[::-1])  # canonical order: codes follow the sorted ids
+            block = block[sort]
+            if (block[1:] == block[:-1]).all(axis=1).any():
+                raise ValueError("two rows hold one set")
+            order.append(group[sort])
+            members += zip(*names[block].T.tolist())
+            masks += bits[block].sum(axis=1).tolist()
+        self.dimension = int(dimension)
+        self._features = features
+        self._bit = dict(zip(features, bits.tolist()))
+        self._members = tuple(members)
         # Mask of each stored set -> its row; insertion order is row order.
-        bit = self._bit.__getitem__
-        self._mask_row = {sum(map(bit, fs)): row for row, fs in enumerate(self._sets)}
-        points = stack[order]
+        self._mask_row = dict(zip(masks, range(len(masks))))
+        points = points[np.concatenate(order)]
         points.setflags(write=False)
         self._points = points
+        return self
 
     def features(self) -> tuple[str, ...]:
         return self._features
 
     def sets(self) -> tuple[FeatureSet, ...]:
-        return self._sets
+        return tuple(map(frozenset, self._members))
 
     def has(self, members: Iterable[str] | str) -> bool:
         return self._lookup(feature_set(members)) is not None
@@ -234,7 +255,7 @@ class DatasetSource(AggregationSource):
         return None if row is None else self._points[row]
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return len(self._members)
 
 
 class OracleSource(AggregationSource):

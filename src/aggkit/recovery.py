@@ -467,13 +467,13 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
 def _verification(src: AggregationSource, rep: Representation, tol: Tolerance) -> Verification:
     """Every known set of ``src`` against ``rep`` in one array pass; a set
     passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
-    sets = src.sets()
     if isinstance(src, DatasetSource):
         observed, members = src._points, src._members
     else:
+        sets = src.sets()
         observed = np.array([src.outcome(s) for s in sets])
         members = tuple(tuple(sorted(s)) for s in sets)
-    predicted = rep._evaluate(sets)
+    predicted = rep._evaluate(members)
     residual = _row_norms(observed - predicted)
     scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
     passed = residual <= np.maximum(tol.abs_tol, tol.rel_tol * scale)

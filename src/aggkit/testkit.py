@@ -10,6 +10,7 @@ can serve as an oracle against the main implementation.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -66,15 +67,18 @@ class GeneratorConfig:
     outcome_policy: OutcomePolicy = OutcomePolicy.RANDOM_RICH
 
     def __post_init__(self) -> None:
-        if self.feature_count < 1:
-            raise ValueError("feature_count must be positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if not (1 <= self.rank_classes <= self.feature_count):
+        # Integers, booleans refused; as in the dataset grammar, 2.0 is 2.
+        for name, least in (("seed", 0), ("feature_count", 1), ("dimension", 1), ("rank_classes", 1)):
+            value = getattr(self, name)
+            number = int(value) if isinstance(value, float) and value.is_integer() else value
+            if isinstance(number, bool) or not isinstance(number, int) or number < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            object.__setattr__(self, name, number)
+        if self.rank_classes > self.feature_count:
             raise ValueError("rank_classes must be between 1 and feature_count")
         lo, hi = self.weight_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("weight_range must be positive and ordered")
+        if not (0.0 < lo <= hi <= sys.float_info.max):
+            raise ValueError("weight_range must be positive, finite and ordered")
 
 
 def _class_sizes(cfg: GeneratorConfig, rng: np.random.Generator) -> list[int]:

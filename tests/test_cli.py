@@ -149,6 +149,15 @@ class TestVerdictsAndExitCodes:
         assert rep["result"]["error"] == "DatasetFormatError"
         assert rep["result"]["message"] == "--members: duplicate members"
 
+    @pytest.mark.parametrize("members", ["a,,b", "a,", ",a", ""])
+    def test_eval_refuses_an_empty_item(self, run_cli, fixtures_dir, members):
+        code, rep = report_of(
+            run_cli, "eval", "--members", members, str(fixtures_dir / "triangle_two_tier.json")
+        )
+        assert code == 2
+        assert rep["result"]["error"] == "DatasetFormatError"
+        assert rep["result"]["message"] == "--members: expected a comma-separated list of features"
+
     def test_bayes_consistent(self, run_cli, fixtures_dir):
         code, rep = report_of(run_cli, "bayes", str(fixtures_dir / "coin_beliefs.json"))
         assert code == 0
@@ -560,6 +569,39 @@ class TestParserAndConfig:
         assert rep["exit_code"] == 2
         assert rep["verdict"] == "error"
         assert rep["result"]["error"] == "DatasetFormatError"
+
+
+    @pytest.mark.parametrize(
+        "config, flags, location, message",
+        [
+            ({"seed": 1.5}, [], "config", "seed must be an integer of at least 0, got 1.5"),
+            ({"seed": True}, [], "config", "seed must be an integer of at least 0, got True"),
+            ({"seed": "1"}, [], "config", "seed must be an integer of at least 0, got '1'"),
+            ({"seed": 1, "feature_count": 3.5}, [], "config",
+             "feature_count must be an integer of at least 1, got 3.5"),
+            ({"seed": 1, "dimension": 2.5}, [], "config", "dimension must be an integer of at least 1, got 2.5"),
+            ({"seed": 1, "rank_classes": False}, [], "config",
+             "rank_classes must be an integer of at least 1, got False"),
+            ({"seed": 1, "weight_range": [0.5, 10**400]}, [], "config",
+             "weight_range must be positive, finite and ordered"),
+            ({"seed": 1, "outcome_policy": 5}, [], "config", "unknown policy 5"),
+            ({}, ["--seed", "-1"], "--seed", "seed must be an integer of at least 0, got -1"),
+            ({"seed": 1}, ["--features", "0"], "--features", "feature_count must be an integer of at least 1, got 0"),
+        ],
+        ids=["fraction seed", "bool seed", "string seed", "fraction features", "fraction dimension",
+             "bool classes", "infinite weight", "config policy", "negative seed flag", "zero features flag"],
+    )
+    def test_gen_refuses_a_field_that_is_not_a_count(self, run_cli, config, flags, location, message):
+        code, rep = report_of(run_cli, "gen", "--config", "-", *flags, stdin=json.dumps(config))
+        assert (code, rep["exit_code"], rep["verdict"]) == (2, 2, "error")
+        assert rep["result"] == {"error": "DatasetFormatError", "message": f"{location}: {message}"}
+
+    def test_gen_reads_a_whole_float_as_an_integer(self, run_cli):
+        config = {"seed": 2.0, "feature_count": 4.0, "dimension": 2.0, "rank_classes": 1.0}
+        code, rep = report_of(run_cli, "gen", "--config", "-", stdin=json.dumps(config))
+        assert code == 0
+        assert rep["result"]["seed"] == 2 and type(rep["result"]["seed"]) is int
+        assert rep["result"] == report_of(run_cli, "gen", "--seed", "2", "--features", "4")[1]["result"]
 
 
 def corpus_invocations():

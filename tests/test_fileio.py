@@ -548,6 +548,40 @@ class TestSchemaAgreement:
         with pytest.raises(DatasetFormatError, match=repr(key)):
             parse(doc)
 
+    @pytest.mark.parametrize("path", [(), ("features", "a"), ("sets", 0)], ids=["top", "feature", "set"])
+    def test_one_grammar_table(self, validator, path):
+        # The loader's closed key lists are the schema's closed objects,
+        # and the keys it demands are their required lists.
+        schema = validator.schema
+        closed = {
+            (): schema,
+            ("features", "a"): schema["properties"]["features"]["additionalProperties"],
+            ("sets", 0): schema["properties"]["sets"]["items"],
+        }
+        obj, keys = closed[path], _closed_keys(path)
+        assert obj["additionalProperties"] is False
+        assert sorted(obj["properties"]) == sorted(keys)
+        # Every key present: a timed file with a feature weight, a weight
+        # table and a direction; each key in turn is taken out.
+        full = minimal(kind="timed", direction=[0.5], weights={"a": 1.0})
+        full["features"]["a"]["weight"] = 2.0
+        full["sets"][0]["timing"] = {"a": 1, "b": 1}
+        demanded = set()
+        for key in keys:
+            doc = json.loads(json.dumps(full))
+            target = doc
+            for step in path:
+                target = target[step]
+            del target[key]
+            if path == () and key == "kind":
+                del doc["sets"][0]["timing"]  # timing needs the timed kind
+            try:
+                parse(doc)
+            except DatasetFormatError as err:
+                assert str(err).endswith(f"missing required key {key!r}")
+                demanded.add(key)
+        assert demanded == set(obj["required"])
+
     def test_unhashable_member_rejected_by_both(self, validator):
         doc = _with(minimal(), ("sets", 0), "members", [["a"], "b"])
         assert not validator.is_valid(doc)

@@ -33,6 +33,11 @@ must give the same ranks, weight bits, errors and witnesses.
 at a time; the batched ``DatasetSource`` must intern the same table bit
 for bit and, on a faulty table, raise the same error for the same entry.
 
+``reference_load_dataset`` reads a file's set records one at a time;
+``load_dataset``, which reads them in batch, must build the same source bit
+for bit from any edit of a valid file, or refuse it at the same place with
+the same message.
+
 ``reference_split_rows`` sorts each union's bipartitions by their
 member tuples; ``_split_rows``, which orders all splits with one sort,
 must give the same rows in the same order.
@@ -1751,7 +1756,7 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         pairs, dimension = _table_pairs(seed)
         got, want = _built(dimension, pairs), _reference(dimension, pairs)
         assert got._features == want._features
-        assert got._sets == want._sets
+        assert got.sets() == want._sets
         assert got._mask_row == want._mask_row
         assert got._points.tobytes() == want._points.tobytes()
         assert got._points.flags.writeable is want._points.flags.writeable is False
@@ -1790,6 +1795,260 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         alone, _ = _table_pairs(3)
         _FAULTS[second if first == "missing singleton" else first](alone, dimension)
         _assert_same_error(got, _reference(dimension, alone))
+
+
+# --------------------------------------------------------------------------
+# the loader's set records against the per-record loop
+
+
+def _reference_vector(value, dim, where):
+    """One outcome array, element by element."""
+    if not isinstance(value, list):
+        raise DatasetFormatError(where, "expected an array of numbers")
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise DatasetFormatError(f"{where}[{i}]", f"expected a number, got {x!r}")
+        if not abs(x) <= 1.7976931348623157e308:
+            raise DatasetFormatError(f"{where}[{i}]", f"non-finite value {x!r}")
+    if len(value) != dim:
+        raise DatasetFormatError(where, f"length {len(value)} does not match dimension {dim}")
+    return [float(x) for x in value]
+
+
+def _reference_members(members, features, where):
+    """One member array: every member declared, then none twice."""
+    if not isinstance(members, list) or not members:
+        raise DatasetFormatError(where, "expected a non-empty array of feature ids")
+    for m in members:
+        if not isinstance(m, str) or m not in features:
+            raise DatasetFormatError(where, f"undeclared feature {m!r}")
+    if len(set(members)) != len(members):
+        raise DatasetFormatError(where, "duplicate members")
+    return frozenset(members)
+
+
+def reference_load_dataset(text):
+    """The loader as it read set records before the batch pass: the top
+    level, the feature table, then one record at a time, element by
+    element, each record's table entry checked as it comes.  Gives the
+    interned fields of the source (``reference_dataset_source``) or raises
+    the first fault; what the loader reads after the source (direction,
+    weights, the belief rows) is not repeated here."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise DatasetFormatError("<input>", "top level must be an object")
+    fileio._closed(raw, fileio._TOP_KEYS, "<input>")
+    if fileio._need(raw, "format_version", "<input>") != fileio.FORMAT_VERSION:
+        raise DatasetFormatError("format_version", "unsupported version")
+    kind = raw.get("kind", "generic")
+    dimension = fileio._positive_integer(fileio._need(raw, "dimension", "<input>"), "dimension")
+    features = fileio._need(raw, "features", "<input>")
+    table = {}
+    for fid in sorted(features):
+        where = f"features[{fid!r}]"
+        entry = features[fid]
+        fileio._closed(entry, fileio._FEATURE_KEYS, where)
+        table[frozenset([fid])] = _reference_vector(fileio._need(entry, "outcome", where), dimension, f"{where}.outcome")
+    for idx, entry in enumerate(raw.get("sets", [])):
+        where = f"sets[{idx}]"
+        if not isinstance(entry, dict):
+            raise DatasetFormatError(where, "expected an object")
+        fileio._closed(entry, fileio._SET_KEYS, where)
+        members = fileio._need(entry, "members", where)
+        fs = _reference_members(members, features, f"{where}.members")
+        outcome = _reference_vector(fileio._need(entry, "outcome", where), dimension, f"{where}.outcome")
+        if "timing" in entry and kind != "timed":
+            raise DatasetFormatError(f"{where}.timing", "timing is only allowed in timed datasets")
+        if fs in table and len(fs) > 1:
+            raise DatasetFormatError(f"{where}.members", f"duplicate set {sorted(fs)}")
+        if len(fs) == 1 and table[fs] != outcome:
+            raise DatasetFormatError(f"{where}.outcome", "singleton disagrees with its feature entry")
+        table[fs] = outcome
+    return reference_dataset_source(dimension, table)
+
+
+def _document(src):
+    return fileio.dataset_to_json(src)
+
+
+def _wide_document(features=70, sets=40, seed=7):
+    """More features than an int64 mask holds, and sets over all of them."""
+    rng = np.random.default_rng(seed)
+    names = [f"w{i:02d}" for i in range(features)]
+    table = {frozenset([f]): rng.uniform(-3, 3, 2) for f in names}
+    for _ in range(sets):
+        size = int(rng.integers(2, features + 1))
+        table[frozenset(rng.choice(names, size, replace=False).tolist())] = rng.uniform(-3, 3, 2)
+    return _document(DatasetSource(2, table))
+
+
+_LOADER_BASES = {
+    "corpus": lambda: {
+        "format_version": "1",
+        "kind": "generic",
+        "dimension": 2,
+        "features": {"a": {"outcome": [0, 1]}, "b": {"outcome": [1, 0]}, "c": {"outcome": [1, 1]}},
+        "sets": [
+            {"members": ["a", "b"], "outcome": [0.5, 0.5]},
+            {"members": ["b", "c"], "outcome": [1, 0.5]},
+            {"members": ["a", "b", "c"], "outcome": [0.75, 0.5]},
+        ],
+    },
+    "dense": lambda: _document(
+        gen_dataset(
+            gen_representation(GeneratorConfig(seed=61, feature_count=18, dimension=2, rank_classes=2)),
+            SubsetPolicy.PAIRS_AND_TRIPLES,
+        )
+    ),
+    "wide": _wide_document,
+}
+_LOADER_TEXTS = {}
+
+
+def _base_text(name):
+    if name not in _LOADER_TEXTS:
+        _LOADER_TEXTS[name] = json.dumps(_LOADER_BASES[name]())
+    return _LOADER_TEXTS[name]
+
+
+_FLOAT_MAX = 1.7976931348623157e308
+_ODD_VALUES = {
+    "string": "1.5", "true": True, "false": False, "null": None, "list": [0.5], "object": {"x": 1},
+    "2**1024": 2**1024, "float max": _FLOAT_MAX, "-float max": -_FLOAT_MAX,
+    "int(float max) + 1": int(_FLOAT_MAX) + 1, "int(float max)": int(_FLOAT_MAX), "-0.0": -0.0,
+    "0": 0, "10**30": 10**30, "2**53 + 1": 2**53 + 1, "NaN": math.nan, "Infinity": math.inf,
+}
+
+
+def _mutate(doc, draw):
+    """One edit of a set record (or a new record) of ``doc``, in place."""
+    sets, features = doc["sets"], doc["features"]
+    intact = [
+        i for i, e in enumerate(sets)
+        if type(e) is dict and type(e.get("members")) is list and e["members"] and type(e.get("outcome")) is list
+        and e["outcome"]
+    ]
+    if not intact:
+        return
+    i = draw(st.sampled_from(intact))
+    entry = sets[i]
+    members, outcome = entry["members"], entry["outcome"]
+    fid = draw(st.sampled_from(sorted(features)))
+    edit = draw(st.sampled_from([
+        "value", "ragged", "unsorted", "unhashable", "repeated member", "undeclared", "empty",
+        "string members", "duplicate set", "singleton agrees", "singleton disagrees",
+        "singleton as integers", "unknown key", "no members", "no outcome", "timing", "not an object",
+        "outcome not a list",
+    ]))
+    if edit == "value":
+        outcome[draw(st.integers(0, len(outcome) - 1))] = draw(st.sampled_from(list(_ODD_VALUES.values())))
+    elif edit == "ragged":
+        entry["outcome"] = outcome[:-1] if draw(st.booleans()) else outcome + [0.0]
+    elif edit == "unsorted":
+        members.reverse()
+    elif edit == "unhashable":
+        members[draw(st.integers(0, len(members) - 1))] = [members[0]]
+    elif edit == "repeated member":
+        members.append(draw(st.sampled_from(members)))
+    elif edit == "undeclared":
+        members[draw(st.integers(0, len(members) - 1))] = draw(st.sampled_from(["zzz", 1, None, ""]))
+    elif edit == "empty":
+        entry["members"] = []
+    elif edit == "string members":
+        entry["members"] = members[0]
+    elif edit == "duplicate set":
+        copy = {"members": draw(st.permutations(members)), "outcome": list(outcome)}
+        sets.insert(draw(st.integers(0, len(sets))), copy)
+    elif edit.startswith("singleton"):
+        point = list(features[fid]["outcome"])
+        if edit == "singleton disagrees":
+            point[0] = point[0] + 1.0
+        elif edit == "singleton as integers":
+            point = [int(x) if float(x).is_integer() else x for x in point]
+            point[0] = -0.0 if point[0] == 0 else point[0]
+        sets.insert(draw(st.integers(0, len(sets))), {"members": [fid], "outcome": point})
+    elif edit == "unknown key":
+        entry["note"] = 1
+    elif edit == "no members":
+        del entry["members"]
+    elif edit == "no outcome":
+        del entry["outcome"]
+    elif edit == "timing":
+        entry["timing"] = {m: 1 for m in members}
+    elif edit == "not an object":
+        sets[i] = [members, outcome]
+    else:
+        entry["outcome"] = draw(st.sampled_from([0.5, "0.5", {"x": 0.5}, None]))
+
+
+@st.composite
+def loader_documents(draw):
+    """A base document with one or two edits of its set records."""
+    doc = json.loads(_base_text(draw(st.sampled_from(sorted(_LOADER_BASES)))))
+    for _ in range(draw(st.integers(1, 2))):
+        _mutate(doc, draw)
+    return json.dumps(doc)
+
+
+def _load_or_error(load, text):
+    try:
+        return load(text)
+    except DatasetFormatError as err:
+        return err
+
+
+def _assert_loads_alike(text):
+    """The same source, bit for bit, or the same fault at the same place."""
+    want = _load_or_error(reference_load_dataset, text)
+    got = _load_or_error(lambda t: fileio.load_dataset(io.StringIO(t)).source, text)
+    if isinstance(want, DatasetFormatError):
+        assert isinstance(got, DatasetFormatError)
+        assert (got.location, str(got)) == (want.location, str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert got._features == want._features
+    assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
+    assert list(got._mask_row.items()) == list(want._mask_row.items())
+    assert got._points.tobytes() == want._points.tobytes()
+
+
+class TestLoaderMatchesPerRecordLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(loader_documents())
+    def test_same_source_or_same_fault(self, text):
+        _assert_loads_alike(text)
+
+    @pytest.mark.parametrize("value", sorted(_ODD_VALUES))
+    @pytest.mark.parametrize("name", sorted(_LOADER_BASES))
+    def test_every_odd_value_read_alike(self, name, value):
+        doc = json.loads(_base_text(name))
+        doc["sets"][-1]["outcome"][-1] = _ODD_VALUES[value]
+        _assert_loads_alike(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", sorted(_LOADER_BASES))
+    def test_bases_load_alike(self, name):
+        text = _base_text(name)
+        want = reference_load_dataset(text)
+        got = fileio.load_dataset(io.StringIO(text)).source
+        assert got._mask_row == want._mask_row
+        assert got._points.tobytes() == want._points.tobytes()
+        if name == "wide":
+            assert max(got._mask_row).bit_length() > 64
+
+    def test_valid_records_skip_the_per_record_readers(self, monkeypatch):
+        # The records of a valid file are read in batch; the per-record
+        # readers run only to name a fault.
+        calls = []
+        for name in ("_as_vector", "_member_set"):
+            real = getattr(fileio, name)
+
+            def counted(value, *args, _real=real, _name=name):
+                calls.append((_name, args[-1]))
+                return _real(value, *args)
+
+            monkeypatch.setattr(fileio, name, counted)
+        fileio.load_dataset(io.StringIO(_base_text("dense")))
+        assert calls and not [where for _, where in calls if where.startswith("sets[")]
 
 
 def reference_boundary_diagnostic(src, recovery, tol=DEFAULT_TOL):

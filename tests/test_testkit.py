@@ -27,6 +27,21 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, weight_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None), ("feature_count", 3.5),
+         ("feature_count", 0), ("dimension", 2.5), ("dimension", False), ("rank_classes", "1")],
+    )
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GeneratorConfig(**{"seed": 1, field: value})
+
+    def test_whole_floats_are_integers(self):
+        cfg = GeneratorConfig(seed=3.0, feature_count=5.0, dimension=2.0, rank_classes=1.0)
+        assert (cfg.seed, cfg.feature_count, cfg.dimension, cfg.rank_classes) == (3, 5, 2, 1)
+        assert all(type(v) is int for v in (cfg.seed, cfg.feature_count, cfg.dimension, cfg.rank_classes))
+        assert cfg == GeneratorConfig(seed=3, feature_count=5, dimension=2, rank_classes=1)
+
 
 class TestGenRepresentation:
     def test_same_seed_same_representation(self):
