@@ -1926,7 +1926,7 @@ def _mutate(doc, draw):
     intact = [
         i for i, e in enumerate(sets)
         if type(e) is dict and type(e.get("members")) is list and e["members"] and type(e.get("outcome")) is list
-        and e["outcome"]
+        and e["outcome"] and all(type(m) is str for m in e["members"])
     ]
     if not intact:
         return

@@ -26,6 +26,9 @@ class TestGeneratorConfig:
             GeneratorConfig(seed=1, rank_classes=9, feature_count=4)
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, weight_range=(0.0, 1.0))
+        for hi in (float("inf"), float("nan"), 10**400):  # numpy cannot draw below such a bound
+            with pytest.raises(ValueError, match="^weight_range must be positive, finite and ordered"):
+                GeneratorConfig(seed=1, weight_range=(0.5, hi))
 
     @pytest.mark.parametrize(
         "field, value",
