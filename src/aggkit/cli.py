@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -53,9 +53,6 @@ from .fileio import (
     Records,
     dataset_to_json,
     dump_json,
-    jcolumn,
-    jnum,
-    jvec,
     load_dataset,
 )
 from .geometry import Tolerance
@@ -68,7 +65,6 @@ from .model import (
     evaluate,
 )
 from .recovery import (
-    ContradictionWitness,
     MissingData,
     NonRepresentable,
     Recovered,
@@ -79,7 +75,6 @@ from .social import (
     Certificate,
     Collinear,
     InCone,
-    FarkasOutcome,
     StateDependentRepresentation,
     check_extended_pareto,
     recover_state_dependent,
@@ -138,27 +133,15 @@ def _load(args: argparse.Namespace, tol: Tolerance) -> DatasetDocument:
 # report shaping
 
 
-def _witness_json(w: ContradictionWitness) -> dict[str, Any]:
-    def deriv(d) -> dict[str, Any]:
-        return {
-            "pair": list(d.pair),
-            "ratio": jnum(d.ratio),
-            "via": [list(s) for s in d.via],
-            "note": d.note,
-        }
-
-    return {"pair": list(w.pair), "first": deriv(w.first), "second": deriv(w.second)}
-
-
 def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str, Any]:
     if isinstance(outcome, Recovered):
         rep = outcome.representation
         out: dict[str, Any] = {
             "status": "recovered",
-            "weights": {f: jnum(rep.weights[f]) for f in rep.features()},
-            "ranks": {f: rep.ranks[f] for f in rep.features()},
-            "max_residual": jnum(outcome.max_residual),
-            "indeterminate_classes": [list(c) for c in outcome.indeterminate_classes],
+            "weights": dict(rep.weights),
+            "ranks": dict(rep.ranks),
+            "max_residual": outcome.max_residual,
+            "indeterminate_classes": outcome.indeterminate_classes,
         }
         if with_rows:
             checked = outcome.verification
@@ -166,9 +149,9 @@ def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str
                 ("members", "observed", "predicted", "residual", "passed"),
                 (
                     checked.members,
-                    jcolumn(checked.observed),
-                    jcolumn(checked.predicted),
-                    jcolumn(checked.residual),
+                    checked.observed.tolist(),
+                    checked.predicted.tolist(),
+                    checked.residual.tolist(),
                     checked.passed.tolist(),
                 ),
             )
@@ -176,35 +159,15 @@ def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str
     if isinstance(outcome, NonRepresentable):
         return {
             "status": "non-representable",
-            "witness": _witness_json(outcome.witness),
-            "failing_sets": [list(s) for s in outcome.failing_sets],
-            "max_residual": jnum(outcome.max_residual),
+            "witness": asdict(outcome.witness),
+            "failing_sets": outcome.failing_sets,
+            "max_residual": outcome.max_residual,
         }
     assert isinstance(outcome, MissingData)
-    return {
-        "status": "missing-data",
-        "required": [list(s) for s in outcome.required],
-    }
+    return {"status": "missing-data", "required": outcome.required}
 
 
-def _farkas_json(out: FarkasOutcome) -> dict[str, Any]:
-    if isinstance(out, InCone):
-        return {
-            "type": "in-cone",
-            "alpha": jnum(out.alpha),
-            "beta": jnum(out.beta),
-            "residual": jnum(out.residual),
-        }
-    if isinstance(out, Certificate):
-        return {
-            "type": "certificate",
-            "z": jvec(out.z),
-            "dot_a": jnum(out.dot_a),
-            "dot_b": jnum(out.dot_b),
-            "dot_ab": jnum(out.dot_ab),
-        }
-    assert isinstance(out, Collinear)
-    return {"type": "collinear", "ratio": jnum(out.ratio)}
+_FARKAS_TYPES = {InCone: "in-cone", Certificate: "certificate", Collinear: "collinear"}
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +228,7 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
             },
         }
     except MissingDataError as err:
-        strong_json = {"status": "undecidable", "required": [list(s) for s in err.required]}
+        strong_json = {"status": "undecidable", "required": err.required}
     result = {
         "axiom": mode.value,
         "satisfied": report.satisfied,
@@ -275,8 +238,8 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
                 Indexed(report.part_a.tolist(), report.members),
                 Indexed(report.part_b.tolist(), report.members),
                 Indexed(report.union.tolist(), report.members),
-                jcolumn(report.lam),
-                jcolumn(report.residual),
+                report.lam.tolist(),
+                report.residual.tolist(),
                 Indexed(report.degenerate.tolist(), (False, True)),
                 Indexed((report.reason == 0).tolist(), (False, True)),
                 Indexed(report.reason.tolist(), _REASONS),
@@ -305,7 +268,7 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
     value = evaluate(outcome.representation, members)
     result = {
         "members": sorted(members),
-        "value": jvec(value),
+        "value": value.tolist(),
         "recovery": _recovery_json(outcome, with_rows=False),
     }
     return "evaluated", result, EXIT_OK
@@ -316,14 +279,11 @@ def cmd_bayes(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
     result: dict[str, Any] = {
         "consistent": check.consistent,
         "detail": check.detail,
-        "max_residual": jnum(check.max_residual),
+        "max_residual": check.max_residual,
         "recovery": _recovery_json(check.recovery, with_rows=False),
     }
     if check.joint is not None:
-        result["joint"] = {
-            "features": list(check.joint.features),
-            "table": [jvec(row) for row in check.joint.table],
-        }
+        result["joint"] = {"features": check.joint.features, "table": check.joint.table.tolist()}
     return _boolean(check.consistent, "consistent", "inconsistent", result)
 
 
@@ -336,16 +296,9 @@ def cmd_cps(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> R
     result = {
         "conditioning_sets": len(cps.source),
         "checked_pairs": report.checked_pairs,
-        "max_residual": jnum(report.max_residual),
+        "max_residual": report.max_residual,
         "violations": [
-            {
-                "a": list(v.part_a),
-                "b": list(v.part_b),
-                "state": v.state,
-                "feature": v.feature,
-                "lhs": jnum(v.lhs),
-                "rhs": jnum(v.rhs),
-            }
+            {"a": v.part_a, "b": v.part_b, "state": v.state, "feature": v.feature, "lhs": v.lhs, "rhs": v.rhs}
             for v in report.violations
         ],
         "recovery": _recovery_json(outcome, with_rows=False),
@@ -380,12 +333,12 @@ def cmd_discount(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument)
         result = {"status": "not-stationary", "message": str(err)}
         return "not-stationary", result, EXIT_NEGATIVE
     result = {
-        "q": jnum(rec.q),
-        "weights": {f: jnum(w) for f, w in sorted(rec.weights.items())},
-        "identification_pair": list(rec.identification_pair),
-        "max_residual": jnum(rec.max_residual),
+        "q": rec.q,
+        "weights": dict(rec.weights),
+        "identification_pair": rec.identification_pair,
+        "max_residual": rec.max_residual,
         "validation": [
-            {"query": [f"{f}@{t}" for f, t in key], "residual": jnum(r)}
+            {"query": [f"{f}@{t}" for f, t in key], "residual": r}
             for key, r in rec.validation_residuals
         ],
     }
@@ -400,13 +353,13 @@ def cmd_luce(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
         "two_stage": bool(args.two_stage),
         "rich": outcome.rich,
         "reason": outcome.reason,
-        "boundary_menus": [list(m) for m in boundary.boundary_menus],
-        "boundary_contradictions": [list(m) for m in boundary.contradictions],
+        "boundary_menus": boundary.boundary_menus,
+        "boundary_contradictions": boundary.contradictions,
     }
     if outcome.weights is not None:
-        result["weights"] = {f: jnum(w) for f, w in sorted(outcome.weights.items())}
+        result["weights"] = dict(outcome.weights)
     if outcome.ranks is not None and args.two_stage:
-        result["ranks"] = {f: r for f, r in sorted(outcome.ranks.items())}
+        result["ranks"] = dict(outcome.ranks)
     result["recovery"] = _recovery_json(outcome.recovery, with_rows=False)
     return _boolean(outcome.rationalizable, "rationalizable", "not-rationalizable", result)
 
@@ -435,14 +388,9 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument
     result = {
         "oracle": args.oracle,
         "pairs_checked": len(report.rows),
-        "max_residual": jnum(report.max_residual),
+        "max_residual": report.max_residual,
         "rows": [
-            {
-                "a": list(r.part_a),
-                "b": list(r.part_b),
-                "residual": jnum(r.residual),
-                "passed": r.passed,
-            }
+            {"a": r.part_a, "b": r.part_b, "residual": r.residual, "passed": r.passed}
             for r in report.rows
         ],
     }
@@ -457,16 +405,16 @@ def cmd_pareto(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -
         "splits_checked": report.axiom.check_count,
         "violations": [
             {
-                "a": list(v.part_a),
-                "b": list(v.part_b),
-                "union": list(v.union),
-                "separation": _farkas_json(v.farkas),
+                "a": v.part_a,
+                "b": v.part_b,
+                "union": v.union,
+                "separation": {"type": _FARKAS_TYPES[type(v.farkas)], **asdict(v.farkas)},
             }
             for v in report.violations
         ],
     }
     if report.weights is not None:
-        result["weights"] = {f: jnum(w) for f, w in sorted(report.weights.items())}
+        result["weights"] = dict(report.weights)
     if report.recovery is not None:
         result["recovery"] = _recovery_json(report.recovery, with_rows=False)
     return _boolean(report.satisfied, "satisfied", "violated", result)
@@ -483,10 +431,10 @@ def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocume
     consistent = all(passed for _, _, passed in table)
     result = {
         "rows": [
-            {"members": list(members), "residual": jnum(residual), "passed": passed}
+            {"members": members, "residual": residual, "passed": passed}
             for members, residual, passed in table
         ],
-        "max_residual": jnum(max((residual for _, residual, _ in table), default=0.0)),
+        "max_residual": max((residual for _, residual, _ in table), default=0.0),
         "consistent": consistent,
     }
     return _boolean(consistent, "consistent", "inconsistent", result)
@@ -498,12 +446,10 @@ def cmd_sdeu(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
     if not isinstance(outcome, StateDependentRepresentation):
         return _recovery_result(outcome)
     result = {
-        "probabilities": {s: jnum(p) for s, p in sorted(outcome.probabilities.items())},
+        "probabilities": dict(outcome.probabilities),
         "indeterminate": outcome.indeterminate,
-        "max_residual": jnum(outcome.max_residual),
-        "verification": [
-            {"members": list(m), "residual": jnum(r)} for m, r in outcome.verification
-        ],
+        "max_residual": outcome.max_residual,
+        "verification": [{"members": m, "residual": r} for m, r in outcome.verification],
     }
     return "recovered", result, EXIT_OK
 
@@ -552,8 +498,8 @@ def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
         "dataset": dataset_to_json(src, kind=kind),
         "seed": cfg.seed,
         "policy": policy.value,
-        "true_ranks": {f: rep.ranks[f] for f in rep.features()},
-        "true_weights": {f: jnum(rep.weights[f]) for f in rep.features()},
+        "true_ranks": dict(rep.ranks),
+        "true_weights": dict(rep.weights),
     }
     return "generated", result, EXIT_OK
 
@@ -634,14 +580,11 @@ def _usage_error(err: Exception) -> Result:
 
 
 def _argument_echo(args: argparse.Namespace) -> dict[str, Any]:
-    echo = {
+    return {
         key.replace("_", "-"): value
         for key, value in sorted(vars(args).items())
         if key not in ("command", "out") and value is not None
     }
-    if "tol" in echo:  # a non-finite --tol is refused, and echoed as null
-        echo["tol"] = jnum(echo["tol"])
-    return echo
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -666,10 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         verdict, result, code = cmd.handler(args, tol, doc)
     except MissingDataError as err:
         verdict = "missing-data"
-        result = {
-            "required": [list(s) for s in err.required],
-            "message": str(err),
-        }
+        result = {"required": err.required, "message": str(err)}
         code = EXIT_MISSING
     except (AggkitError, ValueError) as err:
         verdict, result, code = _usage_error(err)

@@ -11,6 +11,8 @@ from typing import Iterable
 
 __all__ = [
     "AggkitError",
+    "DimensionMismatch",
+    "AffinelyDependentBasis",
     "NotInAffineHull",
     "NotInConvexHull",
     "UnknownFeature",
@@ -22,7 +24,11 @@ __all__ = [
     "MultipleRankClasses",
     "NotStationary",
     "MinimalAgreementViolated",
+    "ConstantUtility",
+    "ResidualTooLarge",
+    "ProfileConstructionFailed",
     "UnsatisfiablePolicy",
+    "TooLarge",
     "OracleRefused",
     "DatasetFormatError",
 ]

@@ -6,7 +6,8 @@ weights, timings).  Reports are plain JSON dictionaries; serialization
 is canonical so identical inputs produce byte-identical files: keys are
 sorted, set members are sorted lexicographically, sets are ordered by
 size then lexicographically, and floats use the shortest round-trip
-decimal form (non-finite values become null).
+decimal form.  JSON has no NaN or Infinity, so ``dump_json`` writes every
+non-finite float as null, wherever it stands.
 
 ``load_dataset`` validates a file once, at the boundary: one
 ``json.load``, then each check of the set records is one batch test over
@@ -16,20 +17,22 @@ which names the first fault with the location and message it always had.
 
 ``dump_json`` writes exactly the bytes of ``json.dump(doc, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline, with each ``Records``
-table in ``doc`` written as its list of objects, one per row.  It lets
-the standard library's C encoder, which only runs without ``indent``,
-do the formatting.  A list is taken in blocks of ``_BLOCK`` items.  A
-block of scalars and flat lists of scalars is one encoder call with a
-newline as the item separator; ASCII escaping leaves no newline inside
-a string, so splitting on newlines gives every value, and the
-indentation is put back with string replacements.  A block of a
-``Records`` table (the rows of ``check`` and ``recover``) is formatted
-column by column in the same way and filled into one ``%`` template per
-row; no row object is built; an ``Indexed`` column's values are
-formatted once per table.  Anything else, such as the report
-envelope or a list of dicts, goes through a small recursive writer.
-Each block of a long list is written to the stream before the next one
-is formatted, so a report is never held whole.
+table in ``doc`` written as its list of objects, one per row, and each
+non-finite float as None.  It lets the standard library's C encoder,
+which only runs without ``indent``, do the formatting.  A list is taken
+in blocks of ``_BLOCK`` items.  A block of scalars and flat lists of
+scalars is one encoder call with a newline as the item separator; ASCII
+escaping leaves no newline inside a string, so splitting on newlines
+gives every value, and the indentation is put back with string
+replacements.  Only a block the encoder refuses for a non-finite float
+is encoded again, with None in its place.  A block of a ``Records``
+table (the rows of ``check`` and ``recover``) is formatted column by
+column in the same way and filled into one ``%`` template per row; no
+row object is built; an ``Indexed`` column's values are formatted once
+per table.  Anything else, such as the report envelope or a list of
+dicts, goes through a small recursive writer.  Each block of a long
+list is written to the stream before the next one is formatted, so a
+report is never held whole.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, IO, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Callable, IO, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .belief import TimedQuery, as_belief
 from .errors import DatasetFormatError, NotABelief
@@ -304,22 +306,6 @@ def load_dataset(
     )
 
 
-def jnum(x: float) -> float | None:
-    """JSON-safe float: non-finite values become null."""
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def jvec(v: Iterable[float]) -> list[float | None]:
-    return [jnum(x) for x in v]
-
-
-def jcolumn(values: NDArray) -> list:
-    """``values.tolist()`` with every non-finite float as None, at any depth."""
-    finite = np.isfinite(values)
-    return values.tolist() if finite.all() else np.where(finite, values, None).tolist()
-
-
 @dataclass(frozen=True)
 class Indexed:
     """A dictionary-encoded :class:`Records` column: row i holds
@@ -372,15 +358,15 @@ def dataset_to_json(
     """Serialize a dataset source back into the file format."""
     features: dict[str, Any] = {}
     for f in source.features():
-        entry: dict[str, Any] = {"outcome": jvec(source.outcome([f]))}
+        entry: dict[str, Any] = {"outcome": source.outcome([f]).tolist()}
         if feature_weights and f in feature_weights:
-            entry["weight"] = jnum(feature_weights[f])
+            entry["weight"] = float(feature_weights[f])
         features[f] = entry
     sets = []
     for fs in source.sets():
         if len(fs) == 1:
             continue
-        sets.append({"members": sorted(fs), "outcome": jvec(source.outcome(fs))})
+        sets.append({"members": sorted(fs), "outcome": source.outcome(fs).tolist()})
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -389,7 +375,7 @@ def dataset_to_json(
         "sets": sets,
     }
     if direction is not None:
-        doc["direction"] = jvec(direction)
+        doc["direction"] = np.asarray(direction, dtype=float).tolist()
     return doc
 
 
@@ -399,8 +385,10 @@ def dump_json(doc: Mapping[str, Any], stream: IO[str]) -> None:
     The bytes are those of ``json.dump(doc, stream, indent=2,
     sort_keys=True, allow_nan=False)`` followed by ``"\\n"``, errors
     included, where ``doc`` has each ``Records`` table replaced by its
-    list of rows (``Records.rows()``); lists are written to ``stream``
-    block by block, and an ``Indexed`` column's values once per table.
+    list of rows (``Records.rows()``) and each non-finite float, a key
+    included, replaced by None: JSON has no NaN or Infinity, so they are
+    written as null.  Lists are written to ``stream`` block by block,
+    and an ``Indexed`` column's values once per table.
     """
     parts: list[str] = []
     _value(doc, 0, parts, stream.write)
@@ -434,8 +422,9 @@ def _refuse(o: Any) -> NoReturn:
     raise AssertionError(f"{o!r} was expected to be refused")
 
 
-def _float(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else _refuse(x)
+def _null(x: Any) -> Any:
+    """``x``, or None when it is a non-finite float."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _scalar(o: Any) -> str | None:
@@ -451,7 +440,7 @@ def _scalar(o: Any) -> str | None:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float(o)
+        return float.__repr__(o) if math.isfinite(o) else "null"
     if isinstance(o, (list, tuple, dict, Records)):
         return None
     _refuse(o)
@@ -460,8 +449,8 @@ def _scalar(o: Any) -> str | None:
 def _key(k: Any) -> str:
     if isinstance(k, str):
         pass
-    elif isinstance(k, float):
-        k = _float(k)
+    elif isinstance(k, float):  # finite: _dict writes the others as None
+        k = float.__repr__(k)
     elif k is True:
         k = "true"
     elif k is False:
@@ -476,10 +465,11 @@ def _key(k: Any) -> str:
 
 
 def _encode(values: Sequence) -> str:
+    """Scalars and flat lists of scalars, one per line."""
     try:
         return _encode_lines(values)
-    except ValueError:  # the C encoder words its errors differently
-        _refuse(values)
+    except ValueError:  # a non-finite float: encode again with None in its place
+        return _encode_lines([list(map(_null, v)) if type(v) in _LISTS else _null(v) for v in values])
 
 
 def _tokens(scalars: Sequence) -> list[str]:
@@ -536,10 +526,7 @@ def _dictionaries(table: Records, level: int) -> dict[int, dict[int, str]] | Non
             used.setdefault(id(column.values), (column.values, set()))[1].update(column.codes)
     texts = {}
     for key, (values, codes) in used.items():
-        try:
-            lines = _column([values[c] for c in codes], level)
-        except ValueError:  # a non-finite float; the rows raise for the first one
-            return None
+        lines = _column([values[c] for c in codes], level)
         if lines is None:
             return None
         texts[key] = dict(zip(codes, lines))
@@ -552,13 +539,10 @@ def _record_lines(table: Records, level: int, texts: dict[int, dict[int, str]] |
     if texts is None:
         return None
     keys, columns = zip(*sorted(zip(table.keys, table.columns), key=lambda kc: kc[0]))
-    try:
-        columns = [
-            list(map(texts[id(c.values)].__getitem__, c.codes)) if type(c) is Indexed else _column(c, level + 2)
-            for c in columns
-        ]
-    except ValueError:  # a non-finite float; the rows raise for the first one
-        return None
+    columns = [
+        list(map(texts[id(c.values)].__getitem__, c.codes)) if type(c) is Indexed else _column(c, level + 2)
+        for c in columns
+    ]
     if any(column is None for column in columns):
         return None
     inner = _indent(level + 2)
@@ -605,6 +589,8 @@ def _dict(o: dict, level: int, parts: list[str], write: Callable[[str], Any]) ->
     if not o:
         parts.append("{}")
         return
+    if any(isinstance(k, float) for k in o):  # a non-finite key sorts and is written as None
+        o = {_null(k): v for k, v in o.items()}
     items = sorted(o.items())
     inner = _indent(level + 1)
     sep = "," + inner

@@ -9,7 +9,8 @@ every test point then sits either exactly on a face of its hull or a
 lattice distance away from it, never within a tolerance of a threshold.
 
 The averaging axiom speaks of sets and segments, not of names, file
-order or origin: relabelling the features in an order-preserving way,
+order or origin: relabelling the features (in an order-preserving way,
+or by any permutation of their names, which may swap a split's parts),
 listing the set records of the input file in another order, or moving
 every outcome by one integer vector must leave every split's verdict
 alone.  The datasets are drawn on a lattice of halves for the same
@@ -289,6 +290,36 @@ def test_order_preserving_relabelling_keeps_axiom_verdicts(src, mode, labels):
     assert [c.union for c in after.checks] == [
         tuple(rename[f] for f in c.union) for c in before.checks
     ]
+
+
+def keyed_verdicts(report, rename):
+    """(passed, degenerate, reason) of every split, keyed by its renamed union
+    and its unordered renamed parts: a renaming may swap which part is A."""
+
+    def named(members):
+        return frozenset(rename[f] for f in members)
+
+    return {
+        (named(c.union), frozenset({named(c.set_a), named(c.set_b)})): (c.passed, c.degenerate, c.reason)
+        for c in report.checks
+    }
+
+
+@SETTINGS
+@given(lattice_datasets(), st.sampled_from(list(AxiomMode)), st.randoms(use_true_random=False))
+def test_any_relabelling_keeps_axiom_verdicts(src, mode, rnd):
+    labels = list(src.features())
+    rnd.shuffle(labels)
+    rename = dict(zip(src.features(), labels))
+    relabelled = DatasetSource(
+        src.dimension, {frozenset(rename[f] for f in s): src.outcome(s) for s in src.sets()}
+    )
+    before = check_axiom(src, mode)
+    after = check_axiom(relabelled, mode)
+    expected = keyed_verdicts(before, rename)
+    assert len(expected) == before.check_count == after.check_count
+    assert keyed_verdicts(after, {f: f for f in labels}) == expected
+    assert len(after.violations) == len(before.violations)
 
 
 @SETTINGS

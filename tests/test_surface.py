@@ -58,6 +58,16 @@ def test_package_exports_are_the_disjoint_module_lists():
         assert getattr(aggkit, name) is not None
 
 
+def test_every_package_error_is_exported():
+    errors = aggkit.errors
+    defined = {
+        name for name in defined_names(errors)
+        if isinstance(getattr(errors, name), type) and issubclass(getattr(errors, name), errors.AggkitError)
+    }
+    assert defined <= set(errors.__all__)
+    assert all(getattr(aggkit, name) is getattr(errors, name) for name in defined)
+
+
 def names_read(path: Path) -> set[str]:
     """Names a module reads, as variables or attributes, outside the
     top-level definition that binds the same name."""
