@@ -232,6 +232,7 @@ def load_dataset(
     if not isinstance(sets_raw, list):
         raise DatasetFormatError("sets", "expected an array")
     timed: list[tuple[TimedQuery, Vector]] = []
+    timed_keys: set[tuple[tuple[str, int], ...]] = set()
     source = None if kind == "timed" else _set_columns(dimension, ids, table, sets_raw)
     if source is None:  # one record at a time, to name the first fault
         for idx, entry in enumerate(sets_raw):
@@ -254,9 +255,14 @@ def load_dataset(
                 extra = timing.keys() - fs
                 if extra:
                     raise DatasetFormatError(f"{where}.timing", f"times for non-members {sorted(extra)}")
-                timed.append((TimedQuery(members, times), np.asarray(outcome)))
-                if any(t != 1 for t in times.values()):
-                    continue  # only a record with every time at one is a plain set outcome
+                query = TimedQuery(members, times)
+                timed.append((query, np.asarray(outcome)))
+                if any(t != 1 for t in times.values()):  # else a plain set outcome, refused below if repeated
+                    if query.key() in timed_keys:
+                        label = [f"{f}@{t}" for f, t in query.key()]
+                        raise DatasetFormatError(f"{where}.timing", f"duplicate timed query {label}")
+                    timed_keys.add(query.key())
+                    continue
             elif kind == "timed":
                 # No timing field means everything at time one.
                 timed.append((TimedQuery(members, {m: 1 for m in members}), np.asarray(outcome)))
@@ -355,18 +361,16 @@ def dataset_to_json(
     direction: Sequence[float] | None = None,
     feature_weights: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
-    """Serialize a dataset source back into the file format."""
+    """Serialize a dataset source back into the file format, row by row (singletons first)."""
+    n = len(source.features())
+    points = source._points.tolist()
     features: dict[str, Any] = {}
-    for f in source.features():
-        entry: dict[str, Any] = {"outcome": source.outcome([f]).tolist()}
+    for f, outcome in zip(source.features(), points):
+        entry: dict[str, Any] = {"outcome": outcome}
         if feature_weights and f in feature_weights:
             entry["weight"] = float(feature_weights[f])
         features[f] = entry
-    sets = []
-    for fs in source.sets():
-        if len(fs) == 1:
-            continue
-        sets.append({"members": sorted(fs), "outcome": source.outcome(fs).tolist()})
+    sets = [{"members": list(m), "outcome": o} for m, o in zip(source._members[n:], points[n:])]
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": kind,

@@ -29,13 +29,14 @@ from .errors import (
 from .geometry import (
     DEFAULT_TOL,
     SegmentKind,
-    SegmentPosition,
     Tolerance,
     Vector,
     _SEGMENT_KINDS,
     _close_rows,
     _row_norms,
+    _ON_SEGMENT,
     _segment_positions,
+    _strictly_inside,
     interior_lambda,
     segment_coefficient,
 )
@@ -212,36 +213,29 @@ def recover_order(
 _NOT_INTERIOR = {
     SegmentKind.OFF_LINE: "aggregate is off the segment line",
     SegmentKind.ON_LINE: "aggregate is outside the segment",
-    SegmentKind.DEGENERATE: "endpoints coincide",
     SegmentKind.ON_SEGMENT: "same-rank pair needs a strictly interior coefficient",
 }
 
 
-def _same_rank_positions(
+def _same_rank_table(
     src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
-) -> tuple[list[str], NDArray[np.bool_], dict[tuple[str, str], SegmentPosition]]:
+) -> tuple[list[str], NDArray[np.bool_], NDArray[np.intp], NDArray[np.float64]]:
     """The sorted features, their ``equal`` matrix, and from one
-    ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b))
-    for every stored same-rank pair with distinct outcomes, keyed (a, b)
-    in both orientations (``lam`` is the coefficient of f(a))."""
+    ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b)) for
+    every stored same-rank pair with distinct outcomes (so never DEGENERATE),
+    as n x n arrays: ``kind[a, b]``, the code in ``_SEGMENT_KINDS`` or -1
+    where there is no such pair, and ``lam[a, b]``, the coefficient of f(a)."""
     features = sorted(ranks)
     points = np.array([src.outcome([f]) for f in features]).reshape(len(features), src.dimension)
     equal = _equal_matrix(points, tol)
     level = np.array([ranks[f] for f in features])
     first, second, aggs, _ = _pair_outcomes(src, features, (level[:, None] == level) & ~equal)
     ends = np.concatenate([first, second]), np.concatenate([second, first])
-    kind, lam, residual = _segment_positions(
+    kind, lam = np.full(equal.shape, -1), np.full(equal.shape, np.nan)
+    kind[ends], lam[ends], _ = _segment_positions(
         np.concatenate([aggs, aggs]), points[ends[0]], points[ends[1]], tol
     )
-    positions = {
-        (features[a], features[b]): SegmentPosition(
-            _SEGMENT_KINDS[code], None if math.isnan(coef) else coef, res
-        )
-        for a, b, code, coef, res in zip(
-            *(k.tolist() for k in (*ends, kind, lam, residual))
-        )
-    }
-    return features, equal, positions
+    return features, equal, kind, lam
 
 
 def recover_weights(
@@ -257,66 +251,48 @@ def recover_weights(
     anchor pair, and equal-outcome members are reached through a bridge
     classmate that already has a weight.  A class whose outcomes all
     coincide carries uniform weight one and is reported as indeterminate.
-    Every coefficient is read off one ``_same_rank_positions`` table.
+    Every coefficient is read off one ``_same_rank_table``.
 
     Returns (weights, indeterminate classes).
     """
-    features, equal, positions = _same_rank_positions(src, ranks, tol)
-    index = {f: k for k, f in enumerate(features)}
-
-    weights: dict[str, float] = {}
+    features, equal, kind, lam = _same_rank_table(src, ranks, tol)
+    weight: dict[int, float] = {}  # by feature index
     indeterminate: list[tuple[str, ...]] = []
     missing: set[tuple[str, ...]] = set()
 
-    def derive(known: str, m: str) -> None:
+    def derive(known: int, m: int) -> None:
         """Weight of ``m`` from the pair of ``m`` with weighted ``known``."""
-        pos = positions.get((known, m))
-        if pos is None:
-            missing.add(tuple(sorted((known, m))))
-            return
-        lam = interior_lambda(pos, tol)
-        if lam is None:
-            raise DegenerateLambda((known, m), pos.lam, _NOT_INTERIOR[pos.kind])
-        weights[m] = weights[known] * (1.0 - lam) / lam
+        pair, code, coef = (features[known], features[m]), int(kind[known, m]), float(lam[known, m])
+        if code < 0:
+            missing.add(tuple(sorted(pair)))
+        elif code != _ON_SEGMENT or not _strictly_inside(coef, tol):  # interior_lambda's test
+            raise DegenerateLambda(pair, coef, _NOT_INTERIOR[_SEGMENT_KINDS[code]])
+        else:
+            weight[m] = weight[known] * (1.0 - coef) / coef
 
     for level in sorted(set(ranks.values())):
-        members = [f for f in features if ranks[f] == level]
-        rows = [index[m] for m in members]
-        anchor = next((m for m in members if not equal[index[m], rows].all()), None)
-        if anchor is None:
-            # All outcomes in the class coincide; data cannot see the weights.
-            weights.update(dict.fromkeys(members, 1.0))
+        members = [k for k, f in enumerate(features) if ranks[f] == level]
+        anchor = next((m for m in members if not equal[m, members].all()), None)
+        if anchor is None:  # all outcomes in the class coincide; data cannot see the weights
+            weight.update(dict.fromkeys(members, 1.0))
             if len(members) > 1:
-                indeterminate.append(tuple(members))
+                indeterminate.append(tuple(features[m] for m in members))
             continue
-        weights[anchor] = 1.0
-        deferred = [m for m in members if m != anchor and equal[index[anchor], index[m]]]
+        weight[anchor] = 1.0
         for m in members:
-            if m != anchor and m not in deferred:
+            if not equal[anchor, m]:
                 derive(anchor, m)
-        for m in deferred:
-            bridge = next((o for o in members if o in weights and not equal[index[o], index[m]]), None)
-            if bridge is None:
-                weights[m] = weights[anchor]  # same outcome as anchor, no bridge
-            else:
-                derive(bridge, m)
+        for m in members:
+            if m != anchor and equal[anchor, m]:
+                bridge = next((o for o in members if o in weight and not equal[o, m]), None)
+                if bridge is None:
+                    weight[m] = weight[anchor]  # same outcome as anchor, no bridge
+                else:
+                    derive(bridge, m)
 
     if missing:
         raise MissingDataError(sorted(missing))
-    return weights, tuple(indeterminate)
-
-
-def _direct_ratios(
-    positions: Mapping[tuple[str, str], SegmentPosition], tol: Tolerance
-) -> dict[tuple[str, str], float]:
-    """Weight ratios w(a)/w(b) readable directly off same-rank pair sets."""
-    out: dict[tuple[str, str], float] = {}
-    for (a, b), pos in positions.items():
-        lam = interior_lambda(pos, tol) if a < b else None
-        if lam is not None:
-            out[(a, b)] = lam / (1.0 - lam)
-            out[(b, a)] = (1.0 - lam) / lam
-    return out
+    return {features[m]: w for m, w in weight.items()}, tuple(indeterminate)
 
 
 def _witness(
@@ -328,36 +304,58 @@ def _witness(
     return ContradictionWitness(pair, RatioDerivation(pair, *first), RatioDerivation(pair, *second))
 
 
+def _ratio_matrix(kind: NDArray[np.intp], lam: NDArray[np.float64], tol: Tolerance) -> NDArray[np.float64]:
+    """``ratio[a, b]`` = w(a)/w(b) from the interior coefficient lambda of the
+    stored pair a < b: lambda/(1-lambda), and (1-lambda)/lambda at (b, a)
+    from the same lambda; NaN elsewhere."""
+    a, b = np.nonzero(np.triu((kind == _ON_SEGMENT) & _strictly_inside(lam, tol), 1))
+    coef, ratio = lam[a, b], np.full(kind.shape, np.nan)
+    ratio[a, b], ratio[b, a] = coef / (1.0 - coef), (1.0 - coef) / coef
+    return ratio
+
+
 def _ratio_conflict_witness(
     src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
 ) -> ContradictionWitness | None:
     """Search for a pair whose direct ratio disagrees with a chained one.
 
-    Features are scanned in lexicographic order; the first pass chains
-    only through intermediates between the endpoints (adjacent ratios
-    define the chain, skip pairs verify it), which pins down a canonical
-    conflict.  A second unrestricted pass catches inconsistencies that
-    only show up through out-of-order chains in partial data.
+    Pairs (a, b), a < b, of ``_ratio_matrix`` are scanned in lexicographic
+    order, then the intermediates c; a chain misses when it is more than 10
+    ``tol.gate`` from the direct ratio.  The first miss through a c between
+    the endpoints wins, a canonical conflict; failing that, the first
+    through any c, which partial data may need.  Each row a is one array
+    test of every (c, b), so memory stays O(n^2).
     """
-    features, _, positions = _same_rank_positions(src, ranks, tol)
-    direct = _direct_ratios(positions, tol)
-    ordered = sorted((a, b) for (a, b) in direct if a < b)
-    for between_only in (True, False):
-        for a, b in ordered:
-            r_ab = direct[(a, b)]
-            for c in features:
-                if c in (a, b) or (between_only and not a < c < b):
-                    continue
-                if (a, c) not in direct or (c, b) not in direct:
-                    continue
-                chained = direct[(a, c)] * direct[(c, b)]
-                if abs(chained - r_ab) > tol.gate(abs(chained), abs(r_ab)) * 10.0:
-                    return _witness(
-                        (a, b),
-                        (r_ab, ((a, b),), "mixing coefficient of the pair aggregate"),
-                        (chained, (tuple(sorted((a, c))), tuple(sorted((c, b)))), f"chained through {c}"),
-                    )
-    return None
+    features, _, kind, lam = _same_rank_table(src, ranks, tol)
+    ratio = _ratio_matrix(kind, lam, tol)
+    before = np.triu(np.ones(ratio.shape, dtype=bool), 1)  # before[c, b]: c < b
+    found = None
+    for a in np.flatnonzero((before & ~np.isnan(ratio)).any(axis=1)).tolist():
+        direct = ratio[a, a + 1:]
+        # chained[c, b - a - 1] = ratio[a, c] * ratio[c, b] > 0 or NaN (no miss); fmax drops a NaN gate as max() does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            chained = ratio[a, :, None] * ratio[:, a + 1:]
+            gate = np.fmax(tol.abs_tol, tol.rel_tol * np.maximum(chained, direct)) * 10.0
+            conflict = np.abs(chained - direct) > gate
+        between = conflict & before[:, a + 1:]
+        between[: a + 1] = False
+        if between.any():
+            found = a, between
+            break
+        if found is None and conflict.any():
+            found = a, conflict
+    if found is None:
+        return None
+    a, conflict = found
+    col = int(np.argmax(conflict.any(axis=0)))
+    b, c = a + 1 + col, int(np.argmax(conflict[:, col]))
+    fa, fb, fc = features[a], features[b], features[c]
+    return _witness(
+        (fa, fb),
+        (float(ratio[a, b]), ((fa, fb),), "mixing coefficient of the pair aggregate"),
+        (float(ratio[a, c] * ratio[c, b]), (tuple(sorted((fa, fc))), tuple(sorted((fc, fb)))),
+         f"chained through {fc}"),
+    )
 
 
 def _fallback_witness(
@@ -388,12 +386,9 @@ def _fallback_witness(
 
 
 def _witness_from_degenerate(err: DegenerateLambda) -> ContradictionWitness:
+    """The pair's coefficient (never None: no pair in the table is DEGENERATE) as a ratio."""
     lam = err.lam
-    ratio = math.nan
-    if lam is not None and 0.0 < lam < 1.0:
-        ratio = lam / (1.0 - lam)
-    elif lam is not None:
-        ratio = math.inf if lam >= 1.0 else 0.0
+    ratio = lam / (1.0 - lam) if 0.0 < lam < 1.0 else math.inf if lam >= 1.0 else 0.0
     return _witness(
         err.pair,
         (ratio, (tuple(sorted(err.pair)),), str(err)),

@@ -279,8 +279,8 @@ def verify_weight_table(
     ValueError for a weight that is not strictly positive and finite.
     """
     norm_src = _normalized_source(src, v, tol)
-    rows = [row for row, s in enumerate(norm_src.sets()) if len(s) > 1]
-    coalitions = [norm_src._members[row] for row in rows]
+    first = len(norm_src.features())  # the rows before are the singletons
+    coalitions = norm_src._members[first:]
     for members in coalitions:
         missing = [m for m in members if m not in weights]
         if missing:
@@ -295,7 +295,7 @@ def verify_weight_table(
         [norm_src.outcome([m]) for m in people],
         _membership({m: j for j, m in enumerate(people)}, coalitions),
     )
-    residuals = _row_norms(norm_src._points[rows] - predicted).tolist()
+    residuals = _row_norms(norm_src._points[first:] - predicted).tolist()
     return tuple((c, r, r <= tol.gate(1.0)) for c, r in zip(coalitions, residuals))
 
 

@@ -214,6 +214,13 @@ def _timed_entry(value):
     return edit
 
 
+def _timed_twice(doc):
+    """sets[1] and sets[2] both give the timed query {b@1, c@2}, with two outcomes."""
+    doc["kind"] = "timed"
+    doc["sets"][1]["timing"] = {"b": 1, "c": 2}
+    doc["sets"][2] = {"members": ["c", "b"], "outcome": [0.9, 0.1], "timing": {"c": 2, "b": 1}}
+
+
 def _feature(fid, value):
     def edit(doc):
         doc["features"][fid] = value
@@ -276,6 +283,7 @@ ONE_FAULT = [
      "times for non-members ['a']"),
     ("timed duplicate set", _timed_entry({"members": ["a", "b"], "outcome": [0.9, 0.1], "timing": {"a": 1, "b": 1}}),
      "sets[1].members", "duplicate set ['a', 'b']"),
+    ("timed query twice", _timed_twice, "sets[2].timing", "duplicate timed query ['b@1', 'c@2']"),
     ("timed singleton disagrees", _timed_entry({"members": ["a"], "outcome": [9, 9], "timing": {"a": 1}}),
      "sets[1].outcome", "singleton disagrees with its feature entry"),
     ("feature NaN", _feature("b", {"outcome": [math.nan, 0]}), "features['b'].outcome[0]",

@@ -58,6 +58,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 import types
 from collections.abc import Mapping
 
@@ -1580,11 +1581,13 @@ class TestRecoveryMatchesPerPairLoops:
     def test_same_direct_ratios_and_conflict(self, seed):
         src, truth = _recovery_case(seed)
         ranks = _ranks_for_weights(src, truth)
-        _, _, positions = recovery._same_rank_positions(src, ranks, DEFAULT_TOL)
-        got = recovery._direct_ratios(positions, DEFAULT_TOL)
+        features, _, kind, lam = recovery._same_rank_table(src, ranks, DEFAULT_TOL)
+        ratio = recovery._ratio_matrix(kind, lam, DEFAULT_TOL)
         want = reference_direct_ratios(src, ranks)
-        assert list(got) == list(want)
-        assert _bits(list(got.values())) == _bits(list(want.values()))
+        index = {f: k for k, f in enumerate(features)}
+        held = {(features[a], features[b]) for a, b in zip(*np.nonzero(~np.isnan(ratio)))}
+        assert held == set(want)  # every pair in both orientations, and nothing else
+        assert _bits([ratio[index[a], index[b]] for a, b in want]) == _bits(list(want.values()))
         assert recovery._ratio_conflict_witness(
             src, ranks, DEFAULT_TOL
         ) == reference_ratio_conflict_witness(src, ranks)
@@ -1614,6 +1617,69 @@ class TestRecoveryMatchesPerPairLoops:
         reference_recover_weights(theirs, ranks)
         assert isinstance(outcome, Recovered)
         assert set(ours.query_log) == set(theirs.query_log)
+
+
+@st.composite
+def near_gate_classes(draw):
+    """One collinear rank class of 3-9 features, a drawn subset of its pairs
+    stored, whose drawn pairs miss the chained ratio by 10 gates times
+    1 +- (1e-4 to 1e-3): just past or just short of the search's gate."""
+    k = draw(st.integers(3, 9))
+    names = [f"x{i}" for i in range(k)]
+    spots = draw(st.permutations(range(k)))
+    gaps = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
+    along = np.cumsum(gaps)[list(spots)]
+    weights = draw(st.lists(st.floats(0.2, 5.0), min_size=k, max_size=k))
+    pairs = list(itertools.combinations(range(k), 2))
+    off = set(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True)))
+    dropped = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs) // 2, unique=True))) - off
+
+    def point(t):
+        return np.array([0.3, -0.2]) + t * np.array([1.0, 0.5])
+
+    table = {frozenset([f]): point(t) for f, t in zip(names, along)}
+    for a, b in pairs:
+        if (a, b) in dropped:
+            continue
+        ratio = weights[a] / weights[b]
+        if (a, b) in off:
+            miss = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-4, 1e-3))
+            ratio += draw(st.sampled_from([-1.0, 1.0])) * 10.0 * DEFAULT_TOL.gate(1.0, ratio) * (1.0 + miss)
+        lam = ratio / (1.0 + ratio)
+        table[frozenset([names[a], names[b]])] = point(lam * along[a] + (1.0 - lam) * along[b])
+    return DatasetSource(2, table), dict.fromkeys(names, 0)
+
+
+class TestRatioConflictSearch:
+    @given(near_gate_classes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_triangle_loop_near_the_gate(self, case):
+        src, ranks = case
+        assert recovery._ratio_conflict_witness(
+            src, ranks, DEFAULT_TOL
+        ) == reference_ratio_conflict_witness(src, ranks)
+
+    def test_memory_stays_quadratic(self):
+        """200 consistent classmates with every pair stored: both passes scan
+        every row, and one n^3 float temporary would take 64 MB."""
+        n = 200
+        names = [f"x{i:03d}" for i in range(n)]
+        along = np.linspace(0.0, 10.0, n)
+        weights = np.linspace(0.5, 2.0, n)
+        table = {frozenset([f]): [t, 2.0 * t] for f, t in zip(names, along)}
+        for a, b in itertools.combinations(range(n), 2):
+            lam = weights[a] / (weights[a] + weights[b])
+            t = lam * along[a] + (1.0 - lam) * along[b]
+            table[frozenset([names[a], names[b]])] = [t, 2.0 * t]
+        src, ranks = DatasetSource(2, table), dict.fromkeys(names, 0)
+        tracemalloc.start()
+        try:
+            witness = recovery._ratio_conflict_witness(src, ranks, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness is None
+        assert peak < 16 * 2**20
 
 
 def reference_dataset_source(dimension, outcomes):
