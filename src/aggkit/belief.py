@@ -205,8 +205,8 @@ def check_bayesian(
     max(sum of d+, sum of d-) = (|d|_1 + |sum d|) / 2, so each set costs
     O(states) rather than 2^states events.
     """
-    for f in src.features():
-        as_belief(src.outcome([f]), tol)  # NotABelief on bad input
+    for point in src._points[: len(src.features())]:  # the singletons' rows
+        as_belief(point, tol)  # NotABelief on bad input
 
     outcome = recover(src, tol)
     if isinstance(outcome, MissingData):
@@ -222,10 +222,10 @@ def check_bayesian(
 
     joint = build_joint(outcome.representation, tol)
     worst = 0.0
-    for s in src.sets():
+    for members, point in zip(src._members, src._points):
         # Both sides are additive over states, so the worst event collects
         # every positive gap or every negative one.
-        gap = src.outcome(s) - joint.conditional(s)
+        gap = point - joint.conditional(members)
         worst = max(worst, float(gap[gap > 0.0].sum()), float(-gap[gap < 0.0].sum()))
     consistent = worst <= tol.gate(1.0)
     detail = "conditioning reproduces every stored set" if consistent else (

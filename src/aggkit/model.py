@@ -13,6 +13,7 @@ evaluation in the package is a call to ``_top_mean``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
@@ -156,9 +157,10 @@ class DatasetSource(AggregationSource):
     feature gets one bit (in sorted order, so the lowest bit of a set is
     its smallest member), each stored set an int bitmask, and the outcomes
     are the rows of one read-only ``(m, d)`` array in canonical set order;
-    ``_members`` holds each set's sorted members, row for row.  The public
-    lookups validate their arguments; code inside the package that holds
-    valid ids uses ``_lookup``, ``_members`` and the mask index directly.
+    ``_members`` holds each set's sorted members, row for row; a source
+    with new outcomes for the same sets (``_with_points``) shares them.  The
+    public lookups validate their arguments; code inside the package that
+    holds valid ids uses ``_lookup``, ``_members`` and the mask index directly.
     """
 
     def __init__(
@@ -226,6 +228,18 @@ class DatasetSource(AggregationSource):
         points.setflags(write=False)
         self._points = points
         return self
+
+    def _with_points(self, points: NDArray[np.float64]) -> DatasetSource:
+        """This source's sets with ``points``, a new ``(m, d)`` float array it
+        makes read-only, as their outcomes row for row; the index is shared, not
+        rebuilt.  The first row not finite raises the ValueError of ``as_point``."""
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            as_point(points[np.argmin(finite)])
+        points.setflags(write=False)
+        derived = copy.copy(self)
+        derived._points = points
+        return derived
 
     def features(self) -> tuple[str, ...]:
         return self._features
@@ -462,14 +476,6 @@ class Representation:
             for level in levels
         )
 
-    def restrict(self, members: Iterable[str]) -> Representation:
-        fs = _known_set(self, members)
-        return Representation(
-            weights={f: self.weights[f] for f in fs},
-            ranks={f: self.ranks[f] for f in fs},
-            outcomes={f: self.outcomes[f] for f in fs},
-        )
-
     def _evaluate(self, sets: Sequence[Iterable[str]]) -> NDArray[np.float64]:
         """Rule (3) on each of ``sets`` (non-empty, of known ids), one row each."""
         members = _membership(self._column, sets)
@@ -616,13 +622,6 @@ class AxiomReport:
                     self.residual, self.degenerate, self.reason,
                 ))
             )
-        )
-
-    def summary(self) -> str:
-        return (
-            f"{self.mode.value} axiom: "
-            f"{'satisfied' if self.satisfied else 'violated'} "
-            f"({self.check_count} checks, {np.count_nonzero(self.reason)} violations)"
         )
 
 
@@ -776,12 +775,6 @@ class StrongRichnessReport:
     @property
     def satisfied(self) -> bool:
         return all(e.witnessed for e in self.entries)
-
-    def witness_for(self, feature: str) -> tuple[str, str] | None:
-        for e in self.entries:
-            if e.feature == feature:
-                return e.witness
-        raise UnknownFeature(feature)
 
 
 def check_strong_richness(

@@ -363,26 +363,28 @@ def _fallback_witness(
 ) -> ContradictionWitness:
     """Witness built from the worst verification failure directly.
 
-    Uses the first two top-ranked members of the failing set (its sorted
-    ``members`` and ``observed`` outcome): the observed aggregate implies
-    one weight ratio for them (or none, when it leaves the segment),
-    while the recovered weights imply another.
+    Uses the first two top-ranked members a, b of the failing set (its
+    sorted ``members`` and ``observed`` outcome): the observed aggregate
+    implies one weight ratio for them (or none, when it leaves the
+    segment), while the recovered weights imply another.  A top of a alone
+    takes b, the first highest-ranked other member (a singleton never
+    fails), which rule (3) gives no weight; the aggregate is read for {a, b}.
     """
     top = sorted(top_set(rep, members))
-    a, b = (top[0], top[1]) if len(top) >= 2 else (top[0], top[0])
+    a = top[0]
+    b = top[1] if len(top) >= 2 else max((m for m in members if m != a), key=rep.ranks.__getitem__)
     fa, fb = rep.outcomes[a], rep.outcomes[b]
     ratio = math.nan
     note = "no valid mixing coefficient for the observed aggregate"
-    if len(top) == 2 and not tol.close(fa, fb):
+    if (len(top) == 2 or len(members) == 2) and not tol.close(fa, fb):
         lam = interior_lambda(segment_coefficient(observed, fa, fb, tol), tol)
         if lam is not None:
             ratio = lam / (1.0 - lam)
             note = "mixing coefficient of the observed aggregate"
-    return _witness(
-        (a, b),
-        (ratio, (members,), note),
-        (rep.weights[a] / rep.weights[b], (), "implied by the recovered weights"),
-    )
+    implied = (rep.weights[a] / rep.weights[b], (), "implied by the recovered weights")
+    if len(top) == 1:
+        implied = (math.inf, (), f"the recovered ranks put {a} above {b}")
+    return _witness((a, b), (ratio, (members,), note), implied)
 
 
 def _witness_from_degenerate(err: DegenerateLambda) -> ContradictionWitness:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import (
     ConstantUtility,
@@ -31,6 +32,7 @@ from .geometry import (
     DEFAULT_TOL,
     Tolerance,
     Vector,
+    _row_dots,
     _row_norms,
     affine_dimension,
     as_point,
@@ -88,12 +90,26 @@ def normalize_to_H(
     agreement mixture, so the normalization (and the aggregation theory
     behind it) does not apply.
     """
-    u = as_point(u)
-    v = as_point(v, dim=u.size)
-    s = float(np.dot(u, v))
-    if s <= tol.gate(float(np.linalg.norm(u)) * float(np.linalg.norm(v))):
-        raise MinimalAgreementViolated(who, s)
-    return u / s
+    return _normalize_rows(as_point(u)[None], v, tol, ((who,),))[0]
+
+
+def _normalize_rows(
+    points: NDArray[np.float64], v: Sequence[float] | Vector, tol: Tolerance, who: Sequence[Sequence[str]]
+) -> NDArray[np.float64]:
+    """Each row u of the finite ``(k, d)`` array ``points`` over <u, v>, bit for
+    bit as one row at a time: the gate ``tol.gate(|u| |v|)`` keeps its floor
+    where the scale is NaN (|v| underflowed, |u| overflowed), as ``max`` does;
+    the first row at or below it raises MinimalAgreementViolated, named
+    ``who[row]`` joined by commas, with its ``np.dot`` (a zero keeps its sign)."""
+    v = as_point(v, dim=points.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as scalar products are
+        dots = _row_dots(points, np.broadcast_to(v, points.shape))
+        gate = np.fmax(tol.abs_tol, tol.rel_tol * (_row_norms(points) * float(np.linalg.norm(v))))
+    low = dots <= gate
+    if low.any():
+        row = int(np.argmax(low))
+        raise MinimalAgreementViolated(",".join(who[row]), float(np.dot(points[row], v)))
+    return points / dots[:, None]
 
 
 @dataclass(frozen=True)
@@ -290,9 +306,10 @@ def verify_weight_table(
     if not coalitions:
         return ()
     people = sorted({m for members in coalitions for m in members})
+    single = dict(zip(norm_src.features(), range(first)))  # an individual's row
     predicted = _top_mean(
         _positive_weights(weights, people),
-        [norm_src.outcome([m]) for m in people],
+        norm_src._points[[single[m] for m in people]],
         _membership({m: j for j, m in enumerate(people)}, coalitions),
     )
     residuals = _row_norms(norm_src._points[first:] - predicted).tolist()
@@ -302,13 +319,9 @@ def verify_weight_table(
 def _normalized_source(
     src: DatasetSource, v: Sequence[float] | Vector, tol: Tolerance
 ) -> DatasetSource:
-    """``src`` with every stored outcome scaled onto <., v> = 1."""
-    v = as_point(v, dim=src.dimension)
-    normalized = {
-        s: normalize_to_H(src.outcome(s), v, tol, who=",".join(sorted(s)))
-        for s in src.sets()
-    }
-    return DatasetSource(src.dimension, normalized)
+    """``src`` with every stored outcome scaled onto <., v> = 1, in one
+    row pass; a row that overflows raises the ValueError of ``as_point``."""
+    return src._with_points(_normalize_rows(src._points, v, tol, src._members))
 
 
 @dataclass(frozen=True)
@@ -328,13 +341,6 @@ class ExtendedParetoReport:
     violations: tuple[ParetoViolation, ...]
     weights: Mapping[str, float] | None
     recovery: RecoveryOutcome | None
-
-    def summary(self) -> str:
-        verdict = "satisfied" if self.satisfied else "violated"
-        return (
-            f"extended Pareto {verdict}: {self.axiom.check_count} coalition "
-            f"splits checked, {len(self.violations)} violations"
-        )
 
 
 def check_extended_pareto(

@@ -22,7 +22,6 @@ from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension
 from .model import (
     AxiomMode,
     DatasetSource,
-    FeatureSet,
     Representation,
     _known_set,
     induced_source,
@@ -275,10 +274,8 @@ def perturb(
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
     rng = np.random.default_rng(seed)
-    table: dict[FeatureSet, Vector] = {}
-    for s in src.sets():
-        out = np.array(src.outcome(s), dtype=float)
-        if len(s) > 1:
-            out = out + rng.uniform(-magnitude, magnitude, out.size)
-        table[s] = out
-    return DatasetSource(src.dimension, table)
+    first = len(src.features())  # the rows before are the singletons
+    points = src._points.copy()
+    if first < len(src):  # one draw per coordinate, row after row as the sets come
+        points[first:] += rng.uniform(-magnitude, magnitude, points[first:].shape)
+    return src._with_points(points)

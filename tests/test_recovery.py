@@ -14,7 +14,9 @@ from aggkit import (
     recover,
     recover_order,
 )
+from aggkit import recovery
 from aggkit.errors import IntransitivityDetected, MissingDataError
+from aggkit.geometry import DEFAULT_TOL
 
 
 class TestRecoverOrder:
@@ -208,3 +210,43 @@ class TestRecover:
                     evaluate(rep, s),
                     atol=1e-8,
                 )
+
+
+class TestFallbackWitness:
+    """No ratio of the clean pairs conflicts, so the witness comes from
+    the worst failing set; here its top rank holds one member."""
+
+    REP = Representation(
+        weights={"a": 1.0, "b": 1.0, "c": 2.0, "d": 0.5},
+        ranks={"a": 1, "b": 0, "c": 0, "d": 0},
+        outcomes={"a": [0.0, 1.0], "b": [1.0, 0.0], "c": [0.0, 0.0], "d": [1.0, 1.0]},
+    )
+
+    def test_single_top_pairs_with_the_next_rank(self):
+        table = {frozenset(s): evaluate(self.REP, tuple(s)) for s in
+                 ["a", "b", "c", "d", "ab", "ac", "ad", "bc", "bd", "cd"]}
+        table[frozenset("abc")] = [0.3, 0.6]  # a alone predicts [0, 1]
+        outcome = recover(DatasetSource(2, table))
+        assert isinstance(outcome, NonRepresentable)
+        assert outcome.failing_sets == (("a", "b", "c"),)
+        witness = outcome.witness
+        assert witness.pair == ("a", "b")  # never a feature with itself
+        assert np.isnan(witness.first.ratio)
+        assert witness.first.via == (("a", "b", "c"),)
+        assert (witness.second.ratio, witness.second.via) == (float("inf"), ())
+        assert witness.second.note == "the recovered ranks put a above b"
+
+    def test_single_top_pair_reads_its_coefficient(self):
+        # The failing set is the pair itself: its aggregate's coefficient
+        # on (f(a), f(b)) is read, and the ranks give b no weight.
+        witness = recovery._fallback_witness(("a", "b"), np.array([0.25, 0.75]), self.REP, DEFAULT_TOL)
+        assert witness.pair == ("a", "b")
+        assert witness.first.ratio == pytest.approx(3.0)
+        assert witness.first.note == "mixing coefficient of the observed aggregate"
+        assert witness.second.ratio == float("inf")
+
+    def test_two_member_top_keeps_the_weight_ratio(self):
+        witness = recovery._fallback_witness(("b", "c", "d"), np.array([0.5, 0.5]), self.REP, DEFAULT_TOL)
+        assert witness.pair == ("b", "c")
+        assert np.isnan(witness.first.ratio)  # three top members: no segment to read
+        assert (witness.second.ratio, witness.second.note) == (0.5, "implied by the recovered weights")

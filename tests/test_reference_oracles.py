@@ -50,6 +50,14 @@ location and message.
 ``reference_boundary_diagnostic`` runs the hull search on every menu;
 ``boundary_diagnostic``, which settles the menus it can from the
 recovered weights and searches only the rest, must give the same report.
+
+``reference_normalized_source`` normalises one stored set at a time onto
+<., v> = 1 and rebuilds the source through the mapping constructor;
+``social._normalized_source``, one row pass on the source's own index,
+must give the same points bit for bit, or the same error with the same
+message, from 1e-310 to 1.7e308 and for subnormal directions.
+``reference_perturb`` draws the noise one set at a time; ``perturb``,
+one draw for all rows, must give the same bits.
 """
 
 import dataclasses
@@ -106,7 +114,7 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import fileio, model, recovery
+from aggkit import fileio, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport
 from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
@@ -114,6 +122,7 @@ from aggkit.errors import (
     DatasetFormatError,
     DegenerateLambda,
     IntransitivityDetected,
+    MinimalAgreementViolated,
     MissingDataError,
     MissingSingleton,
     NotABelief,
@@ -2349,3 +2358,127 @@ class TestBeliefLoaderMatchesPerSetLoop:
             assert (err.location, str(err)) == (want[0], f"{want[0]}: {want[1]}")
         else:
             assert want is None
+
+
+def reference_normalize_to_H(u, v, tol, who):
+    """One vector onto <., v> = 1, with scalar dots and norms and ``tol.gate``."""
+    u = as_point(u)
+    v = as_point(v, dim=u.size)
+    s = float(np.dot(u, v))
+    if s <= tol.gate(float(np.linalg.norm(u)) * float(np.linalg.norm(v))):
+        raise MinimalAgreementViolated(who, s)
+    return u / s
+
+
+def reference_normalized_source(src, v, tol):
+    """The per-set loop: every stored set in canonical order through
+    ``reference_normalize_to_H``, then the mapping constructor."""
+    v = as_point(v, dim=src.dimension)
+    normalized = {
+        s: reference_normalize_to_H(src.outcome(s), v, tol, who=",".join(sorted(s)))
+        for s in src.sets()
+    }
+    return DatasetSource(src.dimension, normalized)
+
+
+def _result_or_error(fn, *args):
+    with np.errstate(all="ignore"):  # an overflow is compared, not warned about
+        try:
+            return fn(*args)
+        except Exception as err:  # noqa: BLE001 - the error itself is compared
+            return err
+
+
+# A scale for the table and one for the direction: 1e-310 to 1e307, or
+# one of the pairs at the edge of the float range where <u, v> clears the
+# gate while |v| underflows to 0 and u / <u, v> may overflow.  Each coordinate
+# is a size in [0.1, 10] (now and then a zero of either sign) times its
+# scale times a factor that is now and then far off it.
+_SCALES = st.one_of(
+    st.sampled_from([3e-309, 1e-308, 1e-300, 1e-160, 1.0, 1e150, 1e300]),
+    st.builds(lambda e: 10.0**e, st.integers(-310, 307)),
+)
+_EDGE_SCALES = st.sampled_from([(1e300, 3e-309), (1e300, 1e-308), (3e299, 3e-309), (1e155, 1e-160)])
+# Scales whose product is 1, so that <u, v> is near 1 and most tables pass.
+_MATCHED_SCALES = st.builds(lambda e: (10.0**e, 10.0**-e), st.integers(-307, 307))
+_SIZES = st.one_of(st.sampled_from([0.0, -0.0]), *[st.floats(0.1, 10.0)] * 6)
+_FACTORS = st.sampled_from([1.0] * 6 + [1e-10, 1e10, 1e-300, 1e300])
+
+
+@st.composite
+def agreement_tables(draw):
+    """A coalition table, a direction and a tolerance; half the tables
+    have entries of both signs, the others none below zero."""
+    d = draw(st.integers(1, 4))
+    signs = st.sampled_from([1.0, -1.0] if draw(st.booleans()) else [1.0])
+
+    def point(scale):
+        return [min(draw(_SIZES) * scale * draw(_FACTORS), 1.7e308) * draw(signs) for _ in range(d)]
+
+    names = [f"i{j}" for j in range(draw(st.integers(1, 3)))]
+    unions = [c for k in range(2, len(names) + 1) for c in itertools.combinations(names, k)]
+    stored = draw(st.lists(st.sampled_from(unions), unique=True, max_size=3)) if unions else []
+    u_scale, v_scale = draw(st.one_of(st.tuples(_SCALES, _SCALES), _EDGE_SCALES, _MATCHED_SCALES))
+    table = {frozenset(s): point(u_scale) for s in [(n,) for n in names] + stored}
+    tol = draw(st.sampled_from([Tolerance(1e-15, 1e-15), DEFAULT_TOL, Tolerance(1e-3, 1e-3)]))
+    return DatasetSource(d, table), np.array(point(v_scale)), tol
+
+
+class TestNormalizedSourceMatchesPerSetLoop:
+    @settings(max_examples=1500, deadline=None)
+    @given(agreement_tables())
+    @example(  # |v| underflows and |u| overflows: the gate's scale is NaN
+        (DatasetSource(3, {"i0": [1e300, 0.0, 0.0], "i1": [1e299, 1e300, 0.0]}), np.array([3e-309, 0.0, 0.0]), DEFAULT_TOL)
+    )
+    @example((DatasetSource(1, {"i0": [-1e-200]}), np.array([1e-200]), DEFAULT_TOL))  # <u, v> is -0.0
+    @example((DatasetSource(3, {"i0": [1e300, 0.0, 0.0]}), np.array([3e-309, 0.0, 0.0]), DEFAULT_TOL))  # overflows
+    def test_same_points_or_same_error(self, case):
+        src, v, tol = case
+        got = _result_or_error(social._normalized_source, src, v, tol)
+        want = _result_or_error(reference_normalized_source, src, v, tol)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert got._members == want._members
+            assert got._points.tobytes() == want._points.tobytes()
+            assert got._points.flags.writeable is False
+        for row in src._points:  # the one-vector wrapper, on every stored outcome
+            got = _result_or_error(social.normalize_to_H, row, v, tol, "u")
+            want = _result_or_error(reference_normalize_to_H, row, v, tol, "u")
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def reference_perturb(src, magnitude, seed):
+    """Noise on every non-singleton set, one draw per set in canonical order."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for s in src.sets():
+        out = np.array(src.outcome(s), dtype=float)
+        if len(s) > 1:
+            out = out + rng.uniform(-magnitude, magnitude, out.size)
+        table[s] = out
+    return DatasetSource(src.dimension, table)
+
+
+class TestPerturbMatchesPerSetLoop:
+    @pytest.mark.parametrize("name", ["dense", "wide", "singletons", "huge"])
+    def test_same_bits_or_same_error(self, name):
+        rep = _rep(61, 6, classes=2, dimension=3)
+        huge = {"a": [1.7e308, -1.7e308], "b": [1e308, 1.0], ("a", "b"): [1.7e308, -1.7e308]}
+        src, magnitude = {
+            "dense": (gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES), 1e-3),
+            "wide": (_wide(_rep(62, 9)), 0.5),
+            "singletons": (induced_source(rep, [(f,) for f in rep.features()]), math.inf),
+            "huge": (DatasetSource(2, huge), 8e307),  # some draws overflow
+        }[name]
+        for seed in range(4):
+            got = _result_or_error(perturb, src, magnitude, seed)
+            want = _result_or_error(reference_perturb, src, magnitude, seed)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got._members == want._members
+                assert got._points.tobytes() == want._points.tobytes()
