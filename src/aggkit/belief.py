@@ -22,6 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    MissingDataError,
     MultipleRankClasses,
     NotABelief,
     NotStationary,
@@ -39,7 +40,6 @@ from .geometry import (
 from .model import (
     DatasetSource,
     FeatureSet,
-    OracleSource,
     Representation,
     _membership,
     _positive_weights,
@@ -452,29 +452,34 @@ def recover_discounted(
 ) -> DiscountRecovery:
     """Recover discount factor and weights from a timed-query oracle.
 
-    Procedure: spot-check stationarity (three fixed queries against
-    their shift by one), recover weights from the oracle restricted to
-    all-equal times, then read the discount factor off the first
-    distinct-outcome pair queried at times (1, 2):
-    q = weight ratio times (1 - lambda) / lambda.  Validation queries
-    are re-evaluated with the recovered parameters.
+    Procedure: ask the oracle for every singleton, then every pair in
+    ``itertools.combinations`` order, all at time 1, into one
+    DatasetSource; spot-check stationarity (three fixed queries against
+    their shift by one); recover weights from that table; then read the
+    discount factor off the first distinct-outcome pair queried at times
+    (1, 2): q = weight ratio times (1 - lambda) / lambda.  Validation
+    queries are re-evaluated with the recovered parameters.
 
-    Raises NotStationary when the spot-check fails, and propagates
-    recovery errors (including the oracle's own failures) otherwise.
+    A pair the oracle refuses with MissingDataError is left out of the
+    table, and a NotStationary message that requires it gives the
+    oracle's labels.  Raises NotStationary when the spot-check or the
+    recovery fails; every other oracle failure propagates.
     """
-    feats = tuple(sorted(features))
+    feats = tuple(sorted(set(features)))
     if len(feats) < 2:
         raise ValueError("discount recovery needs at least two features")
 
     def ask(query: TimedQuery) -> Vector:
         return as_point(oracle(query), dim=dimension)
 
-    flat = OracleSource(
-        dimension,
-        lambda fs: ask(TimedQuery(fs, {f: 1 for f in fs})),
-        feats,
-    )
-    singles = {f: flat.outcome([f]) for f in feats}
+    singles = {f: ask(TimedQuery([f], {f: 1})) for f in feats}
+    table: dict[tuple[str, ...], Vector] = {(f,): p for f, p in singles.items()}
+    refused: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}  # pair -> the oracle's labels
+    for members in itertools.combinations(feats, 2):
+        try:
+            table[members] = ask(TimedQuery(members, dict.fromkeys(members, 1)))
+        except MissingDataError as err:
+            refused[members] = err.required
 
     pair = next(
         (
@@ -500,16 +505,17 @@ def recover_discounted(
                 f"query {query.key()} changed under a unit time shift"
             )
 
-    outcome = recover(flat, tol)
+    outcome = recover(DatasetSource(dimension, table), tol)
     if isinstance(outcome, NonRepresentable):
         raise NotStationary(
             "equal-time restriction is not strictly rationalizable: "
             f"non-representable, witness pair {_braced(outcome.witness.pair)}"
         )
     if isinstance(outcome, MissingData):
+        labels = (label for members in outcome.required for label in refused[members])
         raise NotStationary(
             "equal-time restriction is not strictly rationalizable: "
-            f"missing-data, required sets {', '.join(map(_braced, outcome.required))}"
+            f"missing-data, required sets {', '.join(map(_braced, labels))}"
         )
     rep = outcome.representation
     if len(rep.rank_classes()) != 1:

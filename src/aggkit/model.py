@@ -1,10 +1,10 @@
-"""Core data model: aggregation sources, representations, axiom checks.
+"""Core data model: dataset sources, representations, axiom checks.
 
-An *aggregation source* answers "what outcome does this set of features
-map to".  A *representation* explains such a map with a strictly positive
-weight per feature and an integer rank per feature: the outcome of a set
-is the weighted average of its highest-ranked members' singleton
-outcomes.  This module holds both notions plus the checks that connect
+A *dataset source* is a finite table of the outcome each stored set of
+features maps to.  A *representation* explains such a map with a
+strictly positive weight per feature and an integer rank per feature:
+the outcome of a set is the weighted average of its highest-ranked
+members' singleton outcomes.  This module holds both notions plus the checks that connect
 raw data to the mixture axioms (weighted, strict, extreme averaging).
 
 That rule, form (3) of the paper, has one implementation: every forward
@@ -42,15 +42,12 @@ from .geometry import (
     _close_rows,
     _segment_positions,
     _strictly_inside,
-    affine_dimension,
     as_point,
 )
 
 __all__ = [
     "feature_set",
-    "AggregationSource",
     "DatasetSource",
-    "OracleSource",
     "Representation",
     "top_set",
     "evaluate",
@@ -90,11 +87,6 @@ def feature_set(members: Iterable[str] | str) -> FeatureSet:
     return fs
 
 
-def set_sort_key(members: FeatureSet) -> tuple[int, tuple[str, ...]]:
-    """Canonical ordering: by size first, then lexicographically."""
-    return (len(members), tuple(sorted(members)))
-
-
 def _first_fault(items: Sequence[tuple[object, object]], dimension: int) -> NoReturn:
     """Raise the error of the first faulty entry of a dataset table.
 
@@ -111,36 +103,10 @@ def _first_fault(items: Sequence[tuple[object, object]], dimension: int) -> NoRe
     raise AssertionError("the batched checks refused a table without a faulty entry")
 
 
-class AggregationSource:
-    """Common interface of dataset-backed and oracle-backed sources."""
-
-    dimension: int
-
-    def outcome(self, members: Iterable[str] | str) -> Vector:
-        raise NotImplementedError
-
-    def features(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def sets(self) -> tuple[FeatureSet, ...]:
-        """The sets whose outcomes are known, in canonical order.
-
-        A dataset knows what it stores; an oracle knows what it has been
-        asked so far.
-        """
-        raise NotImplementedError
-
-    def _lookup(self, members: Iterable[str]) -> Vector | None:
-        """Outcome of a set of valid feature ids, None when it is absent.
-
-        Internal callers use it for pair aggregates: a dataset may lack
-        the set, an oracle always answers (and logs the query).
-        """
-        raise NotImplementedError
-
-
-class DatasetSource(AggregationSource):
-    """Finite table of set outcomes.
+class DatasetSource:
+    """Finite table of set outcomes, the one source type: every reading
+    takes one, and ``belief.recover_discounted`` fills one from its
+    oracle's answers.
 
     Keys are feature sets, values are outcome points of a common
     dimension; an empty table raises ValueError.  Every member of every
@@ -156,8 +122,9 @@ class DatasetSource(AggregationSource):
     ``fileio.load_dataset`` reads, is built by ``_from_columns``: each
     feature gets one bit (in sorted order, so the lowest bit of a set is
     its smallest member), each stored set an int bitmask, and the outcomes
-    are the rows of one read-only ``(m, d)`` array in canonical set order;
-    ``_members`` holds each set's sorted members, row for row; a source
+    are the rows of one read-only ``(m, d)`` array in canonical set order,
+    so its first ``len(features())`` rows are the singletons in feature
+    order; ``_members`` holds each set's sorted members, row for row; a source
     with new outcomes for the same sets (``_with_points``) shares them.  The
     public lookups validate their arguments; code inside the package that
     holds valid ids uses ``_lookup``, ``_members`` and the mask index directly.
@@ -272,92 +239,50 @@ class DatasetSource(AggregationSource):
         return len(self._members)
 
 
-class OracleSource(AggregationSource):
-    """Query-on-demand source wrapping a callable.
-
-    The callable receives a frozenset of feature ids and returns an
-    outcome point.  Answers are cached, which both saves queries and
-    pins down a single answer per set; the order of first-time queries
-    is kept in ``query_log``.
-    """
-
-    def __init__(
-        self,
-        dimension: int,
-        fn: Callable[[FeatureSet], Sequence[float] | Vector],
-        features: Iterable[str],
-    ):
-        if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        self.dimension = int(dimension)
-        self._fn = fn
-        self._features = tuple(sorted(validate_feature_id(f) for f in features))
-        if not self._features:
-            raise ValueError("an oracle source needs a non-empty feature universe")
-        self._cache: dict[FeatureSet, Vector] = {}
-        self.query_log: list[FeatureSet] = []
-
-    def features(self) -> tuple[str, ...]:
-        return self._features
-
-    def outcome(self, members: Iterable[str] | str) -> Vector:
-        fs = feature_set(members)
-        unknown = fs - set(self._features)
-        if unknown:
-            raise UnknownFeature(f"oracle does not know features {sorted(unknown)}")
-        if fs not in self._cache:
-            arr = as_point(self._fn(fs), dim=self.dimension).copy()
-            arr.setflags(write=False)
-            self._cache[fs] = arr
-            self.query_log.append(fs)
-        return self._cache[fs]
-
-    def _lookup(self, members: Iterable[str]) -> Vector:
-        """Same as :meth:`outcome`; an oracle never lacks a set."""
-        return self.outcome(frozenset(members))
-
-    def sets(self) -> tuple[FeatureSet, ...]:
-        return tuple(sorted(self._cache, key=set_sort_key))
-
-
 def _equal_matrix(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.bool_]:
     """``equal[i, j]``: rows i and j of ``points`` pass ``Tolerance.close``."""
     n = len(points)
     return _close_rows(np.repeat(points, n, axis=0), np.tile(points, (n, 1)), tol).reshape(n, n)
 
 
+def _pair_rows(
+    src: DatasetSource, first: NDArray[np.intp], second: NDArray[np.intp]
+) -> NDArray[np.intp]:
+    """The row in ``src._points`` of each pair {i, j} of ``src``'s feature
+    indices, i from ``first`` and j from ``second``, found in the mask
+    index; -1 where the source lacks the pair."""
+    bits, mask_row = [src._bit[f] for f in src._features], src._mask_row
+    masks = (bits[i] | bits[j] for i, j in zip(first.tolist(), second.tolist()))
+    return np.fromiter((mask_row.get(mask, -1) for mask in masks), np.intp, len(first))
+
+
 def _pair_outcomes(
-    src: AggregationSource, features: Sequence[str], pairs: NDArray[np.bool_]
+    src: DatasetSource, pairs: NDArray[np.bool_]
 ) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]]:
-    """Look up every pair (i, j), i < j, marked in ``pairs`` once, in
-    ``itertools.combinations`` order: the stored pairs' indices i and j,
-    their aggregates as rows, and ``absent[i, j]`` (symmetric), the
-    marked pairs the source lacks."""
+    """Every pair (i, j), i < j, of ``src``'s feature indices marked in
+    ``pairs``, in ``itertools.combinations`` order: the stored pairs'
+    indices i and j, their aggregates as rows, and ``absent[i, j]``
+    (symmetric), the marked pairs the source lacks."""
     first, second = np.nonzero(np.triu(pairs, 1))
-    aggs = [src._lookup((features[i], features[j])) for i, j in zip(first.tolist(), second.tolist())]
-    stored = np.array([agg is not None for agg in aggs], dtype=bool)
+    rows = _pair_rows(src, first, second)
+    stored = rows >= 0
     absent = np.zeros(pairs.shape, dtype=bool)
     absent[first[~stored], second[~stored]] = absent[second[~stored], first[~stored]] = True
-    rows = np.array([agg for agg in aggs if agg is not None]).reshape(-1, src.dimension)
-    return first[stored], second[stored], rows, absent
+    return first[stored], second[stored], src._points[rows[stored]], absent
 
 
 def _pairs_away(
-    src: AggregationSource,
-    features: Sequence[str],
-    points: NDArray[np.float64],
-    pairs: NDArray[np.bool_],
-    tol: Tolerance,
+    src: DatasetSource, pairs: NDArray[np.bool_], tol: Tolerance
 ) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
     """The endpoint gate on every pair marked in ``pairs``, from one
     ``_pair_outcomes`` pass: ``away[i, j]``, the stored f({i, j}) is not
-    ``_close_rows``-close to f(j) = ``points[j]``, so ``away & away.T``
-    marks the pair aggregates away from both endpoints; and ``absent``,
-    the marked pairs the source lacks."""
-    first, second, aggs, absent = _pair_outcomes(src, features, pairs)
+    ``_close_rows``-close to f(j) (row j of ``src._points``: the singletons
+    come first), so ``away & away.T`` marks the pair aggregates away from
+    both endpoints; and ``absent``, the marked pairs the source lacks."""
+    first, second, aggs, absent = _pair_outcomes(src, pairs)
     away = np.zeros(pairs.shape, dtype=bool)
-    away[first, second] = ~_close_rows(aggs, points[second], tol)
-    away[second, first] = ~_close_rows(aggs, points[first], tol)
+    away[first, second] = ~_close_rows(aggs, src._points[second], tol)
+    away[second, first] = ~_close_rows(aggs, src._points[first], tol)
     return away, absent
 
 
@@ -745,16 +670,9 @@ def check_axiom(
     )
 
 
-def check_richness(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the recorded outcomes do not all sit on one line.
-
-    Dataset sources use every stored outcome; oracle sources use the
-    singleton outcomes of the declared feature universe.
-    """
-    if isinstance(src, DatasetSource):
-        return _affine_rank(src._points, tol) >= 2
-    points = [src.outcome([f]) for f in src.features()]
-    return affine_dimension(points, tol) >= 2
+def check_richness(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when the stored outcomes do not all sit on one line."""
+    return _affine_rank(src._points, tol) >= 2
 
 
 @dataclass(frozen=True)
@@ -778,25 +696,24 @@ class StrongRichnessReport:
 
 
 def check_strong_richness(
-    src: AggregationSource, tol: Tolerance = DEFAULT_TOL
+    src: DatasetSource, tol: Tolerance = DEFAULT_TOL
 ) -> StrongRichnessReport:
     """Per-feature witness search for the strong richness condition.
 
     A feature x is witnessed by (y, z) when the three singleton outcomes
     are not collinear and both pair aggregates f({x,y}), f({x,z}) lie
-    away from both of their endpoints.  Every pair is looked up once, in
-    ``itertools.combinations`` order (an oracle is asked for all of
-    them), and the endpoint gate of ``recover_order`` marks the interior
-    pairs in one pass.  Candidates with both pairs interior are then
+    away from both of their endpoints.  Every pair is found once in the
+    mask index, and the endpoint gate of ``recover_order`` marks the
+    interior pairs in one pass.  Candidates with both pairs interior are then
     tried in lexicographic order until the first non-collinear triple,
     normally one collinearity test per feature.  Raises MissingDataError
     when a feature has no witness and some absent pair (x, u) lies in a
     non-collinear triple (x, u, v); those pairs are the required sets.
     """
-    features = src.features()
+    features = src._features
     n = len(features)
-    points = np.array([src.outcome([f]) for f in features]).reshape(n, src.dimension)
-    away, absent = _pairs_away(src, features, points, np.ones((n, n), dtype=bool), tol)
+    points = src._points[:n]  # the singletons, in feature order
+    away, absent = _pairs_away(src, np.ones((n, n), dtype=bool), tol)
     interior = away & away.T
     entries: list[StrongRichnessEntry] = []
     all_blocked: set[tuple[str, ...]] = set()

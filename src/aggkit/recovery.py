@@ -41,11 +41,11 @@ from .geometry import (
     segment_coefficient,
 )
 from .model import (
-    AggregationSource,
     DatasetSource,
     Representation,
     _equal_matrix,
     _pair_outcomes,
+    _pair_rows,
     _pairs_away,
     top_set,
 )
@@ -141,7 +141,7 @@ RecoveryOutcome = Recovered | NonRepresentable | MissingData
 
 
 def recover_order(
-    src: AggregationSource, tol: Tolerance = DEFAULT_TOL
+    src: DatasetSource, tol: Tolerance = DEFAULT_TOL
 ) -> dict[str, int]:
     """Recover the rank of every feature from pairwise aggregates.
 
@@ -160,40 +160,36 @@ def recover_order(
     ``itertools.permutations`` order, and MissingDataError when required
     pair sets are absent.
     """
-    features = sorted(src.features())
+    features = src._features
     n = len(features)
-    points = np.array([src.outcome([f]) for f in features])
+    points = src._points[:n]  # the singletons, in feature order
     equal = _equal_matrix(points, tol)
 
-    away, absent = _pairs_away(src, features, points, ~equal, tol)
-    missing = {(features[i], features[j]) for i, j in zip(*np.nonzero(np.triu(absent)))}
+    away, absent = _pairs_away(src, ~equal, tol)
     geq = away | np.eye(n, dtype=bool)
     # A witness for x: a feature whose pair with x lands strictly inside.
     witness = away & away.T
 
     # Equal-outcome pairs compare through a witness z of one of them: z
     # shares that one's rank, so f({z, other}) decides the pair.
-    settled: list[tuple[int, int, int, Vector]] = []
+    settled: list[tuple[int, int, int]] = []
     for x, y in zip(*(k.tolist() for k in np.nonzero(np.triu(equal, 1)))):
         for a, b in ((x, y), (y, x)):
             if witness[a].any():
-                z = int(np.argmax(witness[a]))
-                agg = src._lookup((features[z], features[b]))
-                if agg is None:
-                    missing.add(tuple(sorted((features[z], features[b]))))
-                else:
-                    settled.append((a, b, z, agg))
+                settled.append((a, b, int(np.argmax(witness[a]))))
                 break
         else:
             geq[x, y] = geq[y, x] = True  # indistinguishable: nothing separates them
 
-    if missing:
-        raise MissingDataError(sorted(missing))
-    if settled:
-        a, b, z, rows = (list(column) for column in zip(*settled))
-        aggs = np.array(rows)
-        geq[a, b] = ~_close_rows(aggs, points[b], tol)
-        geq[b, a] = ~_close_rows(aggs, points[z], tol)
+    a, b, z = np.array(settled, dtype=np.intp).reshape(-1, 3).T
+    rows = _pair_rows(src, z, b)
+    lost = rows < 0
+    absent[z[lost], b[lost]] = absent[b[lost], z[lost]] = True
+    if absent.any():
+        raise MissingDataError([(features[i], features[j]) for i, j in zip(*np.nonzero(np.triu(absent)))])
+    aggs = src._points[rows]
+    geq[a, b] = ~_close_rows(aggs, points[b], tol)
+    geq[b, a] = ~_close_rows(aggs, points[z], tol)
 
     # (x, y, z) violates transitivity when geq[x, y] and geq[y, z] but not
     # geq[x, z]; with geq reflexive no triple repeats a feature.
@@ -218,18 +214,20 @@ _NOT_INTERIOR = {
 
 
 def _same_rank_table(
-    src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
+    src: DatasetSource, ranks: Mapping[str, int], tol: Tolerance
 ) -> tuple[list[str], NDArray[np.bool_], NDArray[np.intp], NDArray[np.float64]]:
     """The sorted features, their ``equal`` matrix, and from one
     ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b)) for
     every stored same-rank pair with distinct outcomes (so never DEGENERATE),
     as n x n arrays: ``kind[a, b]``, the code in ``_SEGMENT_KINDS`` or -1
     where there is no such pair, and ``lam[a, b]``, the coefficient of f(a)."""
-    features = sorted(ranks)
-    points = np.array([src.outcome([f]) for f in features]).reshape(len(features), src.dimension)
+    features = src._features
+    if ranks.keys() != set(features):
+        raise ValueError("ranks must rank exactly the source's features")
+    points = src._points[: len(features)]  # the singletons, in feature order
     equal = _equal_matrix(points, tol)
     level = np.array([ranks[f] for f in features])
-    first, second, aggs, _ = _pair_outcomes(src, features, (level[:, None] == level) & ~equal)
+    first, second, aggs, _ = _pair_outcomes(src, (level[:, None] == level) & ~equal)
     ends = np.concatenate([first, second]), np.concatenate([second, first])
     kind, lam = np.full(equal.shape, -1), np.full(equal.shape, np.nan)
     kind[ends], lam[ends], _ = _segment_positions(
@@ -239,7 +237,7 @@ def _same_rank_table(
 
 
 def recover_weights(
-    src: AggregationSource,
+    src: DatasetSource,
     ranks: Mapping[str, int],
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[dict[str, float], tuple[tuple[str, ...], ...]]:
@@ -315,7 +313,7 @@ def _ratio_matrix(kind: NDArray[np.intp], lam: NDArray[np.float64], tol: Toleran
 
 
 def _ratio_conflict_witness(
-    src: AggregationSource, ranks: Mapping[str, int], tol: Tolerance
+    src: DatasetSource, ranks: Mapping[str, int], tol: Tolerance
 ) -> ContradictionWitness | None:
     """Search for a pair whose direct ratio disagrees with a chained one.
 
@@ -414,7 +412,7 @@ def _witness_from_intransitivity(err: IntransitivityDetected) -> ContradictionWi
     )
 
 
-def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOutcome:
+def recover(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOutcome:
     """Full recovery pipeline: order, weights, then verification.
 
     Returns Recovered only when forward evaluation reproduces every
@@ -436,7 +434,7 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
     except DegenerateLambda as err:
         return NonRepresentable(witness=_witness_from_degenerate(err))
 
-    singles = {f: src.outcome([f]) for f in sorted(ranks)}
+    singles = dict(zip(src._features, src._points))
     rep = Representation(weights=weights, ranks=ranks, outcomes=singles)
     checked = _verification(src, rep, tol)
     residuals = checked.residual.tolist()
@@ -461,15 +459,10 @@ def recover(src: AggregationSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOut
     )
 
 
-def _verification(src: AggregationSource, rep: Representation, tol: Tolerance) -> Verification:
+def _verification(src: DatasetSource, rep: Representation, tol: Tolerance) -> Verification:
     """Every known set of ``src`` against ``rep`` in one array pass; a set
     passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
-    if isinstance(src, DatasetSource):
-        observed, members = src._points, src._members
-    else:
-        sets = src.sets()
-        observed = np.array([src.outcome(s) for s in sets])
-        members = tuple(tuple(sorted(s)) for s in sets)
+    observed, members = src._points, src._members
     predicted = rep._evaluate(members)
     residual = _row_norms(observed - predicted)
     scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)

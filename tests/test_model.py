@@ -9,7 +9,6 @@ from aggkit import (
     AxiomMode,
     DatasetSource,
     GeneratorConfig,
-    OracleSource,
     Representation,
     SubsetPolicy,
     Tolerance,
@@ -28,7 +27,6 @@ from aggkit.errors import (
     MissingDataError,
     MissingSingleton,
     TooLarge,
-    UnknownFeature,
 )
 from aggkit.model import _ID_FORBIDDEN, validate_feature_id
 
@@ -100,27 +98,6 @@ class TestDatasetSource:
             frozenset(["b"]),
             frozenset(["a", "b"]),
         )
-
-
-class TestOracleSource:
-    def test_caching_and_log(self):
-        calls = []
-
-        def fn(fs):
-            calls.append(fs)
-            return [float(len(fs))]
-
-        src = OracleSource(1, fn, ["a", "b"])
-        src.outcome(["a"])
-        src.outcome(["a"])
-        assert len(calls) == 1
-        src.outcome(["a", "b"])
-        assert frozenset(["a", "b"]) in src.sets()
-
-    def test_unknown_feature_rejected(self):
-        src = OracleSource(1, lambda fs: [0.0], ["a"])
-        with pytest.raises(UnknownFeature):
-            src.outcome(["z"])
 
 
 class TestRepresentation:
