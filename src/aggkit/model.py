@@ -4,8 +4,9 @@ A *dataset source* is a finite table of the outcome each stored set of
 features maps to.  A *representation* explains such a map with a
 strictly positive weight per feature and an integer rank per feature:
 the outcome of a set is the weighted average of its highest-ranked
-members' singleton outcomes.  This module holds both notions plus the checks that connect
-raw data to the mixture axioms (weighted, strict, extreme averaging).
+members' singleton outcomes.  This module holds both notions plus the
+checks that connect raw data to the mixture axioms (weighted, strict,
+extreme averaging).
 
 That rule, form (3) of the paper, has one implementation: every forward
 evaluation in the package is a call to ``_top_mean``.

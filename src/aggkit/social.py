@@ -100,16 +100,24 @@ def _normalize_rows(
     bit as one row at a time: the gate ``tol.gate(|u| |v|)`` keeps its floor
     where the scale is NaN (|v| underflowed, |u| overflowed), as ``max`` does;
     the first row at or below it raises MinimalAgreementViolated, named
-    ``who[row]`` joined by commas, with its ``np.dot`` (a zero keeps its sign)."""
+    ``who[row]`` joined by commas, with its ``np.dot`` (a zero keeps its sign).
+    Past that test, the first row whose normalised outcome is not finite
+    raises ValueError, named the same way."""
     v = as_point(v, dim=points.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as scalar products are
+    # Silent, as scalar products are; the finiteness test below names an overflow.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dots = _row_dots(points, np.broadcast_to(v, points.shape))
         gate = np.fmax(tol.abs_tol, tol.rel_tol * (_row_norms(points) * float(np.linalg.norm(v))))
+        normal = points / dots[:, None]
     low = dots <= gate
     if low.any():
         row = int(np.argmax(low))
         raise MinimalAgreementViolated(",".join(who[row]), float(np.dot(points[row], v)))
-    return points / dots[:, None]
+    finite = np.isfinite(normal).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{','.join(who[row])}: normalised outcome has non-finite coordinates: {normal[row]!r}")
+    return normal
 
 
 @dataclass(frozen=True)

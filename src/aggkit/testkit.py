@@ -269,10 +269,12 @@ def perturb(
     """Add uniform noise to every non-singleton outcome.
 
     Singletons are left alone so the perturbed data keeps the same
-    underlying feature map; only the aggregates are corrupted.
+    underlying feature map; only the aggregates are corrupted.  A
+    magnitude outside [0, largest float / 2], where the noise interval's
+    width would not be finite, is a ValueError.
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be non-negative")
+    if not 0.0 <= magnitude <= np.finfo(float).max / 2:
+        raise ValueError(f"magnitude must be non-negative and at most half the largest float: {magnitude!r}")
     rng = np.random.default_rng(seed)
     first = len(src.features())  # the rows before are the singletons
     points = src._points.copy()

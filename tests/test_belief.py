@@ -1,5 +1,7 @@
 """Belief formation: joints, conditional systems, and discounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,43 @@ class TestRecoverDiscounted:
 
         with pytest.raises(NotStationary):
             recover_discounted(oracle, self.WEIGHTS, 3)
+
+    def test_table_queries_come_first_each_once(self):
+        weights = {**self.WEIGHTS, "w": 1.5}
+        beliefs = {**self.BELIEFS, "w": np.array([0.3, 0.3, 0.4])}
+        asked = []
+
+        def oracle(query: TimedQuery):
+            asked.append(query.key())
+            return evaluate_discounted(0.5, weights, beliefs, query)
+
+        rec = recover_discounted(oracle, weights, 3)
+        names = sorted(weights)
+        table = [((f, 1),) for f in names]
+        table += [((a, 1), (b, 1)) for a, b in itertools.combinations(names, 2)]
+        assert asked[: len(table)] == table
+        # The spot checks (each query, then its shift by one), then the staggered pair.
+        a, b = rec.identification_pair
+        assert asked[len(table):] == [
+            ((a, 1), (b, 2)), ((a, 2), (b, 3)),
+            ((a, 1), (b, 1)), ((a, 2), (b, 2)),
+            ((a, 1),), ((a, 2),),
+            ((a, 1), (b, 2)),
+        ]
+
+    def test_an_oracle_failure_on_an_unneeded_pair_propagates(self):
+        # x and x2 share one belief, so recovery never reads their pair; the
+        # table still asks for it, and the oracle's own error escapes.
+        weights = {**self.WEIGHTS, "x2": 3.0}
+        beliefs = {**self.BELIEFS, "x2": self.BELIEFS["x"]}
+
+        def oracle(query: TimedQuery):
+            if query.members == {"x", "x2"}:
+                raise ValueError("no answer for {x,x2}")
+            return evaluate_discounted(0.5, weights, beliefs, query)
+
+        with pytest.raises(ValueError, match="no answer for"):
+            recover_discounted(oracle, weights, 3)
 
     def test_needs_two_features(self):
         oracle = _synthetic_discount_oracle(0.5, {"x": 1.0}, {"x": np.array([1.0])})

@@ -204,6 +204,24 @@ class TestVerdictsAndExitCodes:
         assert rep["result"]["error"] == "DatasetFormatError"
         assert "i3" in rep["result"]["message"]
 
+    @pytest.mark.parametrize("command", ["pareto", "gswf-verify"])
+    def test_overflowing_normalised_outcome_names_its_set(self, run_cli, fixtures_dir, tmp_path, command):
+        # <u, v> = 1e-8 for every set passes the gate (|v| underflows to 0),
+        # and {i2,i3}'s second coordinate over it overflows.
+        doc = json.loads((fixtures_dir / "profile_committee.json").read_text())
+        doc["direction"] = [1e-200, 0.0, 0.0]
+        for record in [*doc["features"].values(), *doc["sets"]]:
+            record["outcome"][0] = 1e192
+            if record.get("members") == ["i2", "i3"]:
+                record["outcome"][1] = 1e301
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, command, str(path))
+        assert (code, rep["result"]["error"]) == (2, "ValueError")
+        message = rep["result"]["message"]
+        assert message.startswith("i2,i3: normalised outcome has non-finite coordinates: array([")
+        assert " inf, " in message
+
     def test_luce_and_pathindep(self, run_cli, fixtures_dir):
         menu = str(fixtures_dir / "menu_luce.json")
         code, rep = report_of(run_cli, "luce", menu)
@@ -312,6 +330,19 @@ class TestIntransitivePairs:
         assert rep["result"]["message"] == (
             "equal-time restriction is not strictly rationalizable: "
             "missing-data, required sets {a@1,c@1}"
+        )
+
+    def test_discount_names_every_required_set(self, run_cli, tmp_path):
+        # Recovery runs on the whole equal-time table, so both absent pairs are named.
+        doc = _cyclic_doc("timed")
+        doc["sets"] = [s for s in doc["sets"] if s["members"] not in (["a", "c"], ["b", "c"])]
+        path = tmp_path / "gaps.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, "discount", str(path))
+        assert (code, rep["verdict"]) == (1, "not-stationary")
+        assert rep["result"]["message"] == (
+            "equal-time restriction is not strictly rationalizable: "
+            "missing-data, required sets {a@1,c@1}, {b@1,c@1}"
         )
 
     def test_recover_reports_the_triple_as_a_witness(self, run_cli, tmp_path):

@@ -13,6 +13,7 @@ from aggkit import (
     induced_source,
     recover,
     recover_order,
+    recover_weights,
 )
 from aggkit import recovery
 from aggkit.errors import IntransitivityDetected, MissingDataError
@@ -185,6 +186,12 @@ class TestRecover:
         assert isinstance(outcome, Recovered)
         got = outcome.representation.weights
         assert got["c"] / got["b"] == pytest.approx(1.5, rel=1e-9)
+
+    def test_weights_need_ranks_for_exactly_the_features(self, two_tier_source):
+        ranks = recover_order(two_tier_source)
+        for wrong in ({f: r for f, r in ranks.items() if f != min(ranks)}, {**ranks, "zz": 0}):
+            with pytest.raises(ValueError, match="ranks must rank exactly the source's features"):
+                recover_weights(two_tier_source, wrong)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(17)

@@ -2321,8 +2321,8 @@ class TestBeliefLoaderMatchesPerSetLoop:
             assert want is None
 
 
-def reference_normalize_to_H(u, v, tol, who):
-    """One vector onto <., v> = 1, with scalar dots and norms and ``tol.gate``."""
+def _reference_scaled(u, v, tol, who):
+    """One vector over <u, v>, with scalar dots and norms and ``tol.gate``."""
     u = as_point(u)
     v = as_point(v, dim=u.size)
     s = float(np.dot(u, v))
@@ -2331,14 +2331,26 @@ def reference_normalize_to_H(u, v, tol, who):
     return u / s
 
 
+def _reference_finite(out, who):
+    if not np.isfinite(out).all():
+        raise ValueError(f"{who}: normalised outcome has non-finite coordinates: {out!r}")
+
+
+def reference_normalize_to_H(u, v, tol, who):
+    """One vector onto <., v> = 1; ValueError, named ``who``, when it overflows."""
+    out = _reference_scaled(u, v, tol, who)
+    _reference_finite(out, who)
+    return out
+
+
 def reference_normalized_source(src, v, tol):
     """The per-set loop: every stored set in canonical order through
-    ``reference_normalize_to_H``, then the mapping constructor."""
+    ``_reference_scaled``, then again through the finiteness test, then
+    the mapping constructor."""
     v = as_point(v, dim=src.dimension)
-    normalized = {
-        s: reference_normalize_to_H(src.outcome(s), v, tol, who=",".join(sorted(s)))
-        for s in src.sets()
-    }
+    normalized = {s: _reference_scaled(src.outcome(s), v, tol, ",".join(sorted(s))) for s in src.sets()}
+    for s, out in normalized.items():
+        _reference_finite(out, ",".join(sorted(s)))
     return DatasetSource(src.dimension, normalized)
 
 
@@ -2413,7 +2425,10 @@ class TestNormalizedSourceMatchesPerSetLoop:
 
 
 def reference_perturb(src, magnitude, seed):
-    """Noise on every non-singleton set, one draw per set in canonical order."""
+    """Noise on every non-singleton set, one draw per set in canonical order;
+    a magnitude outside [0, largest float / 2] is refused."""
+    if not 0.0 <= magnitude <= np.finfo(float).max / 2:
+        raise ValueError(f"magnitude must be non-negative and at most half the largest float: {magnitude!r}")
     rng = np.random.default_rng(seed)
     table = {}
     for s in src.sets():

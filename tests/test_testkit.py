@@ -1,5 +1,7 @@
 """Seeded generators and the independent brute-force checker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,5 +172,7 @@ class TestPerturb:
         assert 0.0 < float(np.abs(moved).max()) <= 0.01
 
     def test_negative_magnitude_rejected(self, flat_source):
-        with pytest.raises(ValueError):
-            perturb(flat_source, magnitude=-1.0, seed=0)
+        # So is one whose noise interval is wider than the largest float.
+        for magnitude in (-1.0, 1e308, math.nan, math.inf):
+            with pytest.raises(ValueError, match="magnitude must be non-negative"):
+                perturb(flat_source, magnitude=magnitude, seed=0)
