@@ -114,7 +114,7 @@ from aggkit import (
     verify_cps,
 )
 from aggkit import fileio, model, recovery, social
-from aggkit.belief import ChainViolation, CpsReport
+from aggkit.belief import ChainViolation, CpsReport, recover_discounted
 from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
     AffinelyDependentBasis,
@@ -1214,6 +1214,15 @@ class TestForwardEvaluationMatchesReference:
             assert isinstance(outcome, Recovered)
             assert _column_bits(outcome.verification) == _column_bits(got)
 
+    def test_recover_verification_on_an_oracle(self):
+        # A discount oracle's recovery is verified on its whole equal-time
+        # table: every singleton and every pair, whether recovery read it or not.
+        rep = KERNEL_REPS["one-tier"]()
+        rec = recover_discounted(_discount_oracle(0.5, rep), rep.features(), rep.dimension)
+        want = reference_verification(_equal_time_table(0.5, rep), rec.recovery.representation)
+        assert [r.members for r in want] == _equal_time_sets(rep)
+        assert _column_bits(rec.recovery.verification) == _row_bits(want)
+
     def test_choice_probabilities(self, kernel_rep):
         for s in _kernel_sets(kernel_rep)[:300]:
             got = choice_probabilities(kernel_rep.weights, kernel_rep.ranks, s)
@@ -1235,6 +1244,24 @@ class TestForwardEvaluationMatchesReference:
             got = evaluate_discounted(q, kernel_rep.weights, kernel_rep.outcomes, query)
             want = reference_evaluate_discounted(q, kernel_rep.weights, kernel_rep.outcomes, query)
             assert _bits(got) == _bits(want)
+
+
+def _discount_oracle(q, rep):
+    """A timed-query oracle on ``rep``'s weights and outcomes, in scalar steps."""
+    return lambda query: reference_evaluate_discounted(q, rep.weights, rep.outcomes, query)
+
+
+def _equal_time_sets(rep):
+    names = rep.features()
+    return [(f,) for f in names] + list(itertools.combinations(names, 2))
+
+
+def _equal_time_table(q, rep):
+    """Every singleton and every pair at time 1, one oracle query each."""
+    oracle = _discount_oracle(q, rep)
+    return DatasetSource(
+        rep.dimension, {s: oracle(TimedQuery(s, dict.fromkeys(s, 1))) for s in _equal_time_sets(rep)}
+    )
 
 
 BELIEF_REPS = {
@@ -1575,6 +1602,21 @@ class TestRecoveryMatchesPerPairLoops:
         assert recovery._ratio_conflict_witness(
             src, ranks, DEFAULT_TOL
         ) == reference_ratio_conflict_witness(src, ranks)
+
+    @pytest.mark.parametrize("seed", [3, 9, 17])
+    def test_discount_table_recovers_the_reference_weights(self, seed):
+        # Shared outcomes give equal-outcome pairs, which recovery bridges
+        # around; the weights match the per-pair loops on the same table.
+        rep = _with_shared_outcomes(_rep(200 + seed, 9), seed)
+        rec = recover_discounted(_discount_oracle(0.5, rep), rep.features(), rep.dimension)
+        table = _equal_time_table(0.5, rep)
+        ranks = reference_recover_order(table)
+        weights, indeterminate = reference_recover_weights(table, ranks)
+        assert not indeterminate
+        assert rec.recovery.representation.ranks == ranks
+        assert sorted(rec.weights) == sorted(weights)
+        assert _bits([rec.weights[f] for f in sorted(weights)]) == _bits([weights[f] for f in sorted(weights)])
+        assert rec.q == pytest.approx(0.5, rel=1e-9)
 
     def test_corpus_reaches_every_outcome(self):
         orders, weights, conflicts = set(), set(), 0
