@@ -455,8 +455,9 @@ def recover_discounted(
     Procedure: ask the oracle for every singleton, then every pair in
     ``itertools.combinations`` order, all at time 1, into one
     DatasetSource; spot-check stationarity (three fixed queries against
-    their shift by one); recover weights from that table; then read the
-    discount factor off the first distinct-outcome pair queried at times
+    their shift by one, two of them answered by the table); recover
+    weights from that table; then read the discount factor off the first
+    distinct-outcome pair, as the first spot check asked it at times
     (1, 2): q = weight ratio times (1 - lambda) / lambda.  Validation
     queries are re-evaluated with the recovered parameters.
 
@@ -492,13 +493,17 @@ def recover_discounted(
     if pair is None:
         raise ValueError("all singleton outcomes coincide; the factor is unidentified")
 
-    spot_queries = [
-        TimedQuery(frozenset(pair), {pair[0]: 1, pair[1]: 2}),
-        TimedQuery(frozenset(pair), {pair[0]: 1, pair[1]: 1}),
-        TimedQuery(frozenset([pair[0]]), {pair[0]: 1}),
-    ]
-    for query in spot_queries:
-        base = ask(query)
+    a, b = pair
+    spot = TimedQuery(frozenset(pair), {a: 1, b: 2})
+    staggered = ask(spot)
+    # Each query against its shift by one.  The table answers the last two;
+    # a pair it lacks is asked again, so the oracle's refusal escapes.
+    for query, base in (
+        (spot, staggered),
+        (TimedQuery(frozenset(pair), {a: 1, b: 1}), table.get(pair)),
+        (TimedQuery(frozenset([a]), {a: 1}), singles[a]),
+    ):
+        base = ask(query) if base is None else base
         moved = ask(query.shifted(1))
         if not tol.close(base, moved):
             raise NotStationary(
@@ -523,8 +528,6 @@ def recover_discounted(
             "discounted recovery needs every feature in one rank class"
         )
 
-    a, b = pair
-    staggered = ask(TimedQuery(frozenset(pair), {a: 1, b: 2}))
     pos = segment_coefficient(staggered, singles[a], singles[b], tol)
     lam = interior_lambda(pos, tol)
     if lam is None:

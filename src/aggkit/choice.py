@@ -188,25 +188,25 @@ def make_dictatorial_oracle() -> ChoiceOracle:
 def make_luce_oracle(
     known: Mapping[str, Sequence[float] | Vector],
     weights: Mapping[str, float],
-    default_weight: float = 1.0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ChoiceOracle:
     """Luce rule priced by coordinates, with a weight extension.
 
     Points matching a known alternative (by coordinates, within the
-    gate) use its weight; anything else, such as the constructed average
-    points a path independence check feeds back, gets ``default_weight``.
+    gate) use its weight, or weight one when ``weights`` lacks it;
+    anything else, such as the constructed average points a path
+    independence check feeds back, gets weight one too.
     That extension is what breaks path independence for a genuine Luce
     rule: the average of a menu does not remember the menu's total
     weight.
     """
-    anchors = [(as_point(known[k]), float(weights.get(k, default_weight))) for k in sorted(known)]
+    anchors = [(as_point(known[k]), float(weights.get(k, 1.0))) for k in sorted(known)]
 
     def weight_of(p: Vector) -> float:
         for q, w in anchors:
             if tol.close(p, q):
                 return w
-        return float(default_weight)
+        return 1.0
 
     def oracle(menu: Menu) -> Vector:
         pts = menu.points()

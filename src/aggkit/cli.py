@@ -374,7 +374,7 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument
     if args.oracle == "dictatorial":
         oracle = make_dictatorial_oracle()
     else:
-        oracle = make_luce_oracle(coords, doc.feature_weights, default_weight=1.0, tol=tol)
+        oracle = make_luce_oracle(coords, doc.feature_weights, tol=tol)
 
     stored = src.sets()
     disjoint = (

@@ -359,17 +359,11 @@ def dataset_to_json(
     source: DatasetSource,
     kind: str = "generic",
     direction: Sequence[float] | None = None,
-    feature_weights: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Serialize a dataset source back into the file format, row by row (singletons first)."""
     n = len(source.features())
     points = source._points.tolist()
-    features: dict[str, Any] = {}
-    for f, outcome in zip(source.features(), points):
-        entry: dict[str, Any] = {"outcome": outcome}
-        if feature_weights and f in feature_weights:
-            entry["weight"] = float(feature_weights[f])
-        features[f] = entry
+    features = {f: {"outcome": outcome} for f, outcome in zip(source.features(), points)}
     sets = [{"members": list(m), "outcome": o} for m, o in zip(source._members[n:], points[n:])]
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,

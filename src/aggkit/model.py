@@ -125,10 +125,12 @@ class DatasetSource:
     its smallest member), each stored set an int bitmask, and the outcomes
     are the rows of one read-only ``(m, d)`` array in canonical set order,
     so its first ``len(features())`` rows are the singletons in feature
-    order; ``_members`` holds each set's sorted members, row for row; a source
-    with new outcomes for the same sets (``_with_points``) shares them.  The
-    public lookups validate their arguments; code inside the package that
-    holds valid ids uses ``_lookup``, ``_members`` and the mask index directly.
+    order; ``_members`` holds each set's sorted members, row for row, and
+    ``_pair_codes`` the stored pairs' feature indices (i < j, an ``(m2, 2)``
+    array), so stored pair k is row n + k; a source with new outcomes for the
+    same sets (``_with_points``) shares them.  The public lookups validate
+    their arguments; code inside the package that holds valid ids uses
+    ``_lookup``, ``_members`` and ``_pair_table`` directly.
     """
 
     def __init__(
@@ -171,7 +173,7 @@ class DatasetSource:
         starts = np.cumsum(lengths) - lengths
         names = np.array(features, dtype=object)
         bits = np.array([1 << i for i in range(len(features))], dtype=object)  # a mask is an int of any width
-        order, members, masks = [], [], []
+        order, members, masks, pairs = [], [], [], np.empty((0, 2), np.intp)
         for size in np.flatnonzero(np.bincount(lengths)).tolist():  # one set size at a time
             group = np.flatnonzero(lengths == size)
             block = codes[starts[group, None] + np.arange(size)]
@@ -184,12 +186,15 @@ class DatasetSource:
             if (block[1:] == block[:-1]).all(axis=1).any():
                 raise ValueError("two rows hold one set")
             order.append(group[sort])
+            if size == 2:
+                pairs = block
             members += zip(*names[block].T.tolist())
             masks += bits[block].sum(axis=1).tolist()
         self.dimension = int(dimension)
         self._features = features
         self._bit = dict(zip(features, bits.tolist()))
         self._members = tuple(members)
+        self._pair_codes = pairs
         # Mask of each stored set -> its row; insertion order is row order.
         self._mask_row = dict(zip(masks, range(len(masks))))
         points = points[np.concatenate(order)]
@@ -198,12 +203,9 @@ class DatasetSource:
         return self
 
     def _with_points(self, points: NDArray[np.float64]) -> DatasetSource:
-        """This source's sets with ``points``, a new ``(m, d)`` float array it
-        makes read-only, as their outcomes row for row; the index is shared, not
-        rebuilt.  The first row not finite raises the ValueError of ``as_point``."""
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            as_point(points[np.argmin(finite)])
+        """This source's sets with ``points``, a new finite ``(m, d)`` float
+        array it makes read-only, as their outcomes row for row; the index is
+        shared, not rebuilt.  The caller refuses rows that are not finite."""
         points.setflags(write=False)
         derived = copy.copy(self)
         derived._points = points
@@ -240,51 +242,27 @@ class DatasetSource:
         return len(self._members)
 
 
-def _equal_matrix(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.bool_]:
-    """``equal[i, j]``: rows i and j of ``points`` pass ``Tolerance.close``."""
-    n = len(points)
-    return _close_rows(np.repeat(points, n, axis=0), np.tile(points, (n, 1)), tol).reshape(n, n)
-
-
-def _pair_rows(
-    src: DatasetSource, first: NDArray[np.intp], second: NDArray[np.intp]
-) -> NDArray[np.intp]:
-    """The row in ``src._points`` of each pair {i, j} of ``src``'s feature
-    indices, i from ``first`` and j from ``second``, found in the mask
-    index; -1 where the source lacks the pair."""
-    bits, mask_row = [src._bit[f] for f in src._features], src._mask_row
-    masks = (bits[i] | bits[j] for i, j in zip(first.tolist(), second.tolist()))
-    return np.fromiter((mask_row.get(mask, -1) for mask in masks), np.intp, len(first))
-
-
-def _pair_outcomes(
-    src: DatasetSource, pairs: NDArray[np.bool_]
-) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]]:
-    """Every pair (i, j), i < j, of ``src``'s feature indices marked in
-    ``pairs``, in ``itertools.combinations`` order: the stored pairs'
-    indices i and j, their aggregates as rows, and ``absent[i, j]``
-    (symmetric), the marked pairs the source lacks."""
-    first, second = np.nonzero(np.triu(pairs, 1))
-    rows = _pair_rows(src, first, second)
-    stored = rows >= 0
-    absent = np.zeros(pairs.shape, dtype=bool)
-    absent[first[~stored], second[~stored]] = absent[second[~stored], first[~stored]] = True
-    return first[stored], second[stored], src._points[rows[stored]], absent
-
-
-def _pairs_away(
-    src: DatasetSource, pairs: NDArray[np.bool_], tol: Tolerance
-) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
-    """The endpoint gate on every pair marked in ``pairs``, from one
-    ``_pair_outcomes`` pass: ``away[i, j]``, the stored f({i, j}) is not
-    ``_close_rows``-close to f(j) (row j of ``src._points``: the singletons
-    come first), so ``away & away.T`` marks the pair aggregates away from
-    both endpoints; and ``absent``, the marked pairs the source lacks."""
-    first, second, aggs, absent = _pair_outcomes(src, pairs)
-    away = np.zeros(pairs.shape, dtype=bool)
-    away[first, second] = ~_close_rows(aggs, src._points[second], tol)
-    away[second, first] = ~_close_rows(aggs, src._points[first], tol)
-    return away, absent
+def _pair_table(
+    src: DatasetSource, tol: Tolerance
+) -> tuple[NDArray[np.bool_], NDArray[np.intp], NDArray[np.bool_]]:
+    """The stored pairs of ``src`` as n x n arrays over its feature indices,
+    from one scatter of ``_pair_codes``: ``equal[i, j]``, the singleton
+    outcomes of i and j pass ``Tolerance.close``; ``row[i, j]`` (symmetric),
+    the row of f({i, j}) in ``src._points``, -1 where the pair is absent and
+    on the diagonal; and ``away[i, j]``, a stored f({i, j}) is not
+    ``_close_rows``-close to f(j), so ``away & away.T`` marks the pair
+    aggregates away from both endpoints."""
+    n = len(src._features)
+    singles = src._points[:n]  # the singletons, in feature order; stored pair k is row n + k
+    equal = _close_rows(np.repeat(singles, n, axis=0), np.tile(singles, (n, 1)), tol).reshape(n, n)
+    first, second = src._pair_codes.T
+    aggs = src._points[n : n + len(first)]
+    row = np.full((n, n), -1, dtype=np.intp)
+    row[first, second] = row[second, first] = np.arange(n, n + len(first))
+    away = np.zeros((n, n), dtype=bool)
+    away[first, second] = ~_close_rows(aggs, singles[second], tol)
+    away[second, first] = ~_close_rows(aggs, singles[first], tol)
+    return equal, row, away
 
 
 def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> list[float]:
@@ -680,7 +658,6 @@ def check_richness(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> bool:
 class StrongRichnessEntry:
     feature: str
     witness: tuple[str, str] | None
-    blocked_by: tuple[tuple[str, ...], ...] = ()
 
     @property
     def witnessed(self) -> bool:
@@ -703,9 +680,8 @@ def check_strong_richness(
 
     A feature x is witnessed by (y, z) when the three singleton outcomes
     are not collinear and both pair aggregates f({x,y}), f({x,z}) lie
-    away from both of their endpoints.  Every pair is found once in the
-    mask index, and the endpoint gate of ``recover_order`` marks the
-    interior pairs in one pass.  Candidates with both pairs interior are then
+    away from both of their endpoints.  One ``_pair_table`` marks the
+    interior pairs.  Candidates with both pairs interior are then
     tried in lexicographic order until the first non-collinear triple,
     normally one collinearity test per feature.  Raises MissingDataError
     when a feature has no witness and some absent pair (x, u) lies in a
@@ -714,10 +690,11 @@ def check_strong_richness(
     features = src._features
     n = len(features)
     points = src._points[:n]  # the singletons, in feature order
-    away, absent = _pairs_away(src, np.ones((n, n), dtype=bool), tol)
+    _, row, away = _pair_table(src, tol)
     interior = away & away.T
+    absent = (row < 0) & ~np.eye(n, dtype=bool)
     entries: list[StrongRichnessEntry] = []
-    all_blocked: set[tuple[str, ...]] = set()
+    required: set[tuple[str, ...]] = set()
     for x in range(n):
         candidates = itertools.combinations(np.flatnonzero(interior[x]).tolist(), 2)
         witness = next(
@@ -725,16 +702,14 @@ def check_strong_richness(
              if _affine_rank(points[[x, y, z]], tol) >= 2),
             None,
         )
-        blocked: tuple[tuple[str, ...], ...] = ()
         if witness is None:
-            blocked = tuple(sorted(
+            required.update(
                 tuple(sorted((features[x], features[u])))
                 for u in np.flatnonzero(absent[x]).tolist()
                 if any(_affine_rank(points[[x, *sorted((u, v))]], tol) >= 2
                        for v in range(n) if v not in (x, u))
-            ))
-            all_blocked.update(blocked)
-        entries.append(StrongRichnessEntry(features[x], witness, blocked))
-    if all_blocked:
-        raise MissingDataError(sorted(all_blocked))
+            )
+        entries.append(StrongRichnessEntry(features[x], witness))
+    if required:
+        raise MissingDataError(sorted(required))
     return StrongRichnessReport(entries=tuple(entries))

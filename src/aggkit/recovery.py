@@ -43,10 +43,7 @@ from .geometry import (
 from .model import (
     DatasetSource,
     Representation,
-    _equal_matrix,
-    _pair_outcomes,
-    _pair_rows,
-    _pairs_away,
+    _pair_table,
     top_set,
 )
 
@@ -152,8 +149,8 @@ def recover_order(
     if no witness exists the pair is observationally indistinguishable
     and classed together.  Ranks are dense integers from 0 (lowest).
 
-    The comparisons fill a boolean matrix ``geq`` from one gate pass
-    over the pairs; transitivity is the test ``(geq @ geq) & ~geq``.
+    The comparisons fill a boolean matrix ``geq`` from one ``_pair_table``;
+    transitivity is the test ``(geq @ geq) & ~geq``.
 
     Raises IntransitivityDetected when the pairwise comparisons admit no
     weak order, naming the first violating triple (x, y, z) in
@@ -163,9 +160,9 @@ def recover_order(
     features = src._features
     n = len(features)
     points = src._points[:n]  # the singletons, in feature order
-    equal = _equal_matrix(points, tol)
-
-    away, absent = _pairs_away(src, ~equal, tol)
+    equal, row, away = _pair_table(src, tol)
+    away &= ~equal  # distinct outcomes compare directly
+    absent = (row < 0) & ~equal
     geq = away | np.eye(n, dtype=bool)
     # A witness for x: a feature whose pair with x lands strictly inside.
     witness = away & away.T
@@ -182,7 +179,7 @@ def recover_order(
             geq[x, y] = geq[y, x] = True  # indistinguishable: nothing separates them
 
     a, b, z = np.array(settled, dtype=np.intp).reshape(-1, 3).T
-    rows = _pair_rows(src, z, b)
+    rows = row[z, b]
     lost = rows < 0
     absent[z[lost], b[lost]] = absent[b[lost], z[lost]] = True
     if absent.any():
@@ -216,23 +213,21 @@ _NOT_INTERIOR = {
 def _same_rank_table(
     src: DatasetSource, ranks: Mapping[str, int], tol: Tolerance
 ) -> tuple[list[str], NDArray[np.bool_], NDArray[np.intp], NDArray[np.float64]]:
-    """The sorted features, their ``equal`` matrix, and from one
-    ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b)) for
+    """The sorted features, the ``equal`` matrix of ``_pair_table``, and from
+    one ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b)) for
     every stored same-rank pair with distinct outcomes (so never DEGENERATE),
     as n x n arrays: ``kind[a, b]``, the code in ``_SEGMENT_KINDS`` or -1
     where there is no such pair, and ``lam[a, b]``, the coefficient of f(a)."""
     features = src._features
     if ranks.keys() != set(features):
         raise ValueError("ranks must rank exactly the source's features")
-    points = src._points[: len(features)]  # the singletons, in feature order
-    equal = _equal_matrix(points, tol)
+    points = src._points  # the singletons first, in feature order
+    equal, row, _ = _pair_table(src, tol)
     level = np.array([ranks[f] for f in features])
-    first, second, aggs, _ = _pair_outcomes(src, (level[:, None] == level) & ~equal)
+    first, second = np.nonzero(np.triu((level[:, None] == level) & ~equal & (row >= 0), 1))
     ends = np.concatenate([first, second]), np.concatenate([second, first])
     kind, lam = np.full(equal.shape, -1), np.full(equal.shape, np.nan)
-    kind[ends], lam[ends], _ = _segment_positions(
-        np.concatenate([aggs, aggs]), points[ends[0]], points[ends[1]], tol
-    )
+    kind[ends], lam[ends], _ = _segment_positions(points[row[ends]], points[ends[0]], points[ends[1]], tol)
     return features, equal, kind, lam
 
 

@@ -328,7 +328,8 @@ def _normalized_source(
     src: DatasetSource, v: Sequence[float] | Vector, tol: Tolerance
 ) -> DatasetSource:
     """``src`` with every stored outcome scaled onto <., v> = 1, in one
-    row pass; a row that overflows raises the ValueError of ``as_point``."""
+    row pass; a row that overflows raises ``_normalize_rows``' ValueError,
+    named by its set."""
     return src._with_points(_normalize_rows(src._points, v, tol, src._members))
 
 

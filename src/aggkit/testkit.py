@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnsatisfiablePolicy
-from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension
+from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension, as_point
 from .model import (
     AxiomMode,
     DatasetSource,
@@ -271,7 +271,8 @@ def perturb(
     Singletons are left alone so the perturbed data keeps the same
     underlying feature map; only the aggregates are corrupted.  A
     magnitude outside [0, largest float / 2], where the noise interval's
-    width would not be finite, is a ValueError.
+    width would not be finite, is a ValueError, and so is noise that
+    overflows: the first row not finite raises that of ``as_point``.
     """
     if not 0.0 <= magnitude <= np.finfo(float).max / 2:
         raise ValueError(f"magnitude must be non-negative and at most half the largest float: {magnitude!r}")
@@ -280,4 +281,7 @@ def perturb(
     points = src._points.copy()
     if first < len(src):  # one draw per coordinate, row after row as the sets come
         points[first:] += rng.uniform(-magnitude, magnitude, points[first:].shape)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        as_point(points[np.argmin(finite)])
     return src._with_points(points)

@@ -297,14 +297,15 @@ class TestRecoverDiscounted:
         table = [((f, 1),) for f in names]
         table += [((a, 1), (b, 1)) for a, b in itertools.combinations(names, 2)]
         assert asked[: len(table)] == table
-        # The spot checks (each query, then its shift by one), then the staggered pair.
+        # The spot checks, each query then its shift by one; the table answers
+        # (a@1, b@1) and a@1, and the staggered pair's answer also gives q.
         a, b = rec.identification_pair
         assert asked[len(table):] == [
             ((a, 1), (b, 2)), ((a, 2), (b, 3)),
-            ((a, 1), (b, 1)), ((a, 2), (b, 2)),
-            ((a, 1),), ((a, 2),),
-            ((a, 1), (b, 2)),
+            ((a, 2), (b, 2)),
+            ((a, 2),),
         ]
+        assert len(asked) == len(names) + len(names) * (len(names) - 1) // 2 + 4
 
     def test_an_oracle_failure_on_an_unneeded_pair_propagates(self):
         # x and x2 share one belief, so recovery never reads their pair; the

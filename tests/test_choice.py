@@ -129,7 +129,7 @@ class TestReferenceOracles:
         np.testing.assert_allclose(oracle(m), [0.25, 0.25])
 
     def test_luce_oracle_defaults_unknown_points(self):
-        oracle = make_luce_oracle(TRIANGLE, LUCE_W, default_weight=1.0)
+        oracle = make_luce_oracle(TRIANGLE, LUCE_W)
         m = Menu({"p": [10.0, 10.0], "q": [20.0, 20.0]})
         np.testing.assert_allclose(oracle(m), [15.0, 15.0])
 

@@ -289,13 +289,7 @@ def reference_strong_richness(src, tol=DEFAULT_TOL):
                 break
         if witness is None and blocked:
             all_blocked |= blocked
-        entries.append(
-            StrongRichnessEntry(
-                feature=x,
-                witness=witness,
-                blocked_by=tuple(sorted(blocked)) if witness is None else (),
-            )
-        )
+        entries.append(StrongRichnessEntry(feature=x, witness=witness))
     if all_blocked:
         raise MissingDataError(sorted(all_blocked))
     return StrongRichnessReport(entries=tuple(entries))
@@ -1715,6 +1709,10 @@ def reference_dataset_source(dimension, outcomes):
     ref._bit = {f: 1 << i for i, f in enumerate(ref._features)}
     ref._sets = tuple(sorted(table, key=set_sort_key))
     ref._mask_row = {sum(ref._bit[m] for m in fs): row for row, fs in enumerate(ref._sets)}
+    code = {f: i for i, f in enumerate(ref._features)}
+    ref._pair_codes = np.array(
+        [sorted(map(code.__getitem__, fs)) for fs in ref._sets if len(fs) == 2], dtype=np.intp
+    ).reshape(-1, 2)
     points = np.empty((len(ref._sets), ref.dimension))
     for row, fs in enumerate(ref._sets):
         points[row] = table[fs]
@@ -1836,6 +1834,8 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         assert got._features == want._features
         assert got.sets() == want._sets
         assert got._mask_row == want._mask_row
+        assert got._pair_codes.tolist() == want._pair_codes.tolist()
+        assert got._pair_codes.dtype == np.intp and got._pair_codes.shape == want._pair_codes.shape
         assert got._points.tobytes() == want._points.tobytes()
         assert got._points.flags.writeable is want._points.flags.writeable is False
         assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
@@ -2087,6 +2087,7 @@ def _assert_loads_alike(text):
     assert got._features == want._features
     assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
     assert list(got._mask_row.items()) == list(want._mask_row.items())
+    assert got._pair_codes.tolist() == want._pair_codes.tolist()
     assert got._points.tobytes() == want._points.tobytes()
 
 
@@ -2500,3 +2501,95 @@ class TestPerturbMatchesPerSetLoop:
             else:
                 assert got._members == want._members
                 assert got._points.tobytes() == want._points.tobytes()
+
+
+# --------------------------------------------------------------------------
+# the pair table against one lookup per pair
+
+
+def reference_pair_table(src, tol):
+    """``equal``, ``row`` and ``away`` one pair at a time: each pair through
+    ``_lookup``, each comparison through ``Tolerance.close``."""
+    features = src.features()
+    n = len(features)
+    singles = [src._lookup([f]) for f in features]
+    equal = np.array([[tol.close(p, q) for q in singles] for p in singles], dtype=bool).reshape(n, n)
+    row = np.full((n, n), -1, dtype=np.intp)
+    away = np.zeros((n, n), dtype=bool)
+    for i, j in itertools.permutations(range(n), 2):
+        agg = src._lookup([features[i], features[j]])
+        if agg is not None:
+            row[i, j] = src._members.index(tuple(sorted((features[i], features[j]))))
+            away[i, j] = not tol.close(agg, singles[j])
+    return equal, row, away
+
+
+@st.composite
+def pair_sources(draw):
+    """Singletons on a small lattice of positive points, so outcomes often
+    coincide, and any subset of the pairs (gaps and none included), each at
+    an endpoint, the midpoint or a lattice point; some triples on top."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    lattice = st.lists(st.integers(1, 3).map(float), min_size=dim, max_size=dim)
+    names = [f"f{i}" for i in range(n)]
+    table = {(f,): draw(lattice) for f in names}
+    for pair in itertools.combinations(names, 2):
+        if draw(st.booleans()):
+            a, b = (np.array(table[(f,)]) for f in pair)
+            table[pair] = draw(st.sampled_from([a, b, (a + b) / 2, np.array(draw(lattice))])).tolist()
+    for triple in itertools.combinations(names, 3):
+        if draw(st.integers(0, 3)) == 0:
+            table[triple] = draw(lattice)
+    return DatasetSource(dim, dict(draw(st.permutations(list(table.items())))))  # any insertion order
+
+
+_SOURCE_PATHS = ("given", "loaded", "timed", "perturbed", "normalised")
+
+
+def _pair_source_as(src, how):
+    """``src`` itself, read back by either loader path, or derived from it."""
+    if how in ("loaded", "timed"):
+        doc = fileio.dataset_to_json(src, kind="generic" if how == "loaded" else "timed")
+        return fileio.load_dataset(io.StringIO(json.dumps(doc))).source
+    if how == "perturbed":
+        return perturb(src, 0.25, 3)
+    if how == "normalised":
+        return social._normalized_source(src, np.ones(src.dimension), DEFAULT_TOL)
+    return src
+
+
+def _assert_pair_table(src, tol=DEFAULT_TOL):
+    got, want = model._pair_table(src, tol), reference_pair_table(src, tol)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+_NO_PAIRS = DatasetSource(2, {"a": [1.0, 1.0], "b": [2.0, 1.0], "c": [1.0, 3.0], ("a", "b", "c"): [1.0, 2.0]})
+_PAIR_GAP = DatasetSource(
+    2, {"a": [1.0, 1.0], "b": [2.0, 1.0], "c": [1.0, 3.0], "d": [2.0, 1.0], ("a", "b"): [2.0, 1.0], ("b", "d"): [2.0, 1.0],
+        ("a", "c"): [1.0, 2.0], ("c", "d"): [1.5, 2.0], ("a", "b", "c"): [1.0, 2.0]}
+)
+
+
+class TestPairTableMatchesPerPairLookup:
+    @settings(max_examples=150, deadline=None)
+    @example(DatasetSource(1, {"a": [1.0]}), "timed")  # no pairs
+    @example(_NO_PAIRS, "given")
+    @example(_NO_PAIRS, "normalised")
+    @example(_PAIR_GAP, "perturbed")
+    @example(_PAIR_GAP, "loaded")
+    @example(gen_dataset(_rep(71, 5), SubsetPolicy.PAIRS_AND_TRIPLES), "timed")
+    @given(pair_sources(), st.sampled_from(_SOURCE_PATHS))
+    def test_same_table(self, src, how):
+        _assert_pair_table(_pair_source_as(src, how))
+
+    def test_cps_source(self):
+        rng = np.random.default_rng(73)
+        names = ["a", "b", "c", "d"]
+        rep = Representation(
+            weights=dict(zip(names, rng.uniform(0.5, 2.0, 4).tolist())),
+            ranks={"a": 1, "b": 1, "c": 0, "d": 0},
+            outcomes={f: rng.dirichlet(np.ones(3)) for f in names},
+        )
+        _assert_pair_table(build_cps(rep).source)
