@@ -12,7 +12,6 @@ diagnostics on top of that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -319,6 +318,7 @@ def boundary_diagnostic(
 
     ``recovery`` is the outcome of :func:`recover` on ``src`` (as held in
     ``LuceOutcome.recovery``); its rank classes decide the contradictions.
+    A ``Recovered`` outcome over other features raises ValueError.
 
     When it is ``Recovered``, rule (3) already names a convex combination
     for every menu S whose members share one rank: coefficient
@@ -330,38 +330,34 @@ def boundary_diagnostic(
     verdicts are the search's either way.
     """
     members, points = src._members, src._points
-    row_of = {ms[0]: row for row, ms in enumerate(members) if len(ms) == 1}
-    menus = [row for row, ms in enumerate(members) if len(ms) >= 2]
-    settled: set[int] = set()
+    blocks = [(first, codes) for size, (first, codes) in src._blocks.items() if size > 1]
+    settled = np.zeros(len(members), dtype=bool)
     single: bool | None = None
     if isinstance(recovery, Recovered):
         rep = recovery.representation
+        if rep.features() != src._features:
+            raise ValueError("the recovery must rank exactly the source's features")
         single = len(rep.rank_classes()) == 1
-        by_size: dict[int, list[int]] = {}
-        for row in menus:
-            if len({rep.ranks[f] for f in members[row]}) == 1:
-                by_size.setdefault(len(members[row]), []).append(row)
-        for same_size in by_size.values():
-            gens = [[row_of[f] for f in members[row]] for row in same_size]
-            w = np.array([[rep.weights[f] for f in members[row]] for row in same_size])
+        for first, codes in blocks:
+            ranks = rep._rank_array[codes]
+            same = np.flatnonzero((ranks == ranks[:, :1]).all(axis=1))
+            w = rep._weight_array[codes[same]]
             coef = w / w.sum(axis=1, keepdims=True)
-            accepted = _certify_interior(points[same_size], points[gens], coef, tol)
-            settled.update(itertools.compress(same_size, accepted.tolist()))
+            settled[first + same] = _certify_interior(points[first + same], points[codes[same]], coef, tol)
 
     rows = []
     boundary = []
-    for row in menus:
-        interior = in_hull = True
-        if row not in settled:
-            try:
-                interior = relative_interior_check(
-                    points[row], [points[row_of[f]] for f in members[row]], tol
-                )
-            except NotInConvexHull:
-                interior = in_hull = False
-        rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
-        if not interior:
-            boundary.append(members[row])
+    for first, codes in blocks:
+        for row, gens in enumerate(codes, first):
+            interior = in_hull = True
+            if not settled[row]:
+                try:
+                    interior = relative_interior_check(points[row], points[gens], tol)
+                except NotInConvexHull:
+                    interior = in_hull = False
+            rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
+            if not interior:
+                boundary.append(members[row])
 
     return BoundaryReport(
         rows=tuple(rows),

@@ -14,6 +14,7 @@ evaluation in the package is a call to ``_top_mean``.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
@@ -120,17 +121,17 @@ class DatasetSource:
     float array for one shape and one finiteness test.  Only a table that
     fails is walked entry by entry, so the error is that of its first
     faulty entry in insertion order.  This source, and every one that
-    ``fileio.load_dataset`` reads, is built by ``_from_columns``: each
-    feature gets one bit (in sorted order, so the lowest bit of a set is
-    its smallest member), each stored set an int bitmask, and the outcomes
-    are the rows of one read-only ``(m, d)`` array in canonical set order,
-    so its first ``len(features())`` rows are the singletons in feature
-    order; ``_members`` holds each set's sorted members, row for row, and
-    ``_pair_codes`` the stored pairs' feature indices (i < j, an ``(m2, 2)``
-    array), so stored pair k is row n + k; a source with new outcomes for the
-    same sets (``_with_points``) shares them.  The public lookups validate
-    their arguments; code inside the package that holds valid ids uses
-    ``_lookup``, ``_members`` and ``_pair_table`` directly.
+    ``fileio.load_dataset`` reads, is built by ``_from_columns``: the
+    outcomes are the rows of one read-only ``(m, d)`` array in canonical
+    set order, so its first ``len(features())`` rows are the singletons in
+    feature order.  The index is ``_members``, each set's sorted members,
+    row for row, and ``_blocks``, each set size k -> its first row and its
+    sets' feature indices as a read-only ``(m_k, k)`` block (each row
+    increasing, rows in row order), so stored pair j is row n + j; a source
+    with new outcomes for the same sets (``_with_points``) shares both.  The
+    public lookups validate their arguments; code inside the package that
+    holds valid ids uses ``_lookup``, ``_members``, ``_blocks`` and
+    ``_pair_table`` directly.
     """
 
     def __init__(
@@ -172,8 +173,7 @@ class DatasetSource:
         self = cls.__new__(cls)
         starts = np.cumsum(lengths) - lengths
         names = np.array(features, dtype=object)
-        bits = np.array([1 << i for i in range(len(features))], dtype=object)  # a mask is an int of any width
-        order, members, masks, pairs = [], [], [], np.empty((0, 2), np.intp)
+        order, members, blocks = [], [], {}
         for size in np.flatnonzero(np.bincount(lengths)).tolist():  # one set size at a time
             group = np.flatnonzero(lengths == size)
             block = codes[starts[group, None] + np.arange(size)]
@@ -186,17 +186,13 @@ class DatasetSource:
             if (block[1:] == block[:-1]).all(axis=1).any():
                 raise ValueError("two rows hold one set")
             order.append(group[sort])
-            if size == 2:
-                pairs = block
+            block.setflags(write=False)
+            blocks[size] = (len(members), block)
             members += zip(*names[block].T.tolist())
-            masks += bits[block].sum(axis=1).tolist()
         self.dimension = int(dimension)
         self._features = features
-        self._bit = dict(zip(features, bits.tolist()))
         self._members = tuple(members)
-        self._pair_codes = pairs
-        # Mask of each stored set -> its row; insertion order is row order.
-        self._mask_row = dict(zip(masks, range(len(masks))))
+        self._blocks = blocks
         points = points[np.concatenate(order)]
         points.setflags(write=False)
         self._points = points
@@ -229,14 +225,10 @@ class DatasetSource:
 
     def _lookup(self, members: Iterable[str]) -> Vector | None:
         """Stored outcome of a set of valid feature ids, None when absent."""
-        mask = 0
-        for m in members:
-            bit = self._bit.get(m)
-            if bit is None:
-                return None
-            mask |= bit
-        row = self._mask_row.get(mask)
-        return None if row is None else self._points[row]
+        key = tuple(sorted(set(members)))
+        first, block = self._blocks.get(len(key), (0, ()))
+        row = bisect.bisect_left(self._members, key, first, first + len(block))
+        return self._points[row] if row < first + len(block) and self._members[row] == key else None
 
     def __len__(self) -> int:
         return len(self._members)
@@ -246,7 +238,7 @@ def _pair_table(
     src: DatasetSource, tol: Tolerance
 ) -> tuple[NDArray[np.bool_], NDArray[np.intp], NDArray[np.bool_]]:
     """The stored pairs of ``src`` as n x n arrays over its feature indices,
-    from one scatter of ``_pair_codes``: ``equal[i, j]``, the singleton
+    from one scatter of the size-2 block: ``equal[i, j]``, the singleton
     outcomes of i and j pass ``Tolerance.close``; ``row[i, j]`` (symmetric),
     the row of f({i, j}) in ``src._points``, -1 where the pair is absent and
     on the diagonal; and ``away[i, j]``, a stored f({i, j}) is not
@@ -255,7 +247,7 @@ def _pair_table(
     n = len(src._features)
     singles = src._points[:n]  # the singletons, in feature order; stored pair k is row n + k
     equal = _close_rows(np.repeat(singles, n, axis=0), np.tile(singles, (n, 1)), tol).reshape(n, n)
-    first, second = src._pair_codes.T
+    first, second = src._blocks[2][1].T if 2 in src._blocks else np.empty((2, 0), np.intp)
     aggs = src._points[n : n + len(first)]
     row = np.full((n, n), -1, dtype=np.intp)
     row[first, second] = row[second, first] = np.arange(n, n + len(first))
@@ -601,10 +593,12 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], NDArray[np.intp],
     A's candidates are the 2^(|U|-1) subsets of U holding that member or
     the stored sets sharing it as smallest, whichever list is shorter.
     One ``lexsort`` by union row and A's lexicographic rank orders the
-    splits (in a union, A fixes B).
+    splits (in a union, A fixes B).  Each call masks the code blocks anew.
     """
-    mask_row, keys = src._mask_row, src._members
-    masks = tuple(mask_row)
+    keys = src._members
+    bits = np.array([1 << i for i in range(len(src._features))], dtype=object)
+    masks = [mask for _, block in src._blocks.values() for mask in bits[block].sum(axis=1).tolist()]
+    mask_row = dict(zip(masks, range(len(masks))))
     by_low: dict[int, list[int]] = {}
     for mask in masks:
         by_low.setdefault(mask & -mask, []).append(mask)

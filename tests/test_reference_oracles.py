@@ -444,9 +444,13 @@ class TestNoExponentialWalk:
 
     def test_walk_takes_the_shorter_candidate_list(self):
         src = _wide_union_among_singletons(22)
-        index = _CountingIndex(src._mask_row)
-        src._mask_row = index
         assert check_axiom(src).checks == ()
+        masks = [sum(1 << src._features.index(m) for m in members) for members in src._members]
+        index = _CountingIndex(zip(masks, range(len(masks))))
+        by_low = {}
+        for mask in masks:
+            by_low.setdefault(mask & -mask, []).append(mask)
+        assert list(model._stored_splits(index, by_low, masks[-1])) == []
         # The smallest member's singleton is the only candidate part.
         assert index.tests == 1
 
@@ -1706,13 +1710,12 @@ def reference_dataset_source(dimension, outcomes):
     if missing:
         raise MissingSingleton(missing, "every member of every set needs a singleton entry")
     ref._features = tuple(sorted({m for fs in table for m in fs}))
-    ref._bit = {f: 1 << i for i, f in enumerate(ref._features)}
     ref._sets = tuple(sorted(table, key=set_sort_key))
-    ref._mask_row = {sum(ref._bit[m] for m in fs): row for row, fs in enumerate(ref._sets)}
     code = {f: i for i, f in enumerate(ref._features)}
-    ref._pair_codes = np.array(
-        [sorted(map(code.__getitem__, fs)) for fs in ref._sets if len(fs) == 2], dtype=np.intp
-    ).reshape(-1, 2)
+    blocks = {}
+    for row, fs in enumerate(ref._sets):
+        blocks.setdefault(len(fs), (row, []))[1].append(sorted(map(code.__getitem__, fs)))
+    ref._blocks = {k: (first, np.array(rows, dtype=np.intp)) for k, (first, rows) in blocks.items()}
     points = np.empty((len(ref._sets), ref.dimension))
     for row, fs in enumerate(ref._sets):
         points[row] = table[fs]
@@ -1799,6 +1802,17 @@ def _reference(dimension, pairs):
         return err
 
 
+def _assert_same_index(got, want):
+    """The same two-field index: member tuples, and per size the first row
+    and a read-only intp block of sorted codes, sizes in row order."""
+    assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
+    assert list(got._blocks) == list(want._blocks)
+    for size, (first, block) in got._blocks.items():
+        assert first == want._blocks[size][0]
+        assert block.dtype == np.intp and block.flags.writeable is False
+        assert block.shape == want._blocks[size][1].shape and block.tolist() == want._blocks[size][1].tolist()
+
+
 def _assert_same_error(got, want):
     assert isinstance(want, Exception), "the table was meant to be faulty"
     assert (type(got), str(got)) == (type(want), str(want))
@@ -1833,12 +1847,9 @@ class TestDatasetSourceMatchesPerEntryConstructor:
         got, want = _built(dimension, pairs), _reference(dimension, pairs)
         assert got._features == want._features
         assert got.sets() == want._sets
-        assert got._mask_row == want._mask_row
-        assert got._pair_codes.tolist() == want._pair_codes.tolist()
-        assert got._pair_codes.dtype == np.intp and got._pair_codes.shape == want._pair_codes.shape
+        _assert_same_index(got, want)
         assert got._points.tobytes() == want._points.tobytes()
         assert got._points.flags.writeable is want._points.flags.writeable is False
-        assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
 
     def test_tables_use_every_key_and_value_spelling(self):
         pairs = [p for seed in range(12) for p in _table_pairs(seed)[0]]
@@ -2085,9 +2096,7 @@ def _assert_loads_alike(text):
         return
     assert not isinstance(got, Exception), got
     assert got._features == want._features
-    assert got._members == tuple(tuple(sorted(s)) for s in want._sets)
-    assert list(got._mask_row.items()) == list(want._mask_row.items())
-    assert got._pair_codes.tolist() == want._pair_codes.tolist()
+    _assert_same_index(got, want)
     assert got._points.tobytes() == want._points.tobytes()
 
 
@@ -2109,10 +2118,10 @@ class TestLoaderMatchesPerRecordLoop:
         text = _base_text(name)
         want = reference_load_dataset(text)
         got = fileio.load_dataset(io.StringIO(text)).source
-        assert got._mask_row == want._mask_row
+        _assert_same_index(got, want)
         assert got._points.tobytes() == want._points.tobytes()
-        if name == "wide":
-            assert max(got._mask_row).bit_length() > 64
+        if name == "wide":  # more features than a 64-bit mask has bits
+            assert len(got._features) > 64
 
     def test_valid_records_skip_the_per_record_readers(self, monkeypatch):
         # The records of a valid file are read in batch; the per-record
