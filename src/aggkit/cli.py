@@ -72,9 +72,7 @@ from .recovery import (
     recover,
 )
 from .social import (
-    Certificate,
-    Collinear,
-    InCone,
+    _FARKAS_TYPES,
     StateDependentRepresentation,
     check_extended_pareto,
     recover_state_dependent,
@@ -165,9 +163,6 @@ def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str
         }
     assert isinstance(outcome, MissingData)
     return {"status": "missing-data", "required": outcome.required}
-
-
-_FARKAS_TYPES = {InCone: "in-cone", Certificate: "certificate", Collinear: "collinear"}
 
 
 # --------------------------------------------------------------------------

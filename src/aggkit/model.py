@@ -225,7 +225,7 @@ class DatasetSource:
 
     def _lookup(self, members: Iterable[str]) -> Vector | None:
         """Stored outcome of a set of valid feature ids, None when absent."""
-        key = tuple(sorted(set(members)))
+        key = tuple(sorted(members))
         first, block = self._blocks.get(len(key), (0, ()))
         row = bisect.bisect_left(self._members, key, first, first + len(block))
         return self._points[row] if row < first + len(block) and self._members[row] == key else None
@@ -234,19 +234,29 @@ class DatasetSource:
         return len(self._members)
 
 
+# Rows of ``_pair_table``'s ``equal`` computed per block of singletons.
+_CHUNK = 64
+
+
 def _pair_table(
     src: DatasetSource, tol: Tolerance
 ) -> tuple[NDArray[np.bool_], NDArray[np.intp], NDArray[np.bool_]]:
     """The stored pairs of ``src`` as n x n arrays over its feature indices,
     from one scatter of the size-2 block: ``equal[i, j]``, the singleton
-    outcomes of i and j pass ``Tolerance.close``; ``row[i, j]`` (symmetric),
+    outcomes of i and j pass ``Tolerance.close`` (compared ``_CHUNK`` rows of
+    ``equal`` at a time, so no n^2 x d copy is made); ``row[i, j]`` (symmetric),
     the row of f({i, j}) in ``src._points``, -1 where the pair is absent and
     on the diagonal; and ``away[i, j]``, a stored f({i, j}) is not
     ``_close_rows``-close to f(j), so ``away & away.T`` marks the pair
     aggregates away from both endpoints."""
     n = len(src._features)
     singles = src._points[:n]  # the singletons, in feature order; stored pair k is row n + k
-    equal = _close_rows(np.repeat(singles, n, axis=0), np.tile(singles, (n, 1)), tol).reshape(n, n)
+    equal = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _CHUNK):
+        block = singles[lo : lo + _CHUNK]
+        equal[lo : lo + len(block)] = _close_rows(
+            np.repeat(block, n, axis=0), np.tile(singles, (len(block), 1)), tol
+        ).reshape(-1, n)
     first, second = src._blocks[2][1].T if 2 in src._blocks else np.empty((2, 0), np.intp)
     aggs = src._points[n : n + len(first)]
     row = np.full((n, n), -1, dtype=np.intp)

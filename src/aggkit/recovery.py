@@ -167,18 +167,15 @@ def recover_order(
     # A witness for x: a feature whose pair with x lands strictly inside.
     witness = away & away.T
 
-    # Equal-outcome pairs compare through a witness z of one of them: z
-    # shares that one's rank, so f({z, other}) decides the pair.
-    settled: list[tuple[int, int, int]] = []
-    for x, y in zip(*(k.tolist() for k in np.nonzero(np.triu(equal, 1)))):
-        for a, b in ((x, y), (y, x)):
-            if witness[a].any():
-                settled.append((a, b, int(np.argmax(witness[a]))))
-                break
-        else:
-            geq[x, y] = geq[y, x] = True  # indistinguishable: nothing separates them
-
-    a, b, z = np.array(settled, dtype=np.intp).reshape(-1, 3).T
+    # Equal-outcome pairs x < y compare through the first witness z of x,
+    # else of y: z shares that one's rank, so f({z, other}) decides the pair.
+    x, y = np.nonzero(np.triu(equal, 1))
+    has = witness.any(axis=1)
+    lone = ~(has[x] | has[y])
+    geq[x[lone], y[lone]] = geq[y[lone], x[lone]] = True  # indistinguishable: nothing separates them
+    x, y = x[~lone], y[~lone]
+    a, b = np.where(has[x], x, y), np.where(has[x], y, x)
+    z = np.argmax(witness[a], axis=1)
     rows = row[z, b]
     lost = rows < 0
     absent[z[lost], b[lost]] = absent[b[lost], z[lost]] = True

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -151,6 +151,8 @@ class Collinear:
 
 
 FarkasOutcome = InCone | Certificate | Collinear
+# How reports name each outcome type.
+_FARKAS_TYPES = {InCone: "in-cone", Certificate: "certificate", Collinear: "collinear"}
 
 # Rounding allowance for the sign conditions of a constructed certificate.
 # This is pure floating-point slack, far below any user tolerance.
@@ -628,7 +630,8 @@ def recover_state_dependent(
             )
         note = "conditional on the pair ignores one state entirely"
         if farkas is not None:
-            note += f"; separation: {farkas!r}"
+            numbers = ", ".join(f"{k}={list(v) if isinstance(v, tuple) else v}" for k, v in asdict(farkas).items())
+            note += f"; separation: {_FARKAS_TYPES[type(farkas)]} ({numbers})"
         witness = _witness(
             (high, low),
             (math.inf, (tuple(sorted(pair)),), note),

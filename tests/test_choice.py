@@ -199,6 +199,15 @@ class TestBoundaryDiagnostic:
         assert report.boundary_menus
         assert not report.single_class
 
+    @pytest.mark.parametrize("names", ["xyz", "abcd"])
+    def test_recovery_of_other_features_is_refused(self, fixtures_dir, names):
+        with open(fixtures_dir / "menu_luce.json") as fh:
+            src = load_dataset(fh).source
+        points = dict(zip(names, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        other = luce_source(points, dict.fromkeys(names, 1.0))
+        with pytest.raises(ValueError, match="the recovery must rank exactly the source's features"):
+            boundary_diagnostic(src, recover(other))
+
 
 class TestBoundaryCertificates:
     """Menus whose members share one rank are settled by the recovered

@@ -178,6 +178,34 @@ class TestVerdictsAndExitCodes:
         assert probs["s1"] == pytest.approx(0.25, rel=1e-9)
         assert probs["s2"] == pytest.approx(0.75, rel=1e-9)
 
+    def test_sdeu_witness_names_its_separation(self, run_cli, tmp_path):
+        # Both pairs with s1 land on f(s1): s1 ranks above s2 and s3, and the
+        # note writes the pair's separation as the pareto report names it.
+        doc = {
+            "format_version": "1",
+            "kind": "sdeu",
+            "dimension": 3,
+            "direction": [1.0, 1.0, 1.0],
+            "features": {
+                "s1": {"outcome": [1.0, 0.0, 0.0]},
+                "s2": {"outcome": [0.0, 1.0, 0.0]},
+                "s3": {"outcome": [0.0, 0.0, 1.0]},
+            },
+            "sets": [
+                {"members": ["s1", "s2"], "outcome": [1.0, 0.0, 0.0]},
+                {"members": ["s1", "s3"], "outcome": [1.0, 0.0, 0.0]},
+                {"members": ["s2", "s3"], "outcome": [0.0, 0.5, 0.5]},
+            ],
+        }
+        path = tmp_path / "states_tiered.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, "sdeu", str(path))
+        assert (code, rep["verdict"]) == (1, "non-representable")
+        assert rep["result"]["witness"]["first"]["note"] == (
+            "conditional on the pair ignores one state entirely; "
+            "separation: certificate (z=[0.0, 1.0, 0.0], dot_a=0.0, dot_b=1.0, dot_ab=0.0)"
+        )
+
     def test_pareto_weights(self, run_cli, fixtures_dir):
         code, rep = report_of(run_cli, "pareto", str(fixtures_dir / "profile_pair.json"))
         assert code == 0

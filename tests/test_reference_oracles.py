@@ -113,7 +113,7 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import fileio, model, recovery, social
+from aggkit import fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
 from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
@@ -2602,3 +2602,50 @@ class TestPairTableMatchesPerPairLookup:
             outcomes={f: rng.dirichlet(np.ones(3)) for f in names},
         )
         _assert_pair_table(build_cps(rep).source)
+
+    def test_equal_is_built_in_row_blocks(self):
+        # 1,000 singletons: an n^2 x d copy of them alone would take 32 MB.
+        rng = np.random.default_rng(79)
+        src = DatasetSource(2, {f"x{i:04d}": p for i, p in enumerate(rng.integers(0, 9, (1000, 2)).tolist())})
+        singles = src._points
+        tracemalloc.start()
+        try:
+            equal, _, _ = model._pair_table(src, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 10**6
+        whole = geometry._close_rows(np.repeat(singles, 1000, axis=0), np.tile(singles, (1000, 1)), DEFAULT_TOL)
+        assert equal.tobytes() == whole.reshape(1000, 1000).tobytes()
+
+
+def _assert_lookups(src):
+    """``has`` and ``outcome`` against a frozenset-to-outcome dict: every
+    stored set in an unsorted spelling, every absent subset of a stored
+    size, and sets naming an id the source lacks."""
+    table = dict(zip(src.sets(), src._points))
+    for fs, point in table.items():
+        spelled = sorted(fs, reverse=True)
+        assert src.has(spelled) and src.outcome(spelled).tobytes() == point.tobytes()
+    features = src.features()
+    for size in {len(fs) for fs in table}:
+        for members in itertools.combinations(features, size):
+            if frozenset(members) not in table:
+                assert not src.has(members)
+                with pytest.raises(MissingDataError):
+                    src.outcome(members)
+    for members in (["zz"], ["zz", features[0]], [*features, "zz"], [features[-1] + "z"]):
+        assert not src.has(members)
+        with pytest.raises(MissingDataError):
+            src.outcome(members)
+
+
+class TestLookupMatchesSetDict:
+    @settings(max_examples=150, deadline=None)
+    @example(DatasetSource(1, {"a": [1.0]}), "timed")
+    @example(_NO_PAIRS, "normalised")
+    @example(_PAIR_GAP, "perturbed")
+    @example(gen_dataset(_rep(71, 5), SubsetPolicy.PAIRS_AND_TRIPLES), "loaded")
+    @given(pair_sources(), st.sampled_from(_SOURCE_PATHS))
+    def test_same_outcomes(self, src, how):
+        _assert_lookups(_pair_source_as(src, how))
