@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -130,8 +131,8 @@ class DatasetSource:
     increasing, rows in row order), so stored pair j is row n + j; a source
     with new outcomes for the same sets (``_with_points``) shares both.  The
     public lookups validate their arguments; code inside the package that
-    holds valid ids uses ``_lookup``, ``_members``, ``_blocks`` and
-    ``_pair_table`` directly.
+    holds valid ids uses ``_lookup``, ``_row``, ``_members``, ``_blocks``
+    and ``_pair_table`` directly.
     """
 
     def __init__(
@@ -225,10 +226,14 @@ class DatasetSource:
 
     def _lookup(self, members: Iterable[str]) -> Vector | None:
         """Stored outcome of a set of valid feature ids, None when absent."""
-        key = tuple(sorted(members))
+        row = self._row(tuple(sorted(members)))
+        return None if row is None else self._points[row]
+
+    def _row(self, key: tuple[str, ...]) -> int | None:
+        """Row of the stored set whose sorted members are ``key``, None when absent."""
         first, block = self._blocks.get(len(key), (0, ()))
         row = bisect.bisect_left(self._members, key, first, first + len(block))
-        return self._points[row] if row < first + len(block) and self._members[row] == key else None
+        return row if row < first + len(block) and self._members[row] == key else None
 
     def __len__(self) -> int:
         return len(self._members)
@@ -240,15 +245,15 @@ _CHUNK = 64
 
 def _pair_table(
     src: DatasetSource, tol: Tolerance
-) -> tuple[NDArray[np.bool_], NDArray[np.intp], NDArray[np.bool_]]:
+) -> tuple[NDArray[np.bool_], NDArray[np.int32], NDArray[np.bool_]]:
     """The stored pairs of ``src`` as n x n arrays over its feature indices,
     from one scatter of the size-2 block: ``equal[i, j]``, the singleton
     outcomes of i and j pass ``Tolerance.close`` (compared ``_CHUNK`` rows of
-    ``equal`` at a time, so no n^2 x d copy is made); ``row[i, j]`` (symmetric),
-    the row of f({i, j}) in ``src._points``, -1 where the pair is absent and
-    on the diagonal; and ``away[i, j]``, a stored f({i, j}) is not
-    ``_close_rows``-close to f(j), so ``away & away.T`` marks the pair
-    aggregates away from both endpoints."""
+    ``equal`` at a time, so no n^2 x d copy is made); ``row[i, j]`` (symmetric,
+    int32, as a source holds fewer than 2^31 sets), the row of f({i, j}) in
+    ``src._points``, -1 where the pair is absent and on the diagonal; and
+    ``away[i, j]``, a stored f({i, j}) is not ``_close_rows``-close to f(j),
+    so ``away & away.T`` marks the pair aggregates away from both endpoints."""
     n = len(src._features)
     singles = src._points[:n]  # the singletons, in feature order; stored pair k is row n + k
     equal = np.empty((n, n), dtype=bool)
@@ -259,7 +264,7 @@ def _pair_table(
         ).reshape(-1, n)
     first, second = src._blocks[2][1].T if 2 in src._blocks else np.empty((2, 0), np.intp)
     aggs = src._points[n : n + len(first)]
-    row = np.full((n, n), -1, dtype=np.intp)
+    row = np.full((n, n), -1, dtype=np.int32)
     row[first, second] = row[second, first] = np.arange(n, n + len(first))
     away = np.zeros((n, n), dtype=bool)
     away[first, second] = ~_close_rows(aggs, singles[second], tol)
@@ -570,57 +575,85 @@ def _verdicts(
     return reason
 
 
-def _stored_splits(
-    mask_row: Mapping[int, int], by_low: Mapping[int, list[int]], union: int
-) -> Iterator[tuple[int, int]]:
-    """Stored (A, B) masks with A + B = ``union`` and A holding its lowest bit.
-
-    ``by_low`` groups the stored masks by lowest bit; see
-    :func:`_split_rows` for how the candidate list is chosen.
-    """
-    low = union & -union
-    stored_low = by_low[low]
-    if len(stored_low) < 1 << (union.bit_count() - 1):
-        for part_a in stored_low:
-            if part_a != union and part_a & union == part_a:
-                if union ^ part_a in mask_row:
-                    yield part_a, union ^ part_a
-        return
-    rest = union ^ low
-    sub = rest
-    while sub:
-        sub = (sub - 1) & rest
-        part_a = sub | low
-        if part_a in mask_row and union ^ part_a in mask_row:
-            yield part_a, union ^ part_a
+@functools.lru_cache(maxsize=16)
+def _patterns(k: int) -> tuple[NDArray[np.bool_], NDArray[np.int8]]:
+    """The proper parts of positions 0..k-1 that hold 0, in lexicographic
+    order: A's and B's masks, (2, 2^(k-1) - 1, k), and the count of members
+    after each one, the power of n + 1 its digit takes in the part's key."""
+    parts = np.zeros((1, k), dtype=bool)
+    for j in range(k - 1, 0, -1):  # the parts of j..k-1: none, those holding j, the others
+        parts = np.concatenate([parts[:1], parts | (np.arange(k) == j), parts[1:]])
+    parts[:, 0] = True
+    both = np.stack([parts, ~parts])[:, np.arange(len(parts)) != k - 1]  # row k-1 is the union
+    later = (np.cumsum(both[..., ::-1], axis=-1)[..., ::-1] - both).astype(np.int8)
+    both.setflags(write=False)
+    later.setflags(write=False)
+    return both, later
 
 
-def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+def _listed_splits(
+    src: DatasetSource, rows: NDArray[np.intp], smallest: NDArray[np.intp], few: NDArray[np.bool_]
+) -> tuple[NDArray[np.intp], ...]:
+    """The stored splits of the unions ``rows`` (one size, smallest codes
+    ``smallest``): A among the stored sets sharing a union's smallest member
+    where ``few`` marks those fewer than its ``_patterns``, else among the
+    patterns; ``_row`` finds B."""
+    members, size = src._members, len(src._members[rows[0]])
+    spans = np.stack([first + np.searchsorted(block[:, 0], (smallest, smallest + 1)).T
+                      for k, (first, block) in src._blocks.items() if k < size], axis=1)
+    splits: list[int] = []  # (union, A, B) flat, without a tuple per split
+    for row, by_sets, union_spans in zip(rows.tolist(), few.tolist(), spans.tolist()):
+        union, held = members[row], set(members[row])
+        if by_sets:
+            found = [(members[a], a) for lo, hi in union_spans for a in range(lo, hi) if held.issuperset(members[a])]
+        else:  # fewer parts than stored sets, and their keys would not fit in int64
+            parts = [tuple(itertools.compress(union, mask)) for mask in _patterns(size)[0][0]]
+            found = [(part, src._row(part)) for part in parts]
+        for part, a in sorted(found):
+            b = None if a is None else src._row(tuple(sorted(held.difference(part))))
+            splits += () if b is None else (row, a, b)
+    return tuple(np.array(splits, dtype=np.intp).reshape(-1, 3).T)
+
+
+def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
     """Every stored split U = A + B of ``src`` as row indices (union, A, B).
 
     Unions come in row order, each with every bipartition whose parts are
-    stored, A holding U's smallest member, in canonical order of (A, B).
-    A's candidates are the 2^(|U|-1) subsets of U holding that member or
-    the stored sets sharing it as smallest, whichever list is shorter.
-    One ``lexsort`` by union row and A's lexicographic rank orders the
-    splits (in a union, A fixes B).  Each call masks the code blocks anew.
+    stored, A holding U's smallest member, in lexicographic order of A's
+    members (in a union, A fixes B).  A set's key is its codes + 1 as digits
+    in base n + 1, so the stored sets' keys increase with their rows.  Each
+    union takes the shorter candidate list for A: its 2^(|U|-1) - 1
+    ``_patterns``, whose keys are one matrix product of the code block and
+    whose rows one ``searchsorted``, for as many unions at a time as make
+    2^17 parts, or ``_listed_splits``, which also takes the unions whose
+    parts' keys would not fit in int64.
     """
-    keys = src._members
-    bits = np.array([1 << i for i in range(len(src._features))], dtype=object)
-    masks = [mask for _, block in src._blocks.values() for mask in bits[block].sum(axis=1).tolist()]
-    mask_row = dict(zip(masks, range(len(masks))))
-    by_low: dict[int, list[int]] = {}
-    for mask in masks:
-        by_low.setdefault(mask & -mask, []).append(mask)
-    splits: list[int] = []  # (union, A, B) flat, without a tuple per split
-    for row, mask in enumerate(masks):  # a singleton has no split
-        for a, b in _stored_splits(mask_row, by_low, mask):
-            splits += (row, mask_row[a], mask_row[b])
-    union, part_a, part_b = np.array(splits, dtype=np.intp).reshape(-1, 3).T
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    order = np.lexsort((rank[part_a], union))
-    return union[order], part_a[order], part_b[order]
+    n, blocks = len(src._features), src._blocks
+    keys = np.concatenate([(block + 1) @ np.int64(n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
+                           for size, (_, block) in blocks.items() if (n + 1) ** size < 2**63])
+    sharing = np.bincount(np.concatenate([block[:, 0] for _, block in blocks.values()]), minlength=n)
+    pieces = [(np.empty(0, dtype=np.intp),) * 3]
+    for size, (first, block) in list(blocks.items())[1:]:  # every source stores singletons, which have no split
+        few = sharing[block[:, 0]] < min(2 ** (size - 1), 2**62)  # no source holds 2^62 sets
+        listed = few | ((n + 1) ** (size - 1) >= 2**63)
+        found = []
+        if not listed.all():
+            masks, later = _patterns(size)
+            weights = np.where(masks, (np.int64(n + 1) ** np.arange(size, dtype=np.int64))[later], 0)
+            rows, step = first + np.flatnonzero(~listed), max(1, (1 << 17) // masks.shape[1])
+            for lo in range(0, len(rows), step):
+                # (A or B, part, union): each part's keys over sorted unions, which searchsorted reads fastest
+                key = weights @ (block[rows[lo : lo + step] - first] + 1).T
+                row = keys.searchsorted(key)
+                union, part = np.nonzero((keys.take(row, mode="clip") == key).all(axis=0).T)
+                found.append((rows[lo + union], row[0, part, union], row[1, part, union]))
+        if listed.any():
+            found.append(_listed_splits(src, first + np.flatnonzero(listed), block[listed, 0], few[listed]))
+        if listed.any() and not listed.all():  # the listed unions among the others, in row order
+            order = np.argsort(np.concatenate([union for union, _, _ in found]), kind="stable")
+            found = [tuple(np.concatenate(column)[order] for column in zip(*found))]
+        pieces += found
+    return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
 def check_axiom(
@@ -631,7 +664,8 @@ def check_axiom(
     """Check every stored split (``_split_rows``) against the axiom.
 
     A union U costs min(2^(|U|-1), stored sets sharing U's smallest
-    member) lookups; the segment geometry of all splits is one array pass.
+    member) lookups, one ``searchsorted`` of int64 keys per size for the
+    subsets; the segment geometry of all splits is one array pass.
     """
     points = src._points
     union, part_a, part_b = _split_rows(src)

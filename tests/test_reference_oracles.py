@@ -39,8 +39,8 @@ for bit from any edit of a valid file, or refuse it at the same place with
 the same message.
 
 ``reference_split_rows`` sorts each union's bipartitions by their
-member tuples; ``_split_rows``, which orders all splits with one sort,
-must give the same rows in the same order.
+member tuples; ``_split_rows``, which finds them by int64 keys in report
+order, must give the same rows in the same order.
 
 ``reference_belief_check`` is the loader's per-set ``as_belief`` loop;
 ``load_dataset``, which flags the faulty rows in one array pass, must
@@ -420,16 +420,6 @@ def _wide_union_among_singletons(size):
     return DatasetSource(2, table)
 
 
-class _CountingIndex(dict):
-    """Mask-to-row index that counts membership tests."""
-
-    tests = 0
-
-    def __contains__(self, key):
-        self.tests += 1
-        return super().__contains__(key)
-
-
 class TestNoExponentialWalk:
     def test_wide_union_with_only_singletons(self):
         # One 22-member union among its singletons: 2^21 candidate splits
@@ -442,17 +432,18 @@ class TestNoExponentialWalk:
         assert report.satisfied
         assert elapsed < 5.0
 
+    def test_union_of_1100_members(self):
+        # Its 2^1099 parts overflow a float: the walk counts them in integers.
+        assert check_axiom(_wide_union_among_singletons(1100)).check_count == 0
+
     def test_walk_takes_the_shorter_candidate_list(self):
         src = _wide_union_among_singletons(22)
-        assert check_axiom(src).checks == ()
-        masks = [sum(1 << src._features.index(m) for m in members) for members in src._members]
-        index = _CountingIndex(zip(masks, range(len(masks))))
-        by_low = {}
-        for mask in masks:
-            by_low.setdefault(mask & -mask, []).append(mask)
-        assert list(model._stored_splits(index, by_low, masks[-1])) == []
+        lookups = []
+        row = src._row
+        src._row = lambda key: lookups.append(key) or row(key)
+        assert [column.tolist() for column in model._split_rows(src)] == [[], [], []]
         # The smallest member's singleton is the only candidate part.
-        assert index.tests == 1
+        assert lookups == [tuple(src._features[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -2259,9 +2250,10 @@ def reference_split_rows(src):
         for size in range(len(rest)):
             for extra in itertools.combinations(rest, size):
                 part_a = (head, *extra)
-                part_b = tuple(m for m in rest if m not in extra)
-                if part_a in row and part_b in row:
-                    parts.append((part_a, part_b))
+                if part_a in row:
+                    part_b = tuple(m for m in rest if m not in extra)
+                    if part_b in row:
+                        parts.append((part_a, part_b))
         splits += [(row[union], row[a], row[b]) for a, b in sorted(parts)]
     return splits
 
@@ -2270,7 +2262,7 @@ def reference_split_rows(src):
 def set_families(draw):
     """A stored family over up to seven features: every singleton plus any
     subsets (sparse ones take the walk over stored sets sharing a union's
-    smallest member), or every subset (the submask walk)."""
+    smallest member), or every subset (the walk over all parts' keys)."""
     names = draw(st.lists(st.text("abxyz01", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
     subsets = [c for k in range(2, len(names) + 1) for c in itertools.combinations(names, k)]
     chosen = subsets if draw(st.booleans()) else draw(st.lists(st.sampled_from(subsets), unique=True)) if subsets else []
@@ -2285,11 +2277,46 @@ _SPARSE_FAMILY = DatasetSource(
 _NO_SPLIT = DatasetSource(1, {frozenset(s): [0.0] for s in ["a", "b", "c", "abc"]})
 
 
+def _family(names, sets):
+    """Every singleton of ``names`` plus ``sets``, each a tuple of indices into them."""
+    return DatasetSource(1, {frozenset(names[i] for i in s): [0.0] for s in [(i,) for i in range(len(names))] + sets})
+
+
+_X = [f"x{i:02d}" for i in range(80)]
+# Pairs, triples (those of x00 and x03 with more stored sets sharing their
+# smallest member than parts, the others fewer) and a 22-member union with
+# two stored splits among more stored parts.
+_WIDE_80 = _family(_X, [
+    *((i, i + 1) for i in range(0, 78, 3)), (0, 2), (3, 5), (0, 10), (3, 10),
+    *((i, i + 1, i + 2) for i in range(0, 77, 3)), (0, 1, 10), (3, 4, 10), (0, 3, 10),
+    tuple(range(22)), tuple(range(1, 22)), tuple(range(11)), tuple(range(11, 22)), tuple(range(12)), (0, 1),
+])
+# Triples abc and cde walk all their parts, bcd between them the three stored
+# sets that hold b as smallest member.
+_MIXED_BLOCK = _family("abcdef", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (2, 4), (3, 4), (0, 1, 2), (1, 2, 3), (2, 3, 4)])
+# A 15-member union among 30 features: keys of 14 members in base 31 would
+# not fit in int64, so its stored parts are bisected for.
+_OVERFLOW = _family([f"y{i:02d}" for i in range(30)], [
+    tuple(range(15)), tuple(range(1, 15)), tuple(range(7)), tuple(range(7, 15)),
+    (0, *range(7, 15)), tuple(range(1, 7)), tuple(range(14)), (0, 20), (0, 1, 2), (3, 4, 5),
+])
+# An 8-member union among 511 features, whose smallest member 129 stored
+# sets share: more than its 127 parts, whose keys in base 512 would not fit.
+_OVERFLOW_SHARED = _family([f"z{i:03d}" for i in range(511)], [
+    *((0, j) for j in range(1, 128)), tuple(range(8)), tuple(range(1, 8)),
+    tuple(range(2, 8)), tuple(range(4)), tuple(range(4, 8)), (5, 6, 7),
+])
+
+
 class TestSplitRowsMatchPerUnionSort:
     @settings(max_examples=300, deadline=None)
     @example(_FULL_FAMILY)
     @example(_SPARSE_FAMILY)
     @example(_NO_SPLIT)
+    @example(_WIDE_80)
+    @example(_MIXED_BLOCK)
+    @example(_OVERFLOW)
+    @example(_OVERFLOW_SHARED)
     @given(set_families())
     def test_same_rows_in_same_order(self, src):
         union, part_a, part_b = model._split_rows(src)
@@ -2523,7 +2550,7 @@ def reference_pair_table(src, tol):
     n = len(features)
     singles = [src._lookup([f]) for f in features]
     equal = np.array([[tol.close(p, q) for q in singles] for p in singles], dtype=bool).reshape(n, n)
-    row = np.full((n, n), -1, dtype=np.intp)
+    row = np.full((n, n), -1, dtype=np.int32)
     away = np.zeros((n, n), dtype=bool)
     for i, j in itertools.permutations(range(n), 2):
         agg = src._lookup([features[i], features[j]])
@@ -2610,11 +2637,12 @@ class TestPairTableMatchesPerPairLookup:
         singles = src._points
         tracemalloc.start()
         try:
-            equal, _, _ = model._pair_table(src, DEFAULT_TOL)
+            equal, row, _ = model._pair_table(src, DEFAULT_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 10**6
+        assert row.dtype == np.int32
         whole = geometry._close_rows(np.repeat(singles, 1000, axis=0), np.tile(singles, (1000, 1)), DEFAULT_TOL)
         assert equal.tobytes() == whole.reshape(1000, 1000).tobytes()
 
