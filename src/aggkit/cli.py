@@ -6,6 +6,12 @@ verdict, 1 on a negative one, 2 on input or usage errors, and 3 when
 required data is missing.  Reports are byte-identical across runs on
 identical inputs.  The tolerance comes from ``--tol``, falling back to
 the ``AGGKIT_TOL`` environment variable, then to 1e-9.
+
+Importing this module loads only what parsing, loading and the report
+writer need: ``errors``, ``geometry``, ``model`` and ``fileio``.  Each
+handler imports its reading in its own body, so a command loads
+``recovery``, ``belief``, ``choice``, ``social`` or ``testkit`` when it
+is dispatched.
 """
 
 from __future__ import annotations
@@ -19,26 +25,10 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .belief import (
-    TimedQuery,
-    build_cps,
-    check_bayesian,
-    recover_discounted,
-    verify_cps,
-)
-from .choice import (
-    Menu,
-    boundary_diagnostic,
-    check_path_independence,
-    make_dictatorial_oracle,
-    make_luce_oracle,
-    recover_luce,
-    recover_two_stage,
-)
 from .errors import (
     AggkitError,
     DatasetFormatError,
@@ -64,27 +54,10 @@ from .model import (
     check_strong_richness,
     evaluate,
 )
-from .recovery import (
-    MissingData,
-    NonRepresentable,
-    Recovered,
-    RecoveryOutcome,
-    recover,
-)
-from .social import (
-    _FARKAS_TYPES,
-    StateDependentRepresentation,
-    check_extended_pareto,
-    recover_state_dependent,
-    verify_weight_table,
-)
-from .testkit import (
-    GeneratorConfig,
-    OutcomePolicy,
-    SubsetPolicy,
-    gen_dataset,
-    gen_representation,
-)
+
+if TYPE_CHECKING:
+    from .belief import TimedQuery
+    from .recovery import RecoveryOutcome
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -92,6 +65,10 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 
 ENV_TOL = "AGGKIT_TOL"
+
+# The values of ``testkit.OutcomePolicy``, for the choices of ``gen
+# --policy``: parsing never loads the generators.  A test holds them equal.
+_POLICIES = ("random-rich", "collinear", "simplex-beliefs")
 
 __all__ = ["main"]
 
@@ -132,6 +109,7 @@ def _load(args: argparse.Namespace, tol: Tolerance) -> DatasetDocument:
 
 
 def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str, Any]:
+    from .recovery import MissingData, NonRepresentable, Recovered
     if isinstance(outcome, Recovered):
         rep = outcome.representation
         out: dict[str, Any] = {
@@ -248,6 +226,7 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
 
 
 def cmd_recover(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .recovery import recover
     return _recovery_result(recover(doc.source, tol))
 
 
@@ -257,6 +236,7 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
         raise DatasetFormatError("--members", "expected a comma-separated list of features")
     if len(set(members)) != len(members):
         raise DatasetFormatError("--members", "duplicate members")
+    from .recovery import Recovered, recover
     outcome = recover(doc.source, tol)
     if not isinstance(outcome, Recovered):
         return _recovery_result(outcome)
@@ -270,6 +250,7 @@ def cmd_eval(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
 
 
 def cmd_bayes(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .belief import check_bayesian
     check = check_bayesian(doc.source, tol)
     result: dict[str, Any] = {
         "consistent": check.consistent,
@@ -283,6 +264,8 @@ def cmd_bayes(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
 
 
 def cmd_cps(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .belief import build_cps, verify_cps
+    from .recovery import Recovered, recover
     outcome = recover(doc.source, tol)
     if not isinstance(outcome, Recovered):
         return _recovery_result(outcome)
@@ -319,6 +302,7 @@ def _timed_oracle(doc: DatasetDocument):
 
 
 def cmd_discount(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .belief import recover_discounted
     validation = [q for q, _ in doc.timed]
     try:
         rec = recover_discounted(
@@ -341,6 +325,7 @@ def cmd_discount(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument)
 
 
 def cmd_luce(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .choice import boundary_diagnostic, recover_luce, recover_two_stage
     outcome = recover_two_stage(doc.source, tol) if args.two_stage else recover_luce(doc.source, tol)
     boundary = boundary_diagnostic(doc.source, outcome.recovery, tol)
     result: dict[str, Any] = {
@@ -364,6 +349,7 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument
         raise DatasetFormatError(
             "--max-pairs", f"must be at least 1, got {args.max_pairs!r}"
         )
+    from .choice import Menu, check_path_independence, make_dictatorial_oracle, make_luce_oracle
     src = doc.source
     coords = {f: src.outcome([f]) for f in src.features()}
     if args.oracle == "dictatorial":
@@ -393,6 +379,7 @@ def cmd_pathindep(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument
 
 
 def cmd_pareto(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .social import _FARKAS_TYPES, check_extended_pareto
     assert doc.direction is not None
     report = check_extended_pareto(doc.source, doc.direction, tol)
     result: dict[str, Any] = {
@@ -416,6 +403,7 @@ def cmd_pareto(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -
 
 
 def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .social import verify_weight_table
     assert doc.direction is not None
     if not doc.weight_table:
         raise DatasetFormatError("weights", "gswf-verify needs a weights table")
@@ -436,6 +424,7 @@ def cmd_gswf_verify(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocume
 
 
 def cmd_sdeu(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> Result:
+    from .social import StateDependentRepresentation, recover_state_dependent
     assert doc.direction is not None
     outcome = recover_state_dependent(doc.source, doc.direction, tol)
     if not isinstance(outcome, StateDependentRepresentation):
@@ -450,6 +439,7 @@ def cmd_sdeu(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) -> 
 
 
 def cmd_gen(args: argparse.Namespace, tol: Tolerance, doc: None) -> Result:
+    from .testkit import GeneratorConfig, OutcomePolicy, SubsetPolicy, gen_dataset, gen_representation
     config_fields: dict[str, Any] = {}
     if args.config:
         path = args.config
@@ -541,7 +531,7 @@ COMMANDS: dict[str, Command] = {
             _flag("--features", type=int, default=None),
             _flag("--dimension", type=int, default=None),
             _flag("--classes", type=int, default=None),
-            _flag("--policy", choices=[pol.value for pol in OutcomePolicy], default=None),
+            _flag("--policy", choices=list(_POLICIES), default=None),
             _flag("--subsets", choices=["all", "pairs-triples"], default="all"),
             _flag("--kind", choices=["auto", "generic", "belief", "menu"], default="auto"),
         ),

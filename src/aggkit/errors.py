@@ -118,14 +118,16 @@ class NotStationary(AggkitError):
 
 
 class MinimalAgreementViolated(AggkitError):
-    """A utility vector has non-positive inner product with the agreement
-    direction, so it cannot be normalized."""
+    """A utility vector's inner product with the agreement direction is
+    not above its tolerance gate, so it cannot be normalized."""
 
-    def __init__(self, who: str, value: float):
+    def __init__(self, who: str, value: float, gate: float):
         self.who = who
         self.value = value
+        self.gate = gate
         super().__init__(
-            f"{who}: inner product with the agreement direction is {value!r}, not positive"
+            f"{who}: inner product with the agreement direction is {value!r}, "
+            f"not above the gate {gate!r}"
         )
 
 

@@ -44,14 +44,16 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, IO, Iterator, Mapping, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Callable, IO, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .belief import TimedQuery, as_belief
 from .errors import DatasetFormatError, NotABelief
 from .geometry import DEFAULT_TOL, Tolerance, Vector
 from .model import DatasetSource, FeatureSet, validate_feature_id
+
+if TYPE_CHECKING:  # belief loads only for the timed and belief kinds
+    from .belief import TimedQuery
 
 __all__ = [
     "DatasetDocument",
@@ -235,6 +237,8 @@ def load_dataset(
     timed_keys: set[tuple[tuple[str, int], ...]] = set()
     source = None if kind == "timed" else _set_columns(dimension, ids, table, sets_raw)
     if source is None:  # one record at a time, to name the first fault
+        if kind == "timed":
+            from .belief import TimedQuery
         for idx, entry in enumerate(sets_raw):
             where = f"sets[{idx}]"
             if not isinstance(entry, dict):
@@ -273,6 +277,7 @@ def load_dataset(
             table[fs] = outcome
         source = DatasetSource(dimension, table)
     if kind == "belief":
+        from .belief import as_belief
         points, gate = source._points, tol.gate(1.0)
         flagged = ~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)
         for row in np.flatnonzero(flagged).tolist():  # as_belief names the first fault

@@ -300,6 +300,15 @@ def _affine_rank(mat: NDArray[np.float64], tol: Tolerance) -> int:
     return _numerical_rank(np.linalg.svd(centered, compute_uv=False), tol)
 
 
+def _affine_ranks(stack: NDArray[np.float64], tol: Tolerance) -> NDArray[np.intp]:
+    """:func:`_affine_rank` of each matrix of a ``(k, m, d)`` stack, m >= 2, in
+    one SVD call; each row of singular values is counted as
+    :func:`_numerical_rank` counts one."""
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    return np.count_nonzero(svals > np.fmax(tol.abs_tol, tol.rel_tol * svals[:, :1]), axis=1)
+
+
 def _numerical_rank(svals: Vector, tol: Tolerance) -> int:
     """Singular values above ``rel_tol`` times the largest, with ``abs_tol`` as floor."""
     if svals.size == 0:

@@ -42,6 +42,7 @@ from .geometry import (
     Vector,
     _SEGMENT_KINDS,
     _affine_rank,
+    _affine_ranks,
     _close_rows,
     _segment_positions,
     _strictly_inside,
@@ -720,10 +721,12 @@ def check_strong_richness(
     are not collinear and both pair aggregates f({x,y}), f({x,z}) lie
     away from both of their endpoints.  One ``_pair_table`` marks the
     interior pairs.  Candidates with both pairs interior are then
-    tried in lexicographic order until the first non-collinear triple,
-    normally one collinearity test per feature.  Raises MissingDataError
-    when a feature has no witness and some absent pair (x, u) lies in a
-    non-collinear triple (x, u, v); those pairs are the required sets.
+    tried in lexicographic order until the first non-collinear triple:
+    every feature's first candidate in one stacked collinearity test,
+    and one test at a time only past a collinear first candidate.
+    Raises MissingDataError when a feature has no witness and some
+    absent pair (x, u) lies in a non-collinear triple (x, u, v); those
+    pairs are the required sets.
     """
     features = src._features
     n = len(features)
@@ -731,15 +734,25 @@ def check_strong_richness(
     _, row, away = _pair_table(src, tol)
     interior = away & away.T
     absent = (row < 0) & ~np.eye(n, dtype=bool)
+    partners = [np.flatnonzero(r).tolist() for r in interior]
+    tried = [x for x in range(n) if len(partners[x]) >= 2]
+    witnesses: dict[int, tuple[str, str] | None] = {}
+    if tried:
+        firsts = np.array([[x, *partners[x][:2]] for x in tried])
+        for x, rank in zip(tried, _affine_ranks(points[firsts], tol).tolist()):
+            if rank >= 2:
+                witnesses[x] = (features[partners[x][0]], features[partners[x][1]])
     entries: list[StrongRichnessEntry] = []
     required: set[tuple[str, ...]] = set()
     for x in range(n):
-        candidates = itertools.combinations(np.flatnonzero(interior[x]).tolist(), 2)
-        witness = next(
-            ((features[y], features[z]) for y, z in candidates
-             if _affine_rank(points[[x, y, z]], tol) >= 2),
-            None,
-        )
+        if x not in witnesses:
+            later = itertools.islice(itertools.combinations(partners[x], 2), 1, None)
+            witnesses[x] = next(
+                ((features[y], features[z]) for y, z in later
+                 if _affine_rank(points[[x, y, z]], tol) >= 2),
+                None,
+            )
+        witness = witnesses[x]
         if witness is None:
             required.update(
                 tuple(sorted((features[x], features[u])))

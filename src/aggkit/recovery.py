@@ -453,10 +453,12 @@ def recover(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOutcome
 
 def _verification(src: DatasetSource, rep: Representation, tol: Tolerance) -> Verification:
     """Every known set of ``src`` against ``rep`` in one array pass; a set
-    passes when its residual is within tol.gate(|observed|, |predicted|, 1)."""
+    passes when its residual is within tol.gate(|observed|, |predicted|, 1).
+    It fails closed: a residual or gate that overflowed never passes."""
     observed, members = src._points, src._members
     predicted = rep._evaluate(members)
     residual = _row_norms(observed - predicted)
     scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
-    passed = residual <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    gate = np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    passed = (residual <= gate) & np.isfinite(gate)
     return Verification(members, observed, predicted, residual, passed)

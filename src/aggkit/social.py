@@ -100,7 +100,8 @@ def _normalize_rows(
     bit as one row at a time: the gate ``tol.gate(|u| |v|)`` keeps its floor
     where the scale is NaN (|v| underflowed, |u| overflowed), as ``max`` does;
     the first row at or below it raises MinimalAgreementViolated, named
-    ``who[row]`` joined by commas, with its ``np.dot`` (a zero keeps its sign).
+    ``who[row]`` joined by commas, with its ``np.dot`` (a zero keeps its sign)
+    and its gate.
     Past that test, the first row whose normalised outcome is not finite
     raises ValueError, named the same way."""
     v = as_point(v, dim=points.shape[1])
@@ -112,7 +113,7 @@ def _normalize_rows(
     low = dots <= gate
     if low.any():
         row = int(np.argmax(low))
-        raise MinimalAgreementViolated(",".join(who[row]), float(np.dot(points[row], v)))
+        raise MinimalAgreementViolated(",".join(who[row]), float(np.dot(points[row], v)), float(gate[row]))
     finite = np.isfinite(normal).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aggkit
@@ -249,6 +250,34 @@ class TestVerdictsAndExitCodes:
         message = rep["result"]["message"]
         assert message.startswith("i2,i3: normalised outcome has non-finite coordinates: array([")
         assert " inf, " in message
+
+    @pytest.mark.parametrize("command", ["pareto", "gswf-verify"])
+    def test_minimal_agreement_names_the_gate_it_missed(self, run_cli, fixtures_dir, tmp_path, command):
+        # Scaled by 1e-12, every <u, v> is positive but below the 1e-9 gate.
+        doc = json.loads((fixtures_dir / "profile_committee.json").read_text())
+        for record in [*doc["features"].values(), *doc["sets"]]:
+            record["outcome"] = [x * 1e-12 for x in record["outcome"]]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, command, str(path))
+        assert (code, rep["result"]["error"]) == (2, "MinimalAgreementViolated")
+        assert rep["result"]["message"] == (
+            "i1: inner product with the agreement direction is 1e-12, not above the gate 1e-09"
+        )
+
+    def test_overflowing_verification_is_not_recovered(self, run_cli, fixtures_dir, tmp_path):
+        # Scaled by 1e300, the pair's residual and its gate overflow: the
+        # pair fails verification rather than passing as inf <= inf.
+        doc = json.loads((fixtures_dir / "broken_average.json").read_text())
+        for record in [*doc["features"].values(), *doc["sets"]]:
+            record["outcome"] = [x * 1e300 for x in record["outcome"]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is judged, not warned about
+            code, rep = report_of(run_cli, "recover", str(path))
+        assert (code, rep["verdict"]) == (1, "non-representable")
+        assert ["a", "b"] in rep["result"]["failing_sets"]
+        assert rep["result"]["max_residual"] is None  # inf, written as null
 
     def test_luce_and_pathindep(self, run_cli, fixtures_dir):
         menu = str(fixtures_dir / "menu_luce.json")

@@ -273,21 +273,25 @@ class TestStrongRichness:
         assert report.entries[0].feature == "a"
         assert report.entries[0].witness is None
 
-    def test_one_collinearity_test_per_feature(self, monkeypatch):
-        # The interior pairs are one array pass; each feature then tests
-        # its first candidate triple, which is not collinear.
+    def test_first_candidates_in_one_stacked_test(self, monkeypatch):
+        # The interior pairs are one array pass; every feature's first
+        # candidate triple is then one row of a single stacked test, and
+        # none is collinear, so no triple is tested on its own.
         rep = gen_representation(
             GeneratorConfig(seed=6, feature_count=18, dimension=2, rank_classes=2)
         )
         src = gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES)
-        calls = []
+        single, stacked = [], []
 
-        def counted(mat, tol):
-            calls.append(len(mat))
-            return rank(mat, tol)
+        def counted(calls, rank):
+            def wrapper(mat, tol):
+                calls.append(len(mat))
+                return rank(mat, tol)
 
-        rank = model._affine_rank
-        monkeypatch.setattr(model, "_affine_rank", counted)
+            return wrapper
+
+        monkeypatch.setattr(model, "_affine_rank", counted(single, model._affine_rank))
+        monkeypatch.setattr(model, "_affine_ranks", counted(stacked, model._affine_ranks))
         report = check_strong_richness(src)
         assert report.satisfied
-        assert len(calls) <= 18
+        assert (single, stacked) == ([], [18])

@@ -33,6 +33,11 @@ required sets) of ``reference_strong_richness``, which decides one pair
 at a time.  Its draws put pairs at the gate's edge too: missing, at an
 endpoint, inside the segment, or moved off an endpoint by the gate
 times 1 +- 1e-3, among lattice singletons with many collinear triples.
+Every feature's first candidate triple is tested in one stacked call;
+the report must be that of ``reference_strong_richness_loop``, which
+tests one triple at a time, also on singletons moved off a line by
+about the collinearity threshold and under tolerances where either the
+absolute floor or the relative share decides.
 """
 
 import io
@@ -66,7 +71,11 @@ from aggkit import (
 )
 from aggkit.errors import NotInConvexHull
 from aggkit.geometry import DEFAULT_TOL, Tolerance, _certify_interior, _interior_terms
-from test_reference_oracles import _strong_richness_or_missing, reference_strong_richness
+from test_reference_oracles import (
+    _strong_richness_or_missing,
+    reference_strong_richness,
+    reference_strong_richness_loop,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -459,4 +468,45 @@ def richness_sources(draw):
 def test_strong_richness_matches_the_pairwise_reference(src):
     assert _strong_richness_or_missing(check_strong_richness, src) == (
         _strong_richness_or_missing(reference_strong_richness, src)
+    )
+
+
+@st.composite
+def near_line_sources(draw):
+    """Singletons on a line of length about 1 to 10, each moved off it by
+    0 or 1e-12 to 1e-6 (where the collinearity threshold of 1e-9 times
+    the largest singular value falls), every pair stored at its midpoint
+    or, now and then, missing."""
+    n = draw(st.integers(3, 8))
+    d = draw(st.integers(2, 3))
+    direction = np.array([1.0] + [draw(st.floats(-1.0, 1.0)) for _ in range(d - 1)])
+    normal = np.zeros(d)
+    normal[1] = 1.0
+    offsets = st.one_of(st.just(0.0), st.builds(lambda e: 10.0**e, st.floats(-12.0, -6.0)))
+    points = {
+        f"f{i}": draw(st.floats(-5.0, 5.0)) * direction + draw(offsets) * draw(st.sampled_from([-1.0, 1.0])) * normal
+        for i in range(n)
+    }
+    table = {frozenset([f]): p for f, p in points.items()}
+    for x, y in itertools.combinations(points, 2):
+        if draw(st.integers(0, 9)):
+            table[frozenset([x, y])] = 0.5 * (points[x] + points[y])
+    return DatasetSource(d, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(richness_sources(), near_line_sources()),
+    st.sampled_from([
+        DEFAULT_TOL,
+        Tolerance(abs_tol=1e-3, rel_tol=1e-3),
+        Tolerance(abs_tol=0.5, rel_tol=1e-12),  # the absolute floor decides
+        Tolerance(abs_tol=1e-12, rel_tol=0.2),  # the share of the largest singular value decides
+    ]),
+)
+def test_stacked_first_candidates_match_the_loop(src, tol):
+    # Same witnesses, same required sets, whether each feature's first
+    # candidate is tested in the stack or one at a time.
+    assert _strong_richness_or_missing(lambda s: check_strong_richness(s, tol), src) == (
+        _strong_richness_or_missing(lambda s: reference_strong_richness_loop(s, tol), src)
     )

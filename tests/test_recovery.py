@@ -1,5 +1,7 @@
 """Order and weight recovery from aggregates, and its failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from aggkit import (
     Representation,
     evaluate,
     induced_source,
+    load_dataset,
     recover,
     recover_order,
     recover_weights,
@@ -102,6 +105,18 @@ class TestRecover:
         assert ("a", "b", "c") in checked.members
         assert len(checked) == len(flat_source)
         assert checked.passed.all()
+
+    def test_overflowing_residual_fails_verification(self, fixtures_dir):
+        # Scaled by 1e300, the pair's residual and gate overflow to inf:
+        # verification fails closed instead of passing inf <= inf.
+        with open(fixtures_dir / "broken_average.json", encoding="utf-8") as fh:
+            src = load_dataset(fh).source
+        big = DatasetSource(src.dimension, {s: src.outcome(s) * 1e300 for s in src.sets()})
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is judged, not warned about
+            outcome = recover(big)
+        assert isinstance(outcome, NonRepresentable)
+        assert ("a", "b") in outcome.failing_sets
+        assert outcome.max_residual == math.inf
 
     def test_missing_data_outcome(self):
         src = DatasetSource(

@@ -6,7 +6,9 @@ judges each split alone with ``reference_segment_coefficient`` (the
 scalar segment formula) and ``reference_judge_pair``; the array kernel
 behind ``check_axiom`` must give the same report, bit for bit;
 ``reference_strong_richness`` recomputes every pair answer and runs the
-collinearity test for every candidate.  Both are the straightforward
+collinearity test for every candidate; ``reference_strong_richness_loop``
+reads the same pair table but tests one candidate triple at a time,
+where ``check_strong_richness`` tests every feature's first one at once.  Both are the straightforward
 definitions the main code must reproduce exactly: same checks in the
 same order, same witnesses, same blocked pairs.
 
@@ -295,6 +297,38 @@ def reference_strong_richness(src, tol=DEFAULT_TOL):
     return StrongRichnessReport(entries=tuple(entries))
 
 
+def reference_strong_richness_loop(src, tol=DEFAULT_TOL):
+    """The same pair table as ``check_strong_richness``, then one
+    collinearity test at a time: each feature's candidates in
+    lexicographic order until the first non-collinear triple."""
+    features = src._features
+    n = len(features)
+    points = src._points[:n]
+    _, row, away = model._pair_table(src, tol)
+    interior = away & away.T
+    absent = (row < 0) & ~np.eye(n, dtype=bool)
+    entries = []
+    required = set()
+    for x in range(n):
+        candidates = itertools.combinations(np.flatnonzero(interior[x]).tolist(), 2)
+        witness = next(
+            ((features[y], features[z]) for y, z in candidates
+             if geometry._affine_rank(points[[x, y, z]], tol) >= 2),
+            None,
+        )
+        if witness is None:
+            required.update(
+                tuple(sorted((features[x], features[u])))
+                for u in np.flatnonzero(absent[x]).tolist()
+                if any(geometry._affine_rank(points[[x, *sorted((u, v))]], tol) >= 2
+                       for v in range(n) if v not in (x, u))
+            )
+        entries.append(StrongRichnessEntry(features[x], witness))
+    if required:
+        raise MissingDataError(sorted(required))
+    return StrongRichnessReport(entries=tuple(entries))
+
+
 def _rep(seed, features, classes=1, policy=OutcomePolicy.RANDOM_RICH, dimension=2):
     return gen_representation(
         GeneratorConfig(
@@ -393,6 +427,7 @@ class TestStrongRichnessMatchesReference:
         got = _strong_richness_or_missing(check_strong_richness, dataset)
         expected = _strong_richness_or_missing(reference_strong_richness, dataset)
         assert got == expected
+        assert got == _strong_richness_or_missing(reference_strong_richness_loop, dataset)
 
     def test_richness_on_stored_array(self, dataset):
         points = [dataset.outcome(s) for s in dataset.sets()]
@@ -2405,8 +2440,9 @@ def _reference_scaled(u, v, tol, who):
     u = as_point(u)
     v = as_point(v, dim=u.size)
     s = float(np.dot(u, v))
-    if s <= tol.gate(float(np.linalg.norm(u)) * float(np.linalg.norm(v))):
-        raise MinimalAgreementViolated(who, s)
+    gate = tol.gate(float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+    if s <= gate:
+        raise MinimalAgreementViolated(who, s, gate)
     return u / s
 
 

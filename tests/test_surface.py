@@ -58,6 +58,13 @@ def test_package_exports_are_the_disjoint_module_lists():
         assert getattr(aggkit, name) is not None
 
 
+def test_gen_policy_choices_are_the_generator_policies():
+    # cli states them itself, so that parsing never loads testkit.
+    gen = cli._build_parser()._subparsers._group_actions[0].choices["gen"]
+    (policy,) = [a for a in gen._actions if a.dest == "policy"]
+    assert policy.choices == [p.value for p in aggkit.testkit.OutcomePolicy]
+
+
 def test_every_package_error_is_exported():
     errors = aggkit.errors
     defined = {
