@@ -22,6 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    DiscountUnidentified,
     MissingDataError,
     MultipleRankClasses,
     NotABelief,
@@ -33,6 +34,7 @@ from .geometry import (
     DEFAULT_TOL,
     Tolerance,
     Vector,
+    _norm,
     as_point,
     interior_lambda,
     segment_coefficient,
@@ -463,8 +465,9 @@ def recover_discounted(
 
     A pair the oracle refuses with MissingDataError is left out of the
     table, and a NotStationary message that requires it gives the
-    oracle's labels.  Raises NotStationary when the spot-check or the
-    recovery fails; every other oracle failure propagates.
+    oracle's labels.  Raises DiscountUnidentified when all singleton
+    outcomes coincide, NotStationary when the spot-check or the recovery
+    fails; every other oracle failure propagates.
     """
     feats = tuple(sorted(set(features)))
     if len(feats) < 2:
@@ -491,7 +494,7 @@ def recover_discounted(
         None,
     )
     if pair is None:
-        raise ValueError("all singleton outcomes coincide; the factor is unidentified")
+        raise DiscountUnidentified("all singleton outcomes coincide; the factor is unidentified")
 
     a, b = pair
     spot = TimedQuery(frozenset(pair), {a: 1, b: 2})
@@ -544,7 +547,7 @@ def recover_discounted(
     for query in validation:
         predicted = evaluate_discounted(q, rep.weights, singles, query)
         observed = ask(query)
-        r = float(np.linalg.norm(observed - predicted))
+        r = _norm(observed - predicted)
         residuals.append((query.key(), r))
         worst = max(worst, r)
     return DiscountRecovery(

@@ -125,9 +125,9 @@ def _recovery_json(outcome: RecoveryOutcome, with_rows: bool = True) -> dict[str
                 ("members", "observed", "predicted", "residual", "passed"),
                 (
                     checked.members,
-                    checked.observed.tolist(),
-                    checked.predicted.tolist(),
-                    checked.residual.tolist(),
+                    checked.observed,
+                    checked.predicted,
+                    checked.residual,
                     checked.passed.tolist(),
                 ),
             )
@@ -211,8 +211,8 @@ def cmd_check(args: argparse.Namespace, tol: Tolerance, doc: DatasetDocument) ->
                 Indexed(report.part_a.tolist(), report.members),
                 Indexed(report.part_b.tolist(), report.members),
                 Indexed(report.union.tolist(), report.members),
-                report.lam.tolist(),
-                report.residual.tolist(),
+                report.lam,
+                report.residual,
                 Indexed(report.degenerate.tolist(), (False, True)),
                 Indexed((report.reason == 0).tolist(), (False, True)),
                 Indexed(report.reason.tolist(), _REASONS),

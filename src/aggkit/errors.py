@@ -23,6 +23,7 @@ __all__ = [
     "NotABelief",
     "MultipleRankClasses",
     "NotStationary",
+    "DiscountUnidentified",
     "MinimalAgreementViolated",
     "ConstantUtility",
     "ResidualTooLarge",
@@ -115,6 +116,11 @@ class MultipleRankClasses(AggkitError):
 
 class NotStationary(AggkitError):
     """Timed queries are not invariant under a common time shift."""
+
+
+class DiscountUnidentified(AggkitError):
+    """No two singleton outcomes differ beyond tolerance, so no staggered
+    pair can identify the discount factor."""
 
 
 class MinimalAgreementViolated(AggkitError):

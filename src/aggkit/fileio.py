@@ -27,12 +27,14 @@ gives every value, and the indentation is put back with string
 replacements.  Only a block the encoder refuses for a non-finite float
 is encoded again, with None in its place.  A block of a ``Records``
 table (the rows of ``check`` and ``recover``) is formatted column by
-column in the same way and filled into one ``%`` template per row; no
-row object is built; an ``Indexed`` column's values are formatted once
-per table.  Anything else, such as the report envelope or a list of
-dicts, goes through a small recursive writer.  Each block of a long
-list is written to the stream before the next one is formatted, so a
-report is never held whole.
+column in the same way, and its keys and values are joined row by row
+in one ``str.join``; no row object is built.  An ``Indexed`` column's
+values are formatted once per table, and so is each distinct bit
+pattern of a float array column, which is coded as an ``Indexed``
+column first (dictionary encoding).  Anything else, such as the report
+envelope or a list of dicts, goes through a small recursive writer.
+Each block of a long list is written to the stream before the next one
+is formatted, so a report is never held whole.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, IO, Iterator, Mapping, NoReturn, Sequence
@@ -320,7 +322,8 @@ def load_dataset(
 @dataclass(frozen=True)
 class Indexed:
     """A dictionary-encoded :class:`Records` column: row i holds
-    ``values[codes[i]]``, and each referenced value is formatted once per table."""
+    ``values[codes[i]]``, and each referenced value is formatted once per table.
+    ``dump_json`` codes a float array column into one of these by bit pattern."""
 
     codes: Sequence[int]
     values: Sequence[Any]
@@ -340,14 +343,16 @@ class Records:
     """A table of JSON objects held as columns, for :func:`dump_json`.
 
     ``columns[i]`` holds the value of ``keys[i]`` (distinct strings) in
-    every row, in row order, as a sequence or an :class:`Indexed` column,
-    and all columns have one length; a value is a JSON scalar or a flat
-    list of scalars.  ``dump_json`` writes the table as its list of rows,
-    one object per row, straight from the columns.
+    every row, in row order, as a sequence, an :class:`Indexed` column or
+    a float ``ndarray`` (1-d, or 2-d with one list per row), and all
+    columns have one length; a value is a JSON scalar or a flat list of
+    scalars.  ``dump_json`` writes the table as its list of rows, one
+    object per row, straight from the columns, and formats each distinct
+    bit pattern of an array column once.
     """
 
     keys: tuple[str, ...]
-    columns: tuple[Sequence[Any] | Indexed, ...]
+    columns: tuple[Sequence[Any] | Indexed | np.ndarray, ...]
 
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
@@ -356,8 +361,10 @@ class Records:
         return Records(self.keys, tuple(column[rows] for column in self.columns))
 
     def rows(self) -> list[dict[str, Any]]:
-        """The table as a list of dicts, one per row, codes expanded."""
-        return [dict(zip(self.keys, values)) for values in zip(*self.columns)]
+        """The table as a list of dicts, one per row, codes expanded and
+        array cells as Python floats and lists."""
+        columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)
+        return [dict(zip(self.keys, values)) for values in zip(*columns)]
 
 
 def dataset_to_json(
@@ -391,7 +398,8 @@ def dump_json(doc: Mapping[str, Any], stream: IO[str]) -> None:
     list of rows (``Records.rows()``) and each non-finite float, a key
     included, replaced by None: JSON has no NaN or Infinity, so they are
     written as null.  Lists are written to ``stream`` block by block,
-    and an ``Indexed`` column's values once per table.
+    and an ``Indexed`` column's values, or a float array column's
+    distinct bit patterns, once per table.
     """
     parts: list[str] = []
     _value(doc, 0, parts, stream.write)
@@ -520,25 +528,52 @@ def _column(values: Sequence, level: int) -> list[str] | None:
     return [next(lists_it) if listed else next(scalars) for listed in is_list]
 
 
-def _dictionaries(table: Records, level: int) -> dict[int, dict[int, str]] | None:
-    """Each value the ``Indexed`` columns of ``table`` reference, formatted at
-    ``level``, by ``id(values)`` and code; None unless ``_column`` takes all."""
+def _by_bits(column: np.ndarray) -> Indexed | list:
+    """A float array column coded by bit pattern, so ``-0.0`` and ``0.0``
+    stay apart: ``np.unique`` over the int64 view of a 1-d column, one
+    ``lexsort`` over the int64 words of a 2-d column's rows.  Any other
+    array is its ``tolist()``."""
+    if column.dtype != np.float64 or column.ndim not in (1, 2):
+        return column.tolist()
+    bits = np.ascontiguousarray(column).view(np.int64)
+    if bits.ndim == 1:
+        keys, codes = np.unique(bits, return_inverse=True)
+        return Indexed(codes.tolist(), keys.view(np.float64).tolist())
+    order = np.lexsort(bits.T[::-1]) if bits.shape[1] else np.arange(len(bits))
+    ordered = bits[order]
+    first = np.ones(len(bits), dtype=bool)  # each distinct row where it first appears in ``order``
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes = np.empty(len(bits), dtype=np.intp)
+    codes[order] = np.cumsum(first) - 1
+    return Indexed(codes.tolist(), column[order[first]].tolist())
+
+
+def _dictionaries(table: Records, level: int) -> tuple[Records, dict[int, Any] | None]:
+    """``table`` with its array columns coded by :func:`_by_bits`, and the
+    text at ``level`` of each value its ``Indexed`` columns reference, by
+    ``id(values)`` and code; the texts are None unless ``_column`` takes all."""
+    columns = tuple(_by_bits(c) if isinstance(c, np.ndarray) else c for c in table.columns)
+    texts: dict[int, Any] = {}
     used: dict[int, tuple[Sequence[Any], set[int]]] = {}
-    for column in table.columns:
-        if type(column) is Indexed:
+    for column, given in zip(columns, table.columns):
+        if type(column) is not Indexed:
+            continue
+        if column is not given:  # coded from an array: every value is referenced
+            texts[id(column.values)] = _column(column.values, level)
+        else:
             used.setdefault(id(column.values), (column.values, set()))[1].update(column.codes)
-    texts = {}
     for key, (values, codes) in used.items():
         lines = _column([values[c] for c in codes], level)
         if lines is None:
-            return None
+            return table, None
         texts[key] = dict(zip(codes, lines))
-    return texts
+    return Records(table.keys, columns), texts
 
 
-def _record_lines(table: Records, level: int, texts: dict[int, dict[int, str]] | None) -> list[str] | None:
-    """Each row of a table in a list at ``level`` formatted as one object, or
-    None unless ``_column`` takes every column (``texts``: ``_dictionaries``)."""
+def _record_block(table: Records, level: int, texts: dict[int, Any] | None) -> str | None:
+    """The rows of a table in a list at ``level``, each formatted as one
+    object, joined as list items; None unless ``_column`` takes every
+    column (``texts``: ``_dictionaries``)."""
     if texts is None:
         return None
     keys, columns = zip(*sorted(zip(table.keys, table.columns), key=lambda kc: kc[0]))
@@ -548,10 +583,11 @@ def _record_lines(table: Records, level: int, texts: dict[int, dict[int, str]] |
     ]
     if any(column is None for column in columns):
         return None
-    inner = _indent(level + 2)
-    fields = ("," + inner).join(_string(k).replace("%", "%%") + ": %s" for k in keys)
-    template = "{" + inner + fields + _indent(level + 1) + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    inner, close, rows = _indent(level + 2), _indent(level + 1) + "}", len(table)
+    fields = [repeat(head + inner + _string(k) + ": ", rows) for head, k in zip(chain("{", repeat(",")), keys)]
+    ends = chain(repeat(close + "," + _indent(level + 1), rows - 1), (close,))
+    # Label, value, label, value, ..., end, row after row, in one join.
+    return "".join(chain.from_iterable(zip(*chain.from_iterable(zip(fields, columns)), ends)))
 
 
 def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) -> None:
@@ -566,7 +602,8 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
         parts.append("[]")
     else:
         table = type(o) is Records
-        texts = _dictionaries(o, level + 2) if table else None
+        if table:
+            o, texts = _dictionaries(o, level + 2)
         inner = _indent(level + 1)
         sep = "," + inner
         parts.append("[" + inner)
@@ -574,9 +611,13 @@ def _value(o: Any, level: int, parts: list[str], write: Callable[[str], Any]) ->
             block = o[start : start + _BLOCK]
             if start:
                 parts.append(sep)
-            lines = _record_lines(block, level, texts) if table else _column(block, level + 1)
-            if lines is not None:
-                parts.append(sep.join(lines))
+            if table:
+                text = _record_block(block, level, texts)
+            else:
+                lines = _column(block, level + 1)
+                text = None if lines is None else sep.join(lines)
+            if text is not None:
+                parts.append(text)
             else:
                 for i, item in enumerate(block.rows() if table else block):
                     if i:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -93,9 +93,7 @@ class Tolerance:
 
     def close(self, a: Vector, b: Vector) -> bool:
         """Euclidean closeness of two points under this gate."""
-        return float(np.linalg.norm(a - b)) <= self.gate(
-            float(np.linalg.norm(a)), float(np.linalg.norm(b))
-        )
+        return _norm(a - b) <= self.gate(_norm(a), _norm(b))
 
 
 DEFAULT_TOL = Tolerance()
@@ -126,8 +124,44 @@ def _row_dots(x: NDArray[np.float64], y: NDArray[np.float64]) -> Vector:
 
 
 def _row_norms(rows: NDArray[np.float64]) -> Vector:
-    """``np.linalg.norm`` of each row, bit for bit (it is the root of a dot)."""
-    return np.sqrt(_row_dots(rows, rows))
+    """``np.linalg.norm`` of each row, bit for bit (it is the root of a dot)
+    wherever that is finite; see :func:`_finite_norms` for the rest."""
+    if _tame(rows):
+        return np.sqrt(_row_dots(rows, rows))
+    return _finite_norms(lambda r: np.sqrt(_row_dots(r, r)), rows)
+
+
+# Below this magnitude no square of a coordinate overflows, nor a sum of
+# fewer than 10^8 of them.
+_SQUARE_SAFE = 1e150
+
+
+def _tame(x: NDArray[np.float64]) -> bool:
+    """No coordinate of ``x`` reaches ``_SQUARE_SAFE``, and none is NaN."""
+    return np.maximum.reduce(np.abs(x), axis=None, initial=0.0) < _SQUARE_SAFE
+
+
+def _finite_norms(
+    norms: Callable[[NDArray[np.float64]], NDArray[np.float64]], rows: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``norms(rows)``, the Euclidean norms of ``rows`` over their last
+    axis, for rows that are not ``_tame``: the squares may overflow,
+    silently, and each norm that did so for a finite row is computed
+    again over the row scaled by its largest magnitude, so it stays finite."""
+    with np.errstate(over="ignore"):
+        out = norms(rows)
+        big = np.nonzero(np.isinf(out))
+        top = np.abs(rows[big]).max(axis=-1, initial=0.0)
+        finite = np.isfinite(top)
+        big, top = tuple(i[finite] for i in big), top[finite]
+        unit = rows[big] / top[:, None]
+        out[big] = top * np.sqrt(_row_dots(unit, unit))
+    return out
+
+
+def _norm(v: Vector) -> float:
+    """``np.linalg.norm`` of a vector, finite for a finite one: :func:`_row_norms`."""
+    return float(_row_norms(np.reshape(v, (1, -1)))[0])
 
 
 def _close_rows(
@@ -204,9 +238,13 @@ def _segment_positions(
     length = _row_norms(d)
     degenerate = length <= tol.abs_tol
     to_b = p - b
-    lam = np.divide(
-        _row_dots(to_b, d), length * length, out=np.zeros_like(length), where=~degenerate
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots, squared = _row_dots(to_b, d), length * length
+        lam = np.divide(dots, squared, out=np.zeros_like(length), where=~degenerate)
+    overflowed = ~(np.isfinite(dots) & np.isfinite(squared))
+    if overflowed.any():  # the same ratio, overflow-free, with both rows over the length
+        big = np.flatnonzero(overflowed & ~degenerate)
+        lam[big] = _row_dots(to_b[big] / length[big, None], d[big] / length[big, None])
     projected = lam[:, None] * a + (1.0 - lam)[:, None] * b
     residual = _row_norms(p - projected)
     gate = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(length, _row_norms(to_b)))
@@ -414,7 +452,11 @@ def _nnls(a: NDArray[np.float64], b: Vector) -> Vector:
 def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64]) -> Vector:
     """Each row's largest norm among its centred point, a row of ``q``
     ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``."""
-    return np.maximum(_row_norms(q), np.linalg.norm(spokes, axis=2).max(axis=1))
+    if _tame(spokes):
+        spoke_norms = np.linalg.norm(spokes, axis=2)
+    else:
+        spoke_norms = _finite_norms(lambda s: np.linalg.norm(s, axis=2), spokes)
+    return np.maximum(_row_norms(q), spoke_norms.max(axis=1))
 
 
 def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:

@@ -616,6 +616,32 @@ def _listed_splits(
     return tuple(np.array(splits, dtype=np.intp).reshape(-1, 3).T)
 
 
+def _pattern_weights(size: int, n: int) -> NDArray[np.int64]:
+    """The digit weights of ``_patterns(size)`` in base n + 1: a part's key
+    is their product with its union's codes + 1."""
+    masks, later = _patterns(size)
+    return np.where(masks, (np.int64(n + 1) ** np.arange(size, dtype=np.int64))[later], 0)
+
+
+def _pattern_splits(
+    keys: NDArray[np.int64], weights: NDArray[np.int64], block: NDArray[np.intp], first: int, rows: NDArray[np.intp]
+) -> tuple[NDArray[np.intp], ...]:
+    """The stored splits (union, A, B) of the unions ``rows`` of one size's
+    code ``block`` (its first row ``first``) among their ``_patterns``: each
+    part's key is one matrix product with ``weights``, and its row one
+    ``searchsorted`` of the stored sets' ``keys``."""
+    # (A or B, part, union): each part's keys over sorted unions, which searchsorted reads fastest
+    key = weights @ (block[rows - first] + 1).T
+    row = keys.searchsorted(key)
+    union, part = np.nonzero((keys.take(row, mode="clip") == key).all(axis=0).T)
+    return rows[union], row[0, part, union], row[1, part, union]
+
+
+# Parts per chunk of the pattern walk in ``_split_rows``, and the most
+# splits its first pass keeps for the second.
+_SPLIT_CHUNK = 1 << 17
+
+
 def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
     """Every stored split U = A + B of ``src`` as row indices (union, A, B).
 
@@ -624,37 +650,52 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
     members (in a union, A fixes B).  A set's key is its codes + 1 as digits
     in base n + 1, so the stored sets' keys increase with their rows.  Each
     union takes the shorter candidate list for A: its 2^(|U|-1) - 1
-    ``_patterns``, whose keys are one matrix product of the code block and
-    whose rows one ``searchsorted``, for as many unions at a time as make
-    2^17 parts, or ``_listed_splits``, which also takes the unions whose
-    parts' keys would not fit in int64.
+    ``_patterns`` (``_pattern_splits``), for as many unions at a time as
+    make ``_SPLIT_CHUNK`` parts, or ``_listed_splits``, which also takes the
+    unions whose parts' keys would not fit in int64.  A first pass counts
+    each chunk's splits and a second fills three preallocated columns, so
+    the walk holds its output, one chunk and the listed splits: the first
+    pass keeps chunks' splits while they total at most ``_SPLIT_CHUNK``,
+    and the second finds the others again.
     """
     n, blocks = len(src._features), src._blocks
     keys = np.concatenate([(block + 1) @ np.int64(n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
                            for size, (_, block) in blocks.items() if (n + 1) ** size < 2**63])
     sharing = np.bincount(np.concatenate([block[:, 0] for _, block in blocks.values()]), minlength=n)
-    pieces = [(np.empty(0, dtype=np.intp),) * 3]
+    sizes = []  # per union size: (splits, or None for a chunk found again; the chunk's unions; count), merge
+    kept = 0
     for size, (first, block) in list(blocks.items())[1:]:  # every source stores singletons, which have no split
         few = sharing[block[:, 0]] < min(2 ** (size - 1), 2**62)  # no source holds 2^62 sets
         listed = few | ((n + 1) ** (size - 1) >= 2**63)
-        found = []
+        pieces = []
         if not listed.all():
-            masks, later = _patterns(size)
-            weights = np.where(masks, (np.int64(n + 1) ** np.arange(size, dtype=np.int64))[later], 0)
-            rows, step = first + np.flatnonzero(~listed), max(1, (1 << 17) // masks.shape[1])
+            weights = _pattern_weights(size, n)
+            rows, step = first + np.flatnonzero(~listed), max(1, _SPLIT_CHUNK // weights.shape[1])
             for lo in range(0, len(rows), step):
-                # (A or B, part, union): each part's keys over sorted unions, which searchsorted reads fastest
-                key = weights @ (block[rows[lo : lo + step] - first] + 1).T
-                row = keys.searchsorted(key)
-                union, part = np.nonzero((keys.take(row, mode="clip") == key).all(axis=0).T)
-                found.append((rows[lo + union], row[0, part, union], row[1, part, union]))
+                splits = _pattern_splits(keys, weights, block, first, rows[lo : lo + step])
+                count = len(splits[0])
+                keep = kept + count <= _SPLIT_CHUNK
+                kept += count if keep else 0
+                pieces.append((splits if keep else None, rows[lo : lo + step], count))
         if listed.any():
-            found.append(_listed_splits(src, first + np.flatnonzero(listed), block[listed, 0], few[listed]))
-        if listed.any() and not listed.all():  # the listed unions among the others, in row order
-            order = np.argsort(np.concatenate([union for union, _, _ in found]), kind="stable")
-            found = [tuple(np.concatenate(column)[order] for column in zip(*found))]
-        pieces += found
-    return tuple(np.concatenate(column) for column in zip(*pieces))
+            splits = _listed_splits(src, first + np.flatnonzero(listed), block[listed, 0], few[listed])
+            pieces.append((splits, None, len(splits[0])))
+        sizes.append((size, pieces, listed.any() and not listed.all()))
+    columns = np.empty((3, sum(count for _, pieces, _ in sizes for *_, count in pieces)), dtype=np.intp)
+    end = 0
+    for size, pieces, merge in sizes:
+        start = end
+        for splits, rows, count in pieces:
+            if splits is None:
+                first, block = blocks[size]
+                splits = _pattern_splits(keys, _pattern_weights(size, n), block, first, rows)
+            for column, values in zip(columns, splits):
+                column[end : end + count] = values
+            end += count
+        if merge:  # the listed unions among the others, in row order
+            order = np.argsort(columns[0, start:end], kind="stable")
+            columns[:, start:end] = columns[:, start:end][:, order]
+    return tuple(columns)
 
 
 def check_axiom(

@@ -32,6 +32,7 @@ from .geometry import (
     DEFAULT_TOL,
     Tolerance,
     Vector,
+    _norm,
     _row_dots,
     _row_norms,
     affine_dimension,
@@ -108,7 +109,7 @@ def _normalize_rows(
     # Silent, as scalar products are; the finiteness test below names an overflow.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dots = _row_dots(points, np.broadcast_to(v, points.shape))
-        gate = np.fmax(tol.abs_tol, tol.rel_tol * (_row_norms(points) * float(np.linalg.norm(v))))
+        gate = np.fmax(tol.abs_tol, tol.rel_tol * (_row_norms(points) * _norm(v)))
         normal = points / dots[:, None]
     low = dots <= gate
     if low.any():

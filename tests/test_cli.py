@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -265,19 +266,79 @@ class TestVerdictsAndExitCodes:
             "i1: inner product with the agreement direction is 1e-12, not above the gate 1e-09"
         )
 
-    def test_overflowing_verification_is_not_recovered(self, run_cli, fixtures_dir, tmp_path):
-        # Scaled by 1e300, the pair's residual and its gate overflow: the
-        # pair fails verification rather than passing as inf <= inf.
-        doc = json.loads((fixtures_dir / "broken_average.json").read_text())
-        for record in [*doc["features"].values(), *doc["sets"]]:
-            record["outcome"] = [x * 1e300 for x in record["outcome"]]
+    def test_overflowing_verification_is_not_recovered(self, run_cli, tmp_path):
+        # The triple's outcome has a norm beyond the float range, so its gate
+        # is infinite: the triple fails verification rather than passing
+        # under an infinite gate.
+        m = 1.2e308
+        doc = {
+            "format_version": "1",
+            "dimension": 3,
+            "features": {f: {"outcome": p} for f, p in
+                         {"a": [m, 0, 0], "b": [0, m, 0], "c": [0, 0, m]}.items()},
+            "sets": [
+                {"members": ["a", "b"], "outcome": [m / 2, m / 2, 0]},
+                {"members": ["a", "c"], "outcome": [m / 2, 0, m / 2]},
+                {"members": ["b", "c"], "outcome": [0, m / 2, m / 2]},
+                {"members": ["a", "b", "c"], "outcome": [m, m, m]},
+            ],
+        }
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is judged, not warned about
-            code, rep = report_of(run_cli, "recover", str(path))
+        code, rep = report_of(run_cli, "recover", str(path))
         assert (code, rep["verdict"]) == (1, "non-representable")
-        assert ["a", "b"] in rep["result"]["failing_sets"]
-        assert rep["result"]["max_residual"] is None  # inf, written as null
+        assert rep["result"]["failing_sets"] == [["a", "b", "c"]]
+
+    @staticmethod
+    def _scaled(fixtures_dir, tmp_path, name, factor):
+        doc = json.loads((fixtures_dir / f"{name}.json").read_text())
+        for record in [*doc["features"].values(), *doc["sets"]]:
+            record["outcome"] = [x * factor for x in record["outcome"]]
+        path = tmp_path / f"{name}-scaled.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [("broken_average", "recover"), ("broken_average", "check"), ("triangle_two_tier", "recover"),
+         ("profile_committee", "pareto"), ("timed_pair", "discount")],
+    )
+    def test_huge_outcomes_read_as_the_unscaled_ones(self, run_cli, fixtures_dir, tmp_path, name, command):
+        # Scaled by 1e300 the squares of the coordinates overflow, but every
+        # norm stays finite: the verdict is the unscaled one, and on
+        # broken_average no singleton fails verification with residual 0.
+        path = self._scaled(fixtures_dir, tmp_path, name, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = report_of(run_cli, command, str(path))
+        base_code, base = report_of(run_cli, command, str(fixtures_dir / f"{name}.json"))
+        assert (code, rep["verdict"]) == (base_code, base["verdict"])
+        if command == "recover":
+            assert rep["result"]["status"] == base["result"]["status"]
+            assert rep["result"].get("failing_sets") == base["result"].get("failing_sets")
+        if name == "broken_average" and command == "recover":
+            assert rep["result"] == base["result"]
+
+    def test_huge_outcomes_warn_about_nothing(self, fixtures_dir, tmp_path):
+        path = self._scaled(fixtures_dir, tmp_path, "broken_average", 1e300)
+        src_dir = str(Path(aggkit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "aggkit", "recover", str(path)],
+            env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["result"]["failing_sets"] == []
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e-300])
+    def test_discount_names_an_unidentified_factor(self, run_cli, fixtures_dir, tmp_path, factor):
+        # Every singleton within the 1e-9 gate of every other: no pair fixes q.
+        path = self._scaled(fixtures_dir, tmp_path, "timed_pair", factor)
+        code, rep = report_of(run_cli, "discount", str(path))
+        assert (code, rep["verdict"], rep["result"]["error"]) == (2, "error", "DiscountUnidentified")
+        assert rep["result"]["message"] == "all singleton outcomes coincide; the factor is unidentified"
 
     def test_luce_and_pathindep(self, run_cli, fixtures_dir):
         menu = str(fixtures_dir / "menu_luce.json")

@@ -756,6 +756,40 @@ def indexed_tables(draw):
     return fileio.Records(tuple(keys), tuple(columns)), rows
 
 
+# Floats of array columns: a small pool per table, so cells repeat; both
+# zeros, NaN of either sign, both infinities and the extremes among them.
+_array_floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.5, 1.0, math.inf, -math.inf, math.nan, -math.nan]
+)
+
+
+@st.composite
+def array_tables(draw):
+    """A ``Records`` table with float array columns, 1-d and 2-d (one list
+    per row, maybe empty), beside plain and indexed ones; two keys may
+    share one array, and rows may run past several blocks."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(0, 3 * SMALL_BLOCK + 1))
+    pool = draw(st.lists(_array_floats, min_size=1, max_size=5))
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["1-d", "2-d", "2-d", "same", "plain", "indexed"]))
+        arrays = [c for c in columns if isinstance(c, np.ndarray)]
+        if kind == "same" and arrays:
+            columns.append(draw(st.sampled_from(arrays)))
+        elif kind == "plain":
+            columns.append(draw(st.lists(_fields, min_size=count, max_size=count)))
+        elif kind == "indexed":
+            values = draw(st.lists(_fields, min_size=1, max_size=3))
+            codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=count, max_size=count))
+            columns.append(fileio.Indexed(codes, values))
+        else:
+            shape = (count,) if kind != "2-d" else (count, draw(st.integers(0, 3)))
+            cells = draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape), max_size=math.prod(shape)))
+            columns.append(np.array(cells, dtype=float).reshape(shape))
+    return fileio.Records(tuple(keys), tuple(columns))
+
+
 _documents = st.recursive(
     _scalars | _flat_lists | record_lists(),
     lambda inner: st.lists(inner, max_size=3)
@@ -785,6 +819,36 @@ class TestCanonicalEmitter:
 
         with mock.patch.object(fileio, "_BLOCK", block):
             assert dumped(doc) == reference_bytes({"checks": rows, "n": len(rows)})
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, fileio._BLOCK])
+    @settings(max_examples=200, deadline=None)
+    @given(array_tables())
+    def test_array_columns_write_their_rows(self, block, table):
+        # Records.rows() gives each array cell as a Python float or list,
+        # so the reference writes them as the standard library does.
+        doc = {"checks": table, "n": len(table)}
+        with mock.patch.object(fileio, "_BLOCK", block):
+            assert dumped(doc) == reference_bytes(doc)
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            (np.array([0.0, -0.0, 0.0, -0.0]), ["0.0", "-0.0", "0.0", "-0.0"]),
+            (np.array([math.nan, -math.nan, math.inf, -math.inf, 1.0]), ["null"] * 4 + ["1.0"]),
+            (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]), ["[0.0, -0.0]", "[-0.0, 0.0]", "[0.0, -0.0]"]),
+            (np.array([[1.0, math.nan], [1.0, math.inf], [5e-324, 1e16]]),
+             ["[1.0, null]", "[1.0, null]", "[5e-324, 1e+16]"]),
+            (np.zeros((2, 0)), ["[]", "[]"]),
+        ],
+        ids=["signed-zeros", "non-finite", "signed-zero-rows", "rows-with-null", "empty-rows"],
+    )
+    def test_array_cells_by_bit_pattern(self, column, text):
+        # Coded by bit pattern, -0.0 and 0.0 stay apart, and a NaN or an
+        # infinity is written as null wherever it stands.
+        doc = {"t": fileio.Records(("x",), (column,))}
+        written = dumped(doc)
+        assert written == reference_bytes(doc)
+        assert [json.dumps(row["x"]) for row in json.loads(written)["t"]] == text
 
     @settings(max_examples=100, deadline=None)
     @given(_documents)
@@ -878,6 +942,40 @@ class TestCanonicalEmitter:
             assert raised(dumped, doc) == raised(reference_bytes, doc)
         else:
             assert dumped(doc) == expected
+
+    @pytest.mark.parametrize("command, table", [("check", "checks"), ("recover", "verification")])
+    def test_each_distinct_float_is_formatted_once(self, run_cli, tmp_path, monkeypatch, command, table):
+        # Under rule (3) a two-class source repeats lambdas, residuals and
+        # outcomes; the encoder sees each distinct float of a table column
+        # once, however many rows hold it, besides the envelope's floats.
+        from aggkit.testkit import GeneratorConfig, SubsetPolicy, gen_dataset, gen_representation
+
+        rep = gen_representation(GeneratorConfig(seed=3, feature_count=12, dimension=2, rank_classes=2))
+        path = tmp_path / "two-class.json"
+        with path.open("w") as fh:
+            dump_json(dataset_to_json(gen_dataset(rep, SubsetPolicy.PAIRS_AND_TRIPLES)), fh)
+        encode, passed = fileio._encode_lines, []
+
+        def floats(o):
+            if isinstance(o, dict):
+                return floats(list(o.values()))
+            return sum(floats(v) for v in o) if type(o) in (list, tuple) else type(o) is float
+
+        def counting(values):
+            passed.append(floats(values))
+            return encode(values)
+
+        monkeypatch.setattr(fileio, "_encode_lines", counting)
+        code, out = run_cli(command, str(path))
+        assert code == 0
+        report = json.loads(out)
+        rows = report["result"].pop(table)
+        keys = [k for k, v in rows[0].items() if type(v) is float or (type(v) is list and type(v[0]) is float)]
+        assert {"lambda", "residual"} <= set(keys) or {"observed", "predicted", "residual"} <= set(keys)
+        cells = sum(floats([row[k] for row in rows]) for k in keys)
+        distinct = sum(floats(list({repr(row[k]): row[k] for row in rows}.values())) for k in keys)
+        assert distinct < cells / 2  # the source repeats its floats
+        assert sum(passed) <= distinct + floats(report)
 
     @pytest.mark.parametrize("table", [False, True], ids=["dicts", "records"])
     def test_long_lists_are_written_block_by_block(self, table):

@@ -1,7 +1,12 @@
 """Geometry primitives: tolerances, segments, hulls, and interiors."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggkit import (
     SegmentKind,
@@ -19,7 +24,7 @@ from aggkit.errors import (
     NotInAffineHull,
     NotInConvexHull,
 )
-from aggkit.geometry import SegmentPosition, _close_rows, interior_lambda
+from aggkit.geometry import SegmentPosition, _close_rows, _norm, _row_norms, interior_lambda
 
 
 class TestTolerance:
@@ -66,6 +71,52 @@ class TestTolerance:
             Tolerance(abs_tol=0.0, rel_tol=0.0)
         # One of the two may be zero.
         assert Tolerance(rel_tol=0.0).gate(1e9) == pytest.approx(1e-9)
+
+
+@st.composite
+def rows_of_any_magnitude(draw):
+    """A few rows whose coordinates range from subnormal to near the largest float."""
+    d = draw(st.integers(1, 4))
+    scale = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e150, 1e154, 1e200, 1e300, 1e307, 8e307])
+    cells = st.builds(lambda s, x: s * x, scale, st.floats(-1.7, 1.7))
+    return np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=5)))
+
+
+class TestOverflowFreeNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_of_any_magnitude())
+    def test_finite_rows_have_finite_norms(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _row_norms(rows)
+        for row, norm in zip(rows, got.tolist()):
+            with np.errstate(over="ignore"):
+                plain = float(np.linalg.norm(row))
+            if math.isfinite(plain):  # the plain norm, bit for bit, where it is finite
+                assert norm == plain and _norm(row) == plain
+            else:  # else the row over its largest magnitude
+                top = float(np.abs(row).max())
+                assert norm == top * float(np.linalg.norm(row / top))
+                assert math.isfinite(norm) == (norm <= np.finfo(float).max)
+                assert norm == pytest.approx(math.hypot(*row.tolist()), rel=1e-12)
+
+    def test_non_finite_rows_keep_their_norms(self):
+        rows = np.array([[np.inf, 1.0], [np.nan, 1e300], [-np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _row_norms(rows)
+        assert got[0] == np.inf and np.isnan(got[1]) and np.isnan(got[2])
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_segment_of_huge_points(self, scale):
+        # The squared length overflows; lambda and the residual scale with the points.
+        a, b, p = np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.25, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pos = segment_coefficient(p * scale, a * scale, b * scale)
+        assert pos.kind is SegmentKind.ON_SEGMENT
+        assert pos.lam == pytest.approx(0.75)
+        assert pos.residual <= 1e-9 * scale
 
 
 class TestAsPoint:

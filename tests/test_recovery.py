@@ -106,17 +106,31 @@ class TestRecover:
         assert len(checked) == len(flat_source)
         assert checked.passed.all()
 
-    def test_overflowing_residual_fails_verification(self, fixtures_dir):
-        # Scaled by 1e300, the pair's residual and gate overflow to inf:
-        # verification fails closed instead of passing inf <= inf.
-        with open(fixtures_dir / "broken_average.json", encoding="utf-8") as fh:
+    def test_overflowing_residual_fails_verification(self):
+        # The triple's outcome has a norm beyond the float range, so its gate
+        # overflows to inf: verification fails closed instead of passing
+        # its finite residual under an infinite gate.
+        m = 1.2e308
+        src = DatasetSource(3, {
+            "a": [m, 0, 0], "b": [0, m, 0], "c": [0, 0, m],
+            frozenset("ab"): [m / 2, m / 2, 0], frozenset("ac"): [m / 2, 0, m / 2],
+            frozenset("bc"): [0, m / 2, m / 2], frozenset("abc"): [m, m, m],
+        })
+        outcome = recover(src)
+        assert isinstance(outcome, NonRepresentable)
+        assert outcome.failing_sets == (("a", "b", "c"),)
+        assert math.isfinite(outcome.max_residual)
+
+    def test_huge_outcomes_verify(self, fixtures_dir):
+        # Scaled by 1e300 the squared norms overflow, but the norms do not:
+        # every set verifies as it does unscaled.
+        with open(fixtures_dir / "triangle_two_tier.json", encoding="utf-8") as fh:
             src = load_dataset(fh).source
         big = DatasetSource(src.dimension, {s: src.outcome(s) * 1e300 for s in src.sets()})
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is judged, not warned about
-            outcome = recover(big)
-        assert isinstance(outcome, NonRepresentable)
-        assert ("a", "b") in outcome.failing_sets
-        assert outcome.max_residual == math.inf
+        outcome = recover(big)
+        assert isinstance(outcome, Recovered)
+        assert outcome.verification.passed.all()
+        assert outcome.representation.ranks == recover(src).representation.ranks
 
     def test_missing_data_outcome(self):
         src = DatasetSource(

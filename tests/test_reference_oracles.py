@@ -2435,12 +2435,22 @@ class TestBeliefLoaderMatchesPerSetLoop:
             assert want is None
 
 
+def reference_norm(x):
+    """``np.linalg.norm``, or, where its squares overflow on a finite vector,
+    the norm of the vector over its largest magnitude, times that magnitude."""
+    norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and np.isfinite(x).all():
+        top = float(np.abs(x).max())
+        norm = top * float(np.linalg.norm(x / top))
+    return norm
+
+
 def _reference_scaled(u, v, tol, who):
     """One vector over <u, v>, with scalar dots and norms and ``tol.gate``."""
     u = as_point(u)
     v = as_point(v, dim=u.size)
     s = float(np.dot(u, v))
-    gate = tol.gate(float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+    gate = tol.gate(reference_norm(u) * reference_norm(v))
     if s <= gate:
         raise MinimalAgreementViolated(who, s, gate)
     return u / s
