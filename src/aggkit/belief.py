@@ -43,11 +43,11 @@ from .model import (
     DatasetSource,
     FeatureSet,
     Representation,
-    _membership,
+    _block_source,
+    _every_subset,
     _positive_weights,
     _split_rows,
-    _subsets,
-    _top_mean,
+    _top_means,
     feature_set,
 )
 from .recovery import (
@@ -179,7 +179,7 @@ def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProba
         )
     features = rep.features()
     cells = _cells([as_belief(rep.outcomes[f], tol) for f in features])
-    table = _top_mean(rep._weight_array, cells)[0]
+    table = _top_means(rep._weight_array, cells)[0]
     return JointProbability(features=features, table=table.reshape(-1, len(features)))
 
 
@@ -290,12 +290,9 @@ def build_cps(
             f"the limit is {_MAX_CPS_FEATURES}"
         )
     beliefs = [as_belief(rep.outcomes[f], tol) for f in features]
-    sets = _subsets(features)
-    members = _membership(rep._column, sets)
-    tables = _top_mean(rep._weight_array, _cells(beliefs), members, rep._rank_array)
-    return ConditionalProbabilitySystem(
-        num_states=beliefs[0].size, source=DatasetSource(tables.shape[1], dict(zip(sets, tables)))
-    )
+    blocks = _every_subset(len(features))
+    tables = _top_means(rep._weight_array, _cells(beliefs), blocks, rep._rank_array)
+    return ConditionalProbabilitySystem(num_states=beliefs[0].size, source=_block_source(features, blocks, tables))
 
 
 @dataclass(frozen=True)
@@ -319,9 +316,9 @@ class CpsReport:
         return not self.violations
 
 
-# Cells (pair x state x feature) per block of the batched chain-rule check;
-# small, because a block's temporaries add to the process's peak memory.
-_CPS_BLOCK_CELLS = 1 << 12
+# Cells (pair x state x feature) per block of the batched chain-rule check:
+# its three buffers stay within a core's cache.
+_CPS_BLOCK_CELLS = 1 << 14
 
 
 def verify_cps(
@@ -339,43 +336,54 @@ def verify_cps(
     """
     g = tol.gate(1.0)
     src = cps.source
-    features, keys = src.features(), src._members
-    tables = src._points.reshape(len(src), cps.num_states, len(features))
-    member = _membership({f: j for j, f in enumerate(features)}, keys)
+    features, keys, count = src.features(), src._members, len(src)
+    tables = src._points.reshape(count, cps.num_states, len(features))
+    member = np.zeros((count, len(features)))  # 1.0 where the feature is in the set
+    for first, block in src._blocks.values():
+        member[np.arange(first, first + len(block))[:, None], block] = 1.0
     masses = tables.sum(axis=1)  # (set, feature) mass of each column
     total = masses.sum(axis=1)
     unnormalized = np.abs(total - 1.0) > g
-    outside = np.abs(total - np.where(member, masses, 0.0).sum(axis=1)) > g
+    outside = np.abs(total - (masses * member).sum(axis=1)) > g
     faulty = np.flatnonzero(unnormalized | outside)
     if faulty.size:
         row = faulty[0]
         why = "is not normalized" if unnormalized[row] else "has mass outside its set"
         raise ValueError(f"conditional on {list(keys[row])} {why}")
 
-    union, *parts = _split_rows(src)
-    pairs = np.vstack([np.sort(parts, axis=0), union])  # rows A < B, then A + B
-    pairs = pairs[:, np.lexsort(pairs[::-1])]
+    # Rows A < B of each split in canonical order: a pair fixes its union,
+    # so one int64 key A * count + B orders them.
+    union, a, b = _split_rows(src)
+    key = np.minimum(a, b)
+    key *= count
+    key += np.maximum(a, b, out=b)
+    order = np.argsort(key)
 
     violations: list[ChainViolation] = []
     worst = 0.0
     block = max(1, _CPS_BLOCK_CELLS // src.dimension)
-    for start in range(0, pairs.shape[1], block):
-        a, b, u = pairs[:, start : start + block]
-        coef_a = (masses[u] * member[a]).sum(axis=1)[:, None, None]
-        coef_b = (masses[u] * member[b]).sum(axis=1)[:, None, None]
-        lhs = tables[u]
-        rhs = coef_a * tables[a] + coef_b * tables[b]
-        gaps = np.abs(lhs - rhs)
-        worst = max(worst, float(gaps.max()))
-        # Feature-major within each pair, as the cells are reported.
-        violations += [
-            ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
-                           float(lhs[k, state, c]), float(rhs[k, state, c]))
-            for k, c, state in np.argwhere(gaps.transpose(0, 2, 1) > g)
-        ]
-    return CpsReport(
-        max_residual=worst, violations=tuple(violations), checked_pairs=pairs.shape[1]
-    )
+    buffers = np.empty((3, min(block, len(order)), *tables.shape[1:]))
+    for start in range(0, len(order), block):
+        pick = order[start : start + block]
+        a, b = np.divmod(key[pick], count)
+        u = union[pick]
+        lhs, rhs, gap = buffers[:, : len(pick)]
+        mass = masses.take(u, axis=0)
+        coef_a = (mass * member.take(a, axis=0)).sum(axis=1)[:, None, None]
+        coef_b = (mass * member.take(b, axis=0)).sum(axis=1)[:, None, None]
+        tables.take(u, axis=0, out=lhs)
+        np.multiply(tables.take(a, axis=0, out=rhs), coef_a, out=rhs)
+        rhs += np.multiply(tables.take(b, axis=0, out=gap), coef_b, out=gap)
+        np.abs(np.subtract(lhs, rhs, out=gap), out=gap)
+        most = float(gap.max())
+        worst = max(worst, most)
+        if most > g:  # feature-major within each pair, as the cells are reported
+            violations += [
+                ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
+                               float(lhs[k, state, c]), float(rhs[k, state, c]))
+                for k, c, state in np.argwhere(gap.transpose(0, 2, 1) > g)
+            ]
+    return CpsReport(max_residual=worst, violations=tuple(violations), checked_pairs=len(order))
 
 
 @dataclass(frozen=True)
@@ -426,7 +434,7 @@ def evaluate_discounted(
     coefs = [
         q ** query.times[f] * w for f, w in zip(members, _positive_weights(weights, members))
     ]
-    return _top_mean(coefs, [as_point(beliefs[f]) for f in members])[0]
+    return _top_means(coefs, [as_point(beliefs[f]) for f in members])[0]
 
 
 @dataclass(frozen=True)

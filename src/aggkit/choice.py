@@ -29,7 +29,7 @@ from .geometry import (
 from .model import (
     DatasetSource,
     _positive_weights,
-    _top_mean,
+    _top_means,
     check_richness,
     feature_set,
 )
@@ -163,7 +163,7 @@ def choice_probabilities(
     if unknown:
         raise UnknownFeature(f"unknown alternatives {sorted(unknown)}")
     ids = sorted(fs)
-    probs = _top_mean(
+    probs = _top_means(
         _positive_weights(weights, ids), np.eye(len(ids)), ranks=[ranks[f] for f in ids]
     )[0]
     return dict(zip(ids, probs.tolist()))
@@ -209,7 +209,7 @@ def make_luce_oracle(
 
     def oracle(menu: Menu) -> Vector:
         pts = menu.points()
-        return _top_mean([weight_of(p) for p in pts], pts)[0]
+        return _top_means([weight_of(p) for p in pts], pts)[0]
 
     return oracle
 

@@ -123,10 +123,12 @@ def _row_dots(x: NDArray[np.float64], y: NDArray[np.float64]) -> Vector:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _row_norms(rows: NDArray[np.float64]) -> Vector:
+def _row_norms(rows: NDArray[np.float64], tame: bool | None = None) -> Vector:
     """``np.linalg.norm`` of each row, bit for bit (it is the root of a dot)
-    wherever that is finite; see :func:`_finite_norms` for the rest."""
-    if _tame(rows):
+    wherever that is finite; see :func:`_finite_norms` for the rest.  A
+    kernel that has checked its inputs with ``_tame`` passes the verdict as
+    ``tame``; by default the rows are checked here."""
+    if _tame(rows) if tame is None else tame:
         return np.sqrt(_row_dots(rows, rows))
     return _finite_norms(lambda r: np.sqrt(_row_dots(r, r)), rows)
 
@@ -136,9 +138,11 @@ def _row_norms(rows: NDArray[np.float64]) -> Vector:
 _SQUARE_SAFE = 1e150
 
 
-def _tame(x: NDArray[np.float64]) -> bool:
-    """No coordinate of ``x`` reaches ``_SQUARE_SAFE``, and none is NaN."""
-    return np.maximum.reduce(np.abs(x), axis=None, initial=0.0) < _SQUARE_SAFE
+def _tame(x: NDArray[np.float64], growth: float = 1.0) -> bool:
+    """No coordinate of ``x`` reaches ``_SQUARE_SAFE / growth`` and none is
+    NaN, so no square overflows in a row at most ``growth`` times as long
+    as a row of such coordinates."""
+    return np.maximum.reduce(np.abs(x), axis=None, initial=0.0) < _SQUARE_SAFE / growth
 
 
 def _finite_norms(
@@ -169,8 +173,9 @@ def _close_rows(
 ) -> NDArray[np.bool_]:
     """:meth:`Tolerance.close` of each row of ``a`` with the same row of
     ``b``, bit for bit: the same gate on :func:`_row_norms`."""
-    scale = np.maximum(_row_norms(a), _row_norms(b))
-    return _row_norms(a - b) <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    tame = _tame(a, 2.0) and _tame(b, 2.0)  # the rows of a - b too
+    scale = np.maximum(_row_norms(a, tame), _row_norms(b, tame))
+    return _row_norms(a - b, tame) <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
 
 
 def _common_dim(*points: Vector) -> int:
@@ -449,14 +454,16 @@ def _nnls(a: NDArray[np.float64], b: Vector) -> Vector:
     return x
 
 
-def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64]) -> Vector:
+def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64], tame: bool | None = None) -> Vector:
     """Each row's largest norm among its centred point, a row of ``q``
-    ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``."""
-    if _tame(spokes):
+    ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``;
+    ``tame`` as :func:`_row_norms` takes it."""
+    tame = (_tame(spokes) and _tame(q)) if tame is None else tame
+    if tame:
         spoke_norms = np.linalg.norm(spokes, axis=2)
     else:
         spoke_norms = _finite_norms(lambda s: np.linalg.norm(s, axis=2), spokes)
-    return np.maximum(_row_norms(q), spoke_norms.max(axis=1))
+    return np.maximum(_row_norms(q, tame), spoke_norms.max(axis=1))
 
 
 def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:
@@ -598,12 +605,16 @@ def _certify_interior(
     accepted is undecided, not refuted: the search has to decide it.
     """
     m = gens.shape[1]
+    # coef is convex and the stretch at most 2, so no row whose norm is taken
+    # below is more than 18 times as long as a row of the inputs' largest
+    # coordinate; 32 leaves room for rounding.
+    tame = _tame(points, 32.0) and _tame(gens, 32.0)
     origin = gens.mean(axis=1)
     spokes = gens - origin[:, None, :]
     q = points - origin
-    gate, level, stretch = _interior_terms(m, _spread(q, spokes), tol)
+    gate, level, stretch = _interior_terms(m, _spread(q, spokes, tame), tol)
     rebuilt = np.einsum("km,kmd->kd", coef, spokes)
-    accepted = (_row_norms(rebuilt - q) <= _CERTIFICATE_SHARE * gate) & (
+    accepted = (_row_norms(rebuilt - q, tame) <= _CERTIFICATE_SHARE * gate) & (
         coef.min(axis=1) >= level
     )
 
@@ -619,5 +630,5 @@ def _certify_interior(
     flat_spokes = flat - flat_origin[:, None, :]
     flat_q = target - flat_origin
     stretched = stretch * coef - (stretch - 1.0) / m
-    miss = _row_norms(np.einsum("km,kmr->kr", stretched, flat_spokes) - flat_q)
-    return accepted & (miss <= _CERTIFICATE_SHARE * _FIT_EPS * _spread(flat_q, flat_spokes))
+    miss = _row_norms(np.einsum("km,kmr->kr", stretched, flat_spokes) - flat_q, tame)
+    return accepted & (miss <= _CERTIFICATE_SHARE * _FIT_EPS * _spread(flat_q, flat_spokes, tame))

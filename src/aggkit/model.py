@@ -9,7 +9,8 @@ checks that connect raw data to the mixture axioms (weighted, strict,
 extreme averaging).
 
 That rule, form (3) of the paper, has one implementation: every forward
-evaluation in the package is a call to ``_top_mean``.
+evaluation in the package is a call to ``_top_means``, which reads the
+sets as per-size blocks of feature codes, the form of a source's index.
 """
 
 from __future__ import annotations
@@ -130,10 +131,11 @@ class DatasetSource:
     row for row, and ``_blocks``, each set size k -> its first row and its
     sets' feature indices as a read-only ``(m_k, k)`` block (each row
     increasing, rows in row order), so stored pair j is row n + j; a source
-    with new outcomes for the same sets (``_with_points``) shares both.  The
-    public lookups validate their arguments; code inside the package that
-    holds valid ids uses ``_lookup``, ``_row``, ``_members``, ``_blocks``
-    and ``_pair_table`` directly.
+    with new outcomes for the same sets (``_with_points``) shares both, but
+    not ``_pair_tables``, where ``_pair_table`` keeps its read-only tables
+    per tolerance.  The public lookups validate their arguments; code inside
+    the package that holds valid ids uses ``_lookup``, ``_row``, ``_members``,
+    ``_blocks`` and ``_pair_table`` directly.
     """
 
     def __init__(
@@ -195,6 +197,7 @@ class DatasetSource:
         self._features = features
         self._members = tuple(members)
         self._blocks = blocks
+        self._pair_tables = {}
         points = points[np.concatenate(order)]
         points.setflags(write=False)
         self._points = points
@@ -206,7 +209,7 @@ class DatasetSource:
         shared, not rebuilt.  The caller refuses rows that are not finite."""
         points.setflags(write=False)
         derived = copy.copy(self)
-        derived._points = points
+        derived._points, derived._pair_tables = points, {}
         return derived
 
     def features(self) -> tuple[str, ...]:
@@ -254,7 +257,10 @@ def _pair_table(
     int32, as a source holds fewer than 2^31 sets), the row of f({i, j}) in
     ``src._points``, -1 where the pair is absent and on the diagonal; and
     ``away[i, j]``, a stored f({i, j}) is not ``_close_rows``-close to f(j),
-    so ``away & away.T`` marks the pair aggregates away from both endpoints."""
+    so ``away & away.T`` marks the pair aggregates away from both endpoints.
+    The three are read-only and built once per source and tolerance."""
+    if tol in src._pair_tables:
+        return src._pair_tables[tol]
     n = len(src._features)
     singles = src._points[:n]  # the singletons, in feature order; stored pair k is row n + k
     equal = np.empty((n, n), dtype=bool)
@@ -270,7 +276,10 @@ def _pair_table(
     away = np.zeros((n, n), dtype=bool)
     away[first, second] = ~_close_rows(aggs, singles[second], tol)
     away[second, first] = ~_close_rows(aggs, singles[first], tol)
-    return equal, row, away
+    for table in (equal, row, away):
+        table.setflags(write=False)
+    src._pair_tables[tol] = equal, row, away
+    return src._pair_tables[tol]
 
 
 def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> list[float]:
@@ -286,44 +295,34 @@ def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> l
     return out
 
 
-def _membership(column: Mapping[str, int], sets: Sequence[Iterable[str]]) -> NDArray[np.bool_]:
-    """Boolean (sets x features) matrix of ``sets``; ``column`` numbers the features."""
-    width = len(column)
-    members = np.zeros((len(sets), width), dtype=bool)
-    members.reshape(-1)[[row * width + column[f] for row, s in enumerate(sets) for f in s]] = True
-    return members
-
-
-def _top_mean(
+def _top_means(
     weights: Sequence[float],
     points: Sequence[Vector],
-    members: NDArray[np.bool_] | None = None,
+    blocks: Mapping[int, tuple[int, NDArray[np.intp]]] | None = None,
     ranks: Sequence[int] | None = None,
 ) -> NDArray[np.float64]:
-    """Rule (3) for each row of ``members``: the weighted mean of its top rank.
+    """Rule (3) for each set of ``blocks``: the weighted mean of its top rank.
 
-    ``members`` is a boolean (sets x features) matrix, by default one row
-    of every feature; ``weights``, ``points`` and ``ranks`` (by default
-    one rank) follow its columns, the features in sorted order.  Weights
-    and weight x point of each row's top members are added one column at
-    a time, step for step as a scalar loop in sorted order would.
+    ``weights``, ``points`` and ``ranks`` (by default one rank) follow the
+    features in sorted order.  ``blocks`` holds the sets as
+    ``DatasetSource._blocks`` does: size k -> (first output row, a ``(m_k, k)``
+    block of feature codes, each row increasing); by default one set of every
+    feature.  Weight x point and weight of each set's top members are added
+    one block column at a time, so in sorted order, as a scalar loop would.
     """
     points = np.asarray(points, dtype=float)
-    if members is None:
-        members = np.ones((1, len(points)), dtype=bool)
     ranks = np.zeros(len(points)) if ranks is None else np.asarray(ranks)
-    columns = np.asfortranarray(members).T
-    used = np.flatnonzero(columns.any(axis=1))
-    best = np.full(len(members), -np.inf)
-    for j in used:
-        np.maximum(best, ranks[j], out=best, where=columns[j])
-    total = np.zeros(len(members))
-    acc = np.zeros((len(members), points.shape[1]))
-    for j in used:
-        top = columns[j] & (best == ranks[j])
-        np.add(total, weights[j], out=total, where=top)
-        np.add(acc, weights[j] * points[j], out=acc, where=top[:, None])
-    return acc / total[:, None]
+    if blocks is None:
+        blocks = {len(points): (0, np.arange(len(points))[None])}
+    weights = np.asarray(weights, dtype=float)[:, None]
+    terms = np.hstack([weights * points, weights])  # w x point, then w
+    sums = np.zeros((sum(len(block) for _, block in blocks.values()), len(terms[0])))
+    for first, block in blocks.values():
+        acc, level = sums[first : first + len(block)], ranks[block]
+        top = level == level.max(axis=1, keepdims=True)
+        for codes, use in zip(block.T, top.T):
+            np.add(acc, terms[codes], out=acc, where=use[:, None])
+    return sums[:, :-1] / sums[:, -1:]
 
 
 @dataclass(frozen=True)
@@ -367,7 +366,7 @@ class Representation:
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "ranks", MappingProxyType(ranks))
         object.__setattr__(self, "outcomes", MappingProxyType(points))
-        # The same three as arrays over the sorted features, for _top_mean.
+        # The same three as arrays over the sorted features, for _top_means.
         object.__setattr__(self, "_column", {f: j for j, f in enumerate(features)})
         object.__setattr__(self, "_weight_array", np.array([weights[f] for f in features]))
         object.__setattr__(self, "_rank_array", np.array([ranks[f] for f in features]))
@@ -389,14 +388,43 @@ class Representation:
         )
 
     def _evaluate(self, sets: Sequence[Iterable[str]]) -> NDArray[np.float64]:
-        """Rule (3) on each of ``sets`` (non-empty, of known ids), one row each."""
-        members = _membership(self._column, sets)
-        return _top_mean(self._weight_array, self._outcome_array, members, self._rank_array)
+        """Rule (3) on each of ``sets`` (non-empty, of distinct known ids), one
+        row each: the sets of each size are one block of sorted codes."""
+        codes = [sorted(map(self._column.__getitem__, s)) for s in sets]
+        out = np.empty((len(codes), self.dimension))
+        for size in set(map(len, codes)):
+            rows = [k for k, c in enumerate(codes) if len(c) == size]
+            out[rows] = self._evaluate_blocks({size: (0, np.array([codes[k] for k in rows]))})
+        return out
+
+    def _evaluate_blocks(self, blocks: Mapping[int, tuple[int, NDArray[np.intp]]]) -> NDArray[np.float64]:
+        """Rule (3) on the sets of ``blocks``, as :func:`_top_means` reads them."""
+        return _top_means(self._weight_array, self._outcome_array, blocks, self._rank_array)
 
 
-def _subsets(features: Sequence[str]) -> list[tuple[str, ...]]:
-    """Every non-empty subset, by size, then in ``itertools.combinations`` order."""
-    return [c for k in range(1, len(features) + 1) for c in itertools.combinations(features, k)]
+@functools.lru_cache(maxsize=4)
+def _every_subset(n: int) -> Mapping[int, tuple[int, NDArray[np.intp]]]:
+    """Every non-empty subset of codes 0..n-1 as ``DatasetSource._blocks``
+    holds sets: by size, then in ``itertools.combinations`` order.  Cached,
+    read-only."""
+    blocks = [np.array(list(itertools.combinations(range(n), k)), dtype=np.intp) for k in range(1, n + 1)]
+    for block in blocks:
+        block.setflags(write=False)
+    starts = np.cumsum([0] + list(map(len, blocks))).tolist()
+    return MappingProxyType({k: (first, block) for k, first, block in zip(range(1, n + 1), starts, blocks)})
+
+
+def _block_source(
+    features: tuple[str, ...], blocks: Mapping[int, tuple[int, NDArray[np.intp]]], points: NDArray[np.float64]
+) -> DatasetSource:
+    """The source of ``features`` (sorted, valid ids) whose sets are the rows
+    of ``blocks``, in canonical order, with outcomes ``points`` row for row.
+    The one test is finiteness: as_point raises the ValueError that
+    ``DatasetSource`` raises for the first row that is not finite."""
+    as_point(points[np.isfinite(points).all(axis=1).argmin()])
+    codes = np.concatenate([block.ravel() for _, block in blocks.values()])
+    lengths = np.repeat(list(blocks), [len(block) for _, block in blocks.values()])
+    return DatasetSource._from_columns(points.shape[1], features, codes, lengths, points)
 
 
 def _known_set(rep: Representation, members: Iterable[str] | str) -> FeatureSet:
@@ -439,8 +467,10 @@ def induced_source(
             f"all subsets of {len(features)} features is too large; "
             f"the limit is {_MAX_ALL_SUBSETS}"
         )
-    known = [_known_set(rep, s) for s in (_subsets(features) if sets is None else sets)]
-    known += [frozenset([f]) for f in features]
+    if sets is None:
+        blocks = _every_subset(len(features))
+        return _block_source(features, blocks, rep._evaluate_blocks(blocks))
+    known = [_known_set(rep, s) for s in sets] + [frozenset([f]) for f in features]
     return DatasetSource(rep.dimension, dict(zip(known, rep._evaluate(known))))
 
 
@@ -616,11 +646,14 @@ def _listed_splits(
     return tuple(np.array(splits, dtype=np.intp).reshape(-1, 3).T)
 
 
+@functools.lru_cache(maxsize=64)
 def _pattern_weights(size: int, n: int) -> NDArray[np.int64]:
     """The digit weights of ``_patterns(size)`` in base n + 1: a part's key
-    is their product with its union's codes + 1."""
+    is their product with its union's codes + 1.  Cached, read-only."""
     masks, later = _patterns(size)
-    return np.where(masks, (np.int64(n + 1) ** np.arange(size, dtype=np.int64))[later], 0)
+    weights = np.where(masks, (np.int64(n + 1) ** np.arange(size, dtype=np.int64))[later], 0)
+    weights.setflags(write=False)
+    return weights
 
 
 def _pattern_splits(

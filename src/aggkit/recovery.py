@@ -161,7 +161,7 @@ def recover_order(
     n = len(features)
     points = src._points[:n]  # the singletons, in feature order
     equal, row, away = _pair_table(src, tol)
-    away &= ~equal  # distinct outcomes compare directly
+    away = away & ~equal  # distinct outcomes compare directly
     absent = (row < 0) & ~equal
     geq = away | np.eye(n, dtype=bool)
     # A witness for x: a feature whose pair with x lands strictly inside.
@@ -357,8 +357,8 @@ def _fallback_witness(
     sorted ``members`` and ``observed`` outcome): the observed aggregate
     implies one weight ratio for them (or none, when it leaves the
     segment), while the recovered weights imply another.  A top of a alone
-    takes b, the first highest-ranked other member (a singleton never
-    fails), which rule (3) gives no weight; the aggregate is read for {a, b}.
+    takes b, the first highest-ranked other member (the set has two or
+    more), which rule (3) gives no weight; the aggregate is read for {a, b}.
     """
     top = sorted(top_set(rep, members))
     a = top[0]
@@ -441,9 +441,15 @@ def recover(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOutcome
         )
 
     witness = _ratio_conflict_witness(src, ranks, tol)
-    if witness is None:
-        worst = max(failing, key=residuals.__getitem__)
+    # A singleton fails only where its verification leaves the float range.
+    wide = [k for k in failing if len(checked.members[k]) > 1]
+    if witness is None and wide:
+        worst = max(wide, key=residuals.__getitem__)
         witness = _fallback_witness(checked.members[worst], checked.observed[worst], rep, tol)
+    elif witness is None:
+        (a,) = checked.members[failing[0]]
+        why = f"verifying the outcome of {a} leaves the float range"
+        witness = _witness((a, a), (math.nan, ((a,),), why), (1.0, (), "implied by the recovered weights"))
     return NonRepresentable(
         witness=witness,
         failing_sets=tuple(checked.members[k] for k in failing),
@@ -456,7 +462,7 @@ def _verification(src: DatasetSource, rep: Representation, tol: Tolerance) -> Ve
     passes when its residual is within tol.gate(|observed|, |predicted|, 1).
     It fails closed: a residual or gate that overflowed never passes."""
     observed, members = src._points, src._members
-    predicted = rep._evaluate(members)
+    predicted = rep._evaluate_blocks(src._blocks)
     residual = _row_norms(observed - predicted)
     scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
     gate = np.maximum(tol.abs_tol, tol.rel_tol * scale)

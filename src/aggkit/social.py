@@ -44,9 +44,8 @@ from .model import (
     AxiomMode,
     AxiomReport,
     DatasetSource,
-    _membership,
     _positive_weights,
-    _top_mean,
+    _top_means,
     check_axiom,
     feature_set,
 )
@@ -284,7 +283,7 @@ def aggregate_coalition(
     without a weight, ValueError for a weight not positive and finite.
     """
     members = sorted(feature_set(coalition))
-    return _top_mean(
+    return _top_means(
         _positive_weights(weights, members), [as_point(utilities[m]) for m in members]
     )[0]
 
@@ -318,11 +317,11 @@ def verify_weight_table(
     if not coalitions:
         return ()
     people = sorted({m for members in coalitions for m in members})
-    single = dict(zip(norm_src.features(), range(first)))  # an individual's row
-    predicted = _top_mean(
-        _positive_weights(weights, people),
-        norm_src._points[[single[m] for m in people]],
-        _membership({m: j for j, m in enumerate(people)}, coalitions),
+    known = dict(zip(people, _positive_weights(weights, people)))
+    predicted = _top_means(
+        [known.get(f, 1.0) for f in norm_src.features()],  # an individual in no coalition is never read
+        norm_src._points[:first],
+        {size: (start - first, block) for size, (start, block) in norm_src._blocks.items() if size > 1},
     )
     residuals = _row_norms(norm_src._points[first:] - predicted).tolist()
     return tuple((c, r, r <= tol.gate(1.0)) for c, r in zip(coalitions, residuals))

@@ -151,11 +151,11 @@ class TestConditionalProbabilitySystem:
     @pytest.mark.parametrize("n, refused", [(14, False), (15, True)])
     def test_feature_limit(self, monkeypatch, n, refused):
         # Beyond the limit TooLarge comes before any subset is built.
-        def no_subsets(features):
+        def no_subsets(count):
             raise AssertionError("a subset list was built")
 
         if refused:
-            monkeypatch.setattr(belief, "_subsets", no_subsets)
+            monkeypatch.setattr(belief, "_every_subset", no_subsets)
         rep = Representation(
             weights={f"x{i:02d}": 1.0 for i in range(n)},
             ranks={f"x{i:02d}": 0 for i in range(n)},

@@ -289,6 +289,22 @@ class TestVerdictsAndExitCodes:
         assert (code, rep["verdict"]) == (1, "non-representable")
         assert rep["result"]["failing_sets"] == [["a", "b", "c"]]
 
+    def test_singleton_beyond_the_float_range_is_not_recovered(self, run_cli, tmp_path):
+        # Only the singleton a fails verification, under an infinite gate: a
+        # negative verdict naming a, not a usage error.
+        doc = {
+            "format_version": "1",
+            "dimension": 2,
+            "features": {"a": {"outcome": [1.7e308, 1.7e308]}, "b": {"outcome": [0, 0]}},
+            "sets": [{"members": ["a", "b"], "outcome": [0.85e308, 0.85e308]}],
+        }
+        path = tmp_path / "huge-singleton.json"
+        path.write_text(json.dumps(doc))
+        code, rep = report_of(run_cli, "recover", str(path))
+        assert (code, rep["verdict"]) == (1, "non-representable")
+        assert rep["result"]["failing_sets"] == [["a"]]
+        assert rep["result"]["witness"]["pair"] == ["a", "a"]
+
     @staticmethod
     def _scaled(fixtures_dir, tmp_path, name, factor):
         doc = json.loads((fixtures_dir / f"{name}.json").read_text())

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from aggkit.errors import (
     NotInAffineHull,
     NotInConvexHull,
 )
-from aggkit.geometry import SegmentPosition, _close_rows, _norm, _row_norms, interior_lambda
+from aggkit import geometry
+from aggkit.geometry import DEFAULT_TOL, SegmentPosition, _certify_interior, _close_rows, _norm, _row_norms, interior_lambda
 
 
 class TestTolerance:
@@ -117,6 +119,52 @@ class TestOverflowFreeNorms:
         assert pos.kind is SegmentKind.ON_SEGMENT
         assert pos.lam == pytest.approx(0.75)
         assert pos.residual <= 1e-9 * scale
+
+
+def _tame_calls(fn, *args, force=None):
+    """``fn(*args)`` and the number of ``_tame`` tests it ran; with ``force``
+    set, every test gives that verdict."""
+    calls = []
+    real = geometry._tame
+
+    def counted(x, growth=1.0):
+        calls.append(growth)
+        return real(x, growth) if force is None else force
+
+    with mock.patch.object(geometry, "_tame", counted), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return fn(*args), len(calls)
+
+
+_KERNEL_SCALES = st.sampled_from([1.0, 1e140, 3e148, 1e150, 1e154, 1e200, 1e300, 5e307])
+
+
+class TestTameOncePerKernel:
+    """A kernel tests each input with ``_tame`` once and hands the verdict to
+    every norm it takes; the careful path everywhere gives the same answer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_of_any_magnitude(), st.floats(-1.5, 1.5), _KERNEL_SCALES)
+    def test_close_rows(self, rows, shift, scale):
+        with np.errstate(over="ignore"):
+            other = np.clip(rows * shift + scale * np.sign(rows), -4e307, 4e307)  # a - b stays finite
+        got, calls = _tame_calls(_close_rows, rows, other, DEFAULT_TOL)
+        careful, _ = _tame_calls(_close_rows, rows, other, DEFAULT_TOL, force=False)
+        assert calls <= 2 and got.tolist() == careful.tolist()
+        assert got.tolist() == [DEFAULT_TOL.close(a, b) for a, b in zip(rows, other)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), _KERNEL_SCALES)
+    def test_certify_interior(self, seed, m, d, scale):
+        rng = np.random.default_rng(seed)
+        gens = rng.uniform(-1.0, 1.0, (6, m, d)) * scale
+        coef = rng.uniform(0.05, 1.0, (6, m))
+        coef /= coef.sum(axis=1, keepdims=True)
+        points = np.einsum("km,kmd->kd", coef, gens)
+        points[::2] += rng.normal(0.0, 1e-10, (3, d)) * scale
+        got, calls = _tame_calls(_certify_interior, points, gens, coef, DEFAULT_TOL)
+        careful, _ = _tame_calls(_certify_interior, points, gens, coef, DEFAULT_TOL, force=False)
+        assert calls <= 2 and got.tolist() == careful.tolist()
 
 
 class TestAsPoint:

@@ -18,7 +18,7 @@ from aggkit import (
     recover_order,
     recover_weights,
 )
-from aggkit import recovery
+from aggkit import model, recovery
 from aggkit.errors import IntransitivityDetected, MissingDataError
 from aggkit.geometry import DEFAULT_TOL
 
@@ -131,6 +131,25 @@ class TestRecover:
         assert isinstance(outcome, Recovered)
         assert outcome.verification.passed.all()
         assert outcome.representation.ranks == recover(src).representation.ranks
+
+    def test_pair_table_is_built_once(self, monkeypatch):
+        # Moved triples fail verification, so recover reads the pair table for
+        # the order, the weights and the ratio search: it builds it once.
+        rep = Representation(
+            weights={"a": 1.0, "b": 2.0, "c": 0.5, "d": 1.5},
+            ranks={"a": 0, "b": 0, "c": 1, "d": 1},
+            outcomes={"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 1.0], "d": [1.0, 1.0]},
+        )
+        src = induced_source(rep)
+        src = DatasetSource(2, {s: src.outcome(s) + (1e-3 if len(s) > 2 else 0.0) for s in src.sets()})
+        built = []
+        real = model._close_rows
+        monkeypatch.setattr(model, "_close_rows", lambda *args: built.append(1) or real(*args))
+        outcome = recover(src)
+        assert isinstance(outcome, NonRepresentable) and outcome.failing_sets
+        calls, built[:] = len(built), []
+        model._pair_table(src._with_points(src._points.copy()), DEFAULT_TOL)
+        assert calls == len(built) > 0
 
     def test_missing_data_outcome(self):
         src = DatasetSource(
@@ -271,6 +290,18 @@ class TestFallbackWitness:
         assert witness.first.via == (("a", "b", "c"),)
         assert (witness.second.ratio, witness.second.via) == (float("inf"), ())
         assert witness.second.note == "the recovered ranks put a above b"
+
+    def test_a_singleton_beyond_the_float_range_is_named(self):
+        # Only f(a) fails verification: its norm, and so its gate, leaves the
+        # float range.  No set of two or more fails, so the witness names a.
+        src = DatasetSource(2, {"a": [1.7e308] * 2, "b": [0.0, 0.0], ("a", "b"): [0.85e308] * 2})
+        outcome = recover(src)
+        assert isinstance(outcome, NonRepresentable)
+        assert outcome.failing_sets == (("a",),)
+        witness = outcome.witness
+        assert witness.pair == ("a", "a") and witness.first.via == (("a",),)
+        assert math.isnan(witness.first.ratio) and witness.second.ratio == 1.0
+        assert witness.first.note == "verifying the outcome of a leaves the float range"
 
     def test_single_top_pair_reads_its_coefficient(self):
         # The failing set is the pair itself: its aggregate's coefficient

@@ -115,7 +115,7 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import fileio, geometry, model, recovery, social
+from aggkit import belief, fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
 from aggkit.choice import BoundaryReport, BoundaryRow
 from aggkit.errors import (
@@ -1315,6 +1315,228 @@ class TestBeliefTablesMatchReference:
         features, table = reference_build_joint(rep)
         assert joint.features == features
         assert _bits(joint.table) == _bits(table)
+
+
+# --------------------------------------------------------------------------
+# Rule (3) over code blocks against the dense (sets x features) kernel
+
+
+def reference_membership(column, sets):
+    """Boolean (sets x features) matrix of ``sets``; ``column`` numbers the features."""
+    width = len(column)
+    members = np.zeros((len(sets), width), dtype=bool)
+    members.reshape(-1)[[row * width + column[f] for row, s in enumerate(sets) for f in s]] = True
+    return members
+
+
+def reference_top_mean(weights, points, members=None, ranks=None):
+    """Rule (3) for each row of the boolean (sets x features) ``members``, by
+    default one row of every feature: weights and weight x point of each
+    row's top members are added one column at a time, in sorted order."""
+    points = np.asarray(points, dtype=float)
+    if members is None:
+        members = np.ones((1, len(points)), dtype=bool)
+    ranks = np.zeros(len(points)) if ranks is None else np.asarray(ranks)
+    columns = np.asfortranarray(members).T
+    used = np.flatnonzero(columns.any(axis=1))
+    best = np.full(len(members), -np.inf)
+    for j in used:
+        np.maximum(best, ranks[j], out=best, where=columns[j])
+    total = np.zeros(len(members))
+    acc = np.zeros((len(members), points.shape[1]))
+    for j in used:
+        top = columns[j] & (best == ranks[j])
+        np.add(total, weights[j], out=total, where=top)
+        np.add(acc, weights[j] * points[j], out=acc, where=top[:, None])
+    return acc / total[:, None]
+
+
+def _code_blocks(sets):
+    """``sets`` (sorted code tuples) as ``DatasetSource._blocks`` holds them,
+    and the sets in the blocks' row order."""
+    rows = sorted(set(sets), key=lambda s: (len(s), s))
+    blocks = {}
+    for size in sorted({len(s) for s in rows}):
+        block = np.array([s for s in rows if len(s) == size], dtype=np.intp)
+        blocks[size] = (rows.index(tuple(block[0])), block)
+    return blocks, rows
+
+
+# Coordinates from subnormal to near the square-safe bound, both zeros included.
+_KERNEL_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e150, -1e150, 9.999999999999999e149]),
+    st.builds(lambda s, x: s * x, st.sampled_from([1e-300, 1.0, 1e10, 1e150]), st.floats(-1.5, 1.5)),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Weights, ranks with ties, points and sets of every size from 1 to n."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    weight = st.sampled_from([1e-3, 0.5, 1.0, 3.0, 7e2]) | st.floats(1e-3, 1e3)
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    points = draw(st.lists(st.lists(_KERNEL_CELLS, min_size=d, max_size=d), min_size=n, max_size=n))
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(lambda s: tuple(sorted(s)))
+    sets = draw(st.lists(subsets, min_size=1, max_size=12))
+    return np.array(weights), np.array(ranks), np.array(points, dtype=float), sets
+
+
+class TestBlockKernelMatchesDenseKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_same_bits(self, case):
+        weights, ranks, points, sets = case
+        blocks, rows = _code_blocks(sets)
+        codes = {j: j for j in range(len(points))}
+        want = reference_top_mean(weights, points, reference_membership(codes, rows), ranks)
+        got = model._top_means(weights, points, blocks, ranks)
+        assert np.array_equal(got, want) and _bits(got) == _bits(want)
+        # One set of every feature, the default of both.
+        assert _bits(model._top_means(weights, points, ranks=ranks)) == _bits(reference_top_mean(weights, points, ranks=ranks))
+
+    def test_named_sets_in_any_order(self, kernel_rep):
+        # _evaluate groups named sets by size and puts each row back in place.
+        sets = _kernel_sets(kernel_rep)[::-1]
+        members = reference_membership(kernel_rep._column, sets)
+        want = reference_top_mean(kernel_rep._weight_array, kernel_rep._outcome_array, members, kernel_rep._rank_array)
+        assert _bits(kernel_rep._evaluate(sets)) == _bits(want)
+
+
+def _dense_cps(rep):
+    """``build_cps`` as it was built: every subset named, its tables from the
+    dense kernel, and the source made by the validating constructor."""
+    features = rep.features()
+    beliefs = [as_belief(rep.outcomes[f]) for f in features]
+    sets = [c for k in range(1, len(features) + 1) for c in itertools.combinations(features, k)]
+    members = reference_membership(rep._column, sets)
+    tables = reference_top_mean(rep._weight_array, belief._cells(beliefs), members, rep._rank_array)
+    return ConditionalProbabilitySystem(beliefs[0].size, DatasetSource(tables.shape[1], dict(zip(sets, tables))))
+
+
+def dense_verify_cps(cps, tol=DEFAULT_TOL):
+    """``verify_cps`` over a dense member mask, its pairs ordered by one
+    three-row ``lexsort``, in blocks of 4096 cells."""
+    g = tol.gate(1.0)
+    src = cps.source
+    features, keys = src.features(), src._members
+    tables = src._points.reshape(len(src), cps.num_states, len(features))
+    member = reference_membership({f: j for j, f in enumerate(features)}, keys)
+    masses = tables.sum(axis=1)
+    union, *parts = model._split_rows(src)
+    pairs = np.vstack([np.sort(parts, axis=0), union])
+    pairs = pairs[:, np.lexsort(pairs[::-1])]
+    violations, worst = [], 0.0
+    block = max(1, 4096 // src.dimension)
+    for start in range(0, pairs.shape[1], block):
+        a, b, u = pairs[:, start : start + block]
+        coef_a = (masses[u] * member[a]).sum(axis=1)[:, None, None]
+        coef_b = (masses[u] * member[b]).sum(axis=1)[:, None, None]
+        lhs = tables[u]
+        rhs = coef_a * tables[a] + coef_b * tables[b]
+        gaps = np.abs(lhs - rhs)
+        worst = max(worst, float(gaps.max()))
+        violations += [
+            ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
+                           float(lhs[k, state, c]), float(rhs[k, state, c]))
+            for k, c, state in np.argwhere(gaps.transpose(0, 2, 1) > g)
+        ]
+    return CpsReport(max_residual=worst, violations=tuple(violations), checked_pairs=pairs.shape[1])
+
+
+class TestCpsMatchesDenseBuild:
+    @pytest.mark.parametrize("name", sorted(BELIEF_REPS))
+    def test_same_source_and_report(self, name):
+        rep = BELIEF_REPS[name]()
+        cps, dense = build_cps(rep), _dense_cps(rep)
+        assert cps.source._members == dense.source._members
+        assert _bits(cps.source._points) == _bits(dense.source._points)
+        assert {k: (first, block.tolist()) for k, (first, block) in cps.source._blocks.items()} == {
+            k: (first, block.tolist()) for k, (first, block) in dense.source._blocks.items()}
+        got, want = verify_cps(cps), dense_verify_cps(dense)
+        assert got == want and _bits(got.max_residual) == _bits(want.max_residual)
+
+    @pytest.mark.parametrize("name", sorted(CPS_CASES))
+    def test_same_violations_in_order(self, name):
+        cps = CPS_CASES[name]()
+        got, want = verify_cps(cps), dense_verify_cps(cps)
+        assert got == want and _bits(got.max_residual) == _bits(want.max_residual)
+
+    def test_perturbed_system_pins_the_violations(self):
+        cps = _tilted(build_cps(BELIEF_REPS["four-tiers"]()), seed=47)
+        got, want = verify_cps(cps), dense_verify_cps(cps)
+        assert len(got.violations) > 100 and got.max_residual > 1e-3
+        assert got == want and _bits(got.max_residual) == _bits(want.max_residual)
+
+    def test_a_non_finite_table_is_refused_as_the_constructor_refuses_it(self):
+        features = ("a", "b", "c", "d")
+        blocks = model._every_subset(len(features))
+        sets = [tuple(features[c] for c in codes) for _, block in blocks.values() for codes in block.tolist()]
+        points = np.ones((len(sets), 2))
+        points[[5, 9], 1] = np.inf
+        with pytest.raises(ValueError) as ours:
+            model._block_source(features, blocks, points)
+        with pytest.raises(ValueError) as theirs:  # the entries in canonical order
+            DatasetSource(2, dict(zip(sets, points)))
+        assert str(ours.value) == str(theirs.value)
+
+
+def reference_weight_table(src, weights, v, tol=DEFAULT_TOL):
+    """``verify_weight_table`` over the dense membership of its coalitions."""
+    norm_src = social._normalized_source(src, v, tol)
+    first = len(norm_src.features())
+    coalitions = norm_src._members[first:]
+    people = sorted({m for members in coalitions for m in members})
+    single = dict(zip(norm_src.features(), range(first)))
+    predicted = reference_top_mean(
+        [float(weights[m]) for m in people],
+        norm_src._points[[single[m] for m in people]],
+        reference_membership({m: j for j, m in enumerate(people)}, coalitions),
+    )
+    residuals = geometry._row_norms(norm_src._points[first:] - predicted).tolist()
+    return tuple((c, r, r <= tol.gate(1.0)) for c, r in zip(coalitions, residuals))
+
+
+class TestWeightTableMatchesDenseKernel:
+    def test_committee(self, fixtures_dir):
+        with open(fixtures_dir / "profile_committee.json", encoding="utf-8") as fh:
+            doc = fileio.load_dataset(fh)
+        got = social.verify_weight_table(doc.source, doc.weight_table, doc.direction)
+        assert got == reference_weight_table(doc.source, doc.weight_table, doc.direction)
+
+    def test_individuals_outside_every_coalition(self):
+        # Coalitions of the first five of seven individuals: the other two
+        # carry no weight, and noise makes some rows fail.
+        rng = np.random.default_rng(48)
+        names = [f"i{k}" for k in range(7)]
+        v = np.array([1.0, 2.0, 0.5])
+        table = {(f,): rng.uniform(0.1, 1.0, 3) for f in names}
+        for size in (2, 3, 5):
+            for combo in itertools.combinations(names[:5], size):
+                table[combo] = rng.uniform(0.1, 1.0, 3)
+        src = DatasetSource(3, table)
+        weights = {f: float(w) for f, w in zip(names[:5], rng.uniform(0.5, 2.0, 5))}
+        got = social.verify_weight_table(src, weights, v)
+        assert got == reference_weight_table(src, weights, v)
+        assert len(got) == 10 + 10 + 1 and not all(passed for *_, passed in got)
+
+
+class TestVerificationStaysPerSet:
+    def test_no_sets_by_features_array(self):
+        # 300 features and every pair: a (sets x features) boolean mask alone
+        # is 45,150 x 300 bytes, more than recovery allocates at its peak.
+        rep = _rep(49, 300, classes=3, dimension=3)
+        names = rep.features()
+        src = induced_source(rep, list(itertools.combinations(names, 2)))
+        tracemalloc.start()
+        try:
+            outcome = recover(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(outcome, Recovered) and len(outcome.verification) == 45_150
+        assert peak < len(src) * len(names)
 
 
 # --------------------------------------------------------------------------
