@@ -23,6 +23,7 @@ from .geometry import (
     Tolerance,
     Vector,
     _certify_interior,
+    _norm,
     as_point,
     relative_interior_check,
 )
@@ -271,10 +272,8 @@ def check_path_independence(
             reduced = ask(Menu({"q0": pick_a}))
         else:
             reduced = ask(Menu({"q0": pick_a, "q1": pick_b}))
-        residual = float(np.linalg.norm(whole - reduced))
-        passed = residual <= tol.gate(
-            float(np.linalg.norm(whole)), float(np.linalg.norm(reduced)), 1.0
-        )
+        residual = _norm(whole - reduced)
+        passed = residual <= tol.gate(_norm(whole), _norm(reduced), 1.0)
         worst = max(worst, residual)
         rows.append(
             PathIndependenceRow(

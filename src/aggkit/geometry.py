@@ -5,6 +5,11 @@ these outcomes span a plane, is this choice interior to its menu) funnels
 through the handful of functions in this module, so the tolerance policy
 lives here and nowhere else.  All comparisons use a two-parameter gate:
 an absolute floor plus a relative term scaled by the magnitudes involved.
+Each part of the policy has one owner: :meth:`Tolerance.gate` is the gate,
+for floats and arrays alike; :func:`_close_rows` decides whether two
+points coincide; :func:`_numerical_ranks` counts singular values; and
+:func:`_row_norms` (with :func:`_norm`, its one-vector form) takes every
+Euclidean norm, finite for every finite vector.
 
 Points are plain one-dimensional numpy arrays of floats.  Inputs are
 accepted as any sequence of reals and validated with :func:`as_point`.
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,10 +86,17 @@ class Tolerance:
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValueError("at least one tolerance must be positive")
 
-    def gate(self, *scales: float) -> float:
-        """Comparison threshold for a residual at the given magnitudes."""
-        s = max(scales) if scales else 0.0
-        return max(self.abs_tol, self.rel_tol * s)
+    def gate(self, *scales: float | Vector) -> float | Vector:
+        """Comparison threshold for a residual at the given magnitudes: a
+        float for floats, and for arrays, which broadcast together, the same
+        element by element (the largest scale taken as ``max`` takes it)."""
+        if np.ndarray not in map(type, scales):
+            s = max(scales) if scales else 0.0
+            return max(self.abs_tol, self.rel_tol * s)
+        s = scales[0]
+        for t in scales[1:]:
+            s = np.where(t > s, t, s)
+        return np.fmax(self.abs_tol, self.rel_tol * s)
 
     @property
     def lam_slack(self) -> float:
@@ -92,8 +104,8 @@ class Tolerance:
         return max(self.abs_tol, self.rel_tol)
 
     def close(self, a: Vector, b: Vector) -> bool:
-        """Euclidean closeness of two points under this gate."""
-        return _norm(a - b) <= self.gate(_norm(a), _norm(b))
+        """Euclidean closeness of two points under this gate: :func:`_close_rows` on one row."""
+        return bool(_close_rows(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), self)[0])
 
 
 DEFAULT_TOL = Tolerance()
@@ -118,19 +130,33 @@ def as_point(coords: Sequence[float] | Vector, *, dim: int | None = None) -> Vec
 
 
 def _row_dots(x: NDArray[np.float64], y: NDArray[np.float64]) -> Vector:
-    """``np.dot`` of each row of ``x`` with the same row of ``y``, bit for
-    bit: one batched ``matmul`` adds up each row as the single dot does."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    """``np.dot`` of each row of ``x`` with the same row of ``y``, over the
+    last axis, bit for bit: one batched ``matmul`` adds up each row as the
+    single dot does."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _row_norms(rows: NDArray[np.float64], tame: bool | None = None) -> Vector:
-    """``np.linalg.norm`` of each row, bit for bit (it is the root of a dot)
-    wherever that is finite; see :func:`_finite_norms` for the rest.  A
-    kernel that has checked its inputs with ``_tame`` passes the verdict as
-    ``tame``; by default the rows are checked here."""
+    """Euclidean norm of each row of ``rows`` over its last axis.
+
+    It is ``np.linalg.norm`` of a vector, bit for bit (the root of a dot),
+    wherever that is finite.  Where the squares of a finite row overflow,
+    silently, its norm is computed again over the row scaled by its largest
+    magnitude, so it stays finite.  A kernel that has checked its inputs
+    with ``_tame`` passes the verdict as ``tame``; by default the rows are
+    checked here.
+    """
     if _tame(rows) if tame is None else tame:
         return np.sqrt(_row_dots(rows, rows))
-    return _finite_norms(lambda r: np.sqrt(_row_dots(r, r)), rows)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(_row_dots(rows, rows))
+        big = np.nonzero(np.isinf(out))
+        top = np.abs(rows[big]).max(axis=-1, initial=0.0)
+        finite = np.isfinite(top)
+        big, top = tuple(i[finite] for i in big), top[finite]
+        unit = rows[big] / top[:, None]
+        out[big] = top * np.sqrt(_row_dots(unit, unit))
+    return out
 
 
 # Below this magnitude no square of a coordinate overflows, nor a sum of
@@ -145,24 +171,6 @@ def _tame(x: NDArray[np.float64], growth: float = 1.0) -> bool:
     return np.maximum.reduce(np.abs(x), axis=None, initial=0.0) < _SQUARE_SAFE / growth
 
 
-def _finite_norms(
-    norms: Callable[[NDArray[np.float64]], NDArray[np.float64]], rows: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """``norms(rows)``, the Euclidean norms of ``rows`` over their last
-    axis, for rows that are not ``_tame``: the squares may overflow,
-    silently, and each norm that did so for a finite row is computed
-    again over the row scaled by its largest magnitude, so it stays finite."""
-    with np.errstate(over="ignore"):
-        out = norms(rows)
-        big = np.nonzero(np.isinf(out))
-        top = np.abs(rows[big]).max(axis=-1, initial=0.0)
-        finite = np.isfinite(top)
-        big, top = tuple(i[finite] for i in big), top[finite]
-        unit = rows[big] / top[:, None]
-        out[big] = top * np.sqrt(_row_dots(unit, unit))
-    return out
-
-
 def _norm(v: Vector) -> float:
     """``np.linalg.norm`` of a vector, finite for a finite one: :func:`_row_norms`."""
     return float(_row_norms(np.reshape(v, (1, -1)))[0])
@@ -171,11 +179,10 @@ def _norm(v: Vector) -> float:
 def _close_rows(
     a: NDArray[np.float64], b: NDArray[np.float64], tol: Tolerance
 ) -> NDArray[np.bool_]:
-    """:meth:`Tolerance.close` of each row of ``a`` with the same row of
-    ``b``, bit for bit: the same gate on :func:`_row_norms`."""
+    """Whether each row of ``a`` coincides with the same row of ``b``: their
+    distance is within ``tol.gate`` of the two norms."""
     tame = _tame(a, 2.0) and _tame(b, 2.0)  # the rows of a - b too
-    scale = np.maximum(_row_norms(a, tame), _row_norms(b, tame))
-    return _row_norms(a - b, tame) <= np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    return _row_norms(a - b, tame) <= tol.gate(_row_norms(a, tame), _row_norms(b, tame))
 
 
 def _common_dim(*points: Vector) -> int:
@@ -252,7 +259,7 @@ def _segment_positions(
         lam[big] = _row_dots(to_b[big] / length[big, None], d[big] / length[big, None])
     projected = lam[:, None] * a + (1.0 - lam)[:, None] * b
     residual = _row_norms(p - projected)
-    gate = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(length, _row_norms(to_b)))
+    gate = tol.gate(length, _row_norms(to_b))
     slack = tol.lam_slack
     kind = np.where((-slack <= lam) & (lam <= 1.0 + slack), _ON_SEGMENT, _ON_LINE)
     kind[residual > gate] = _OFF_LINE
@@ -340,24 +347,21 @@ def _affine_rank(mat: NDArray[np.float64], tol: Tolerance) -> int:
     if mat.shape[0] == 1:
         return 0
     centered = mat - mat.mean(axis=0)
-    return _numerical_rank(np.linalg.svd(centered, compute_uv=False), tol)
+    return int(_numerical_ranks(np.linalg.svd(centered, compute_uv=False), tol))
 
 
 def _affine_ranks(stack: NDArray[np.float64], tol: Tolerance) -> NDArray[np.intp]:
     """:func:`_affine_rank` of each matrix of a ``(k, m, d)`` stack, m >= 2, in
-    one SVD call; each row of singular values is counted as
-    :func:`_numerical_rank` counts one."""
+    one SVD call."""
     centered = stack - stack.mean(axis=1, keepdims=True)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    return np.count_nonzero(svals > np.fmax(tol.abs_tol, tol.rel_tol * svals[:, :1]), axis=1)
+    return _numerical_ranks(np.linalg.svd(centered, compute_uv=False), tol)
 
 
-def _numerical_rank(svals: Vector, tol: Tolerance) -> int:
-    """Singular values above ``rel_tol`` times the largest, with ``abs_tol`` as floor."""
-    if svals.size == 0:
-        return 0
-    thresh = max(tol.abs_tol, tol.rel_tol * float(svals[0]))
-    return int(np.count_nonzero(svals > thresh))
+def _numerical_ranks(svals: NDArray[np.float64], tol: Tolerance) -> NDArray[np.intp]:
+    """The numerical rank of each row of singular values ``svals`` (its last
+    axis, in descending order): the values above ``tol.gate`` of the row's
+    largest, so above ``rel_tol`` times it with ``abs_tol`` as floor."""
+    return np.count_nonzero(svals > tol.gate(svals[..., :1]), axis=-1)
 
 
 def barycentric(
@@ -377,10 +381,10 @@ def barycentric(
         raise ValueError("barycentric needs a non-empty basis")
     p = as_point(p)
     _common_dim(p, *pts)
-    if affine_dimension(pts, tol) != len(pts) - 1:
+    dim = affine_dimension(pts, tol)
+    if dim != len(pts) - 1:
         raise AffinelyDependentBasis(
-            f"{len(pts)} basis points span an affine space of dimension "
-            f"{affine_dimension(pts, tol)}"
+            f"{len(pts)} basis points span an affine space of dimension {dim}"
         )
 
     origin = pts[0]
@@ -392,9 +396,8 @@ def barycentric(
         coef = np.concatenate([[1.0 - float(np.sum(rest))], rest])
 
     reconstructed = np.vstack(pts).T @ coef
-    residual = float(np.linalg.norm(reconstructed - p))
-    scale = max(float(np.linalg.norm(p)), *(float(np.linalg.norm(q)) for q in pts))
-    if residual > tol.gate(scale, 1.0):
+    residual = _norm(reconstructed - p)
+    if residual > tol.gate(*_row_norms(np.vstack([p, *pts])), 1.0):
         raise NotInAffineHull(
             f"point is at distance {residual:.3e} from the basis affine hull"
         )
@@ -459,11 +462,7 @@ def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64], tame: bool | No
     ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``;
     ``tame`` as :func:`_row_norms` takes it."""
     tame = (_tame(spokes) and _tame(q)) if tame is None else tame
-    if tame:
-        spoke_norms = np.linalg.norm(spokes, axis=2)
-    else:
-        spoke_norms = _finite_norms(lambda s: np.linalg.norm(s, axis=2), spokes)
-    return np.maximum(_row_norms(q, tame), spoke_norms.max(axis=1))
+    return np.maximum(_row_norms(q, tame), _row_norms(spokes, tame).max(axis=1))
 
 
 def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:
@@ -489,7 +488,7 @@ def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, floa
     if total <= 0.0:
         return coef, np.inf, spread
     coef /= total
-    return coef, float(np.linalg.norm(spokes.T @ coef - q)), spread
+    return coef, _norm(spokes.T @ coef - q), spread
 
 
 def _generator_matrix(
@@ -538,8 +537,7 @@ def _interior_terms(
     level = _RELINT_MARGIN * tol.lam_slack
     if m * level >= 0.5:
         level = 0.5 / m
-    gate = np.maximum(tol.abs_tol, tol.rel_tol * np.maximum(spread, 1.0))
-    return gate, level, 1.0 + m * level / (1.0 - m * level)
+    return tol.gate(spread, 1.0), level, 1.0 + m * level / (1.0 - m * level)
 
 
 def relative_interior_check(
@@ -573,7 +571,7 @@ def relative_interior_check(
     centroid = np.mean(gens, axis=0)
     centered = gens - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    span = vt[: _numerical_rank(svals, tol)]
+    span = vt[: _numerical_ranks(svals, tol)]
     if span.shape[0] == 0:
         return True  # the hull is a single point and equals its relative interior
 
@@ -619,11 +617,10 @@ def _certify_interior(
     )
 
     # Each row's span: the right singular vectors of its centred menu up
-    # to its numerical rank (counted as _numerical_rank counts one), the
-    # rest masked to zero so that every row keeps the same shape.
+    # to its numerical rank, the rest masked to zero so that every row
+    # keeps the same shape.
     _, svals, vt = np.linalg.svd(spokes, full_matrices=False)
-    rank = np.count_nonzero(svals > np.maximum(tol.abs_tol, tol.rel_tol * svals[:, :1]), axis=1)
-    span = vt * (np.arange(vt.shape[1]) < rank[:, None])[:, :, None]
+    span = vt * (np.arange(vt.shape[1]) < _numerical_ranks(svals, tol)[:, None])[:, :, None]
     flat = np.matmul(spokes, span.transpose(0, 2, 1))
     target = stretch * np.matmul(span, q[:, :, None])[:, :, 0]
     flat_origin = flat.mean(axis=1)

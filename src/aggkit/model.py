@@ -387,16 +387,6 @@ class Representation:
             for level in levels
         )
 
-    def _evaluate(self, sets: Sequence[Iterable[str]]) -> NDArray[np.float64]:
-        """Rule (3) on each of ``sets`` (non-empty, of distinct known ids), one
-        row each: the sets of each size are one block of sorted codes."""
-        codes = [sorted(map(self._column.__getitem__, s)) for s in sets]
-        out = np.empty((len(codes), self.dimension))
-        for size in set(map(len, codes)):
-            rows = [k for k, c in enumerate(codes) if len(c) == size]
-            out[rows] = self._evaluate_blocks({size: (0, np.array([codes[k] for k in rows]))})
-        return out
-
     def _evaluate_blocks(self, blocks: Mapping[int, tuple[int, NDArray[np.intp]]]) -> NDArray[np.float64]:
         """Rule (3) on the sets of ``blocks``, as :func:`_top_means` reads them."""
         return _top_means(self._weight_array, self._outcome_array, blocks, self._rank_array)
@@ -445,7 +435,27 @@ def top_set(rep: Representation, members: Iterable[str] | str) -> FeatureSet:
 
 def evaluate(rep: Representation, members: Iterable[str] | str) -> Vector:
     """Weight-averaged outcome of the top-ranked members of the set."""
-    return rep._evaluate([_known_set(rep, members)])[0]
+    codes = sorted(map(rep._column.__getitem__, _known_set(rep, members)))
+    return rep._evaluate_blocks({len(codes): (0, np.array([codes]))})[0]
+
+
+def _forward_source(rep: Representation, sets: Iterable[Iterable[str] | str]) -> DatasetSource:
+    """The dataset of rule (3) on each of ``sets``, as ``DatasetSource`` builds
+    it.  Each distinct id is looked up once; a list that fails that test is
+    walked set by set with :func:`_known_set`, so its first faulty set raises."""
+    # Kept for the walk; one that is not iterable is left for it to refuse in turn.
+    sets = [(s,) if isinstance(s, str) else tuple(s) if hasattr(s, "__iter__") else s for s in sets]
+    try:
+        known = list(map(frozenset, sets))
+        checked = all(known) and frozenset().union(*known) <= rep.weights.keys()
+    except TypeError:  # an unhashable id
+        checked = False
+    if not checked:
+        known = [_known_set(rep, s) for s in sets]
+    src = DatasetSource(rep.dimension, dict.fromkeys(known, np.zeros(rep.dimension)))
+    column = np.array([rep._column[f] for f in src.features()], dtype=np.intp)
+    blocks = {k: (first, column[block]) for k, (first, block) in src._blocks.items()}
+    return src._with_points(rep._evaluate_blocks(blocks))
 
 
 # Most features whose 2^n - 1 subsets ``induced_source`` enumerates.
@@ -470,8 +480,7 @@ def induced_source(
     if sets is None:
         blocks = _every_subset(len(features))
         return _block_source(features, blocks, rep._evaluate_blocks(blocks))
-    known = [_known_set(rep, s) for s in sets] + [frozenset([f]) for f in features]
-    return DatasetSource(rep.dimension, dict(zip(known, rep._evaluate(known))))
+    return _forward_source(rep, itertools.chain(sets, zip(features)))
 
 
 class AxiomMode(Enum):

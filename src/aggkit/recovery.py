@@ -322,10 +322,10 @@ def _ratio_conflict_witness(
     found = None
     for a in np.flatnonzero((before & ~np.isnan(ratio)).any(axis=1)).tolist():
         direct = ratio[a, a + 1:]
-        # chained[c, b - a - 1] = ratio[a, c] * ratio[c, b] > 0 or NaN (no miss); fmax drops a NaN gate as max() does.
+        # chained[c, b - a - 1] = ratio[a, c] * ratio[c, b] > 0 or NaN (no miss).
         with np.errstate(over="ignore", invalid="ignore"):
             chained = ratio[a, :, None] * ratio[:, a + 1:]
-            gate = np.fmax(tol.abs_tol, tol.rel_tol * np.maximum(chained, direct)) * 10.0
+            gate = tol.gate(chained, direct) * 10.0
             conflict = np.abs(chained - direct) > gate
         between = conflict & before[:, a + 1:]
         between[: a + 1] = False
@@ -464,7 +464,6 @@ def _verification(src: DatasetSource, rep: Representation, tol: Tolerance) -> Ve
     observed, members = src._points, src._members
     predicted = rep._evaluate_blocks(src._blocks)
     residual = _row_norms(observed - predicted)
-    scale = np.maximum(np.maximum(_row_norms(observed), _row_norms(predicted)), 1.0)
-    gate = np.maximum(tol.abs_tol, tol.rel_tol * scale)
+    gate = tol.gate(_row_norms(observed), _row_norms(predicted), 1.0)
     passed = (residual <= gate) & np.isfinite(gate)
     return Verification(members, observed, predicted, residual, passed)

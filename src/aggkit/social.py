@@ -108,7 +108,7 @@ def _normalize_rows(
     # Silent, as scalar products are; the finiteness test below names an overflow.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dots = _row_dots(points, np.broadcast_to(v, points.shape))
-        gate = np.fmax(tol.abs_tol, tol.rel_tol * (_row_norms(points) * _norm(v)))
+        gate = tol.gate(_row_norms(points) * _norm(v))
         normal = points / dots[:, None]
     low = dots <= gate
     if low.any():
@@ -178,23 +178,20 @@ def verify_certificate(
     u_a = as_point(u_a, dim=z.size)
     u_b = as_point(u_b, dim=z.size)
     u_ab = as_point(u_ab, dim=z.size)
-    nz = float(np.linalg.norm(z))
+    nz = _norm(z)
     if nz <= 0.0:
         return False
     da = float(np.dot(z, u_a))
     db = float(np.dot(z, u_b))
     dab = float(np.dot(z, u_ab))
-    eps_a = _SIGN_EPS * nz * float(np.linalg.norm(u_a))
-    eps_b = _SIGN_EPS * nz * float(np.linalg.norm(u_b))
-    if da < -eps_a or db < -eps_b:
+    na, nb, nab = _row_norms(np.vstack([u_a, u_b, u_ab])).tolist()
+    if da < -_SIGN_EPS * nz * na or db < -_SIGN_EPS * nz * nb:
         return False
-    g = tol.gate(nz * float(np.linalg.norm(u_ab)), nz)
+    g = tol.gate(nz * nab, nz)
     if dab < -g:
         return True
     if abs(dab) <= g:
-        ga = tol.gate(nz * float(np.linalg.norm(u_a)), nz)
-        gb = tol.gate(nz * float(np.linalg.norm(u_b)), nz)
-        return da > ga or db > gb
+        return da > tol.gate(nz * na, nz) or db > tol.gate(nz * nb, nz)
     return False
 
 
@@ -215,14 +212,12 @@ def check_consistency_pair(
     u_a = as_point(u_a)
     u_b = as_point(u_b, dim=u_a.size)
     u_ab = as_point(u_ab, dim=u_a.size)
-    na = float(np.linalg.norm(u_a))
-    nb = float(np.linalg.norm(u_b))
-    nab = float(np.linalg.norm(u_ab))
-    if na <= tol.abs_tol or nb <= tol.abs_tol:
+    na, nb, nab = _row_norms(np.vstack([u_a, u_b, u_ab])).tolist()
+    if min(na, nb) <= tol.gate():  # the gate's floor
         raise ResidualTooLarge("a zero utility vector cannot anchor the cone test")
 
     perp_b = u_b - (float(np.dot(u_b, u_a)) / (na * na)) * u_a
-    if float(np.linalg.norm(perp_b)) <= tol.gate(nb):
+    if _norm(perp_b) <= tol.gate(nb):
         same_way = float(np.dot(u_a, u_b)) > 0
         if not same_way:
             raise ResidualTooLarge(
@@ -237,7 +232,7 @@ def check_consistency_pair(
     alpha, beta = float(coef[0]), float(coef[1])
     in_span = basis @ coef
     r = u_ab - in_span
-    r_norm = float(np.linalg.norm(r))
+    r_norm = _norm(r)
     g = tol.gate(nab, na, nb)
 
     if r_norm <= g:
@@ -254,7 +249,7 @@ def check_consistency_pair(
         ]
 
     for cand in candidates:
-        c_norm = float(np.linalg.norm(cand))
+        c_norm = _norm(cand)
         if c_norm <= 0.0:
             continue
         z = cand / c_norm
@@ -552,7 +547,7 @@ def recover_gswf_weights(
             fs,
         )
         observed = ask(profile, fs)
-        rr = float(np.linalg.norm(observed - predicted))
+        rr = _norm(observed - predicted)
         label = "{" + ",".join(sorted(fs)) + "}"
         residuals.append((label, rr))
         worst = max(worst, rr)

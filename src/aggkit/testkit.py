@@ -23,7 +23,7 @@ from .model import (
     AxiomMode,
     DatasetSource,
     Representation,
-    _known_set,
+    _forward_source,
     induced_source,
 )
 
@@ -175,8 +175,7 @@ def gen_dataset(
         sets += list(itertools.combinations(features, 2))
         sets += list(itertools.combinations(features, 3))
         return induced_source(rep, sets)
-    sets = [_known_set(rep, s) for s in subset_policy]
-    return DatasetSource(rep.dimension, dict(zip(sets, rep._evaluate(sets))))
+    return _forward_source(rep, subset_policy)
 
 
 def _bf_locate(p: Vector, a: Vector, b: Vector, tol: float) -> tuple[str, float | None]:

@@ -335,6 +335,19 @@ class TestVerdictsAndExitCodes:
         if name == "broken_average" and command == "recover":
             assert rep["result"] == base["result"]
 
+    @pytest.mark.parametrize("factor", [1e150, 1e300])
+    def test_pathindep_fails_at_every_scale(self, run_cli, fixtures_dir, tmp_path, factor):
+        # The residual and the gate of each split are norms of huge choices:
+        # neither overflows, so the scaled menus fail on the unscaled splits.
+        path = self._scaled(fixtures_dir, tmp_path, "menu_luce", factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = report_of(run_cli, "pathindep", str(path), "--oracle", "luce")
+        base_code, base = report_of(run_cli, "pathindep", str(fixtures_dir / "menu_luce.json"), "--oracle", "luce")
+        assert (code, rep["verdict"]) == (base_code, base["verdict"]) == (1, "violated")
+        assert [r["passed"] for r in rep["result"]["rows"]] == [r["passed"] for r in base["result"]["rows"]]
+        assert rep["result"]["max_residual"] == pytest.approx(base["result"]["max_residual"] * factor, rel=1e-12)
+
     def test_huge_outcomes_warn_about_nothing(self, fixtures_dir, tmp_path):
         path = self._scaled(fixtures_dir, tmp_path, "broken_average", 1e300)
         src_dir = str(Path(aggkit.__file__).resolve().parents[1])

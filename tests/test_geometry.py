@@ -29,12 +29,30 @@ from aggkit import geometry
 from aggkit.geometry import DEFAULT_TOL, SegmentPosition, _certify_interior, _close_rows, _norm, _row_norms, interior_lambda
 
 
+_GATE_SCALES = st.sampled_from([0.0, 5e-324, 1e-310, 1e-9, 1.0, 1e9, 1e308, math.inf, math.nan]) | st.floats(0.0, 1e300)
+
+
 class TestTolerance:
     def test_gate_uses_largest_scale(self):
         tol = Tolerance(abs_tol=1e-9, rel_tol=1e-6)
         assert tol.gate(1.0) == pytest.approx(1e-6)
         assert tol.gate(100.0, 1.0) == pytest.approx(1e-4)
         assert tol.gate(0.0) == pytest.approx(1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([Tolerance(), Tolerance(1e-3, 1e-6), Tolerance(0.0, 1e-9), Tolerance(1e-9, 0.0), Tolerance(2.0, 3.0)]),
+        st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(_GATE_SCALES, min_size=k, max_size=k), min_size=1, max_size=6)),
+    )
+    def test_gate_on_arrays_is_the_float_gate(self, tol, rows):
+        # Element by element, NaN scales included; a float for floats.
+        want = [tol.gate(*row) for row in rows]
+        assert all(type(w) is float for w in want)
+        columns = np.array(rows).T
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf and 3 * 1e308, as in floats
+            assert tol.gate(*columns).tolist() == want
+            assert tol.gate(columns[0], 1.0).tolist() == [tol.gate(row[0], 1.0) for row in rows]
+            assert tol.gate(columns[0][:, None]).shape == (len(rows), 1)
 
     def test_close_is_symmetric_and_scaled(self):
         tol = Tolerance()
@@ -62,7 +80,8 @@ class TestTolerance:
         a = np.vstack([a, far, far, zero, zero, a[:5]])
         b = np.vstack([b, far + 1e-1 * rng.normal(size=(40, dim)), far + 1.0, zero, near_zero, a[:5]])
         got = _close_rows(a, b, tol)
-        want = [tol.close(x, y) for x, y in zip(a, b)]
+        want = [_norm(x - y) <= tol.gate(_norm(x), _norm(y)) for x, y in zip(a, b)]
+        assert [tol.close(x, y) for x, y in zip(a, b)] == want
         assert got.tolist() == want
         assert any(want) and not all(want)
 

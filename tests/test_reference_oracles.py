@@ -60,6 +60,10 @@ must give the same points bit for bit, or the same error with the same
 message, from 1e-310 to 1.7e308 and for subnormal directions.
 ``reference_perturb`` draws the noise one set at a time; ``perturb``,
 one draw for all rows, must give the same bits.
+
+``reference_numerical_rank`` counts one row of singular values against
+its scalar threshold; ``_numerical_ranks``, which counts a whole stack
+through the array gate, must give the same ranks at the threshold too.
 """
 
 import dataclasses
@@ -136,6 +140,7 @@ from aggkit.geometry import (
     SegmentPosition,
     Tolerance,
     _SEGMENT_KINDS,
+    _numerical_ranks,
     _segment_positions,
     as_point,
     interior_lambda,
@@ -1397,11 +1402,12 @@ class TestBlockKernelMatchesDenseKernel:
         assert _bits(model._top_means(weights, points, ranks=ranks)) == _bits(reference_top_mean(weights, points, ranks=ranks))
 
     def test_named_sets_in_any_order(self, kernel_rep):
-        # _evaluate groups named sets by size and puts each row back in place.
-        sets = _kernel_sets(kernel_rep)[::-1]
-        members = reference_membership(kernel_rep._column, sets)
+        # induced_source indexes the named sets in canonical order and
+        # evaluates the index's blocks: each row is its set's dense row.
+        src = induced_source(kernel_rep, _kernel_sets(kernel_rep)[::-1])
+        members = reference_membership(kernel_rep._column, src._members)
         want = reference_top_mean(kernel_rep._weight_array, kernel_rep._outcome_array, members, kernel_rep._rank_array)
-        assert _bits(kernel_rep._evaluate(sets)) == _bits(want)
+        assert _bits(src._points) == _bits(want)
 
 
 def _dense_cps(rep):
@@ -2945,3 +2951,47 @@ class TestLookupMatchesSetDict:
     @given(pair_sources(), st.sampled_from(_SOURCE_PATHS))
     def test_same_outcomes(self, src, how):
         _assert_lookups(_pair_source_as(src, how))
+
+
+def reference_numerical_rank(svals, tol):
+    """Singular values above ``rel_tol`` times the largest, with ``abs_tol`` as floor."""
+    if svals.size == 0:
+        return 0
+    thresh = max(tol.abs_tol, tol.rel_tol * float(svals[0]))
+    return int(np.count_nonzero(svals > thresh))
+
+
+@st.composite
+def singular_value_stacks(draw):
+    """A tolerance and a ``(k, r)`` stack of descending rows whose values sit
+    at, just around and far from each row's threshold."""
+    tol = draw(st.sampled_from([DEFAULT_TOL, Tolerance(1e-3, 1e-6), Tolerance(0.0, 1e-9), Tolerance(1e-9, 0.0)]))
+    k, r = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    rows = []
+    for _ in range(k):
+        top = draw(st.sampled_from([0.0, 5e-324, 1e-9, 1e-6, 1.0, 3e3, 1e300]) | st.floats(0.0, 1e6))
+        thresh = max(tol.abs_tol, tol.rel_tol * top)
+        at = st.sampled_from([0.0, thresh, np.nextafter(thresh, 0.0), np.nextafter(thresh, np.inf)])
+        rest = draw(st.lists(at | st.floats(0.0, 1.0).map(lambda x: x * top), min_size=max(r - 1, 0), max_size=max(r - 1, 0)))
+        rows.append([top, *sorted((min(x, top) for x in rest), reverse=True)][:r])
+    return tol, np.array(rows, dtype=float).reshape(k, r)
+
+
+class TestNumericalRanksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(singular_value_stacks())
+    def test_same_ranks(self, case):
+        tol, stack = case
+        want = [reference_numerical_rank(row, tol) for row in stack]
+        assert _numerical_ranks(stack, tol).tolist() == want
+        assert [int(_numerical_ranks(row, tol)) for row in stack] == want
+
+    def test_svd_of_menus(self):
+        # Centred menus of rank 0 to 3, some of them exactly collinear.
+        rng = np.random.default_rng(5)
+        menus = rng.normal(size=(200, 4, 3)) * rng.choice([1e-12, 1.0, 1e9], size=(200, 1, 1))
+        menus[:50, :, 1:] = 0.0
+        menus[50:60] = menus[50:60, :1]
+        svals = np.linalg.svd(menus - menus.mean(axis=1, keepdims=True), compute_uv=False)
+        assert _numerical_ranks(svals, DEFAULT_TOL).tolist() == [reference_numerical_rank(row, DEFAULT_TOL) for row in svals]
+        assert set(_numerical_ranks(svals, DEFAULT_TOL).tolist()) >= {0, 1, 3}

@@ -134,3 +134,35 @@ def test_readme_example_exit_code(command, code, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(shlex.split(command)) == code
     assert json.loads(out.getvalue())["exit_code"] == code
+
+
+
+def _is_svals(node: ast.AST) -> bool:
+    """``svals`` or a subscript of it."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "svals"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_geometry_owns_the_tolerance_policy(name):
+    # One implementation each: the gate (the one reader of rel_tol) in
+    # Tolerance, the rank count (the one comparison of singular values) in
+    # _numerical_ranks, and every norm in _row_norms.  cli builds and echoes
+    # the tolerance; testkit is the independent checker and keeps its own.
+    module = importlib.import_module(f"aggkit.{name}")
+    if name == "testkit":
+        return
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    attributes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    assert [n.lineno for n in attributes if n.attr == "norm" and getattr(n.value, "attr", None) == "linalg"] == []
+    allowed = {"geometry": ("abs_tol",), "cli": ("abs_tol", "rel_tol")}.get(name, ())
+    outside = [top for top in tree.body if getattr(top, "name", None) != "Tolerance"]
+    fields = [(n.attr, n.lineno) for top in outside for n in ast.walk(top)
+              if isinstance(n, ast.Attribute) and n.attr in ("abs_tol", "rel_tol") and n.attr not in allowed]
+    assert fields == []
+    ranks = [n.lineno for top in tree.body if getattr(top, "name", None) != "_numerical_ranks" for n in ast.walk(top)
+             if isinstance(n, ast.Compare) and any(map(_is_svals, [n.left, *n.comparators]))]
+    assert ranks == []
+    assert not {"_numerical_rank", "_finite_norms"} & defined_names(module)
+    assert not hasattr(aggkit.model.Representation, "_evaluate")
