@@ -89,13 +89,13 @@ class Tolerance:
     def gate(self, *scales: float | Vector) -> float | Vector:
         """Comparison threshold for a residual at the given magnitudes: a
         float for floats, and for arrays, which broadcast together, the same
-        element by element (the largest scale taken as ``max`` takes it)."""
+        element by element, save that any NaN scale leaves the floor there."""
         if np.ndarray not in map(type, scales):
             s = max(scales) if scales else 0.0
             return max(self.abs_tol, self.rel_tol * s)
         s = scales[0]
         for t in scales[1:]:
-            s = np.where(t > s, t, s)
+            s = np.maximum(s, t)
         return np.fmax(self.abs_tol, self.rel_tol * s)
 
     @property

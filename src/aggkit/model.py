@@ -204,9 +204,10 @@ class DatasetSource:
         return self
 
     def _with_points(self, points: NDArray[np.float64]) -> DatasetSource:
-        """This source's sets with ``points``, a new finite ``(m, d)`` float
-        array it makes read-only, as their outcomes row for row; the index is
-        shared, not rebuilt.  The caller refuses rows that are not finite."""
+        """This source's sets with ``points``, a new ``(m, d)`` float array it
+        makes read-only, as their outcomes row for row; the index is shared,
+        not rebuilt.  Its first row not finite raises as_point's ValueError."""
+        as_point(points[np.isfinite(points).all(axis=1).argmin()])
         points.setflags(write=False)
         derived = copy.copy(self)
         derived._points, derived._pair_tables = points, {}
@@ -440,9 +441,9 @@ def evaluate(rep: Representation, members: Iterable[str] | str) -> Vector:
 
 
 def _forward_source(rep: Representation, sets: Iterable[Iterable[str] | str]) -> DatasetSource:
-    """The dataset of rule (3) on each of ``sets``, as ``DatasetSource`` builds
-    it.  Each distinct id is looked up once; a list that fails that test is
-    walked set by set with :func:`_known_set`, so its first faulty set raises."""
+    """The dataset of rule (3) on each of ``sets``, as ``DatasetSource`` builds it.  Each
+    distinct id is looked up once; a list that fails that test is walked set by set with
+    :func:`_known_set`, and outcomes that overflow go to the constructor: the first faulty set raises."""
     # Kept for the walk; one that is not iterable is left for it to refuse in turn.
     sets = [(s,) if isinstance(s, str) else tuple(s) if hasattr(s, "__iter__") else s for s in sets]
     try:
@@ -455,7 +456,10 @@ def _forward_source(rep: Representation, sets: Iterable[Iterable[str] | str]) ->
     src = DatasetSource(rep.dimension, dict.fromkeys(known, np.zeros(rep.dimension)))
     column = np.array([rep._column[f] for f in src.features()], dtype=np.intp)
     blocks = {k: (first, column[block]) for k, (first, block) in src._blocks.items()}
-    return src._with_points(rep._evaluate_blocks(blocks))
+    points = rep._evaluate_blocks(blocks)
+    if not np.isfinite(points).all():  # rule (3) overflowed on finite outcomes
+        DatasetSource(rep.dimension, {fs: points[src._row(tuple(sorted(fs)))] for fs in known})
+    return src._with_points(points)
 
 
 # Most features whose 2^n - 1 subsets ``induced_source`` enumerates.

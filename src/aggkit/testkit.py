@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnsatisfiablePolicy
-from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension, as_point
+from .geometry import DEFAULT_TOL, Tolerance, Vector, affine_dimension
 from .model import (
     AxiomMode,
     DatasetSource,
@@ -280,7 +280,4 @@ def perturb(
     points = src._points.copy()
     if first < len(src):  # one draw per coordinate, row after row as the sets come
         points[first:] += rng.uniform(-magnitude, magnitude, points[first:].shape)
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        as_point(points[np.argmin(finite)])
     return src._with_points(points)

@@ -1,6 +1,7 @@
 """Command line behavior: verdicts, exit codes, tolerance, and output."""
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,12 @@ import pytest
 
 import aggkit
 from aggkit import AxiomMode, check_axiom, cli, load_dataset
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("report_corpus", _ROOT / "tools" / "report_corpus.py")
+report_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_corpus)
 
 
 def report_of(run_cli, *args, **kw):
@@ -308,10 +315,8 @@ class TestVerdictsAndExitCodes:
     @staticmethod
     def _scaled(fixtures_dir, tmp_path, name, factor):
         doc = json.loads((fixtures_dir / f"{name}.json").read_text())
-        for record in [*doc["features"].values(), *doc["sets"]]:
-            record["outcome"] = [x * factor for x in record["outcome"]]
         path = tmp_path / f"{name}-scaled.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(report_corpus.transformed(doc, lambda x: x * factor)))
         return path
 
     @pytest.mark.parametrize(
@@ -817,3 +822,26 @@ class TestReportBytes:
         reparsed = json.loads(out)
         assert reparsed["exit_code"] == code
         assert json.dumps(reparsed, indent=2, sort_keys=True) + "\n" == out
+
+
+class TestReportCorpus:
+    def test_writes_one_report_per_case(self, tmp_path, monkeypatch, capsys):
+        # The corpus of this tree: every report names the same input path,
+        # and the scaled fixtures keep their unscaled verdicts.
+        monkeypatch.delenv("AGGKIT_TOL", raising=False)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # as run from the shell
+            assert report_corpus.main([str(_ROOT), str(tmp_path)]) == 0
+        reports = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in tmp_path.glob("*.json")}
+        assert capsys.readouterr().out == f"{len(reports)} reports in {tmp_path}\n"
+        fixtures = sorted(p.stem for p in (_ROOT / "fixtures").glob("*.json"))
+        assert {name.split("-x1-")[0] for name in reports if "-x1-" in name} == set(fixtures)
+        assert {rep["arguments"]["input"] for name, rep in reports.items() if name not in {f"gen-{g}" for g in report_corpus.GEN}} == {"input.json"}
+
+        def verdict(name):
+            return reports[name]["exit_code"], reports[name]["verdict"]
+
+        for case in ("check-weighted", "recover"):
+            assert verdict(f"triangle_two_tier-x1e300-{case}") == verdict(f"triangle_two_tier-x1-{case}")
+        assert verdict("menu_luce-x1e300-pathindep-luce") == verdict("menu_luce-x1-pathindep-luce") == (1, "violated")

@@ -158,6 +158,25 @@ class TestInducedSource:
         # A given list of sets has no such limit.
         assert len(induced_source(rep(11), [("x00", "x10")]).sets()) == 12
 
+    def test_overflowing_outcome_raises_for_the_first_set_listed(self):
+        # Rule (3) sums before it divides, so finite outcomes can average to
+        # inf; the set listed first raises, as the constructor raises for it.
+        rep = Representation(
+            weights=dict.fromkeys("abc", 1.0),
+            ranks=dict.fromkeys("abc", 0),
+            outcomes={"a": [1.5e308, 1.0], "b": [1.5e308, 1.0], "c": [1.5e308, 4.0]},
+        )
+        sets = [("a", "b", "c"), ("a", "b")]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"\[inf, +2\.\]") as constructor:
+                DatasetSource(2, {frozenset(s): evaluate(rep, s) for s in sets})
+            for build in (lambda: induced_source(rep, sets), lambda: gen_dataset(rep, sets + [("a",), ("b",), ("c",)])):
+                with pytest.raises(ValueError) as caught:
+                    build()
+                assert str(caught.value) == str(constructor.value)
+            with pytest.raises(ValueError, match="non-finite"):
+                induced_source(rep)
+
 
 class TestCheckAxiom:
     def test_weighted_holds_on_induced_data(self, two_tier_source):

@@ -7,6 +7,7 @@ import pytest
 
 from aggkit import (
     AxiomMode,
+    DatasetSource,
     GeneratorConfig,
     OutcomePolicy,
     SubsetPolicy,
@@ -176,3 +177,10 @@ class TestPerturb:
         for magnitude in (-1.0, 1e308, math.nan, math.inf):
             with pytest.raises(ValueError, match="magnitude must be non-negative"):
                 perturb(flat_source, magnitude=magnitude, seed=0)
+
+    def test_overflowing_noise_rejected(self):
+        # Near the largest float the noise can overflow: no outcome is inf.
+        src = DatasetSource(2, {frozenset(k): [1.7e308, -1.7e308] for k in ("a", "b", "ab")})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite coordinates"):
+            perturb(src, magnitude=8e307, seed=0)
+        assert np.isfinite(perturb(src, magnitude=8e307, seed=1).outcome(["a", "b"])).all()
