@@ -148,11 +148,18 @@ class JointProbability:
 
     def conditional(self, members: Iterable[str] | str) -> Vector:
         """Belief over states given the feature lies in ``members``."""
-        cols = self._cols(members)
-        mass = float(self.table[:, cols].sum())
-        if mass <= 0.0:
-            raise ValueError(f"conditioning set {sorted(feature_set(members))} has zero mass")
-        return np.asarray(self.table[:, cols].sum(axis=1) / mass)
+        return self._conditionals(np.array([self._cols(members)]), [sorted(feature_set(members))])[0]
+
+    def _conditionals(self, codes: NDArray[np.intp], members: Sequence[Sequence[str]]) -> NDArray[np.float64]:
+        """The conditional of each row of ``codes``, column indices of sets of
+        one size, named by ``members`` when one has zero mass.  The gather lies
+        in memory member-major, as ``table[:, cols]`` does: a set's mass sums
+        its members' columns end to end, each state's sums them in order."""
+        cells = self.table.T[codes]
+        mass = cells.reshape(len(codes), -1).sum(axis=1)
+        if not (mass > 0.0).all():
+            raise ValueError(f"conditioning set {list(members[int(np.argmin(mass > 0.0))])} has zero mass")
+        return cells.sum(axis=1) / mass[:, None]
 
 
 def _cells(beliefs: Sequence[Vector]) -> NDArray[np.float64]:
@@ -183,6 +190,29 @@ def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProba
     return JointProbability(features=features, table=table.reshape(-1, len(features)))
 
 
+def _belief_faults(points: NDArray[np.float64], tol: Tolerance) -> list[int]:
+    """The rows of ``points`` that :func:`as_belief` may refuse, by one batch
+    test of its two gates; ``as_belief`` on each names the fault."""
+    gate = tol.gate(1.0)
+    return np.flatnonzero(~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)).tolist()
+
+
+def _signed_parts(gap: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``gap[gap > 0].sum()`` and ``-gap[gap < 0].sum()`` of each row, bit for bit:
+    NumPy adds fewer than 8 terms in order, as accumulating the row with zeros
+    does; 8 or more, where its pairwise sum unrolls, are summed packed per count."""
+    parts = np.empty((2, len(gap)))
+    for side, (part, mask) in enumerate(((gap, gap > 0.0), (-gap, gap < 0.0))):
+        parts[side] = np.add.accumulate(np.where(mask, part, 0.0), axis=1)[:, -1]
+        counts = np.count_nonzero(mask, axis=1)
+        if counts.max() >= 8:
+            packed = np.take_along_axis(part, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+            for count in set(counts[counts >= 8].tolist()):
+                rows = np.flatnonzero(counts == count)
+                parts[side, rows] = packed[rows, :count].sum(axis=1)
+    return parts
+
+
 @dataclass(frozen=True)
 class BayesianCheck:
     """Verdict of the one-joint-distribution test on a belief dataset."""
@@ -205,10 +235,12 @@ def check_bayesian(
     must equal the stored belief of the event.  With the per-state gap
     d = stored belief - conditional, the worst event residual is
     max(sum of d+, sum of d-) = (|d|_1 + |sum d|) / 2, so each set costs
-    O(states) rather than 2^states events.
+    O(states) rather than 2^states events, and the conditionals of all
+    sets of one size come from one gather of the joint's columns.
     """
-    for point in src._points[: len(src.features())]:  # the singletons' rows
-        as_belief(point, tol)  # NotABelief on bad input
+    singles = src._points[: len(src.features())]
+    for row in _belief_faults(singles, tol):
+        as_belief(singles[row], tol)  # NotABelief on bad input
 
     outcome = recover(src, tol)
     if isinstance(outcome, MissingData):
@@ -223,12 +255,13 @@ def check_bayesian(
         return BayesianCheck(False, None, *failure, recovery=outcome)
 
     joint = build_joint(outcome.representation, tol)
-    worst = 0.0
-    for members, point in zip(src._members, src._points):
-        # Both sides are additive over states, so the worst event collects
-        # every positive gap or every negative one.
-        gap = point - joint.conditional(members)
-        worst = max(worst, float(gap[gap > 0.0].sum()), float(-gap[gap < 0.0].sum()))
+    gaps = [
+        src._points[first : first + len(codes)] - joint._conditionals(codes, src._members[first : first + len(codes)])
+        for first, codes in src._blocks.values()
+    ]
+    # Both sides are additive over states, so the worst event collects every
+    # positive gap or every negative one.
+    worst = max(0.0, float(_signed_parts(np.concatenate(gaps)).max()))
     consistent = worst <= tol.gate(1.0)
     detail = "conditioning reproduces every stored set" if consistent else (
         "conditional probabilities disagree with the stored aggregates"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import NotInConvexHull, OracleRefused, UnknownFeature
 from .geometry import (
@@ -293,7 +294,7 @@ class BoundaryRow:
     in_hull: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryReport:
     """Menus whose average choice touches the relative boundary.
 
@@ -302,12 +303,29 @@ class BoundaryReport:
     class any boundary menu contradicts the recovery and is listed in
     ``contradictions``.  Deterministic (dictatorial) rules sit at a
     vertex on every menu and are flagged everywhere.
+
+    Columns, one entry per menu of two or more alternatives in canonical
+    order: its sorted ``menus``, and masks of average choices ``interior``
+    to the menu and ``in_hull``.  ``rows`` builds a ``BoundaryRow`` per
+    menu from them on each call; the menu lists read the masks alone.
     """
 
-    rows: tuple[BoundaryRow, ...]
-    boundary_menus: tuple[tuple[str, ...], ...]
-    contradictions: tuple[tuple[str, ...], ...]
+    menus: tuple[tuple[str, ...], ...]
+    interior: NDArray[np.bool_]
+    in_hull: NDArray[np.bool_]
     single_class: bool | None
+
+    @property
+    def rows(self) -> tuple[BoundaryRow, ...]:
+        return tuple(map(BoundaryRow, self.menus, self.interior.tolist(), self.in_hull.tolist()))
+
+    @property
+    def boundary_menus(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(self.menus[i] for i in np.flatnonzero(~self.interior).tolist())
+
+    @property
+    def contradictions(self) -> tuple[tuple[str, ...], ...]:
+        return self.boundary_menus if self.single_class else ()
 
 
 def boundary_diagnostic(
@@ -322,45 +340,38 @@ def boundary_diagnostic(
     When it is ``Recovered``, rule (3) already names a convex combination
     for every menu S whose members share one rank: coefficient
     ``w_i / sum of w over S`` on each member.  Those combinations are
-    checked as certificates, one array pass per menu size, against the
-    inequalities of :func:`relative_interior_check`; a menu they settle
-    is interior.  Every other menu (other outcomes, menus across rank
-    classes, certificates that fail) gets the hull search itself, so the
-    verdicts are the search's either way.
+    checked as certificates, every menu in one array pass padded to the
+    largest menu, against the inequalities of
+    :func:`relative_interior_check`; a menu they settle is interior.
+    Every other menu (other outcomes, menus across rank classes,
+    certificates that fail) gets the hull search itself, so the verdicts
+    are the search's either way.
     """
-    members, points = src._members, src._points
-    blocks = [(first, codes) for size, (first, codes) in src._blocks.items() if size > 1]
-    settled = np.zeros(len(members), dtype=bool)
+    n, points = len(src._features), src._points
+    codes = np.full((len(points), max(src._blocks)), -1)  # -1 pads each row
+    for size, (first, block) in src._blocks.items():
+        codes[first : first + len(block), :size] = block
+    codes = codes[n:]
+    present = codes >= 0
+    sizes = present.sum(axis=1)
+    interior = np.zeros(len(codes), dtype=bool)
     single: bool | None = None
     if isinstance(recovery, Recovered):
         rep = recovery.representation
         if rep.features() != src._features:
             raise ValueError("the recovery must rank exactly the source's features")
         single = len(rep.rank_classes()) == 1
-        for first, codes in blocks:
-            ranks = rep._rank_array[codes]
-            same = np.flatnonzero((ranks == ranks[:, :1]).all(axis=1))
-            w = rep._weight_array[codes[same]]
-            coef = w / w.sum(axis=1, keepdims=True)
-            settled[first + same] = _certify_interior(points[first + same], points[codes[same]], coef, tol)
+        ranks = rep._rank_array[codes]
+        same = np.flatnonzero(((ranks == ranks[:, :1]) | ~present).all(axis=1))
+        w = np.where(present[same], rep._weight_array[codes[same]], 0.0)
+        gens = np.where(present[same, :, None], points[codes[same]], 0.0)
+        coef = w / w.sum(axis=1, keepdims=True)
+        interior[same] = _certify_interior(points[n + same], gens, coef, sizes[same], tol)
 
-    rows = []
-    boundary = []
-    for first, codes in blocks:
-        for row, gens in enumerate(codes, first):
-            interior = in_hull = True
-            if not settled[row]:
-                try:
-                    interior = relative_interior_check(points[row], points[gens], tol)
-                except NotInConvexHull:
-                    interior = in_hull = False
-            rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
-            if not interior:
-                boundary.append(members[row])
-
-    return BoundaryReport(
-        rows=tuple(rows),
-        boundary_menus=tuple(boundary),
-        contradictions=tuple(boundary) if single else (),
-        single_class=single,
-    )
+    in_hull = np.ones(len(codes), dtype=bool)
+    for row in np.flatnonzero(~interior).tolist():
+        try:
+            interior[row] = relative_interior_check(points[n + row], points[codes[row, : sizes[row]]], tol)
+        except NotInConvexHull:
+            in_hull[row] = False
+    return BoundaryReport(src._members[n:], interior, in_hull, single)

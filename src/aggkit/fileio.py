@@ -279,12 +279,10 @@ def load_dataset(
             table[fs] = outcome
         source = DatasetSource(dimension, table)
     if kind == "belief":
-        from .belief import as_belief
-        points, gate = source._points, tol.gate(1.0)
-        flagged = ~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)
-        for row in np.flatnonzero(flagged).tolist():  # as_belief names the first fault
+        from .belief import _belief_faults, as_belief
+        for row in _belief_faults(source._points, tol):
             try:
-                as_belief(points[row], tol)
+                as_belief(source._points[row], tol)
             except NotABelief as exc:
                 label = ",".join(source._members[row])
                 raise DatasetFormatError(f"outcome of {{{label}}}", str(exc)) from None

@@ -171,9 +171,9 @@ def _tame(x: NDArray[np.float64], growth: float = 1.0) -> bool:
     return np.maximum.reduce(np.abs(x), axis=None, initial=0.0) < _SQUARE_SAFE / growth
 
 
-def _norm(v: Vector) -> float:
+def _norm(v: Vector, tame: bool | None = None) -> float:
     """``np.linalg.norm`` of a vector, finite for a finite one: :func:`_row_norms`."""
-    return float(_row_norms(np.reshape(v, (1, -1)))[0])
+    return float(_row_norms(np.reshape(v, (1, -1)), tame)[0])
 
 
 def _close_rows(
@@ -525,18 +525,17 @@ def convex_coefficients(
 
 
 def _interior_terms(
-    m: int, spread: float | Vector, tol: Tolerance
-) -> tuple[float | Vector, float, float]:
+    m: int | NDArray[np.intp], spread: float | Vector, tol: Tolerance
+) -> tuple[float | Vector, float | Vector, float | Vector]:
     """The numbers of the relative-interior test on ``m`` generators.
 
-    Returns the hull gate ``tol.gate(spread, 1)`` (for one spread or an
-    array of them), the strictness level t (``lam_slack`` amplified by
-    the margin, at most 1/(2m) so the stretch stays finite for huge
-    tolerances) and the stretch factor ``1 + m t / (1 - m t)``.
+    Returns the hull gate ``tol.gate(spread, 1)``, the strictness level t
+    (``lam_slack`` amplified by the margin, at most 1/(2m) so the stretch
+    stays finite for huge tolerances) and the stretch factor
+    ``1 + m t / (1 - m t)``, one of each per menu for arrays of them.
     """
     level = _RELINT_MARGIN * tol.lam_slack
-    if m * level >= 0.5:
-        level = 0.5 / m
+    level = np.where(m * level >= 0.5, 0.5 / m, level)
     return tol.gate(spread, 1.0), level, 1.0 + m * level / (1.0 - m * level)
 
 
@@ -583,13 +582,14 @@ def _certify_interior(
     points: NDArray[np.float64],
     gens: NDArray[np.float64],
     coef: NDArray[np.float64],
+    sizes: NDArray[np.intp],
     tol: Tolerance,
 ) -> NDArray[np.bool_]:
     """Rows on which :func:`relative_interior_check` is known to return True.
 
-    ``gens`` is a ``(k, m, d)`` stack of menus of one size m, ``points``
-    the ``(k, d)`` points and ``coef`` the ``(k, m)`` convex coefficients
-    (rows summing to one) claimed for them.  Instead of searching for a
+    Row k is the menu of the first ``sizes[k]`` rows of ``gens[k]``, with
+    point ``points[k]`` and the convex coefficients ``coef[k]`` claimed for
+    it, both zero-padded to the largest menu.  Instead of searching for a
     combination, each row checks the one it is given against the
     inequalities the search tests, with half of each gate: the
     combination rebuilds the point within the hull gate, about the
@@ -601,19 +601,20 @@ def _certify_interior(
     has rank 0 is a single point: all its span coordinates are zero, so
     the third test holds and the first two decide.  A row that is not
     accepted is undecided, not refuted: the search has to decide it.
+    Padding enters no mean, no spread and no span: its spokes are zero.
     """
-    m = gens.shape[1]
+    present = (np.arange(gens.shape[1]) < sizes[:, None])[:, :, None]
     # coef is convex and the stretch at most 2, so no row whose norm is taken
     # below is more than 18 times as long as a row of the inputs' largest
     # coordinate; 32 leaves room for rounding.
     tame = _tame(points, 32.0) and _tame(gens, 32.0)
-    origin = gens.mean(axis=1)
-    spokes = gens - origin[:, None, :]
+    origin = gens.sum(axis=1) / sizes[:, None]
+    spokes = np.where(present, gens - origin[:, None, :], 0.0)
     q = points - origin
-    gate, level, stretch = _interior_terms(m, _spread(q, spokes, tame), tol)
+    gate, level, stretch = _interior_terms(sizes, _spread(q, spokes, tame), tol)
     rebuilt = np.einsum("km,kmd->kd", coef, spokes)
     accepted = (_row_norms(rebuilt - q, tame) <= _CERTIFICATE_SHARE * gate) & (
-        coef.min(axis=1) >= level
+        np.where(present[:, :, 0], coef, np.inf).min(axis=1) >= level
     )
 
     # Each row's span: the right singular vectors of its centred menu up
@@ -622,10 +623,10 @@ def _certify_interior(
     _, svals, vt = np.linalg.svd(spokes, full_matrices=False)
     span = vt * (np.arange(vt.shape[1]) < _numerical_ranks(svals, tol)[:, None])[:, :, None]
     flat = np.matmul(spokes, span.transpose(0, 2, 1))
-    target = stretch * np.matmul(span, q[:, :, None])[:, :, 0]
-    flat_origin = flat.mean(axis=1)
-    flat_spokes = flat - flat_origin[:, None, :]
+    target = stretch[:, None] * np.matmul(span, q[:, :, None])[:, :, 0]
+    flat_origin = flat.sum(axis=1) / sizes[:, None]
+    flat_spokes = np.where(present, flat - flat_origin[:, None, :], 0.0)
     flat_q = target - flat_origin
-    stretched = stretch * coef - (stretch - 1.0) / m
+    stretched = stretch[:, None] * coef - ((stretch - 1.0) / sizes)[:, None]
     miss = _row_norms(np.einsum("km,kmr->kr", stretched, flat_spokes) - flat_q, tame)
     return accepted & (miss <= _CERTIFICATE_SHARE * _FIT_EPS * _spread(flat_q, flat_spokes, tame))

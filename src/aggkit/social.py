@@ -35,6 +35,7 @@ from .geometry import (
     _norm,
     _row_dots,
     _row_norms,
+    _tame,
     affine_dimension,
     as_point,
     interior_lambda,
@@ -175,16 +176,22 @@ def verify_certificate(
     witnessing a coalition indifferent where a part is strict.
     """
     z = as_point(z)
-    u_a = as_point(u_a, dim=z.size)
-    u_b = as_point(u_b, dim=z.size)
-    u_ab = as_point(u_ab, dim=z.size)
-    nz = _norm(z)
+    parts = np.vstack([as_point(u, dim=z.size) for u in (u_a, u_b, u_ab)])
+    return _certifies(z, _norm(z), parts, _row_norms(parts).tolist(), tol)
+
+
+def _certifies(
+    z: Vector, nz: float, parts: NDArray[np.float64], norms: Sequence[float], tol: Tolerance
+) -> bool:
+    """:func:`verify_certificate` on ``z``, of norm ``nz``, and the rows
+    u_A, u_B, u_AB of ``parts``, of norms ``norms``."""
     if nz <= 0.0:
         return False
+    u_a, u_b, u_ab = parts
+    na, nb, nab = norms
     da = float(np.dot(z, u_a))
     db = float(np.dot(z, u_b))
     dab = float(np.dot(z, u_ab))
-    na, nb, nab = _row_norms(np.vstack([u_a, u_b, u_ab])).tolist()
     if da < -_SIGN_EPS * nz * na or db < -_SIGN_EPS * nz * nb:
         return False
     g = tol.gate(nz * nab, nz)
@@ -210,19 +217,19 @@ def check_consistency_pair(
     passes :func:`verify_certificate`.
     """
     u_a = as_point(u_a)
-    u_b = as_point(u_b, dim=u_a.size)
-    u_ab = as_point(u_ab, dim=u_a.size)
-    na, nb, nab = _row_norms(np.vstack([u_a, u_b, u_ab])).tolist()
+    parts = np.vstack([u_a, as_point(u_b, dim=u_a.size), as_point(u_ab, dim=u_a.size)])
+    u_a, u_b, u_ab = parts
+    # Each input tested once: every vector whose norm is taken below is a unit
+    # vector or, up to rounding, at most as long as an input.
+    tame = _tame(parts, 2.0)
+    na, nb, nab = norms = _row_norms(parts, tame).tolist()
     if min(na, nb) <= tol.gate():  # the gate's floor
         raise ResidualTooLarge("a zero utility vector cannot anchor the cone test")
 
     perp_b = u_b - (float(np.dot(u_b, u_a)) / (na * na)) * u_a
-    if _norm(perp_b) <= tol.gate(nb):
-        same_way = float(np.dot(u_a, u_b)) > 0
-        if not same_way:
-            raise ResidualTooLarge(
-                "anti-parallel part utilities violate minimal agreement"
-            )
+    if _norm(perp_b, tame) <= tol.gate(nb):
+        if not float(np.dot(u_a, u_b)) > 0:
+            raise ResidualTooLarge("anti-parallel part utilities violate minimal agreement")
         return Collinear(ratio=nb / na)
 
     # Least-squares decomposition u_AB = alpha u_A + beta u_B + r, r in the
@@ -230,39 +237,25 @@ def check_consistency_pair(
     basis = np.column_stack([u_a, u_b])
     coef, *_ = np.linalg.lstsq(basis, u_ab, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])
-    in_span = basis @ coef
-    r = u_ab - in_span
-    r_norm = _norm(r)
-    g = tol.gate(nab, na, nb)
-
-    if r_norm <= g:
+    r = u_ab - basis @ coef
+    r_norm = _norm(r, tame)
+    candidates = [perp_b, u_a - (float(np.dot(u_a, u_b)) / (nb * nb)) * u_b]
+    if r_norm <= tol.gate(nab, na, nb):
         slack = tol.lam_slack
         if alpha > slack and beta > slack:
             return InCone(alpha=alpha, beta=beta, residual=r_norm)
-        candidates = [perp_b, u_a - (float(np.dot(u_a, u_b)) / (nb * nb)) * u_b]
-    else:
-        # Out of span: the residual direction itself separates.
-        candidates = [
-            -r,
-            perp_b,
-            u_a - (float(np.dot(u_a, u_b)) / (nb * nb)) * u_b,
-        ]
+    else:  # out of span: the residual direction itself separates
+        candidates.insert(0, -r)
 
     for cand in candidates:
-        c_norm = _norm(cand)
+        c_norm = _norm(cand, tame)
         if c_norm <= 0.0:
             continue
         z = cand / c_norm
-        if verify_certificate(z, u_a, u_b, u_ab, tol):
-            return Certificate(
-                z=tuple(float(x) for x in z),
-                dot_a=float(np.dot(z, u_a)),
-                dot_b=float(np.dot(z, u_b)),
-                dot_ab=float(np.dot(z, u_ab)),
-            )
-    raise ResidualTooLarge(
-        "no candidate certificate validated; the inputs look corrupt"
-    )
+        if _certifies(z, _norm(z, tame), parts, norms, tol):
+            dot_a, dot_b, dot_ab = (float(np.dot(z, u)) for u in parts)
+            return Certificate(z=tuple(float(x) for x in z), dot_a=dot_a, dot_b=dot_b, dot_ab=dot_ab)
+    raise ResidualTooLarge("no candidate certificate validated; the inputs look corrupt")
 
 
 def aggregate_coalition(

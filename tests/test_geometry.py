@@ -24,8 +24,9 @@ from aggkit.errors import (
     DimensionMismatch,
     NotInAffineHull,
     NotInConvexHull,
+    ResidualTooLarge,
 )
-from aggkit import geometry
+from aggkit import geometry, social
 from aggkit.geometry import DEFAULT_TOL, SegmentPosition, _certify_interior, _close_rows, _norm, _row_norms, interior_lambda
 
 
@@ -151,7 +152,8 @@ def _tame_calls(fn, *args, force=None):
         calls.append(growth)
         return real(x, growth) if force is None else force
 
-    with mock.patch.object(geometry, "_tame", counted), warnings.catch_warnings():
+    with mock.patch.object(geometry, "_tame", counted), mock.patch.object(social, "_tame", counted), \
+            warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return fn(*args), len(calls)
 
@@ -174,17 +176,46 @@ class TestTameOncePerKernel:
         assert got.tolist() == [DEFAULT_TOL.close(a, b) for a, b in zip(rows, other)]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), _KERNEL_SCALES)
-    def test_certify_interior(self, seed, m, d, scale):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), _KERNEL_SCALES)
+    def test_certify_interior(self, seed, d, scale):
         rng = np.random.default_rng(seed)
-        gens = rng.uniform(-1.0, 1.0, (6, m, d)) * scale
-        coef = rng.uniform(0.05, 1.0, (6, m))
+        sizes = rng.permutation([1, 2, 3, 4, 5, rng.integers(1, 6)])  # every size in one padded call
+        present = np.arange(5) < sizes[:, None]
+        # Coordinates of at most scale / 5, so that five add up inside the float range.
+        gens = rng.uniform(-1.0, 1.0, (6, 5, d)) * (scale / 5) * present[:, :, None]
+        coef = rng.uniform(0.05, 1.0, (6, 5)) * present
         coef /= coef.sum(axis=1, keepdims=True)
         points = np.einsum("km,kmd->kd", coef, gens)
         points[::2] += rng.normal(0.0, 1e-10, (3, d)) * scale
-        got, calls = _tame_calls(_certify_interior, points, gens, coef, DEFAULT_TOL)
-        careful, _ = _tame_calls(_certify_interior, points, gens, coef, DEFAULT_TOL, force=False)
+        got, calls = _tame_calls(_certify_interior, points, gens, coef, sizes, DEFAULT_TOL)
+        careful, _ = _tame_calls(_certify_interior, points, gens, coef, sizes, DEFAULT_TOL, force=False)
         assert calls <= 2 and got.tolist() == careful.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.sampled_from(["in cone", "outside the cone", "out of span", "collinear"]),
+        st.sampled_from([1e-150, 1.0, 1e100, 1e140, 3e149, 1e150]),
+    )
+    def test_check_consistency_pair(self, seed, d, where, scale):
+        rng = np.random.default_rng(seed)
+        u_a, u_b, off = rng.uniform(-1.0, 1.0, (3, d))
+        alpha, beta = rng.uniform(0.1, 1.0, 2) * (-1.0 if where == "outside the cone" else 1.0)
+        u_ab = alpha * u_a + beta * u_b + (off if where == "out of span" else 0.0)
+        if where == "collinear":
+            u_b = 0.5 * u_a
+
+        def classify(*args):
+            try:
+                return social.check_consistency_pair(*args)
+            except ResidualTooLarge as exc:
+                return str(exc)
+
+        args = (u_a * scale, u_b * scale, u_ab * scale, DEFAULT_TOL)
+        got, calls = _tame_calls(classify, *args)
+        careful, _ = _tame_calls(classify, *args, force=False)
+        assert calls <= 2 and got == careful
 
 
 class TestAsPoint:

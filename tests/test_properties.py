@@ -212,8 +212,19 @@ def certified_menus(draw):
 )
 def test_accepted_certificate_means_the_search_finds_the_interior(case):
     p, gens, coef, tol = case
-    if _certify_interior(p[None], np.vstack(gens)[None], coef[None], tol)[0]:
-        assert relative_interior_check(p, gens, tol)
+    # The drawn menu between menus of every size from 1 to 5 on its
+    # generators, at their centroids, all in one padded call.
+    fills = [[gens[i % len(gens)] for i in range(m)] for m in range(1, 6)]
+    menus = [(np.mean(fill, axis=0), fill, np.full(m, 1.0 / m)) for m, fill in enumerate(fills, 1)]
+    menus.insert(2, (p, gens, coef))
+    sizes = np.array([len(g) for _, g, _ in menus])
+    stack, coefs = np.zeros((len(menus), 5, p.size)), np.zeros((len(menus), 5))
+    for row, (_, g, c) in enumerate(menus):
+        stack[row, : len(g)], coefs[row, : len(c)] = g, c
+    accepted = _certify_interior(np.vstack([q for q, _, _ in menus]), stack, coefs, sizes, tol)
+    for certified, (q, g, _) in zip(accepted.tolist(), menus):
+        if certified:
+            assert relative_interior_check(q, g, tol)
 
 
 @settings(max_examples=25, deadline=None)

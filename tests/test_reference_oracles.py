@@ -52,6 +52,15 @@ location and message.
 ``reference_boundary_diagnostic`` runs the hull search on every menu;
 ``boundary_diagnostic``, which settles the menus it can from the
 recovered weights and searches only the rest, must give the same report.
+``reference_certified_boundary`` certifies one menu size at a time with
+``reference_certify_interior`` and builds one ``BoundaryRow`` per menu;
+the one padded certificate call must accept the same rows and give the
+same rows, boundary menus and contradictions.
+
+``reference_bayes_parts`` is the per-set loop of the Bayes check, each
+stored set's conditional summed from its columns of the joint;
+``check_bayesian``, one gather per set size, must give the same positive
+and negative parts of every set's gap, bit for bit, and the same residual.
 
 ``reference_normalized_source`` normalises one stored set at a time onto
 <., v> = 1 and rebuilds the source through the mapping constructor;
@@ -121,7 +130,7 @@ from aggkit import (
 )
 from aggkit import belief, fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
-from aggkit.choice import BoundaryReport, BoundaryRow
+from aggkit.choice import BoundaryRow, recover_two_stage
 from aggkit.errors import (
     AffinelyDependentBasis,
     DatasetFormatError,
@@ -887,6 +896,74 @@ class TestBayesMatchesReference:
         expected = reference_bayes_residual(src, check.joint)
         assert check.max_residual == pytest.approx(expected, rel=0.0, abs=1e-12)
         assert check.consistent == (expected <= tol.gate(1.0)) == consistent
+
+
+def reference_bayes_parts(src, tol):
+    """The per-set loop of the Bayes check: each stored set's conditional from
+    its columns of the joint, the positive and negative parts of its gap,
+    and their maximum; None where no single-class joint is built."""
+    for f in src.features():
+        as_belief(src.outcome([f]), tol)
+    outcome = recover(src, tol)
+    if not isinstance(outcome, Recovered) or len(outcome.representation.rank_classes()) != 1:
+        return None
+    joint = build_joint(outcome.representation, tol)
+    parts = []
+    worst = 0.0
+    for s in src.sets():
+        cols = [i for i, f in enumerate(joint.features) if f in s]
+        gap = src.outcome(s) - joint.table[:, cols].sum(axis=1) / float(joint.table[:, cols].sum())
+        parts.append([float(gap[gap > 0.0].sum()), float(-gap[gap < 0.0].sum())])
+        worst = max(worst, *parts[-1])
+    return parts, worst
+
+
+def _bayes_source(seed, states, classes, noise):
+    """A seeded belief dataset on every subset of six features, its
+    outcomes moved by ``noise``; two states take beliefs drawn here, since
+    the simplex policy needs three to span a plane."""
+    if states == 2:
+        rep = _rep(seed, 6, classes)
+        first = np.random.default_rng(seed).uniform(0.05, 0.95, 6)
+        rep = Representation(
+            weights=rep.weights,
+            ranks=rep.ranks,
+            outcomes={f: np.array([x, 1.0 - x]) for f, x in zip(rep.features(), first)},
+        )
+    else:
+        rep = _rep(seed, 6, classes, OutcomePolicy.SIMPLEX_BELIEFS, states)
+    src = gen_dataset(rep)
+    return perturb(src, noise, seed=seed) if noise else src
+
+
+class TestBayesPartsMatchPerSetLoop:
+    @pytest.mark.parametrize("classes", [1, 2])
+    @pytest.mark.parametrize("noise", [0.0, 3e-5])
+    @pytest.mark.parametrize("states", [2, 8, 16])
+    def test_same_parts_bit_for_bit(self, monkeypatch, states, noise, classes):
+        src = _bayes_source(60 + states, states, classes, noise)
+        tol = Tolerance(1e-4, 1e-4)
+        seen = []
+        real = belief._signed_parts
+
+        def recorded(gap):
+            seen.append((gap, real(gap)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(belief, "_signed_parts", recorded)
+        check = check_bayesian(src, tol)
+        want = reference_bayes_parts(src, tol)
+        if classes > 1:
+            assert want is None and seen == [] and not check.consistent
+            return
+        parts, worst = want
+        (gap, got), = seen
+        assert got.T.tolist() == parts
+        assert _bits(check.max_residual) == _bits(worst)
+        # On two states the noise that recovery accepts moves no event beyond the gate.
+        assert check.consistent == (worst <= tol.gate(1.0)) == (noise == 0.0 or states == 2)
+        if states == 16:  # NumPy's unrolled pairwise sum
+            assert max(np.count_nonzero(gap > 0.0, axis=1).max(), np.count_nonzero(gap < 0.0, axis=1).max()) >= 8
 
 
 # --------------------------------------------------------------------------
@@ -2415,12 +2492,77 @@ def reference_boundary_diagnostic(src, recovery, tol=DEFAULT_TOL):
     single = None
     if isinstance(recovery, Recovered):
         single = len(recovery.representation.rank_classes()) == 1
-    return BoundaryReport(
-        rows=tuple(rows),
-        boundary_menus=tuple(boundary),
-        contradictions=tuple(boundary) if single else (),
-        single_class=single,
+    return tuple(rows), tuple(boundary), tuple(boundary) if single else (), single
+
+
+def _boundary_fields(report):
+    """What a ``BoundaryReport`` says: its rows, boundary menus,
+    contradictions and single-class flag."""
+    return report.rows, report.boundary_menus, report.contradictions, report.single_class
+
+
+def reference_certify_interior(points, gens, coef, tol):
+    """The certificate on menus of one size m: ``gens`` a ``(k, m, d)`` stack,
+    ``coef`` its ``(k, m)`` coefficients, as one array pass per size."""
+    m = gens.shape[1]
+    tame = geometry._tame(points, 32.0) and geometry._tame(gens, 32.0)
+    origin = gens.mean(axis=1)
+    spokes = gens - origin[:, None, :]
+    q = points - origin
+    level = geometry._RELINT_MARGIN * tol.lam_slack
+    if m * level >= 0.5:
+        level = 0.5 / m
+    gate, stretch = tol.gate(geometry._spread(q, spokes, tame), 1.0), 1.0 + m * level / (1.0 - m * level)
+    rebuilt = np.einsum("km,kmd->kd", coef, spokes)
+    accepted = (geometry._row_norms(rebuilt - q, tame) <= geometry._CERTIFICATE_SHARE * gate) & (
+        coef.min(axis=1) >= level
     )
+    _, svals, vt = np.linalg.svd(spokes, full_matrices=False)
+    span = vt * (np.arange(vt.shape[1]) < _numerical_ranks(svals, tol)[:, None])[:, :, None]
+    flat = np.matmul(spokes, span.transpose(0, 2, 1))
+    target = stretch * np.matmul(span, q[:, :, None])[:, :, 0]
+    flat_origin = flat.mean(axis=1)
+    flat_spokes = flat - flat_origin[:, None, :]
+    flat_q = target - flat_origin
+    stretched = stretch * coef - (stretch - 1.0) / m
+    miss = geometry._row_norms(np.einsum("km,kmr->kr", stretched, flat_spokes) - flat_q, tame)
+    return accepted & (
+        miss <= geometry._CERTIFICATE_SHARE * geometry._FIT_EPS * geometry._spread(flat_q, flat_spokes, tame)
+    )
+
+
+def reference_certified_boundary(src, recovery, tol=DEFAULT_TOL):
+    """One certificate call per menu size over the menus whose members share
+    a rank, then one ``BoundaryRow`` per menu, searching the menus left open."""
+    members, points = src._members, src._points
+    blocks = [(first, codes) for size, (first, codes) in src._blocks.items() if size > 1]
+    settled = np.zeros(len(members), dtype=bool)
+    single = None
+    if isinstance(recovery, Recovered):
+        rep = recovery.representation
+        single = len(rep.rank_classes()) == 1
+        for first, codes in blocks:
+            ranks = rep._rank_array[codes]
+            same = np.flatnonzero((ranks == ranks[:, :1]).all(axis=1))
+            w = rep._weight_array[codes[same]]
+            coef = w / w.sum(axis=1, keepdims=True)
+            settled[first + same] = reference_certify_interior(
+                points[first + same], points[codes[same]], coef, tol
+            )
+    rows = []
+    boundary = []
+    for first, codes in blocks:
+        for row, gens in enumerate(codes, first):
+            interior = in_hull = True
+            if not settled[row]:
+                try:
+                    interior = relative_interior_check(points[row], points[gens], tol)
+                except NotInConvexHull:
+                    interior = in_hull = False
+            rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
+            if not interior:
+                boundary.append(members[row])
+    return tuple(rows), tuple(boundary), tuple(boundary) if single else (), single
 
 
 def _menus(seed, features=7, dimension=3, classes=1, shift=0.0, factor=1.0):
@@ -2493,9 +2635,52 @@ class TestBoundaryMatchesPerMenuSearch:
         src, recovery, tol = _boundary_case(name)
         assert isinstance(recovery, _BOUNDARY_OUTCOMES[name])
         want = reference_boundary_diagnostic(src, recovery, tol)
-        assert boundary_diagnostic(src, recovery, tol) == want
+        assert _boundary_fields(boundary_diagnostic(src, recovery, tol)) == want
         if name.startswith("faces"):
-            assert want.boundary_menus and not all(row.in_hull for row in want.rows)
+            rows, boundary_menus, _, _ = want
+            assert boundary_menus and not all(row.in_hull for row in rows)
+
+
+def _no_menus():
+    """One alternative: no menu of two or more, and a recovery all the same."""
+    return DatasetSource(2, {"a": [0.5, 1.0]})
+
+
+class TestBoundaryMatchesPerSizeCertificates:
+    """One padded certificate call gives the report of one call per menu size."""
+
+    @pytest.mark.parametrize(
+        "src,outcome",
+        [(_menus(51), Recovered), (_menus(52, features=6, dimension=2, classes=2), Recovered),
+         (perturb(_menus(53, features=5), 1e-3, seed=53), NonRepresentable), (_no_menus(), Recovered)],
+        ids=["luce", "two classes", "refused", "no menus"],
+    )
+    def test_same_report(self, src, outcome):
+        assert isinstance(recover(src), outcome)
+        for recovery in (recover(src), recover_two_stage(src).recovery):
+            want = reference_certified_boundary(src, recovery)
+            assert _boundary_fields(boundary_diagnostic(src, recovery)) == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_padded_call_accepts_the_rows_per_size_calls_accept(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+        width = 5
+        sizes = rng.integers(1, width + 1, 40)
+        gens = rng.uniform(-1.0, 1.0, (40, width, d)) * (np.arange(width) < sizes[:, None])[:, :, None]
+        coef = rng.uniform(0.05, 1.0, (40, width)) * (np.arange(width) < sizes[:, None])
+        coef[::5, 0] = 1e-6  # below the strictness level
+        coef /= coef.sum(axis=1, keepdims=True)
+        points = np.einsum("km,kmd->kd", coef, gens)
+        points[1::3] += rng.normal(0.0, 1e-10, (len(points[1::3]), d))
+        points[2::7] += rng.normal(0.0, 1.0, (len(points[2::7]), d))
+        got = geometry._certify_interior(points, gens, coef, sizes, DEFAULT_TOL)
+        want = np.zeros(len(sizes), dtype=bool)
+        for m in range(1, width + 1):
+            rows = np.flatnonzero(sizes == m)
+            want[rows] = reference_certify_interior(points[rows], gens[rows, :m], coef[rows, :m], DEFAULT_TOL)
+        assert got.tolist() == want.tolist()
+        assert 0 < got.sum() < len(got)
 
 
 # --------------------------------------------------------------------------
@@ -2659,6 +2844,20 @@ class TestBeliefLoaderMatchesPerSetLoop:
         except DatasetFormatError as err:
             assert want is not None
             assert (err.location, str(err)) == (want[0], f"{want[0]}: {want[1]}")
+        else:
+            assert want is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(belief_documents())
+    def test_check_bayesian_refuses_the_first_faulty_singleton(self, doc_tol):
+        doc, tol = doc_tol
+        src = _loaded(doc, tol, "generic").source
+        singles = DatasetSource(src.dimension, {f: src.outcome([f]) for f in src.features()})
+        want = reference_belief_check(singles, tol)
+        try:
+            check_bayesian(src, tol)
+        except NotABelief as exc:
+            assert want is not None and str(exc) == want[1]
         else:
             assert want is None
 
