@@ -215,7 +215,7 @@ class TestTameOncePerKernel:
         args = (u_a * scale, u_b * scale, u_ab * scale, DEFAULT_TOL)
         got, calls = _tame_calls(classify, *args)
         careful, _ = _tame_calls(classify, *args, force=False)
-        assert calls <= 2 and got == careful
+        assert calls == 1 and got == careful  # the three inputs, stacked
 
 
 class TestAsPoint:
