@@ -199,18 +199,17 @@ def _belief_faults(points: NDArray[np.float64], tol: Tolerance) -> list[int]:
 
 def _signed_parts(gap: NDArray[np.float64]) -> NDArray[np.float64]:
     """``gap[gap > 0].sum()`` and ``-gap[gap < 0].sum()`` of each row, bit for bit:
-    NumPy adds fewer than 8 terms in order, as accumulating the row with zeros
-    does; 8 or more, where its pairwise sum unrolls, are summed packed per count."""
-    parts = np.empty((2, len(gap)))
-    for side, (part, mask) in enumerate(((gap, gap > 0.0), (-gap, gap < 0.0))):
-        parts[side] = np.add.accumulate(np.where(mask, part, 0.0), axis=1)[:, -1]
-        counts = np.count_nonzero(mask, axis=1)
-        if counts.max() >= 8:
-            packed = np.take_along_axis(part, np.argsort(~mask, axis=1, kind="stable"), axis=1)
-            for count in set(counts[counts >= 8].tolist()):
-                rows = np.flatnonzero(counts == count)
-                parts[side, rows] = packed[rows, :count].sum(axis=1)
-    return parts
+    a row's terms of one sign, packed to its front in order, are summed as one
+    contiguous run of their count, as the masked sum adds them."""
+    part = np.concatenate([gap, -gap])  # the positive parts' rows, then the negative
+    mask = part > 0.0
+    counts = np.count_nonzero(mask, axis=1)
+    packed = np.take_along_axis(part, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    parts = np.empty(len(part))
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        parts[rows] = packed[rows, :count].sum(axis=1)
+    return parts.reshape(2, -1)
 
 
 @dataclass(frozen=True)

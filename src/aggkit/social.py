@@ -187,19 +187,12 @@ def _certifies(
     u_A, u_B, u_AB of ``parts``, of norms ``norms``."""
     if nz <= 0.0:
         return False
-    u_a, u_b, u_ab = parts
+    da, db, dab = (float(np.dot(z, u)) for u in parts)
     na, nb, nab = norms
-    da = float(np.dot(z, u_a))
-    db = float(np.dot(z, u_b))
-    dab = float(np.dot(z, u_ab))
     if da < -_SIGN_EPS * nz * na or db < -_SIGN_EPS * nz * nb:
         return False
     g = tol.gate(nz * nab, nz)
-    if dab < -g:
-        return True
-    if abs(dab) <= g:
-        return da > tol.gate(nz * na, nz) or db > tol.gate(nz * nb, nz)
-    return False
+    return dab < -g or (abs(dab) <= g and (da > tol.gate(nz * na, nz) or db > tol.gate(nz * nb, nz)))
 
 
 def check_consistency_pair(
@@ -253,8 +246,7 @@ def check_consistency_pair(
             continue
         z = cand / c_norm
         if _certifies(z, _norm(z, tame), parts, norms, tol):
-            dot_a, dot_b, dot_ab = (float(np.dot(z, u)) for u in parts)
-            return Certificate(z=tuple(float(x) for x in z), dot_a=dot_a, dot_b=dot_b, dot_ab=dot_ab)
+            return Certificate(tuple(z.tolist()), *(float(np.dot(z, u)) for u in parts))
     raise ResidualTooLarge("no candidate certificate validated; the inputs look corrupt")
 
 

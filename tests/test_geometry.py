@@ -181,8 +181,9 @@ class TestTameOncePerKernel:
         rng = np.random.default_rng(seed)
         sizes = rng.permutation([1, 2, 3, 4, 5, rng.integers(1, 6)])  # every size in one padded call
         present = np.arange(5) < sizes[:, None]
-        # Coordinates of at most scale / 5, so that five add up inside the float range.
-        gens = rng.uniform(-1.0, 1.0, (6, 5, d)) * (scale / 5) * present[:, :, None]
+        # Five coordinates near 5e307 add up beyond the float range, as the
+        # centroid of a menu does; 3.5e307 keeps five inside it.
+        gens = rng.uniform(-1.0, 1.0, (6, 5, d)) * min(scale, 3.5e307) * present[:, :, None]
         coef = rng.uniform(0.05, 1.0, (6, 5)) * present
         coef /= coef.sum(axis=1, keepdims=True)
         points = np.einsum("km,kmd->kd", coef, gens)

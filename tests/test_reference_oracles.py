@@ -128,7 +128,7 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import belief, fileio, geometry, model, recovery, social
+from aggkit import belief, choice, fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
 from aggkit.choice import BoundaryRow, recover_two_stage
 from aggkit.errors import (
@@ -966,7 +966,7 @@ class TestBayesPartsMatchPerSetLoop:
         assert check.consistent == (worst <= tol.gate(1.0)) == (noise == 0.0 or states == 2)
         if states == 16 and gate == 5e-2:
             # Rows of 8 or more positive gaps whose unrolled pairwise sum differs
-            # from the sum in order: the per-count path decides their bits.
+            # from the sum in order, so a sum in order would miss their bits.
             many = [row[row > 0.0] for row in gap if np.count_nonzero(row > 0.0) >= 8]
             assert any(terms.sum() != np.add.accumulate(terms)[-1] for terms in many)
 
@@ -2591,6 +2591,13 @@ def _menus(seed, features=7, dimension=3, classes=1, shift=0.0, factor=1.0):
     return gen_dataset(Representation(weights=rep.weights, ranks=rep.ranks, outcomes=moved))
 
 
+def _pairs_and_whole(seed, features=30):
+    """A seeded one-class rule's pairs and its whole menu: sizes far apart."""
+    rep = gen_representation(GeneratorConfig(seed=seed, feature_count=features, dimension=3, rank_classes=1))
+    names = rep.features()
+    return induced_source(rep, [(f,) for f in names] + list(itertools.combinations(names, 2)) + [names])
+
+
 def _faces_and_outside(src, seed):
     """Every third menu moved onto a vertex of its hull or out beyond one."""
     rng = np.random.default_rng(seed)
@@ -2675,6 +2682,32 @@ class TestBoundaryMatchesPerSizeCertificates:
         for recovery in (recover(src), recover_two_stage(src).recovery):
             want = reference_certified_boundary(src, recovery)
             assert _boundary_fields(boundary_diagnostic(src, recovery)) == want
+
+    @pytest.mark.parametrize("slots", [None, 1, 7, 24, 64])
+    @pytest.mark.parametrize("src", [_menus(51), _pairs_and_whole(54)], ids=["every menu", "pairs and the whole"])
+    def test_runs_of_bounded_padding(self, src, slots, monkeypatch):
+        # Small budgets of member slots cut runs across sizes and leave a menu
+        # wider than the budget in a run of its own; the default takes every
+        # menu in one call.
+        calls = []
+        real = choice._certify_interior
+
+        def recorded(points, gens, coef, sizes, tol):
+            calls.append(gens.shape[:2])
+            return real(points, gens, coef, sizes, tol)
+
+        monkeypatch.setattr(choice, "_certify_interior", recorded)
+        if slots is not None:
+            monkeypatch.setattr(choice, "_PAD_CELLS", slots * src.dimension)
+        recovery = recover(src)
+        want = reference_certified_boundary(src, recovery)
+        monkeypatch.setattr(choice, "relative_interior_check", None)  # every menu certified: no search
+        assert _boundary_fields(boundary_diagnostic(src, recovery)) == want
+        assert sum(rows for rows, _ in calls) == len(src) - len(src.features())  # one rank class
+        if slots is None:
+            assert len(calls) == 1
+        else:
+            assert len(calls) > 1 and all(rows * width <= slots or rows == 1 for rows, width in calls)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_padded_call_accepts_the_rows_per_size_calls_accept(self, seed):
