@@ -185,8 +185,7 @@ def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProba
             f"joint construction needs one rank class, found {len(classes)}"
         )
     features = rep.features()
-    cells = _cells([as_belief(rep.outcomes[f], tol) for f in features])
-    table = _top_means(rep._weight_array, cells)[0]
+    table = _top_means(rep._weight_array, _cells(_beliefs(rep._outcome_array, tol)))[0]
     return JointProbability(features=features, table=table.reshape(-1, len(features)))
 
 
@@ -195,6 +194,16 @@ def _belief_faults(points: NDArray[np.float64], tol: Tolerance) -> list[int]:
     test of its two gates; ``as_belief`` on each names the fault."""
     gate = tol.gate(1.0)
     return np.flatnonzero(~(points.min(axis=1) >= -gate) | ~(np.abs(points.sum(axis=1) - 1.0) <= gate)).tolist()
+
+
+def _beliefs(points: NDArray[np.float64], tol: Tolerance) -> NDArray[np.float64]:
+    """:func:`as_belief` of each row of ``points`` in one batch: the rows
+    renormalised as it renormalises one, after ``_belief_faults`` has let
+    ``as_belief`` raise on the first faulty row."""
+    for row in _belief_faults(points, tol):
+        as_belief(points[row], tol)  # NotABelief on bad input
+    clipped = np.clip(points, 0.0, None)
+    return clipped / clipped.sum(axis=1, keepdims=True)
 
 
 def _signed_parts(gap: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -321,10 +330,10 @@ def build_cps(
             f"a conditional probability system on {len(features)} features is too large; "
             f"the limit is {_MAX_CPS_FEATURES}"
         )
-    beliefs = [as_belief(rep.outcomes[f], tol) for f in features]
+    beliefs = _beliefs(rep._outcome_array, tol)
     blocks = _every_subset(len(features))
     tables = _top_means(rep._weight_array, _cells(beliefs), blocks, rep._rank_array)
-    return ConditionalProbabilitySystem(num_states=beliefs[0].size, source=_block_source(features, blocks, tables))
+    return ConditionalProbabilitySystem(num_states=beliefs.shape[1], source=_block_source(features, blocks, tables))
 
 
 @dataclass(frozen=True)
@@ -371,8 +380,7 @@ def verify_cps(
     features, keys, count = src.features(), src._members, len(src)
     tables = src._points.reshape(count, cps.num_states, len(features))
     member = np.zeros((count, len(features)))  # 1.0 where the feature is in the set
-    for first, block in src._blocks.values():
-        member[np.arange(first, first + len(block))[:, None], block] = 1.0
+    member[np.repeat(np.arange(count), src._sizes), src._codes] = 1.0
     masses = tables.sum(axis=1)  # (set, feature) mass of each column
     total = masses.sum(axis=1)
     unnormalized = np.abs(total - 1.0) > g

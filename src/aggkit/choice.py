@@ -29,7 +29,9 @@ from .geometry import (
     relative_interior_check,
 )
 from .model import (
+    _PAD_CELLS,
     DatasetSource,
+    _padded,
     _positive_weights,
     _top_means,
     check_richness,
@@ -287,10 +289,6 @@ def check_path_independence(
     return PathIndependenceReport(rows=tuple(rows), max_residual=worst)
 
 
-# Most padded coordinates (menus x the largest of them x dimension) certified in one call.
-_PAD_CELLS = 1 << 18
-
-
 @dataclass(frozen=True)
 class BoundaryRow:
     members: tuple[str, ...]
@@ -347,18 +345,16 @@ def boundary_diagnostic(
     checked as certificates against the inequalities of
     :func:`relative_interior_check`, in one array pass per run of menus
     whose padding to the run's largest menu takes at most ``_PAD_CELLS``
-    coordinates (one run on all but very large data); a menu they settle
-    is interior.
+    coordinates (``model._padded``'s runs, one on all but very large
+    data); a menu they settle is interior.
     Every other menu (other outcomes, menus across rank classes,
     certificates that fail) gets the hull search itself, so the verdicts
     are the search's either way.
     """
     n, points = len(src._features), src._points
-    # The menus of two or more alternatives, in row order and so in size order:
-    # each one's size, and all their members' codes end to end.
-    sizes = np.repeat(list(src._blocks), [len(block) for _, block in src._blocks.values()])[n:]
-    flat = np.concatenate([block.ravel() for _, block in src._blocks.values()])[n:]
-    bounds = np.cumsum(np.concatenate([[0], sizes]))  # menu r is flat[bounds[r] : bounds[r + 1]]
+    # The menus of two or more alternatives, in row order and so in size order.
+    sizes, flat = src._sizes[n:], src._codes[n:]
+    menus = [block for size, (_, block) in src._blocks.items() if size > 1]
     interior = np.zeros(len(sizes), dtype=bool)
     single: bool | None = None
     if isinstance(recovery, Recovered):
@@ -366,22 +362,16 @@ def boundary_diagnostic(
         if rep.features() != src._features:
             raise ValueError("the recovery must rank exactly the source's features")
         single = len(rep.rank_classes()) == 1
-        lo, slots = 0, _PAD_CELLS // src.dimension
-        while lo < len(sizes):  # the run of menus whose padding takes at most that many member slots
-            run = sizes[lo : lo + slots]
-            hi = lo + max(1, int(np.searchsorted(np.arange(1, len(run) + 1) * run, slots, "right")))
-            present = np.arange(sizes[hi - 1]) < sizes[lo:hi, None]
-            codes = np.zeros(present.shape, np.intp)
-            codes[present] = flat[bounds[lo] : bounds[hi]]
+        for lo, _, codes, present in _padded(menus, src.dimension, _PAD_CELLS):
             ranks = rep._rank_array[codes]
             same = np.flatnonzero(((ranks == ranks[:, :1]) | ~present).all(axis=1))
             w = np.where(present[same], rep._weight_array[codes[same]], 0.0)
             gens = np.where(present[same, :, None], points[codes[same]], 0.0)
             coef = w / w.sum(axis=1, keepdims=True)
             interior[lo + same] = _certify_interior(points[n + lo + same], gens, coef, sizes[lo + same], tol)
-            lo = hi
 
     in_hull = np.ones(len(sizes), dtype=bool)
+    bounds = np.cumsum(np.concatenate([[0], sizes]))  # menu r is flat[bounds[r] : bounds[r + 1]]
     for row in np.flatnonzero(~interior).tolist():
         try:
             interior[row] = relative_interior_check(points[n + row], points[flat[bounds[row] : bounds[row + 1]]], tol)

@@ -346,14 +346,14 @@ def _affine_rank(mat: NDArray[np.float64], tol: Tolerance) -> int:
         raise ValueError("affine_dimension needs at least one point")
     if mat.shape[0] == 1:
         return 0
-    centered = mat - mat.mean(axis=0)
+    centered = mat - _centroid(mat)
     return int(_numerical_ranks(np.linalg.svd(centered, compute_uv=False), tol))
 
 
 def _affine_ranks(stack: NDArray[np.float64], tol: Tolerance) -> NDArray[np.intp]:
     """:func:`_affine_rank` of each matrix of a ``(k, m, d)`` stack, m >= 2, in
     one SVD call."""
-    centered = stack - stack.mean(axis=1, keepdims=True)
+    centered = stack - _centroid(stack)[:, None]
     return _numerical_ranks(np.linalg.svd(centered, compute_uv=False), tol)
 
 
@@ -457,6 +457,18 @@ def _nnls(a: NDArray[np.float64], b: Vector) -> Vector:
     return x
 
 
+def _centroid(gens: NDArray[np.float64], sizes: NDArray[np.intp] | None = None) -> NDArray[np.float64]:
+    """The mean of the generators, the rows of ``gens`` ``(m, d)``, or of each
+    menu's, the first ``sizes[k]`` rows of ``gens[k]`` ``(k, m, d)``: the first
+    generator plus the mean of the differences from it, each divided by the
+    count before they are added, so no sum leaves the float range where the
+    coordinates and their differences do not."""
+    sizes = np.asarray(gens.shape[-2] if sizes is None else sizes)
+    present = (np.arange(gens.shape[-2]) < sizes[..., None])[..., None]
+    steps = np.where(present, (gens - gens[..., :1, :]) / sizes[..., None, None], 0.0)
+    return gens[..., 0, :] + steps.sum(axis=-2)
+
+
 def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64], tame: bool | None = None) -> Vector:
     """Each row's largest norm among its centred point, a row of ``q``
     ``(k, d)``, and its centred generators, a ``(m, d)`` slice of ``spokes``;
@@ -468,22 +480,27 @@ def _spread(q: NDArray[np.float64], spokes: NDArray[np.float64], tame: bool | No
 def _hull_fit(p: Vector, gens: NDArray[np.float64]) -> tuple[Vector, float, float]:
     """Best convex fit of ``p`` by the rows of ``gens``.
 
-    The fit runs about the generators' centroid o, where generators that
-    are close together far from the origin no longer look parallel: one
-    NNLS solve of ``[(G - o)^T; s 1^T] c = [p - o; s]``, with ``s`` the
-    largest norm among the centred point and generators, renormalised to
-    sum to one.  Returns the coefficients, the distance from ``p`` to the
-    point they rebuild (infinite when the solve returns no mass), and
-    ``s``.  The distance is measured afresh, so it bounds the distance
-    from ``p`` to the hull whatever the solver did.
+    The fit runs about the generators' centroid o (:func:`_centroid`),
+    where generators that are close together far from the origin no longer
+    look parallel: one NNLS solve of ``[(G - o)^T; s 1^T] c = [p - o; s]``,
+    with ``s`` the largest norm among the centred point and generators
+    (both sides scaled by a power of two near 1/s where s is so large that
+    the solver's products would overflow), renormalised to sum to one.
+    Returns the coefficients, the distance from ``p`` to the point they
+    rebuild (infinite when the solve returns no mass), and ``s``.  The
+    distance is measured afresh, so it bounds the distance from ``p`` to
+    the hull whatever the solver did.
     """
-    origin = gens.mean(axis=0)
+    origin = _centroid(gens)
     q = p - origin
     spokes = gens - origin
     spread = float(_spread(q[None], spokes[None])[0])
     row = spread if spread > 0.0 else 1.0  # p on a one-point hull: weigh the sum alone
-    system = np.vstack([spokes.T, np.full((1, gens.shape[0]), row)])
-    coef = _nnls(system, np.append(q, row))
+    system, rhs = np.vstack([spokes.T, np.full((1, gens.shape[0]), row)]), np.append(q, row)
+    if not _tame(system):  # the solver's products would overflow: scale exactly, by a power of two
+        unit = 2.0 ** -np.frexp(row)[1]
+        system, rhs = system * unit, rhs * unit
+    coef = _nnls(system, rhs)
     total = float(coef.sum())
     if total <= 0.0:
         return coef, np.inf, spread
@@ -567,7 +584,7 @@ def relative_interior_check(
     if residual > gate:
         raise NotInConvexHull("point is outside the convex hull of the generators")
 
-    centroid = np.mean(gens, axis=0)
+    centroid = _centroid(gens)
     centered = gens - centroid
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     span = vt[: _numerical_ranks(svals, tol)]
@@ -608,7 +625,7 @@ def _certify_interior(
     # below is more than 18 times as long as a row of the inputs' largest
     # coordinate; 32 leaves room for rounding.
     tame = _tame(points, 32.0) and _tame(gens, 32.0)
-    origin = gens.sum(axis=1) / sizes[:, None]
+    origin = _centroid(gens, sizes)
     spokes = np.where(present, gens - origin[:, None, :], 0.0)
     q = points - origin
     gate, level, stretch = _interior_terms(sizes, _spread(q, spokes, tame), tol)

@@ -10,7 +10,8 @@ extreme averaging).
 
 That rule, form (3) of the paper, has one implementation: every forward
 evaluation in the package is a call to ``_top_means``, which reads the
-sets as per-size blocks of feature codes, the form of a source's index.
+sets as per-size blocks of feature codes, the form of a source's index,
+in ``_padded`` runs of sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -108,6 +109,27 @@ def _first_fault(items: Sequence[tuple[object, object]], dimension: int) -> NoRe
     raise AssertionError("the batched checks refused a table without a faulty entry")
 
 
+def _canonical(codes: NDArray[np.intp], lengths: NDArray[np.intp], starts: NDArray[np.intp]) -> bool:
+    """Whether the rows of ``DatasetSource._from_columns``' columns (row i:
+    ``lengths[i]`` codes from ``codes[starts[i]]``) are in canonical order:
+    sizes never fall, each row's codes rise, and each row is lexicographically
+    below the next row of its size, so no row repeats a code or a set.  One
+    pass over the flat column, whatever the sizes."""
+    if not (lengths[1:] >= lengths[:-1]).all():
+        return False
+    head = np.zeros(len(codes), dtype=bool)
+    head[starts] = True
+    if not ((codes[1:] > codes[:-1]) | head[1:]).all():
+        return False
+    # Each code against the code at its place in the next row: where that row
+    # has the same size, the first place they differ must rise.
+    index = np.arange(len(codes))
+    paired = np.repeat(np.append(lengths[1:] == lengths[:-1], False), lengths)
+    step = np.where(paired, codes.take(index + np.repeat(lengths, lengths), mode="clip") - codes, 1)
+    first = np.minimum.reduceat(np.where(step != 0, index, len(codes)), starts)
+    return bool((first < len(codes)).all() and (step[first] > 0).all())
+
+
 class DatasetSource:
     """Finite table of set outcomes, the one source type: every reading
     takes one, and ``belief.recover_discounted`` fills one from its
@@ -127,15 +149,19 @@ class DatasetSource:
     ``fileio.load_dataset`` reads, is built by ``_from_columns``: the
     outcomes are the rows of one read-only ``(m, d)`` array in canonical
     set order, so its first ``len(features())`` rows are the singletons in
-    feature order.  The index is ``_members``, each set's sorted members,
-    row for row, and ``_blocks``, each set size k -> its first row and its
-    sets' feature indices as a read-only ``(m_k, k)`` block (each row
-    increasing, rows in row order), so stored pair j is row n + j; a source
-    with new outcomes for the same sets (``_with_points``) shares both, but
-    not ``_pair_tables``, where ``_pair_table`` keeps its read-only tables
-    per tolerance.  The public lookups validate their arguments; code inside
-    the package that holds valid ids uses ``_lookup``, ``_row``, ``_members``,
-    ``_blocks`` and ``_pair_table`` directly.
+    feature order.  The index, read-only as well, is the flat column
+    ``_codes`` of every set's feature indices (each set's increasing) end to
+    end in row order, with ``_sizes``, each row's set size; ``_members``,
+    each set's sorted members, row for row; and ``_blocks``, each set size
+    k -> its first row and its sets' codes as a ``(m_k, k)`` view of
+    ``_codes``, so stored pair j is row n + j.  Kernels that take sets of
+    many sizes at once read the blocks in ``_padded`` runs.
+    A source with new outcomes for the same sets (``_with_points``) shares
+    the index, but not ``_pair_tables``, where ``_pair_table`` keeps its
+    read-only tables per tolerance, and ``recovery._same_rank_table`` its
+    own per tolerance and ranks.  The public lookups validate their
+    arguments; code inside the package that holds valid ids uses
+    ``_lookup``, ``_row``, the index and ``_pair_table`` directly.
     """
 
     def __init__(
@@ -171,35 +197,38 @@ class DatasetSource:
     def _from_columns(cls, dimension: int, features: tuple[str, ...], codes, lengths, points) -> DatasetSource:
         """The source of unchecked columns: ``features``, valid ids in sorted order,
         each with a singleton row; row i's ``lengths[i]`` > 0 codes (indices into
-        ``features``, in any order) end to end in ``codes``, and its finite
-        outcome ``points[i]``.  ValueError when a row repeats a code or two rows
-        hold one set."""
+        ``features``, in any order) end to end in the int array ``codes``, and its
+        finite outcome ``points[i]``.  ValueError when a row repeats a code or two
+        rows hold one set.  Columns already in canonical order (every file
+        ``dataset_to_json`` writes) are indexed as they stand, in one pass;
+        others are sorted, then tested as those are."""
         self = cls.__new__(cls)
         starts = np.cumsum(lengths) - lengths
-        names = np.array(features, dtype=object)
-        order, members, blocks = [], [], {}
-        for size in np.flatnonzero(np.bincount(lengths)).tolist():  # one set size at a time
-            group = np.flatnonzero(lengths == size)
-            block = codes[starts[group, None] + np.arange(size)]
-            if not (block[:, 1:] > block[:, :-1]).all():  # sort each row's codes
-                block = block.ravel()[np.lexsort((block.ravel(), np.repeat(group, size)))].reshape(-1, size)
-                if (block[:, 1:] == block[:, :-1]).any():
-                    raise ValueError("a set lists a member twice")
-            sort = np.lexsort(block.T[::-1])  # canonical order: codes follow the sorted ids
-            block = block[sort]
-            if (block[1:] == block[:-1]).all(axis=1).any():
-                raise ValueError("two rows hold one set")
-            order.append(group[sort])
-            block.setflags(write=False)
-            blocks[size] = (len(members), block)
-            members += zip(*names[block].T.tolist())
+        if not _canonical(codes, lengths, starts):  # sort each row's codes, then the rows of each size
+            codes = codes[np.lexsort((codes, np.repeat(np.arange(len(lengths)), lengths)))]
+            order = np.concatenate([group[np.lexsort(codes[starts[group, None] + np.arange(size)].T[::-1])]
+                                    for size in np.flatnonzero(np.bincount(lengths)).tolist()
+                                    for group in [np.flatnonzero(lengths == size)]])
+            lengths, points, moved = lengths[order], points[order], starts[order]
+            starts = np.cumsum(lengths) - lengths
+            codes = codes[np.repeat(moved - starts, lengths) + np.arange(len(codes))]
+            if not _canonical(codes, lengths, starts):
+                raise ValueError("a set lists a member twice, or two rows hold one set")
+        for column in (codes, lengths, points):
+            column.setflags(write=False)
+        names = np.array(features, dtype=object)[codes].tolist()
+        members, blocks = [], {}
+        cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+        for lo, hi in zip(cuts, cuts[1:]):  # each set size's rows, its codes one (rows, size) view
+            size, at = int(lengths[lo]), int(starts[lo])
+            end = at + (hi - lo) * size
+            blocks[size] = (lo, codes[at:end].reshape(-1, size))
+            members += zip(*[iter(names[at:end])] * size)
         self.dimension = int(dimension)
         self._features = features
         self._members = tuple(members)
-        self._blocks = blocks
+        self._codes, self._sizes, self._blocks = codes, lengths, blocks
         self._pair_tables = {}
-        points = points[np.concatenate(order)]
-        points.setflags(write=False)
         self._points = points
         return self
 
@@ -296,6 +325,48 @@ def _positive_weights(weights: Mapping[str, float], members: Sequence[str]) -> l
     return out
 
 
+# Most padded cells (rows x the run's largest set x cells per member) one
+# array pass over a run of ``_padded`` sets takes: rule (3) here and the
+# interior certificate of ``choice.boundary_diagnostic``.
+_PAD_CELLS = 1 << 16
+
+
+def _padded(
+    blocks: Iterable[NDArray[np.intp]], width: int, cells: int, dense: bool = False, pad: int = 0
+) -> Iterator[tuple[int, int, NDArray[np.intp], NDArray[np.bool_]]]:
+    """The sets of ``blocks``, ``(m, k)`` blocks of codes with k rising, in
+    runs of rows lo..hi-1 (rows numbered on through the blocks), each as one
+    block of their codes padded with ``pad`` to the run's largest set, with
+    the mask of codes ``present``: yields (lo, hi, block, present).  A run's
+    block, at ``width`` cells per member, takes at most ``cells`` cells or
+    holds one set; with ``dense`` a run is also at most half padding, so a
+    rare large set does not pad the small ones out to its size.  A run of
+    one size is a view of its block, not a copy."""
+    slots = cells // width
+    pieces = (block[i : i + step] for block in blocks
+              for step in [max(1, slots // block.shape[1])] for i in range(0, len(block), step))
+    runs: list[list[NDArray[np.intp]]] = []  # each run's pieces of blocks
+    rows = members = 0
+    for piece in pieces:
+        padded = (rows + len(piece)) * piece.shape[1]
+        if not runs or padded > slots or dense and padded > 2 * (members + piece.size):
+            runs.append([])
+            rows = members = 0
+        runs[-1].append(piece)
+        rows, members = rows + len(piece), members + piece.size
+    lo = 0
+    for run in runs:
+        if len(run) == 1:
+            block, present = run[0], np.ones(run[0].shape, dtype=bool)
+        else:
+            sizes = np.repeat([piece.shape[1] for piece in run], [len(piece) for piece in run])
+            present = np.arange(run[-1].shape[1]) < sizes[:, None]
+            block = np.full(present.shape, pad, dtype=np.intp)
+            block[present] = np.concatenate([piece.ravel() for piece in run])
+        yield lo, lo + len(block), block, present
+        lo += len(block)
+
+
 def _top_means(
     weights: Sequence[float],
     points: Sequence[Vector],
@@ -307,22 +378,30 @@ def _top_means(
     ``weights``, ``points`` and ``ranks`` (by default one rank) follow the
     features in sorted order.  ``blocks`` holds the sets as
     ``DatasetSource._blocks`` does: size k -> (first output row, a ``(m_k, k)``
-    block of feature codes, each row increasing); by default one set of every
-    feature.  Weight x point and weight of each set's top members are added
-    one block column at a time, so in sorted order, as a scalar loop would.
+    block of feature codes, each row increasing), sizes rising and rows
+    numbered on from 0; by default one set of every feature.  The sets are
+    taken in dense ``_padded`` runs, padded with an extra code of rank below
+    every feature and zero terms.  Weight x point and weight are added one
+    padded column at a time across the run, zero for a member below its
+    set's top rank, so each set's sum adds its top members' terms in sorted
+    order, as a scalar loop would: adding zero to a sum that starts at +0
+    changes no bit.
     """
     points = np.asarray(points, dtype=float)
     ranks = np.zeros(len(points)) if ranks is None else np.asarray(ranks)
     if blocks is None:
         blocks = {len(points): (0, np.arange(len(points))[None])}
     weights = np.asarray(weights, dtype=float)[:, None]
-    terms = np.hstack([weights * points, weights])  # w x point, then w
-    sums = np.zeros((sum(len(block) for _, block in blocks.values()), len(terms[0])))
-    for first, block in blocks.values():
-        acc, level = sums[first : first + len(block)], ranks[block]
-        top = level == level.max(axis=1, keepdims=True)
-        for codes, use in zip(block.T, top.T):
-            np.add(acc, terms[codes], out=acc, where=use[:, None])
+    terms = np.vstack([np.hstack([weights * points, weights]), np.zeros(points.shape[1] + 1)])  # w x point, w
+    levels = np.append(ranks, -np.inf)
+    sums = np.zeros((sum(len(block) for _, block in blocks.values()), terms.shape[1]))
+    runs = _padded((block for _, block in blocks.values()), terms.shape[1], _PAD_CELLS, dense=True, pad=len(points))
+    for lo, hi, block, _ in runs:
+        level = levels[block]
+        top = np.where(level < level.max(axis=1, keepdims=True), len(points), block)  # below the top: zero terms
+        acc = sums[lo:hi]
+        for column in top.T:
+            acc += terms[column]
     return sums[:, :-1] / sums[:, -1:]
 
 
@@ -354,24 +433,47 @@ class Representation:
         dims = {p.size for p in points.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"outcomes have mixed dimensions {sorted(dims)}")
-        ranks = {f: int(self.ranks[f]) for f in features}
-        weights = dict(zip(features, _positive_weights(self.weights, features)))
-        # Normalize each rank class at its lexicographically smallest member.
-        for level in set(ranks.values()):
-            members = [f for f in features if ranks[f] == level]
-            anchor_w = weights[members[0]]
-            for f in members:
-                weights[f] = weights[f] / anchor_w
         for p in points.values():
             p.setflags(write=False)
-        object.__setattr__(self, "weights", MappingProxyType(weights))
-        object.__setattr__(self, "ranks", MappingProxyType(ranks))
-        object.__setattr__(self, "outcomes", MappingProxyType(points))
+        self._fill(
+            features, _positive_weights(self.weights, features), [int(self.ranks[f]) for f in features],
+            points, np.vstack([points[f] for f in features]),
+        )
+
+    @classmethod
+    def _of_arrays(
+        cls, features: tuple[str, ...], weights: Mapping[str, float], ranks: Mapping[str, int], points: NDArray[np.float64]
+    ) -> Representation:
+        """The representation of input the package has already validated:
+        ``features`` (sorted valid ids), strictly positive finite ``weights``
+        and integer ``ranks`` over them, and their read-only finite outcomes,
+        the rows of ``points``.  Normalised as the constructor normalises."""
+        self = cls.__new__(cls)
+        self._fill(features, [weights[f] for f in features], [ranks[f] for f in features],
+                   dict(zip(features, points)), points)
+        return self
+
+    def _fill(
+        self, features: tuple[str, ...], weights: Sequence[float], ranks: Sequence[int],
+        outcomes: Mapping[str, Vector], points: NDArray[np.float64],
+    ) -> None:
+        """Set the fields from ``weights`` and ``ranks`` listed in the order of
+        ``features``, the ``outcomes`` mapping and its ``(n, d)`` array
+        ``points`` in that order; each rank class is rescaled at its
+        lexicographically smallest member, the first of ``features``."""
+        smallest: dict[int, int] = {}
+        for j, level in enumerate(ranks):
+            smallest.setdefault(level, j)
+        weights = np.array(weights, dtype=float)
+        weights /= weights[[smallest[level] for level in ranks]]
+        object.__setattr__(self, "weights", MappingProxyType(dict(zip(features, weights.tolist()))))
+        object.__setattr__(self, "ranks", MappingProxyType(dict(zip(features, ranks))))
+        object.__setattr__(self, "outcomes", MappingProxyType(outcomes))
         # The same three as arrays over the sorted features, for _top_means.
         object.__setattr__(self, "_column", {f: j for j, f in enumerate(features)})
-        object.__setattr__(self, "_weight_array", np.array([weights[f] for f in features]))
-        object.__setattr__(self, "_rank_array", np.array([ranks[f] for f in features]))
-        object.__setattr__(self, "_outcome_array", np.vstack([points[f] for f in features]))
+        object.__setattr__(self, "_weight_array", weights)
+        object.__setattr__(self, "_rank_array", np.array(ranks))
+        object.__setattr__(self, "_outcome_array", points)
 
     @property
     def dimension(self) -> int:
@@ -707,7 +809,7 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
     n, blocks = len(src._features), src._blocks
     keys = np.concatenate([(block + 1) @ np.int64(n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
                            for size, (_, block) in blocks.items() if (n + 1) ** size < 2**63])
-    sharing = np.bincount(np.concatenate([block[:, 0] for _, block in blocks.values()]), minlength=n)
+    sharing = np.bincount(src._codes[np.cumsum(src._sizes) - src._sizes], minlength=n)  # sets per smallest member
     sizes = []  # per union size: (splits, or None for a chunk found again; the chunk's unions; count), merge
     kept = 0
     for size, (first, block) in list(blocks.items())[1:]:  # every source stores singletons, which have no split

@@ -209,23 +209,31 @@ _NOT_INTERIOR = {
 
 def _same_rank_table(
     src: DatasetSource, ranks: Mapping[str, int], tol: Tolerance
-) -> tuple[list[str], NDArray[np.bool_], NDArray[np.intp], NDArray[np.float64]]:
+) -> tuple[tuple[str, ...], NDArray[np.bool_], NDArray[np.int8], NDArray[np.float64]]:
     """The sorted features, the ``equal`` matrix of ``_pair_table``, and from
     one ``_segment_positions`` pass the position of f({a,b}) on (f(a), f(b)) for
     every stored same-rank pair with distinct outcomes (so never DEGENERATE),
     as n x n arrays: ``kind[a, b]``, the code in ``_SEGMENT_KINDS`` or -1
-    where there is no such pair, and ``lam[a, b]``, the coefficient of f(a)."""
+    where there is no such pair, and ``lam[a, b]``, the coefficient of f(a).
+    Built once per source, ranks and tolerance and kept, read-only, with the
+    source's pair tables: ``recover`` reads it for the weights and again for
+    a ratio conflict."""
     features = src._features
     if ranks.keys() != set(features):
         raise ValueError("ranks must rank exactly the source's features")
-    points = src._points  # the singletons first, in feature order
-    equal, row, _ = _pair_table(src, tol)
-    level = np.array([ranks[f] for f in features])
-    first, second = np.nonzero(np.triu((level[:, None] == level) & ~equal & (row >= 0), 1))
-    ends = np.concatenate([first, second]), np.concatenate([second, first])
-    kind, lam = np.full(equal.shape, -1), np.full(equal.shape, np.nan)
-    kind[ends], lam[ends], _ = _segment_positions(points[row[ends]], points[ends[0]], points[ends[1]], tol)
-    return features, equal, kind, lam
+    level = tuple(ranks[f] for f in features)
+    if (tol, level) not in src._pair_tables:
+        points = src._points  # the singletons first, in feature order
+        equal, row, _ = _pair_table(src, tol)
+        level_array = np.array(level)
+        first, second = np.nonzero(np.triu((level_array[:, None] == level_array) & ~equal & (row >= 0), 1))
+        ends = np.concatenate([first, second]), np.concatenate([second, first])
+        kind, lam = np.full(equal.shape, -1, dtype=np.int8), np.full(equal.shape, np.nan)
+        kind[ends], lam[ends], _ = _segment_positions(points[row[ends]], points[ends[0]], points[ends[1]], tol)
+        for table in (kind, lam):
+            table.setflags(write=False)
+        src._pair_tables[tol, level] = features, equal, kind, lam
+    return src._pair_tables[tol, level]
 
 
 def recover_weights(
@@ -294,7 +302,7 @@ def _witness(
     return ContradictionWitness(pair, RatioDerivation(pair, *first), RatioDerivation(pair, *second))
 
 
-def _ratio_matrix(kind: NDArray[np.intp], lam: NDArray[np.float64], tol: Tolerance) -> NDArray[np.float64]:
+def _ratio_matrix(kind: NDArray[np.int8], lam: NDArray[np.float64], tol: Tolerance) -> NDArray[np.float64]:
     """``ratio[a, b]`` = w(a)/w(b) from the interior coefficient lambda of the
     stored pair a < b: lambda/(1-lambda), and (1-lambda)/lambda at (b, a)
     from the same lambda; NaN elsewhere."""
@@ -426,8 +434,7 @@ def recover(src: DatasetSource, tol: Tolerance = DEFAULT_TOL) -> RecoveryOutcome
     except DegenerateLambda as err:
         return NonRepresentable(witness=_witness_from_degenerate(err))
 
-    singles = dict(zip(src._features, src._points))
-    rep = Representation(weights=weights, ranks=ranks, outcomes=singles)
+    rep = Representation._of_arrays(src._features, weights, ranks, src._points[: len(src._features)])
     checked = _verification(src, rep, tol)
     residuals = checked.residual.tolist()
     max_residual = max(residuals, default=0.0)

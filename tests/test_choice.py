@@ -1,5 +1,7 @@
 """Average choice data: Luce recovery, path independence, boundaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,26 @@ class TestBoundaryDiagnostic:
         other = luce_source(points, dict.fromkeys(names, 1.0))
         with pytest.raises(ValueError, match="the recovery must rank exactly the source's features"):
             boundary_diagnostic(src, recover(other))
+
+
+class TestMenusNearTheFloatLimit:
+    """Three alternatives near 4.5e307: the pairs at their midpoints, the
+    triple inside but off its centroid, so no weights recover and every
+    menu goes to the hull search."""
+
+    def test_no_menu_is_a_boundary_menu(self):
+        big = 4.5e307
+        pts = {"a": np.array([big, 0.8 * big]), "b": np.array([0.9 * big, big]), "c": np.array([0.95 * big, 0.7 * big])}
+        table = {(f,): p for f, p in pts.items()}
+        table.update({(x, y): pts[x] / 2 + pts[y] / 2 for x, y in [("a", "b"), ("a", "c"), ("b", "c")]})
+        table["a", "b", "c"] = 0.3 * pts["a"] + 0.33 * pts["b"] + 0.37 * pts["c"]
+        src = DatasetSource(2, table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = recover_luce(src)
+            report = boundary_diagnostic(src, outcome.recovery)
+        assert isinstance(outcome.recovery, NonRepresentable) and outcome.rich
+        assert len(report.rows) == 4 and report.boundary_menus == () and report.in_hull.all()
 
 
 class TestBoundaryCertificates:

@@ -845,3 +845,28 @@ class TestReportCorpus:
         for case in ("check-weighted", "recover"):
             assert verdict(f"triangle_two_tier-x1e300-{case}") == verdict(f"triangle_two_tier-x1-{case}")
         assert verdict("menu_luce-x1e300-pathindep-luce") == verdict("menu_luce-x1-pathindep-luce") == (1, "violated")
+
+    def test_matches_the_pinned_corpus(self, monkeypatch):
+        # Every case keeps its verdict and exit code; where the NumPy version
+        # is the one the pin was made with, its report keeps every byte too.
+        # A change that is meant to alter reports writes a new pin:
+        # python3 tools/report_corpus.py --pin
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # as run from the shell
+            got = report_corpus.pinned(report_corpus.reports(_ROOT))
+        want = json.loads(report_corpus.PIN.read_text(encoding="utf-8"))
+        fields = ("verdict", "exit_code", "sha256") if got["numpy"] == want["numpy"] else ("verdict", "exit_code")
+
+        def seen(cases, name):
+            case = cases.get(name)
+            return "absent" if case is None else f"{case['verdict']} (exit {case['exit_code']})"
+
+        changed = [
+            f"{name}: {seen(want['cases'], name)} -> {seen(got['cases'], name)}"
+            + (", report bytes differ" if seen(want["cases"], name) == seen(got["cases"], name) else "")
+            for name in sorted(got["cases"].keys() | want["cases"].keys())
+            if name not in got["cases"] or name not in want["cases"]
+            or any(got["cases"][name][k] != want["cases"][name][k] for k in fields)
+        ]
+        assert not changed, f"{len(changed)} changed cases:\n" + "\n".join(changed)

@@ -181,9 +181,7 @@ class TestTameOncePerKernel:
         rng = np.random.default_rng(seed)
         sizes = rng.permutation([1, 2, 3, 4, 5, rng.integers(1, 6)])  # every size in one padded call
         present = np.arange(5) < sizes[:, None]
-        # Five coordinates near 5e307 add up beyond the float range, as the
-        # centroid of a menu does; 3.5e307 keeps five inside it.
-        gens = rng.uniform(-1.0, 1.0, (6, 5, d)) * min(scale, 3.5e307) * present[:, :, None]
+        gens = rng.uniform(-1.0, 1.0, (6, 5, d)) * scale * present[:, :, None]
         coef = rng.uniform(0.05, 1.0, (6, 5)) * present
         coef /= coef.sum(axis=1, keepdims=True)
         points = np.einsum("km,kmd->kd", coef, gens)
@@ -483,6 +481,20 @@ class TestRelativeInterior:
         inside = offset + [3e-4, 3e-4]
         assert convex_coefficients(inside, gens) is not None
         assert relative_interior_check(inside, gens)
+
+    def test_five_generators_near_the_float_limit(self):
+        # Their coordinates add up beyond the float range, and the hull
+        # solver's products of the spread leave it too: the centroid is taken
+        # from a member and the solve is scaled, so the verdicts stand.
+        rng = np.random.default_rng(11)
+        gens = 4.5e307 + rng.uniform(-1.0, 1.0, (5, 3)) * 1e306
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relative_interior_check((gens / 5).sum(axis=0), gens)
+            assert not relative_interior_check(gens[0], gens)
+            assert not relative_interior_check((gens[0] + gens[1]) / 2, gens)
+            with pytest.raises(NotInConvexHull):
+                relative_interior_check(gens[0] + (gens[0] - gens[1]), gens)
 
     def test_random_interior_points(self):
         rng = np.random.default_rng(9)

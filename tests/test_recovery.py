@@ -19,8 +19,8 @@ from aggkit import (
     recover_weights,
 )
 from aggkit import model, recovery
-from aggkit.errors import IntransitivityDetected, MissingDataError
-from aggkit.geometry import DEFAULT_TOL
+from aggkit.errors import DegenerateLambda, IntransitivityDetected, MissingDataError
+from aggkit.geometry import DEFAULT_TOL, Tolerance
 
 
 class TestRecoverOrder:
@@ -317,3 +317,41 @@ class TestFallbackWitness:
         assert witness.pair == ("b", "c")
         assert np.isnan(witness.first.ratio)  # three top members: no segment to read
         assert (witness.second.ratio, witness.second.note) == (0.5, "implied by the recovered weights")
+
+
+class TestSameRankTableOnce:
+    """The weights and the ratio-conflict search read one same-rank table."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = recovery._segment_positions
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(recovery, "_segment_positions", counted)
+        return calls
+
+    def test_non_representable_builds_it_once(self, line_three_points, monkeypatch):
+        # Reference first, on its own source, so that nothing is kept for the other.
+        fresh = DatasetSource(line_three_points.dimension,
+                              {s: line_three_points.outcome(s) for s in line_three_points.sets()})
+        want = recovery._ratio_conflict_witness(fresh, recover_order(fresh), DEFAULT_TOL)
+        calls = self._counted(monkeypatch)
+        outcome = recover(line_three_points)
+        assert isinstance(outcome, NonRepresentable) and outcome.failing_sets
+        assert len(calls) == 1
+        assert outcome.witness == want and repr(outcome.witness) == repr(want)  # every float's bits
+
+    def test_kept_per_ranks_and_tolerance(self, two_tier_source, monkeypatch):
+        calls = self._counted(monkeypatch)
+        ranks = recover_order(two_tier_source)
+        first = recover_weights(two_tier_source, ranks)
+        assert recover_weights(two_tier_source, dict(ranks)) == first
+        assert len(calls) == 1
+        with pytest.raises(DegenerateLambda):  # c is not between a and b
+            recover_weights(two_tier_source, dict.fromkeys(ranks, 0))
+        recover_weights(two_tier_source, ranks, Tolerance(abs_tol=1e-6))
+        assert len(calls) == 3

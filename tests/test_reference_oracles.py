@@ -73,8 +73,16 @@ one draw for all rows, must give the same bits.
 ``reference_numerical_rank`` counts one row of singular values against
 its scalar threshold; ``_numerical_ranks``, which counts a whole stack
 through the array gate, must give the same ranks at the threshold too.
+
+``reference_canonical`` is the definition of canonical set order; the
+one-pass ``_canonical`` test must agree with it, and input in any record
+or member order must give the source of its canonical file bit for bit.
+``per_size_top_means`` is rule (3) one set size at a time; the padded
+runs of ``_top_means`` must match it and ``reference_top_mean`` bit for
+bit under any run budget, and hold no more memory at their peak.
 """
 
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -84,6 +92,7 @@ import time
 import tracemalloc
 import types
 from collections.abc import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,7 +137,7 @@ from aggkit import (
     top_set,
     verify_cps,
 )
-from aggkit import belief, choice, fileio, geometry, model, recovery, social
+from aggkit import belief, choice, cli, fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
 from aggkit.choice import BoundaryRow, recover_two_stage
 from aggkit.errors import (
@@ -3242,3 +3251,327 @@ class TestNumericalRanksMatchReference:
         svals = np.linalg.svd(menus - menus.mean(axis=1, keepdims=True), compute_uv=False)
         assert _numerical_ranks(svals, DEFAULT_TOL).tolist() == [reference_numerical_rank(row, DEFAULT_TOL) for row in svals]
         assert set(_numerical_ranks(svals, DEFAULT_TOL).tolist()) >= {0, 1, 3}
+
+
+# --------------------------------------------------------------------------
+# Validate once, index once: the canonical-input index, rule (3) in padded
+# runs, the internal representation and the batched belief checks
+
+
+def _doc(name):
+    """A generated dataset file in canonical order, as ``aggkit gen`` writes it."""
+    flags = {
+        "all-subsets": ("--seed", "7", "--features", "6", "--subsets", "all"),
+        "pairs-triples": ("--seed", "3", "--features", "9", "--dimension", "3", "--classes", "3",
+                          "--subsets", "pairs-triples"),
+        "beliefs": ("--seed", "7", "--features", "7", "--classes", "2", "--dimension", "3",
+                    "--policy", "simplex-beliefs", "--subsets", "all"),
+        "menu": ("--seed", "7", "--features", "6", "--classes", "2", "--kind", "menu"),
+    }[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gen", *flags]) == 0
+    return json.loads(out.getvalue())["result"]["dataset"]
+
+
+def _reordered(doc, order, seed=0):
+    """``doc`` with its set records and each record's members reversed or shuffled."""
+    doc = json.loads(json.dumps(doc))
+    rng = np.random.default_rng(seed)
+    sets = doc["sets"]
+    for record in sets:
+        members = record["members"]
+        record["members"] = members[::-1] if order == "reversed" else rng.permutation(members).tolist()
+    doc["sets"] = sets[::-1] if order == "reversed" else [sets[i] for i in rng.permutation(len(sets))]
+    return doc
+
+
+def _load_doc(doc):
+    return fileio.load_dataset(io.StringIO(json.dumps(doc))).source
+
+
+def _assert_same_source(got, want):
+    """Members, flat index, blocks and points, bit for bit, all read-only."""
+    assert got._features == want._features and got._members == want._members
+    for column in ("_codes", "_sizes"):
+        mine, theirs = getattr(got, column), getattr(want, column)
+        assert mine.dtype == theirs.dtype == np.intp and mine.tolist() == theirs.tolist()
+        assert not mine.flags.writeable
+    assert [(k, first, block.tolist()) for k, (first, block) in got._blocks.items()] == [
+        (k, first, block.tolist()) for k, (first, block) in want._blocks.items()]
+    assert all(not block.flags.writeable for _, block in got._blocks.values())
+    assert got._points.tobytes() == want._points.tobytes() and not got._points.flags.writeable
+
+
+def _columns(src):
+    """A source's own index as the unchecked columns of ``_from_columns``."""
+    return src._codes.copy(), src._sizes.copy(), np.cumsum(src._sizes) - src._sizes
+
+
+def reference_canonical(rows):
+    """The canonical order by its definition: each row's codes strictly rise,
+    and the rows are sorted by size, then lexicographically, with no repeat."""
+    keys = [(len(r), tuple(r)) for r in rows]
+    return all(list(r) == sorted(set(r)) for r in rows) and keys == sorted(set(keys))
+
+
+@st.composite
+def code_rows(draw):
+    """Rows of codes of any length, near-canonical ones most often: sorted
+    rows and tables, with a repeated code, a repeated row or a swap drawn in."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    if draw(st.booleans()):
+        rows = [sorted(set(r)) for r in rows]
+        rows = [list(k) for k in sorted({tuple(r) for r in rows}, key=lambda r: (len(r), r))]
+        edit = draw(st.sampled_from(["none", "repeat row", "swap rows", "repeat code", "swap codes"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "repeat row":
+            rows.insert(i, list(rows[i]))
+        elif edit == "swap rows" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        elif edit == "repeat code":
+            rows[i] = sorted(rows[i] + rows[i][:1])
+        elif edit == "swap codes" and len(rows[i]) > 1:
+            rows[i][0], rows[i][1] = rows[i][1], rows[i][0]
+    return rows
+
+
+class TestCanonicalIndexMatchesSortedIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(code_rows())
+    def test_canonical_is_the_definition(self, rows):
+        lengths = np.array([len(r) for r in rows], dtype=np.intp)
+        codes = np.array([c for r in rows for c in r], dtype=np.intp)
+        assert model._canonical(codes, lengths, np.cumsum(lengths) - lengths) == reference_canonical(rows)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("name", ["all-subsets", "pairs-triples", "beliefs", "menu"])
+    def test_reordered_records_give_the_same_source(self, name, order):
+        doc = _doc(name)
+        want, got = _load_doc(doc), _load_doc(_reordered(doc, order))
+        _assert_same_source(got, want)
+        assert model._canonical(*_columns(want))
+        table = {f: entry["outcome"] for f, entry in doc["features"].items()}
+        table.update((tuple(r["members"]), r["outcome"]) for r in _reordered(doc, order, seed=1)["sets"])
+        _assert_same_source(DatasetSource(want.dimension, table), want)
+
+    @pytest.mark.parametrize("name", ["all-subsets", "pairs-triples", "beliefs", "menu"])
+    def test_the_sort_path_builds_the_same_index(self, name, monkeypatch):
+        doc = _doc(name)
+        want = _load_doc(doc)
+        calls, real = [], model._canonical
+
+        def first_refused(*columns):  # the columns as given are refused, the sorted ones tested
+            calls.append(real(*columns))
+            return len(calls) > 1 and calls[-1]
+
+        monkeypatch.setattr(model, "_canonical", first_refused)
+        _assert_same_source(_load_doc(doc), want)
+        assert calls == [True, True]
+
+    def test_every_subset_block_is_canonical(self):
+        features = tuple("abcdefg")
+        blocks = model._every_subset(len(features))
+        src = model._block_source(features, blocks, np.ones((2 ** len(features) - 1, 2)))
+        assert model._canonical(*_columns(src))
+        assert src._members == tuple(c for k in range(1, 8) for c in itertools.combinations(features, k))
+
+
+def per_size_top_means(weights, points, blocks, ranks):
+    """Rule (3) one set size at a time, each block's columns added in turn."""
+    points, ranks = np.asarray(points, dtype=float), np.asarray(ranks)
+    weights = np.asarray(weights, dtype=float)[:, None]
+    terms = np.hstack([weights * points, weights])
+    sums = np.zeros((sum(len(block) for _, block in blocks.values()), terms.shape[1]))
+    for first, block in blocks.values():
+        acc, level = sums[first : first + len(block)], ranks[block]
+        top = level == level.max(axis=1, keepdims=True)
+        for codes, use in zip(block.T, top.T):
+            np.add(acc, terms[codes], out=acc, where=use[:, None])
+    return sums[:, :-1] / sums[:, -1:]
+
+
+@st.composite
+def mixed_kernel_cases(draw):
+    """Up to 16 features with tied ranks, many small sets and a few large."""
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    ranks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    points = draw(st.lists(st.lists(_KERNEL_CELLS, min_size=d, max_size=d), min_size=n, max_size=n))
+    small = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3), unique=True)
+    large = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    sets = draw(st.lists(small, min_size=1, max_size=30)) + draw(st.lists(large, max_size=3))
+    return np.array(weights), np.array(ranks), np.array(points, dtype=float), [tuple(sorted(s)) for s in sets]
+
+
+def _runs():
+    """Record the blocks ``_padded`` hands ``_top_means``: (rows, width, members)."""
+    seen, real = [], model._padded
+
+    def recorded(*args, **kwargs):
+        for lo, hi, block, present in real(*args, **kwargs):
+            seen.append((hi - lo, block.shape[1], int(present.sum())))
+            yield lo, hi, block, present
+
+    return seen, recorded
+
+
+class TestPaddedRuleThreeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_kernel_cases(), st.sampled_from([None, 1, 5, 40]))
+    def test_same_bits_across_mixed_sizes(self, case, slots):
+        weights, ranks, points, sets = case
+        blocks, rows = _code_blocks(sets)
+        want = reference_top_mean(weights, points, reference_membership({j: j for j in range(len(points))}, rows), ranks)
+        budget = model._PAD_CELLS if slots is None else slots * (points.shape[1] + 1)
+        with mock.patch.object(model, "_PAD_CELLS", budget):
+            got = model._top_means(weights, points, blocks, ranks)
+        assert _bits(got) == _bits(want)
+        assert _bits(per_size_top_means(weights, points, blocks, ranks)) == _bits(want)
+
+    @pytest.mark.parametrize("slots", [1, 7, 64])
+    def test_runs_cut_small_match_one_pass(self, kernel_rep, slots, monkeypatch):
+        src = induced_source(kernel_rep, _kernel_sets(kernel_rep))
+        one_pass = kernel_rep._evaluate_blocks(src._blocks)
+        seen, recorded = _runs()
+        monkeypatch.setattr(model, "_padded", recorded)
+        monkeypatch.setattr(model, "_PAD_CELLS", slots * (src.dimension + 1))
+        assert _bits(kernel_rep._evaluate_blocks(src._blocks)) == _bits(one_pass)
+        assert len(seen) > 1 and all(rows * width <= slots or rows == 1 for rows, width, _ in seen)
+        assert sum(rows for rows, _, _ in seen) == len(src)
+
+    def test_a_rare_large_set_pads_no_small_one(self, monkeypatch):
+        # Singletons, pairs and the whole set of 16: one dense run for the
+        # singletons and pairs, at most half padding, and one for the whole.
+        src = _pairs_and_whole(55, features=16)
+        seen, recorded = _runs()
+        monkeypatch.setattr(model, "_padded", recorded)
+        recovery = recover(src)
+        assert isinstance(recovery, Recovered)
+        assert [(rows, width) for rows, width, _ in seen] == [(16 + 120, 2), (1, 16)]
+        assert all(2 * members >= rows * width for rows, width, members in seen)
+
+    def test_traced_peak_of_pairs_and_one_large_set(self):
+        # All pairs of 300 features and the whole set: no run pads the pairs
+        # out to 300 members, and the runs stay within the cell budget, so
+        # the pass holds no more at its peak than one pass per size.
+        src = _pairs_and_whole(56, features=300)
+        rep = recover(src).representation
+        args = rep._weight_array, rep._outcome_array, src._blocks, rep._rank_array
+
+        def peak(kernel):
+            tracemalloc.start()
+            try:
+                result = kernel(*args)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (got, ours), (want, theirs) = peak(model._top_means), peak(per_size_top_means)
+        assert _bits(got) == _bits(want)
+        assert ours <= theirs, (ours, theirs)
+
+
+def _public(rep):
+    """``rep`` rebuilt through the validating constructor."""
+    return Representation(weights=dict(rep.weights), ranks=dict(rep.ranks), outcomes=dict(rep.outcomes))
+
+
+def _assert_same_representation(got, want):
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert _bits(list(got.weights.values())) == _bits(list(want.weights.values()))
+    assert dict(got.ranks) == dict(want.ranks) and list(got.ranks) == list(want.ranks)
+    assert list(got.outcomes) == list(want.outcomes)
+    assert all(got.outcomes[f].tobytes() == want.outcomes[f].tobytes() for f in want.outcomes)
+    assert all(not got.outcomes[f].flags.writeable for f in got.outcomes)
+    assert got._column == want._column
+    for field in ("_weight_array", "_rank_array", "_outcome_array"):
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+class TestInternalRepresentationMatchesConstructor:
+    @pytest.mark.parametrize("name", sorted(KERNEL_REPS))
+    def test_recovered(self, name):
+        rep = KERNEL_REPS[name]()
+        outcome = recover(induced_source(rep, _kernel_sets(rep)))
+        assert isinstance(outcome, Recovered)
+        _assert_same_representation(outcome.representation, _public(outcome.representation))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anchor_is_not_the_smallest_member(self, seed):
+        # Classes interleave in sorted order and no class's smallest member
+        # weighs one: both constructors rescale at that member.
+        rng = np.random.default_rng(seed)
+        features = tuple(f"f{i}" for i in range(7))
+        weights = dict(zip(features, rng.uniform(0.1, 10.0, 7).tolist()))
+        ranks = dict(zip(features, [2, 0, 1, 0, 2, 1, 0]))
+        points = rng.normal(size=(7, 3))
+        points.setflags(write=False)
+        got = Representation._of_arrays(features, weights, ranks, points)
+        want = Representation(weights=weights, ranks=ranks, outcomes=dict(zip(features, points)))
+        _assert_same_representation(got, want)
+        assert [got.weights[f] for f in ("f0", "f1", "f2")] == [1.0, 1.0, 1.0]
+        assert got.weights["f3"] == weights["f3"] / weights["f1"]
+
+
+def _bad_belief(rep, feature, how):
+    """``rep`` with the belief of ``feature`` made faulty."""
+    outcomes = dict(rep.outcomes)
+    belief_ = np.array(outcomes[feature])
+    if how == "negative":
+        belief_[0] -= 0.2
+        belief_[1] += 0.2
+    else:
+        belief_ *= 1.1
+    outcomes[feature] = belief_
+    return Representation(weights=rep.weights, ranks=rep.ranks, outcomes=outcomes)
+
+
+def _nearly_beliefs(rep, seed):
+    """``rep`` with every belief moved within the gate: entries slightly
+    below zero and totals slightly off one, which as_belief corrects."""
+    rng = np.random.default_rng(seed)
+    outcomes = {}
+    for f, p in rep.outcomes.items():
+        p = np.array(p) * (1.0 + rng.uniform(-5e-11, 5e-11))
+        i, j = rng.choice(p.size, 2, replace=False)
+        p[j], p[i] = p[j] + p[i], -rng.uniform(0.0, 5e-11)
+        outcomes[f] = p
+    return Representation(weights=rep.weights, ranks=rep.ranks, outcomes=outcomes)
+
+
+class TestBatchedBeliefChecksMatchPerFeatureLoop:
+    @staticmethod
+    def _loop_error(rep):
+        with pytest.raises(NotABelief) as err:
+            [as_belief(rep.outcomes[f]) for f in rep.features()]
+        return str(err.value)
+
+    @pytest.mark.parametrize("how", ["negative", "total"])
+    @pytest.mark.parametrize("faulty", [("f0",), ("f3",), ("f5", "f2")])
+    def test_same_error(self, faulty, how):
+        rep = BELIEF_REPS["two-tiers"]()
+        rep = Representation(weights={f"f{i}": w for i, w in enumerate(rep.weights.values())},
+                             ranks={f"f{i}": r for i, r in enumerate(rep.ranks.values())},
+                             outcomes={f"f{i}": p for i, p in enumerate(rep.outcomes.values())})
+        for feature in faulty:
+            rep = _bad_belief(rep, feature, how)
+        want = self._loop_error(rep)
+        for build in (build_cps, build_joint):
+            if build is build_joint:
+                rep = Representation(weights=rep.weights, ranks=dict.fromkeys(rep.ranks, 0), outcomes=rep.outcomes)
+            with pytest.raises(NotABelief) as err:
+                build(rep)
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("states", [3, 8, 16])
+    def test_same_renormalised_beliefs(self, states):
+        rep = _nearly_beliefs(_rep(68 + states, 6, policy=OutcomePolicy.SIMPLEX_BELIEFS, dimension=states), seed=states)
+        want = np.vstack([as_belief(rep.outcomes[f]) for f in rep.features()])
+        got = belief._beliefs(rep._outcome_array, DEFAULT_TOL)
+        assert _bits(got) == _bits(want)
+        assert _bits(build_joint(rep).table) == _bits(reference_build_joint(rep)[1])

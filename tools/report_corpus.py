@@ -1,6 +1,7 @@
 """Write the report corpus of one source tree, for a byte-identity check.
 
     python3 tools/report_corpus.py TREE OUT
+    python3 tools/report_corpus.py --pin
 
 Runs the command line of ``TREE/src`` in process and writes one report per
 case to ``OUT/<case>.json``:
@@ -15,11 +16,17 @@ case to ``OUT/<case>.json``:
 Every input is written to ``input.json`` in a scratch working directory,
 so the ``arguments.input`` a report echoes is the same for every tree.
 Run it on two trees and compare them with ``diff -r OUT1 OUT2``.
+
+``--pin`` runs the corpus of this checkout and writes ``PIN``
+(``tests/data/report_corpus.json``): each case's SHA-256, exit code and
+verdict, with the NumPy version that made them.  ``tests/test_cli.py``
+rebuilds the corpus and compares it with the pin.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -70,30 +77,29 @@ def transformed(doc: dict, f) -> dict:
     return doc
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+PIN = Path(__file__).resolve().parents[1] / "tests" / "data" / "report_corpus.json"
+
+
+def reports(tree: Path) -> dict[str, tuple[str, int]]:
+    """Each case's report text and exit code, from the command line of
+    ``tree/src`` (or the ``aggkit`` already imported) run in process."""
     sys.path.insert(0, str(tree / "src"))
     os.environ.pop("AGGKIT_TOL", None)
     from aggkit import cli
 
+    out: dict[str, tuple[str, int]] = {}
+
     def report(name: str, args: list[str]) -> dict:
         with contextlib.redirect_stdout(io.StringIO()) as text:
-            cli.main(args)
-        (out / f"{name}.json").write_text(text.getvalue(), encoding="utf-8")
+            code = cli.main(args)
+        out[name] = text.getvalue(), code
         return json.loads(text.getvalue())
 
-    def run_all(name: str, doc: dict) -> int:
+    def run_all(name: str, doc: dict) -> None:
         Path("input.json").write_text(json.dumps(doc), encoding="utf-8")
-        todo = variants(doc)
-        for variant, (command, *flags) in todo.items():
+        for variant, (command, *flags) in variants(doc).items():
             report(f"{name}-{variant}", [command, "input.json", *flags])
-        return len(todo)
 
-    out.mkdir(parents=True, exist_ok=True)
-    count = 0
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -101,13 +107,49 @@ def main(argv: list[str]) -> int:
             for path in sorted((tree / "fixtures").glob("*.json")):
                 doc = json.loads(path.read_text(encoding="utf-8"))
                 for label, f in TRANSFORMS.items():
-                    count += run_all(f"{path.stem}-{label}", transformed(doc, f))
+                    run_all(f"{path.stem}-{label}", transformed(doc, f))
             for name, flags in GEN.items():
                 generated = report(f"gen-{name}", ["gen", *flags])
-                count += 1 + run_all(f"gen-{name}", generated["result"]["dataset"])
+                run_all(f"gen-{name}", generated["result"]["dataset"])
         finally:
             os.chdir(home)
-    print(f"{count} reports in {out}")
+    return out
+
+
+def pinned(corpus: dict[str, tuple[str, int]]) -> dict:
+    """The pin of a corpus: the NumPy version, and per case its report's
+    SHA-256, exit code and verdict."""
+    import numpy as np
+
+    return {
+        "numpy": np.__version__,
+        "cases": {
+            name: {
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "exit_code": code,
+                "verdict": json.loads(text)["verdict"],
+            }
+            for name, (text, code) in sorted(corpus.items())
+        },
+    }
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--pin"]:
+        corpus = reports(PIN.parents[2])
+        PIN.parent.mkdir(parents=True, exist_ok=True)
+        PIN.write_text(json.dumps(pinned(corpus), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"{len(corpus)} cases pinned in {PIN}")
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    corpus = reports(tree)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (text, _) in corpus.items():
+        (out / f"{name}.json").write_text(text, encoding="utf-8")
+    print(f"{len(corpus)} reports in {out}")
     return 0
 
 
