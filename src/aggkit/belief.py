@@ -46,7 +46,7 @@ from .model import (
     _block_source,
     _every_subset,
     _positive_weights,
-    _split_rows,
+    _split_chunks,
     _top_means,
     feature_set,
 )
@@ -184,8 +184,14 @@ def build_joint(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> JointProba
         raise MultipleRankClasses(
             f"joint construction needs one rank class, found {len(classes)}"
         )
+    return _joint(rep, _beliefs(rep._outcome_array, tol))
+
+
+def _joint(rep: Representation, beliefs: NDArray[np.float64]) -> JointProbability:
+    """``build_joint`` of a one-class ``rep`` whose outcomes ``_beliefs``
+    has already checked and renormalised as ``beliefs``."""
     features = rep.features()
-    table = _top_means(rep._weight_array, _cells(_beliefs(rep._outcome_array, tol)))[0]
+    table = _top_means(rep._weight_array, _cells(beliefs))[0]
     return JointProbability(features=features, table=table.reshape(-1, len(features)))
 
 
@@ -246,10 +252,7 @@ def check_bayesian(
     O(states) rather than 2^states events, and the conditionals of all
     sets of one size come from one gather of the joint's columns.
     """
-    singles = src._points[: len(src.features())]
-    for row in _belief_faults(singles, tol):
-        as_belief(singles[row], tol)  # NotABelief on bad input
-
+    beliefs = _beliefs(src._points[: len(src.features())], tol)  # NotABelief on bad input
     outcome = recover(src, tol)
     if isinstance(outcome, MissingData):
         failure = (float("nan"), "recovery lacked required sets")
@@ -262,7 +265,7 @@ def check_bayesian(
     if failure is not None:
         return BayesianCheck(False, None, *failure, recovery=outcome)
 
-    joint = build_joint(outcome.representation, tol)
+    joint = _joint(outcome.representation, beliefs)  # its outcomes are the singletons
     gaps = [
         src._points[first : first + len(codes)] - joint._conditionals(codes, src._members[first : first + len(codes)])
         for first, codes in src._blocks.values()
@@ -372,8 +375,9 @@ def verify_cps(
     P(C | A+B) = P(all x A | A+B) P(C | A) + P(all x B | A+B) P(C | B).
     This is the averaging axiom with lambda = P(all x A | A+B), so the
     pairs are the stored splits ``check_axiom`` walks on ``cps.source``,
-    checked in canonical order of (A, B); the coefficients are the
-    column masses of each conditional, computed once.
+    checked chunk by chunk as the walk yields them and reported in
+    canonical order of (A, B); the coefficients are the column masses of
+    each conditional, computed once.
     """
     g = tol.gate(1.0)
     src = cps.source
@@ -391,39 +395,37 @@ def verify_cps(
         why = "is not normalized" if unnormalized[row] else "has mass outside its set"
         raise ValueError(f"conditional on {list(keys[row])} {why}")
 
-    # Rows A < B of each split in canonical order: a pair fixes its union,
-    # so one int64 key A * count + B orders them.
-    union, a, b = _split_rows(src)
-    key = np.minimum(a, b)
-    key *= count
-    key += np.maximum(a, b, out=b)
-    order = np.argsort(key)
-
-    violations: list[ChainViolation] = []
-    worst = 0.0
+    # Each pair's rows as A < B; a pair fixes its union, so the violations'
+    # cells are reported in the order of one key per pair, A * count + B.
+    cells: list[tuple[int, ChainViolation]] = []
+    worst, checked = 0.0, 0
     block = max(1, _CPS_BLOCK_CELLS // src.dimension)
-    buffers = np.empty((3, min(block, len(order)), *tables.shape[1:]))
-    for start in range(0, len(order), block):
-        pick = order[start : start + block]
-        a, b = np.divmod(key[pick], count)
-        u = union[pick]
-        lhs, rhs, gap = buffers[:, : len(pick)]
-        mass = masses.take(u, axis=0)
-        coef_a = (mass * member.take(a, axis=0)).sum(axis=1)[:, None, None]
-        coef_b = (mass * member.take(b, axis=0)).sum(axis=1)[:, None, None]
-        tables.take(u, axis=0, out=lhs)
-        np.multiply(tables.take(a, axis=0, out=rhs), coef_a, out=rhs)
-        rhs += np.multiply(tables.take(b, axis=0, out=gap), coef_b, out=gap)
-        np.abs(np.subtract(lhs, rhs, out=gap), out=gap)
-        most = float(gap.max())
-        worst = max(worst, most)
-        if most > g:  # feature-major within each pair, as the cells are reported
-            violations += [
-                ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
-                               float(lhs[k, state, c]), float(rhs[k, state, c]))
-                for k, c, state in np.argwhere(gap.transpose(0, 2, 1) > g)
-            ]
-    return CpsReport(max_residual=worst, violations=tuple(violations), checked_pairs=len(order))
+    for union, part_a, part_b in _split_chunks(src):
+        checked += len(union)
+        buffers = np.empty((3, min(block, len(union)), *tables.shape[1:]))
+        for start in range(0, len(union), block):
+            u, a, b = (column[start : start + block] for column in (union, part_a, part_b))
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            lhs, rhs, gap = buffers[:, : len(u)]
+            mass = masses.take(u, axis=0)
+            coef_a = (mass * member.take(a, axis=0)).sum(axis=1)[:, None, None]
+            coef_b = (mass * member.take(b, axis=0)).sum(axis=1)[:, None, None]
+            tables.take(u, axis=0, out=lhs)
+            np.multiply(tables.take(a, axis=0, out=rhs), coef_a, out=rhs)
+            rhs += np.multiply(tables.take(b, axis=0, out=gap), coef_b, out=gap)
+            np.abs(np.subtract(lhs, rhs, out=gap), out=gap)
+            most = float(gap.max())
+            worst = max(worst, most)
+            if most > g:  # feature-major within each pair, as the cells are reported
+                cells += [
+                    (int(a[k]) * count + int(b[k]),
+                     ChainViolation(keys[a[k]], keys[b[k]], int(state), features[c],
+                                    float(lhs[k, state, c]), float(rhs[k, state, c])))
+                    for k, c, state in np.argwhere(gap.transpose(0, 2, 1) > g)
+                ]
+    cells.sort(key=lambda cell: cell[0])  # stable: each pair's cells keep their order
+    violations = tuple(violation for _, violation in cells)
+    return CpsReport(max_residual=worst, violations=violations, checked_pairs=checked)
 
 
 @dataclass(frozen=True)

@@ -289,13 +289,6 @@ def check_path_independence(
     return PathIndependenceReport(rows=tuple(rows), max_residual=worst)
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
-    members: tuple[str, ...]
-    interior: bool
-    in_hull: bool
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryReport:
     """Menus whose average choice touches the relative boundary.
@@ -308,18 +301,13 @@ class BoundaryReport:
 
     Columns, one entry per menu of two or more alternatives in canonical
     order: its sorted ``menus``, and masks of average choices ``interior``
-    to the menu and ``in_hull``.  ``rows`` builds a ``BoundaryRow`` per
-    menu from them on each call; the menu lists read the masks alone.
+    to the menu and ``in_hull``; the menu lists read the masks alone.
     """
 
     menus: tuple[tuple[str, ...], ...]
     interior: NDArray[np.bool_]
     in_hull: NDArray[np.bool_]
     single_class: bool | None
-
-    @property
-    def rows(self) -> tuple[BoundaryRow, ...]:
-        return tuple(map(BoundaryRow, self.menus, self.interior.tolist(), self.in_hull.tolist()))
 
     @property
     def boundary_menus(self) -> tuple[tuple[str, ...], ...]:

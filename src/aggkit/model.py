@@ -785,13 +785,20 @@ def _pattern_splits(
     return rows[union], row[0, part, union], row[1, part, union]
 
 
-# Parts per chunk of the pattern walk in ``_split_rows``, and the most
-# splits its first pass keeps for the second.
+# Parts per piece of the pattern walk, and the splits ``_split_chunks``
+# gathers into one chunk.
 _SPLIT_CHUNK = 1 << 17
 
 
-def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
-    """Every stored split U = A + B of ``src`` as row indices (union, A, B).
+def _joined(pieces: Sequence[tuple[NDArray, ...]]) -> tuple[NDArray, ...]:
+    """The columns of ``pieces`` end to end; a lone piece as it is."""
+    return pieces[0] if len(pieces) == 1 else tuple(np.concatenate(column) for column in zip(*pieces))
+
+
+def _split_chunks(src: DatasetSource) -> Iterator[tuple[NDArray[np.intp], ...]]:
+    """Every stored split U = A + B of ``src`` as row indices (union, A, B),
+    in chunks of at most ``_SPLIT_CHUNK`` splits (bar a larger lone piece);
+    at least one, empty when no union has a stored split.
 
     Unions come in row order, each with every bipartition whose parts are
     stored, A holding U's smallest member, in lexicographic order of A's
@@ -800,50 +807,40 @@ def _split_rows(src: DatasetSource) -> tuple[NDArray[np.intp], ...]:
     union takes the shorter candidate list for A: its 2^(|U|-1) - 1
     ``_patterns`` (``_pattern_splits``), for as many unions at a time as
     make ``_SPLIT_CHUNK`` parts, or ``_listed_splits``, which also takes the
-    unions whose parts' keys would not fit in int64.  A first pass counts
-    each chunk's splits and a second fills three preallocated columns, so
-    the walk holds its output, one chunk and the listed splits: the first
-    pass keeps chunks' splits while they total at most ``_SPLIT_CHUNK``,
-    and the second finds the others again.
+    unions whose parts' keys would not fit in int64.  The walk runs once and
+    holds one chunk and one piece's work; a union size with unions of both
+    kinds is merged into row order before it is chunked.
     """
     n, blocks = len(src._features), src._blocks
     keys = np.concatenate([(block + 1) @ np.int64(n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
                            for size, (_, block) in blocks.items() if (n + 1) ** size < 2**63])
     sharing = np.bincount(src._codes[np.cumsum(src._sizes) - src._sizes], minlength=n)  # sets per smallest member
-    sizes = []  # per union size: (splits, or None for a chunk found again; the chunk's unions; count), merge
-    kept = 0
+    held: list[tuple[NDArray[np.intp], ...]] = []  # the next chunk's pieces, which hold count splits
+    count = 0
     for size, (first, block) in list(blocks.items())[1:]:  # every source stores singletons, which have no split
         few = sharing[block[:, 0]] < min(2 ** (size - 1), 2**62)  # no source holds 2^62 sets
         listed = few | ((n + 1) ** (size - 1) >= 2**63)
-        pieces = []
+        pieces: Iterable[tuple[NDArray[np.intp], ...]] = ()
         if not listed.all():
             weights = _pattern_weights(size, n)
             rows, step = first + np.flatnonzero(~listed), max(1, _SPLIT_CHUNK // weights.shape[1])
-            for lo in range(0, len(rows), step):
-                splits = _pattern_splits(keys, weights, block, first, rows[lo : lo + step])
-                count = len(splits[0])
-                keep = kept + count <= _SPLIT_CHUNK
-                kept += count if keep else 0
-                pieces.append((splits if keep else None, rows[lo : lo + step], count))
+            pieces = (_pattern_splits(keys, weights, block, first, rows[lo : lo + step])
+                      for lo in range(0, len(rows), step))
         if listed.any():
             splits = _listed_splits(src, first + np.flatnonzero(listed), block[listed, 0], few[listed])
-            pieces.append((splits, None, len(splits[0])))
-        sizes.append((size, pieces, listed.any() and not listed.all()))
-    columns = np.empty((3, sum(count for _, pieces, _ in sizes for *_, count in pieces)), dtype=np.intp)
-    end = 0
-    for size, pieces, merge in sizes:
-        start = end
-        for splits, rows, count in pieces:
-            if splits is None:
-                first, block = blocks[size]
-                splits = _pattern_splits(keys, _pattern_weights(size, n), block, first, rows)
-            for column, values in zip(columns, splits):
-                column[end : end + count] = values
-            end += count
-        if merge:  # the listed unions among the others, in row order
-            order = np.argsort(columns[0, start:end], kind="stable")
-            columns[:, start:end] = columns[:, start:end][:, order]
-    return tuple(columns)
+            if listed.all():
+                pieces = (splits,)
+            else:  # the listed unions among the others, in row order
+                merged = _joined([*pieces, splits])
+                order = np.argsort(merged[0], kind="stable")
+                pieces = (tuple(column[order] for column in merged),)
+        for piece in filter(lambda piece: len(piece[0]), pieces):
+            if held and count + len(piece[0]) > _SPLIT_CHUNK:
+                yield _joined(held)
+                held, count = [], 0
+            held.append(piece)
+            count += len(piece[0])
+    yield _joined(held) if held else (np.empty(0, dtype=np.intp),) * 3  # held is empty only without splits
 
 
 def check_axiom(
@@ -851,15 +848,18 @@ def check_axiom(
     mode: AxiomMode = AxiomMode.WEIGHTED,
     tol: Tolerance = DEFAULT_TOL,
 ) -> AxiomReport:
-    """Check every stored split (``_split_rows``) against the axiom.
+    """Check every stored split (``_split_chunks``) against the axiom.
 
     A union U costs min(2^(|U|-1), stored sets sharing U's smallest
     member) lookups, one ``searchsorted`` of int64 keys per size for the
-    subsets; the segment geometry of all splits is one array pass.
+    subsets; the segment geometry runs as one array pass per chunk of
+    splits, row by row, so the chunks do not change a row's bits.
     """
     points = src._points
-    union, part_a, part_b = _split_rows(src)
-    kind, lam, residual = _segment_positions(points[union], points[part_a], points[part_b], tol)
+    union, part_a, part_b, kind, lam, residual = _joined([
+        (union, part_a, part_b, *_segment_positions(points[union], points[part_a], points[part_b], tol))
+        for union, part_a, part_b in _split_chunks(src)
+    ])
     degenerate = kind == _SEGMENT_KINDS.index(SegmentKind.DEGENERATE)
     equal = degenerate.copy()
     equal[degenerate] = _close_rows(points[union[degenerate]], points[part_a[degenerate]], tol)

@@ -1,6 +1,7 @@
 """Belief formation: joints, conditional systems, and discounting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestCheckBayesian:
         with pytest.raises(NotABelief):
             check_bayesian(flat_source)
 
+    def test_a_verdict_checks_the_beliefs_in_the_loader_and_once_more(
+        self, run_cli, fixtures_dir, monkeypatch, tmp_path
+    ):
+        # The loader checks every row; check_bayesian checks the singletons
+        # once and builds its joint from them without a third check.
+        calls = []
+        faults = belief._belief_faults
+
+        def counted(points, tol):
+            calls.append(len(points))
+            return faults(points, tol)
+
+        monkeypatch.setattr(belief, "_belief_faults", counted)
+        code, _ = run_cli("bayes", str(fixtures_dir / "coin_beliefs.json"), "--out", str(tmp_path / "bayes.json"))
+        assert code == 0 and len(calls) == 2
+
 
 class TestConditionalProbabilitySystem:
     def test_chain_rule_on_flat_beliefs(self, coin_beliefs_rep):
@@ -166,6 +183,26 @@ class TestConditionalProbabilitySystem:
                 build_cps(rep)
         else:
             assert len(build_cps(rep).source) == 2**n - 1
+
+    def test_chain_rule_check_holds_a_chunk_of_pairs(self):
+        # Every subset of 14 features: 2,375,101 pairs, whose rows alone take
+        # 57 MB.  The check takes the split walk's chunks as they come, so it
+        # holds the tables and a few chunks' work.
+        names = [f"x{i:02d}" for i in range(14)]
+        rep = Representation(
+            weights={f: 1.0 + i for i, f in enumerate(names)},
+            ranks={f: i % 2 for i, f in enumerate(names)},
+            outcomes={f: [(i + 1) / 16, 1 - (i + 1) / 16] for i, f in enumerate(names)},
+        )
+        cps = build_cps(rep)
+        tracemalloc.start()
+        try:
+            report = verify_cps(cps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.satisfied and report.checked_pairs == 2375101
+        assert peak < 40e6
 
     def test_conditioning_on_null_events_stays_defined(self):
         # b has observation weight but zero mass under a's belief; the

@@ -228,7 +228,7 @@ class TestMenusNearTheFloatLimit:
             outcome = recover_luce(src)
             report = boundary_diagnostic(src, outcome.recovery)
         assert isinstance(outcome.recovery, NonRepresentable) and outcome.rich
-        assert len(report.rows) == 4 and report.boundary_menus == () and report.in_hull.all()
+        assert len(report.menus) == 4 and report.boundary_menus == () and report.in_hull.all()
 
 
 class TestBoundaryCertificates:
@@ -250,14 +250,14 @@ class TestBoundaryCertificates:
         with open(fixtures_dir / "menu_luce.json") as fh:
             src = load_dataset(fh).source
         report = boundary_diagnostic(src, recover(src))
-        assert len(report.rows) == 4 and not report.boundary_menus
+        assert len(report.menus) == 4 and not report.boundary_menus
         assert searched == []
 
     def test_single_class_luce_data_needs_no_search(self, searched):
         rep = gen_representation(GeneratorConfig(seed=1, feature_count=7, dimension=3))
         src = gen_dataset(rep)
         report = boundary_diagnostic(src, recover(src))
-        assert len(report.rows) == 2**7 - 1 - 7 and not report.boundary_menus
+        assert len(report.menus) == 2**7 - 1 - 7 and not report.boundary_menus
         assert searched == []
 
     def test_two_stage_data_searches_the_menus_across_classes(self, searched):
@@ -267,7 +267,7 @@ class TestBoundaryCertificates:
         src = gen_dataset(rep)
         report = boundary_diagnostic(src, recover_two_stage(src).recovery)
         across = [s for s in src.sets() if len({rep.ranks[f] for f in s}) == 2]
-        assert 0 < len(across) < len(report.rows)
+        assert 0 < len(across) < len(report.menus)
         assert len(searched) == len(across)
         for p, s in zip(searched, across):
             assert np.array_equal(p, src.outcome(s))

@@ -249,35 +249,41 @@ class TestCheckAxiom:
 
 
 class TestSplitWalkMemory:
-    def test_peak_is_the_output_and_one_chunk(self, monkeypatch):
+    def test_walk_holds_no_more_than_two_pieces_work(self, monkeypatch):
         # Every subset of 14 features: 2,375,101 splits, 57 MB of rows.  The
-        # walk counts first and fills preallocated columns, so beyond its
-        # output it holds one chunk's work and at most one chunk's splits
-        # kept from the first pass; a final concatenation of all chunks
-        # would double the output.
+        # walk yields them chunk by chunk, so a consumer that keeps none holds
+        # the chunk in hand, the next one being gathered and one piece's work,
+        # each a few MB: all the rows at once would be ten times that.
         names = [f"x{i:02d}" for i in range(14)]
         src = DatasetSource(1, {frozenset(s): [0.0] for k in range(1, 15) for s in itertools.combinations(names, k)})
-        find, chunks = model._pattern_splits, []
+        find, work = model._pattern_splits, []
 
         def measured(*args):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             splits = find(*args)
-            chunks.append(tracemalloc.get_traced_memory()[1] - before)
+            work.append(tracemalloc.get_traced_memory()[1] - before)
             return splits
 
-        model._split_rows(src)  # the patterns' cache, filled outside the measurement
+        def walked():
+            total = largest = 0
+            for union, part_a, part_b in model._split_chunks(src):
+                total += len(union)
+                largest = max(largest, union.nbytes + part_a.nbytes + part_b.nbytes)
+            return total, largest
+
+        walked()  # the patterns' cache, filled outside the measurement
         tracemalloc.start()
         try:
-            union, part_a, part_b = model._split_rows(src)
+            total, largest = walked()
             peak = tracemalloc.get_traced_memory()[1]
             monkeypatch.setattr(model, "_pattern_splits", measured)
-            model._split_rows(src)
+            walked()
         finally:
             tracemalloc.stop()
-        output = union.nbytes + part_a.nbytes + part_b.nbytes
-        assert len(union) == (3**14 - 2**15 + 1) // 2
-        assert peak - output <= 2 * max(chunks) < output / 2
+        assert total == (3**14 - 2**15 + 1) // 2
+        assert largest <= 3 * np.dtype(np.intp).itemsize * model._SPLIT_CHUNK
+        assert peak <= 2 * max(work) < total * 3 * np.dtype(np.intp).itemsize / 2
 
 
 class TestRichness:

@@ -41,8 +41,9 @@ for bit from any edit of a valid file, or refuse it at the same place with
 the same message.
 
 ``reference_split_rows`` sorts each union's bipartitions by their
-member tuples; ``_split_rows``, which finds them by int64 keys in report
-order, must give the same rows in the same order.
+member tuples; ``_split_chunks``, which finds them by int64 keys in report
+order, must give the same rows in the same order, end to end over its
+chunks, whatever the chunk size.
 
 ``reference_belief_check`` is the loader's per-set ``as_belief`` loop;
 ``load_dataset``, which flags the faulty rows in one array pass, must
@@ -53,9 +54,9 @@ location and message.
 ``boundary_diagnostic``, which settles the menus it can from the
 recovered weights and searches only the rest, must give the same report.
 ``reference_certified_boundary`` certifies one menu size at a time with
-``reference_certify_interior`` and builds one ``BoundaryRow`` per menu;
+``reference_certify_interior`` and lists each menu's masks one at a time;
 the one padded certificate call must accept the same rows and give the
-same rows, boundary menus and contradictions.
+same menus, masks, boundary menus and contradictions.
 
 ``reference_bayes_parts`` is the per-set loop of the Bayes check, each
 stored set's conditional summed from its columns of the joint;
@@ -139,7 +140,7 @@ from aggkit import (
 )
 from aggkit import belief, choice, cli, fileio, geometry, model, recovery, social
 from aggkit.belief import ChainViolation, CpsReport, recover_discounted
-from aggkit.choice import BoundaryRow, recover_two_stage
+from aggkit.choice import recover_two_stage
 from aggkit.errors import (
     AffinelyDependentBasis,
     DatasetFormatError,
@@ -499,7 +500,7 @@ class TestNoExponentialWalk:
         lookups = []
         row = src._row
         src._row = lambda key: lookups.append(key) or row(key)
-        assert [column.tolist() for column in model._split_rows(src)] == [[], [], []]
+        assert [column.tolist() for column in _split_rows(src)] == [[], [], []]
         # The smallest member's singleton is the only candidate part.
         assert lookups == [tuple(src._features[1:])]
 
@@ -1531,7 +1532,7 @@ def dense_verify_cps(cps, tol=DEFAULT_TOL):
     tables = src._points.reshape(len(src), cps.num_states, len(features))
     member = reference_membership({f: j for j, f in enumerate(features)}, keys)
     masses = tables.sum(axis=1)
-    union, *parts = model._split_rows(src)
+    union, *parts = _split_rows(src)
     pairs = np.vstack([np.sort(parts, axis=0), union])
     pairs = pairs[:, np.lexsort(pairs[::-1])]
     violations, worst = [], 0.0
@@ -2496,7 +2497,7 @@ class TestLoaderMatchesPerRecordLoop:
 
 def reference_boundary_diagnostic(src, recovery, tol=DEFAULT_TOL):
     """One hull search per menu of two or more alternatives."""
-    rows = []
+    menus, interiors, in_hulls = [], [], []
     boundary = []
     for s in src.sets():
         members = sorted(s)
@@ -2510,19 +2511,24 @@ def reference_boundary_diagnostic(src, recovery, tol=DEFAULT_TOL):
         except NotInConvexHull:
             interior = False
             in_hull = False
-        rows.append(BoundaryRow(members=tuple(members), interior=interior, in_hull=in_hull))
+        menus.append(tuple(members))
+        interiors.append(interior)
+        in_hulls.append(in_hull)
         if not interior:
             boundary.append(tuple(members))
     single = None
     if isinstance(recovery, Recovered):
         single = len(recovery.representation.rank_classes()) == 1
-    return tuple(rows), tuple(boundary), tuple(boundary) if single else (), single
+    return tuple(menus), interiors, in_hulls, tuple(boundary), tuple(boundary) if single else (), single
 
 
 def _boundary_fields(report):
-    """What a ``BoundaryReport`` says: its rows, boundary menus,
-    contradictions and single-class flag."""
-    return report.rows, report.boundary_menus, report.contradictions, report.single_class
+    """What a ``BoundaryReport`` says: its menus, their interior and in-hull
+    masks, the boundary menus, contradictions and single-class flag."""
+    return (
+        report.menus, report.interior.tolist(), report.in_hull.tolist(),
+        report.boundary_menus, report.contradictions, report.single_class,
+    )
 
 
 def reference_certify_interior(points, gens, coef, tol):
@@ -2557,7 +2563,7 @@ def reference_certify_interior(points, gens, coef, tol):
 
 def reference_certified_boundary(src, recovery, tol=DEFAULT_TOL):
     """One certificate call per menu size over the menus whose members share
-    a rank, then one ``BoundaryRow`` per menu, searching the menus left open."""
+    a rank, then each menu's masks, searching the menus left open."""
     members, points = src._members, src._points
     blocks = [(first, codes) for size, (first, codes) in src._blocks.items() if size > 1]
     settled = np.zeros(len(members), dtype=bool)
@@ -2573,7 +2579,7 @@ def reference_certified_boundary(src, recovery, tol=DEFAULT_TOL):
             settled[first + same] = reference_certify_interior(
                 points[first + same], points[codes[same]], coef, tol
             )
-    rows = []
+    menus, interiors, in_hulls = [], [], []
     boundary = []
     for first, codes in blocks:
         for row, gens in enumerate(codes, first):
@@ -2583,10 +2589,12 @@ def reference_certified_boundary(src, recovery, tol=DEFAULT_TOL):
                     interior = relative_interior_check(points[row], points[gens], tol)
                 except NotInConvexHull:
                     interior = in_hull = False
-            rows.append(BoundaryRow(members=members[row], interior=interior, in_hull=in_hull))
+            menus.append(members[row])
+            interiors.append(interior)
+            in_hulls.append(in_hull)
             if not interior:
                 boundary.append(members[row])
-    return tuple(rows), tuple(boundary), tuple(boundary) if single else (), single
+    return tuple(menus), interiors, in_hulls, tuple(boundary), tuple(boundary) if single else (), single
 
 
 def _menus(seed, features=7, dimension=3, classes=1, shift=0.0, factor=1.0):
@@ -2668,8 +2676,8 @@ class TestBoundaryMatchesPerMenuSearch:
         want = reference_boundary_diagnostic(src, recovery, tol)
         assert _boundary_fields(boundary_diagnostic(src, recovery, tol)) == want
         if name.startswith("faces"):
-            rows, boundary_menus, _, _ = want
-            assert boundary_menus and not all(row.in_hull for row in rows)
+            _, _, in_hull, boundary_menus, _, _ = want
+            assert boundary_menus and not all(in_hull)
 
 
 def _no_menus():
@@ -2742,6 +2750,11 @@ class TestBoundaryMatchesPerSizeCertificates:
 
 # --------------------------------------------------------------------------
 # the split walk against a per-union sorted walk
+
+
+def _split_rows(src):
+    """Every stored split of ``src``: the walk's chunks end to end."""
+    return tuple(np.concatenate(column) for column in zip(*model._split_chunks(src)))
 
 
 def reference_split_rows(src):
@@ -2824,9 +2837,49 @@ class TestSplitRowsMatchPerUnionSort:
     @example(_OVERFLOW_SHARED)
     @given(set_families())
     def test_same_rows_in_same_order(self, src):
-        union, part_a, part_b = model._split_rows(src)
+        union, part_a, part_b = _split_rows(src)
         assert union.dtype == part_a.dtype == part_b.dtype == np.intp
         assert list(zip(union.tolist(), part_a.tolist(), part_b.tolist())) == reference_split_rows(src)
+
+
+def _random_cps(src, states=2):
+    """A conditional system on the sets of ``src``: each table random over its
+    members' columns and normalised, so its splits mostly break the chain rule."""
+    rng = np.random.default_rng(len(src))
+    n = len(src.features())
+    member = np.zeros((len(src), n))
+    member[np.repeat(np.arange(len(src)), src._sizes), src._codes] = 1.0
+    tables = rng.uniform(0.1, 1.0, (len(src), states, n)) * member[:, None, :]
+    tables /= tables.sum(axis=(1, 2), keepdims=True)
+    return ConditionalProbabilitySystem(states, DatasetSource(states * n, dict(zip(src._members, tables.reshape(len(src), -1)))))
+
+
+def _axiom_columns(src):
+    report = check_axiom(src)
+    return [(column.dtype, column.tobytes()) for column in (
+        report.union, report.part_a, report.part_b, report.lam, report.residual, report.degenerate, report.reason
+    )]
+
+
+class TestChunkedWalkMatchesOneChunk:
+    """Chunks of 1 to 7 splits cut the walk at every place, unions of a
+    merged size included; the consumers' output does not change."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(_SPARSE_FAMILY, 2)
+    @example(_WIDE_80, 3)
+    @example(_MIXED_BLOCK, 1)
+    @example(_OVERFLOW, 5)
+    @example(_NO_SPLIT, 1)
+    @given(set_families(), st.integers(1, 7))
+    def test_same_columns_and_report(self, src, chunk):
+        cps = _random_cps(src)
+        whole = _axiom_columns(src), verify_cps(cps)
+        with mock.patch.object(model, "_SPLIT_CHUNK", chunk):
+            chunks = list(model._split_chunks(src))
+            assert (_axiom_columns(src), verify_cps(cps)) == whole
+        assert chunks and (len(chunks) == 1 or all(len(union) for union, _, _ in chunks))
+        assert list(zip(*(np.concatenate(column).tolist() for column in zip(*chunks)))) == reference_split_rows(src)
 
 
 # --------------------------------------------------------------------------
